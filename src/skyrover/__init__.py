@@ -36,6 +36,7 @@ from .mapf import (
     make_solution,
     manhattan,
     path_cost,
+    step_conflicts,
     validate_agents,
     validate_solution,
 )

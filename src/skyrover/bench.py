@@ -66,7 +66,7 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
     scenario = load_scenario(scenario_path)
     base = scenario.solver or SolverConfig()
     row_seed = scenario.seed if seed is None else seed
-    config = replace(base, algorithm=algorithm, rng_seed=row_seed)
+    config = replace(base, algorithm=algorithm)
     name = os.path.splitext(os.path.basename(str(scenario_path)))[0]
 
     times = []

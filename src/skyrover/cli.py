@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import bench as bench_mod
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     SkyroverError,
     TaskError,
 )
-from .mapf import validate_solution
+from .mapf import validate_agents, validate_solution
 from .pcd import parse_pcd
 from .pgm import parse_pgm
 from .scenario import Scenario, load_scenario, save_scenario
@@ -62,7 +63,6 @@ def _solver_config(args, scenario: Scenario | None = None) -> SolverConfig:
         algorithm=normalize_algorithm(args.alg) if args.alg else base.algorithm,
         node_expansion_limit=args.expansion_limit or base.node_expansion_limit,
         time_limit=args.time_limit or base.time_limit,
-        rng_seed=args.seed if args.seed is not None else base.rng_seed,
         online_policy=getattr(args, "policy", None) or base.online_policy,
     )
 
@@ -108,6 +108,9 @@ def cmd_gen_warehouse(args) -> int:
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
     grid = _load_grid_for(args, scenario)
+    problems = validate_agents(grid, scenario.agents)
+    if problems:
+        raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
     config = _solver_config(args, scenario)
     t0 = time.perf_counter()
     result = solve(grid, scenario.agents, config)
@@ -139,14 +142,13 @@ def cmd_sim(args) -> int:
         print("error: pass exactly one of --plan or --online", file=sys.stderr)
         return EXIT_INPUT
     sim = Simulator()
+    loaded = replace(scenario, grid=grid)
     if args.plan:
         plan = read_plan(args.plan)
-        config = _solver_config(args, scenario)
-        sim._init_core(grid, scenario.agents, config, solution=plan.solution)
+        sim.init(loaded, _solver_config(args, scenario), solution=plan.solution)
         comp_time = plan.computation_time_s
     else:
-        config = SolverConfig(algorithm="online", online_policy=args.online, rng_seed=args.seed or scenario.seed)
-        sim._init_core(grid, scenario.agents, config)
+        sim.init(loaded, SolverConfig(algorithm="online", online_policy=args.online))
         comp_time = sim.computation_time
     record = sim.run(max_ticks=args.max_ticks)
     metrics = collect_metrics(record)
@@ -192,11 +194,8 @@ def cmd_task(args) -> int:
     print(f"rendezvous_ok={report.rendezvous_ok} overall_success={report.success}")
     if report.success:
         return EXIT_OK
-    if "resource" in report.reason:
-        print(report.reason, file=sys.stderr)
-        return EXIT_LIMIT
-    print(report.reason or "task failed", file=sys.stderr)
-    return EXIT_NO_SOLUTION
+    print(report.reason, file=sys.stderr)
+    return EXIT_LIMIT if report.status == RESOURCE_LIMIT else EXIT_NO_SOLUTION
 
 
 def cmd_bench(args) -> int:
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alg", help="astar | cbs | online")
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit")
         p.add_argument("--expansion-limit", type=int, default=None, dest="expansion_limit")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("solve", help="plan a scenario and write the plan file")
     p.add_argument("--scenario", required=True)

@@ -132,8 +132,41 @@ def constraints_from_conflict(conflict: Conflict) -> tuple[Constraint, Constrain
     )
 
 
-def _cell_at(cells, t: int):
+def cell_at(cells, t: int):
+    """The cell a path occupies at timestep t; an ended path stays on its last cell."""
     return cells[t] if t < len(cells) else cells[-1]
+
+
+def step_conflicts(prev: dict, cur: dict, t: int = 0) -> list[Conflict]:
+    """The vertex and swap conflicts of one joint step ``prev`` -> ``cur``.
+
+    This is the one collision rule (CBS, Sharon et al. 2015): two agents
+    conflict when they end the step in the same cell (vertex) or trade cells
+    (edge). Both mappings are agent id -> cell over the same agents; ``t`` is
+    the timestep ``cur`` belongs to. Cells are hashed, so the cost is
+    O(n + conflicts). The output is unordered.
+    """
+    out = []
+    first = {}
+    shared = {}
+    for a, cell in cur.items():
+        b = first.setdefault(cell, a)
+        if b != a:
+            shared.setdefault(cell, [b]).append(a)
+    for cell, group in shared.items():
+        out.extend(Conflict(VERTEX, pair, t, (cell,)) for pair in combinations(sorted(group), 2))
+    movers = {}
+    for a, v in cur.items():
+        u = prev[a]
+        if u == v:
+            continue
+        for b in movers.get((v, u), ()):
+            if a < b:
+                out.append(Conflict(EDGE, (a, b), t, (u, v)))
+            else:
+                out.append(Conflict(EDGE, (b, a), t, (v, u)))
+        movers.setdefault((u, v), []).append(a)
+    return out
 
 
 def detect_conflicts(paths: dict, horizon: int | None = None) -> list[Conflict]:
@@ -151,24 +184,8 @@ def detect_conflicts(paths: dict, horizon: int | None = None) -> list[Conflict]:
     out = []
     prev = {a: paths[a][0] for a in ids}
     for t in range(t_end + 1):
-        cur = {a: _cell_at(paths[a], t) for a in ids}
-        by_cell = {}
-        for a in ids:
-            by_cell.setdefault(cur[a], []).append(a)
-        for cell, group in by_cell.items():
-            if len(group) > 1:
-                for a, b in combinations(group, 2):
-                    out.append(Conflict(VERTEX, (a, b), t, (cell,)))
-        if t >= 1:
-            seen = {}
-            for a in ids:
-                u, v = prev[a], cur[a]
-                if u == v:
-                    continue
-                b = seen.get((v, u))
-                if b is not None:
-                    out.append(Conflict(EDGE, (b, a), t, (prev[b], cur[b])))
-                seen[(u, v)] = a
+        cur = {a: cell_at(paths[a], t) for a in ids}
+        out.extend(step_conflicts(prev, cur, t))
         prev = cur
     out.sort(key=lambda c: c.sort_key)
     return out

@@ -10,10 +10,9 @@ though livelock is possible and left for the benchmark to measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InvariantViolation
-from .mapf import MOVES, manhattan
+from .mapf import EDGE, MOVES, manhattan, step_conflicts
 
 
 @dataclass(frozen=True)
@@ -69,30 +68,28 @@ def get_policy(name: str):
 def shield_moves(cells: dict, proposals: dict) -> dict:
     """Downgrade proposed moves to waits until the joint move is safe.
 
-    Contended cell between two movers: the lower id enters, the higher id
-    waits. A mover colliding with a waiter yields regardless of id (the
-    waiter has nowhere to go). Swaps always involve two movers, so the
-    higher id waits. Terminates in at most one pass per agent since waits
-    only accumulate.
+    Each round resolves the conflict (``mapf.step_conflicts``) of the lowest
+    (a, b) agent pair. Contended cell between two movers: the lower id
+    enters, the higher id waits. A mover colliding with a waiter yields
+    regardless of id (the waiter has nowhere to go). Swaps always involve
+    two movers, so the higher id waits. Terminates in at most one round per
+    agent since waits only accumulate.
     """
     moves = dict(proposals)
-    ids = sorted(moves)
-    for _ in range(len(ids) + 1):
-        offender = None
-        for a, b in combinations(ids, 2):
-            ta, tb = moves[a], moves[b]
-            if ta == tb:
-                a_waits = ta == cells[a]
-                b_waits = tb == cells[b]
-                if a_waits and b_waits:
-                    raise InvariantViolation(f"agents {a} and {b} already share cell {ta}")
-                offender = a if b_waits else b
-            elif ta == cells[b] and tb == cells[a]:
-                offender = b
-            if offender is not None:
-                break
-        if offender is None:
+    for _ in range(len(moves) + 1):
+        conflicts = step_conflicts(cells, moves)
+        if not conflicts:
             return moves
+        conflict = min(conflicts, key=lambda c: c.agents)
+        a, b = conflict.agents
+        if conflict.kind == EDGE:
+            offender = b
+        else:
+            a_waits = moves[a] == cells[a]
+            b_waits = moves[b] == cells[b]
+            if a_waits and b_waits:
+                raise InvariantViolation(f"agents {a} and {b} already share cell {moves[a]}")
+            offender = a if b_waits else b
         moves[offender] = cells[offender]
     raise InvariantViolation("shield failed to converge")
 
@@ -113,17 +110,4 @@ def online_policy_step(policy, view: WorldView) -> dict:
         ):
             nxt = cell  # illegal proposal degrades to wait
         legal[agent.id] = nxt
-    moves = shield_moves(view.cells, legal)
-    _assert_conflict_free(view.cells, moves)
-    return moves
-
-
-def _assert_conflict_free(cells: dict, moves: dict) -> None:
-    targets = {}
-    for aid, nxt in moves.items():
-        if nxt in targets:
-            raise InvariantViolation(f"agents {targets[nxt]} and {aid} both step into {nxt}")
-        targets[nxt] = aid
-    for a, b in combinations(sorted(moves), 2):
-        if moves[a] == cells[b] and moves[b] == cells[a] and cells[a] != cells[b]:
-            raise InvariantViolation(f"agents {a} and {b} swap cells")
+    return shield_moves(view.cells, legal)

@@ -20,6 +20,7 @@ from .voxelgrid import OccupancyGrid3D, empty_grid, read_grid
 _TOP_KEYS = {"grid", "agents", "seed", "task", "solver"}
 _AGENT_KEYS = {"id", "kind", "start", "goal"}
 _TASK_KEYS = {"kind", "agv_id", "uav_id", "point_a", "point_b", "hover_offset", "hold_steps"}
+# "rng_seed" is accepted for older files and ignored: no solver is randomized.
 _SOLVER_KEYS = {"algorithm", "node_expansion_limit", "time_limit", "rng_seed", "online_policy"}
 _GRID_SPEC_KEYS = {
     "empty": {"kind", "dims"},
@@ -29,7 +30,7 @@ _GRID_SPEC_KEYS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    grid: object  # path string or inline generator spec (dict)
+    grid: object  # path string, inline generator spec (dict) or a loaded OccupancyGrid3D
     agents: tuple
     seed: int = 0
     task: TaskScript | None = None
@@ -41,6 +42,8 @@ class Scenario:
 
     def materialize_grid(self) -> OccupancyGrid3D:
         """Load the referenced grid file or build the inline-spec world."""
+        if isinstance(self.grid, OccupancyGrid3D):
+            return self.grid
         if isinstance(self.grid, str):
             path = self.grid
             if self.base_dir and not os.path.isabs(path):
@@ -147,7 +150,6 @@ def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
                 algorithm=s.get("algorithm", "cbs"),
                 node_expansion_limit=int(s.get("node_expansion_limit", 5_000_000)),
                 time_limit=float(s.get("time_limit", 300.0)),
-                rng_seed=int(s.get("rng_seed", 0)),
                 online_policy=s.get("online_policy", "greedy-shielded"),
             )
         except ValueError as exc:
@@ -182,7 +184,6 @@ def scenario_to_json(scenario: Scenario) -> dict:
             "algorithm": s.algorithm,
             "node_expansion_limit": s.node_expansion_limit,
             "time_limit": s.time_limit,
-            "rng_seed": s.rng_seed,
             "online_policy": s.online_policy,
         }
     return payload

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     InvariantViolation,
@@ -23,9 +23,11 @@ from .errors import (
 )
 from .mapf import (
     Solution,
+    cell_at,
     detect_conflicts,
     make_solution,
     path_cost,
+    step_conflicts,
     validate_agents,
     validate_solution,
 )
@@ -86,7 +88,6 @@ class Simulator:
 
     def __init__(self):
         self._grid = None
-        self._grid_key = None
         self._scenario = None
         self._config = None
         self._agents = ()
@@ -98,26 +99,21 @@ class Simulator:
     # -- lifecycle ---------------------------------------------------------
 
     def init(self, scenario, config: SolverConfig | None = None, solution: Solution | None = None) -> SimState:
-        """Load the scenario, run the solver (timed) or the policy loader, tick 0.
+        """Load and validate the scenario, run the solver (timed) or load the policy, tick 0.
 
-        An externally supplied ``solution`` (a replayed plan file) skips the
-        solver but is still validated before it is trusted.
+        ``scenario.grid`` may be a file path, an inline spec or an already
+        loaded grid. An externally supplied ``solution`` (a replayed plan
+        file) skips the solver but is still validated before it is trusted.
         """
         config = config or scenario.solver or SolverConfig()
-        grid_key = (scenario.grid if isinstance(scenario.grid, str) else json.dumps(scenario.grid, sort_keys=True), scenario.base_dir)
-        if self._grid is None or grid_key != self._grid_key:
-            self._grid = scenario.materialize_grid()
-            self._grid_key = grid_key
-        self._scenario = scenario
-        problems = validate_agents(self._grid, scenario.agents)
+        grid = scenario.materialize_grid()
+        problems = validate_agents(grid, scenario.agents)
         if problems:
             raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
-        return self._init_core(self._grid, tuple(scenario.agents), config, solution=solution)
-
-    def _init_core(self, grid, agents, config, solution=None, external=None) -> SimState:
-        external = solution is not None if external is None else external
+        self._grid = grid
+        self._scenario = scenario
         self._config = config
-        self._agents = tuple(sorted(agents, key=lambda a: a.id))
+        self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
         self._solution = None
         self._policy = None
         if config.algorithm == ONLINE:
@@ -126,7 +122,10 @@ class Simulator:
             self._computation_time = time.perf_counter() - t0
             mode = ONLINE_MODE
         else:
-            if solution is None:
+            supplied = solution is not None
+            if supplied:
+                self._computation_time = 0.0
+            else:
                 t0 = time.perf_counter()
                 result = solve(grid, self._agents, config)
                 self._computation_time = time.perf_counter() - t0
@@ -134,17 +133,14 @@ class Simulator:
                     err = NoSolutionError if result.status == NO_SOLUTION else ResourceLimitError
                     raise err(f"{config.algorithm}: {result.reason}")
                 solution = result.solution
-            else:
-                self._computation_time = 0.0
             violations = validate_solution(grid, self._agents, solution.paths)
             if violations:
                 detail = "; ".join(v.detail for v in violations[:5])
-                if external:
+                if supplied:
                     raise ScenarioError(f"supplied plan fails validation: {detail}")
                 raise InvariantViolation(f"solver produced an invalid solution: {detail}")
             self._solution = solution
             mode = PRECOMPUTED_MODE
-        self._grid = grid
         cells = {a.id: a.start for a in self._agents}
         state = SimState(0, cells, self._statuses(cells, 0, mode), mode)
         self._states = [state]
@@ -172,28 +168,35 @@ class Simulator:
     def computation_time(self) -> float:
         return self._computation_time
 
+    @property
+    def solution(self) -> Solution | None:
+        """The validated plan being replayed; None in online mode."""
+        return self._solution
+
     def step(self) -> SimState:
         """Advance one tick; a state with everyone at goal is a fixpoint no-op."""
         cur = self.state
         if cur.all_at_goal:
             return cur
         if cur.mode == PRECOMPUTED_MODE:
-            nxt = {
-                a.id: _path_cell(self._solution.paths[a.id], cur.tick + 1) for a in self._agents
-            }
+            nxt = {a.id: cell_at(self._solution.paths[a.id], cur.tick + 1) for a in self._agents}
         else:
             view = WorldView(self._grid, self._agents, cur.cells)
             nxt = online_policy_step(self._policy, view)
-        _check_step(cur.cells, nxt)
+        conflicts = step_conflicts(cur.cells, nxt, cur.tick + 1)
+        if conflicts:
+            c = min(conflicts, key=lambda c: c.sort_key)
+            raise InvariantViolation(f"agents {c.agents[0]} and {c.agents[1]} collide at tick {c.time} on {c.cells}")
         state = SimState(cur.tick + 1, nxt, self._statuses(nxt, cur.tick + 1, cur.mode), cur.mode)
         self._states.append(state)
         return state
 
     def reset(self, scenario=None, config: SolverConfig | None = None) -> SimState:
-        """Fresh state as from init, reusing the loaded grid when unchanged."""
-        scenario = scenario if scenario is not None else self._scenario
+        """Fresh state as from init; without a new scenario the loaded grid is reused."""
         if scenario is None:
-            raise ScenarioError("reset before init: no scenario to rebuild from")
+            if self._scenario is None:
+                raise ScenarioError("reset before init: no scenario to rebuild from")
+            scenario = replace(self._scenario, grid=self._grid)
         return self.init(scenario, config=config or self._config)
 
     def run(self, max_ticks: int | None = None) -> RunRecord:
@@ -217,25 +220,6 @@ class Simulator:
             solution=self._solution,
             budget=budget,
         )
-
-
-def _path_cell(cells, t: int):
-    return cells[t] if t < len(cells) else cells[-1]
-
-
-def _check_step(cur: dict, nxt: dict) -> None:
-    targets = {}
-    for aid in sorted(nxt):
-        cell = nxt[aid]
-        if cell in targets:
-            raise InvariantViolation(f"agents {targets[cell]} and {aid} collide in cell {cell}")
-        targets[cell] = aid
-    ids = sorted(nxt)
-    for x in range(len(ids)):
-        for y in range(x + 1, len(ids)):
-            a, b = ids[x], ids[y]
-            if nxt[a] == cur[b] and nxt[b] == cur[a] and cur[a] != cur[b]:
-                raise InvariantViolation(f"agents {a} and {b} swap cells")
 
 
 # -- metrics -------------------------------------------------------------

@@ -31,7 +31,6 @@ class SolverConfig:
     algorithm: str = CBS
     node_expansion_limit: int = 5_000_000
     time_limit: float = 300.0
-    rng_seed: int = 0
     online_policy: str = "greedy-shielded"
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .errors import InvariantViolation, NoSolutionError, ResourceLimitError, TaskError
 from .mapf import AGV, UAV, validate_agents
 from .sim import RunMetrics, Simulator, collect_metrics
-from .solvers import SolverConfig
+from .solvers import NO_SOLUTION, RESOURCE_LIMIT, SOLVED, SolverConfig
 
 INVENTORY_SCAN = "inventory_scan"
 AERIAL_TRANSFER = "aerial_transfer"
@@ -62,11 +62,21 @@ class Episode:
 
 @dataclass(frozen=True)
 class TaskReport:
+    """How a task run ended.
+
+    ``status`` is ``solved``, ``resource_limit`` when an episode's solver ran
+    out of budget, or ``no_solution`` for every other failure.
+    """
+
     episodes: tuple  # RunMetrics per episode, in order
     rendezvous_ok: bool
-    success: bool
+    status: str
     failed_episode: int | None = None
     reason: str = ""
+
+    @property
+    def success(self) -> bool:
+        return self.status == SOLVED
 
 
 def compile_task(grid, script: TaskScript, agents) -> list[Episode]:
@@ -144,6 +154,8 @@ def run_task(grid, agents, script: TaskScript, config: SolverConfig | None = Non
     from solver output. Episode 1's log is extended by hold_steps parked
     ticks before episode 2 begins.
     """
+    from .scenario import Scenario  # scenario.py imports TaskScript from this module
+
     config = config or SolverConfig()
     episodes = compile_task(grid, script, agents)
     roster = sorted(agents, key=lambda a: a.id)
@@ -157,12 +169,12 @@ def run_task(grid, agents, script: TaskScript, config: SolverConfig | None = Non
         instance = tuple(replace(a, start=ep.starts[a.id], goal=ep.goals[a.id]) for a in roster)
         sim = Simulator()
         try:
-            sim._init_core(grid, instance, config)
+            sim.init(Scenario(grid=grid, agents=instance), config)
         except (NoSolutionError, ResourceLimitError) as exc:
             return TaskReport(
                 episodes=tuple(metrics),
                 rendezvous_ok=False,
-                success=False,
+                status=RESOURCE_LIMIT if isinstance(exc, ResourceLimitError) else NO_SOLUTION,
                 failed_episode=n,
                 reason=f"episode {n}: {exc}",
             )
@@ -173,7 +185,7 @@ def run_task(grid, agents, script: TaskScript, config: SolverConfig | None = Non
             return TaskReport(
                 episodes=tuple(metrics),
                 rendezvous_ok=False,
-                success=False,
+                status=NO_SOLUTION,
                 failed_episode=n,
                 reason=f"episode {n}: only {m.success_rate:.3f} of agents reached their goals",
             )
@@ -189,12 +201,9 @@ def run_task(grid, agents, script: TaskScript, config: SolverConfig | None = Non
             )
         cells = dict(states[-1].cells)
 
-    success = rendezvous_ok
-    reason = "" if success else "rendezvous hold was never observed in the tick log"
     return TaskReport(
         episodes=tuple(metrics),
         rendezvous_ok=rendezvous_ok,
-        success=success,
-        failed_episode=None,
-        reason=reason,
+        status=SOLVED if rendezvous_ok else NO_SOLUTION,
+        reason="" if rendezvous_ok else "rendezvous hold was never observed in the tick log",
     )

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with different algorithms and data
 layouts than the package: plain BFS over static grids, a triple-loop
-pairwise conflict scan, uniform-cost search over joint configurations with
-explicit "finished" flags, and brute-force path enumeration. Slow is fine;
-these define the expected answers.
+pairwise conflict scan, a pairwise-rescan collision shield, uniform-cost
+search over joint configurations with explicit "finished" flags, and
+brute-force path enumeration. Slow is fine; these define the expected
+answers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations, count, product
 
 import numpy as np
 
-from skyrover import AGV, UAV, Agent, OccupancyGrid3D
+from skyrover import AGV, UAV, Agent, InvariantViolation, OccupancyGrid3D
 from skyrover.mapf import MOVES, VERTEX
 
 
@@ -65,6 +66,35 @@ def brute_force_conflicts(paths, horizon=None):
                     found.append((t, a, b, "edge", (qa, pa)))
     found.sort(key=lambda c: (c[0], c[1], 0 if c[3] == "vertex" else 1, c[2], c[4]))
     return found
+
+
+def pairwise_shield(cells, proposals):
+    """Reference collision shield: rescan all pairs after every downgrade.
+
+    The first conflicting pair in (a, b) order is resolved each pass. Same
+    cell: a mover yields to a waiter, otherwise the higher id waits; both
+    waiting means the input already collides. Swap: the higher id waits.
+    """
+    moves = dict(proposals)
+    ids = sorted(moves)
+    for _ in range(len(ids) + 1):
+        offender = None
+        for a, b in combinations(ids, 2):
+            ta, tb = moves[a], moves[b]
+            if ta == tb:
+                a_waits = ta == cells[a]
+                b_waits = tb == cells[b]
+                if a_waits and b_waits:
+                    raise InvariantViolation(f"agents {a} and {b} already share cell {ta}")
+                offender = a if b_waits else b
+            elif ta == cells[b] and tb == cells[a]:
+                offender = b
+            if offender is not None:
+                break
+        if offender is None:
+            return moves
+        moves[offender] = cells[offender]
+    raise InvariantViolation("shield failed to converge")
 
 
 def _goal_distance_maps(grid, agents):

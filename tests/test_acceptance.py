@@ -91,10 +91,10 @@ def test_warehouse_success_reproduction():
         for alg in ("astar", "cbs"):
             sim = Simulator()
             t0 = time.perf_counter()
-            sim._init_core(grid, agents, SolverConfig(algorithm=alg, time_limit=120.0))
+            sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm=alg, time_limit=120.0))
             solve_time = time.perf_counter() - t0
             assert solve_time < 120.0, f"seed {seed} {alg} took {solve_time:.1f}s"
-            assert validate_solution(grid, agents, sim._solution.paths) == []
+            assert validate_solution(grid, agents, sim.solution.paths) == []
             record = sim.run()
             metrics = collect_metrics(record)
             assert metrics.success_rate == 1.0, f"seed {seed} {alg}"
@@ -307,7 +307,7 @@ def test_task_pipeline():
             replace(a, start=episodes[0].starts[a.id], goal=episodes[0].goals[a.id]) for a in roster
         )
         sim = Simulator()
-        sim._init_core(grid, instance, SolverConfig(algorithm="cbs"))
+        sim.init(Scenario(grid=grid, agents=instance), SolverConfig(algorithm="cbs"))
         record = sim.run()
         log = list(record.states) + [record.states[-1]] * script.hold_steps
         streak = 0
@@ -353,7 +353,7 @@ def test_determinism_and_roundtrips(tmp_path):
                          "--agents", "2uav+4agv", "--seed", "9", "-o", str(out)]) == 0
         plan = d / "plan.json"
         assert cli_main(["solve", "--scenario", str(d / "wh.json"), "--alg", "cbs",
-                         "--seed", "9", "-o", str(plan)]) == 0
+                         "-o", str(plan)]) == 0
         wp = d / "wp.csv"
         ticks = d / "ticks.jsonl"
         assert cli_main(["sim", "--scenario", str(d / "wh.json"), "--plan", str(plan),

@@ -109,6 +109,29 @@ def test_solve_unsolvable_exits_4(tmp_path, capsys):
     assert "no solution" in capsys.readouterr().err
 
 
+def _shared_start_scenario(tmp_path):
+    from skyrover import AGV, Agent, Scenario, save_scenario
+
+    sc = Scenario(
+        grid={"kind": "empty", "dims": [4, 4, 1]},
+        agents=(Agent(0, AGV, (0, 0, 0), (3, 0, 0)), Agent(1, AGV, (0, 0, 0), (3, 3, 0))),
+    )
+    save_scenario(sc, tmp_path / "s.json")
+    return str(tmp_path / "s.json")
+
+
+def test_solve_invalid_instance_exits_2(tmp_path, capsys):
+    rc = main(["solve", "--scenario", _shared_start_scenario(tmp_path), "--alg", "cbs"])
+    assert rc == 2
+    assert "share start" in capsys.readouterr().err
+
+
+def test_sim_online_invalid_instance_exits_2(tmp_path, capsys):
+    rc = main(["sim", "--scenario", _shared_start_scenario(tmp_path), "--online", "greedy-shielded"])
+    assert rc == 2
+    assert "share start" in capsys.readouterr().err
+
+
 def test_solve_resource_limit_exits_5(warehouse_files):
     scenario_path, _ = warehouse_files
     rc = main(["solve", "--scenario", str(scenario_path), "--alg", "cbs", "--expansion-limit", "1"])
@@ -192,6 +215,20 @@ def test_task_command_runs_pipeline(tmp_path, capsys):
     assert rc == 0
     assert "episode 1" in out and "episode 2" in out
     assert "overall_success=True" in out
+
+
+def test_task_budget_exhausted_exits_5(tmp_path, capsys):
+    from skyrover import AGV, UAV, Agent, Scenario, TaskScript, save_scenario
+
+    sc = Scenario(
+        grid={"kind": "empty", "dims": [10, 10, 6]},
+        agents=(Agent(0, AGV, (0, 0, 0), (9, 9, 0)), Agent(1, UAV, (9, 0, 0), (0, 9, 3))),
+        task=TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0)),
+    )
+    save_scenario(sc, tmp_path / "task.json")
+    rc = main(["task", "--scenario", str(tmp_path / "task.json"), "--alg", "cbs", "--expansion-limit", "3"])
+    assert rc == 5
+    assert "expansion limit" in capsys.readouterr().err
 
 
 def test_task_without_block_exits_2(warehouse_files):

@@ -12,6 +12,7 @@ from skyrover import (
     empty_grid,
     make_solution,
     path_cost,
+    step_conflicts,
     validate_agents,
     validate_solution,
 )
@@ -93,6 +94,29 @@ def test_brute_force_agreement_property(seed, n):
     rng = random.Random(seed)
     paths = random_walk_paths(rng, (4, 4, 2), n, 9)
     assert _normalize(detect_conflicts(paths)) == brute_force_conflicts(paths)
+
+
+def test_step_conflicts_matches_brute_force_on_crowded_steps():
+    rng = random.Random(41)
+    for _ in range(2000):
+        # six walkers on a 2x2 floor share cells and transitions often
+        paths = random_walk_paths(rng, (2, 2, 1), 6, 1)
+        prev = {a: p[0] for a, p in paths.items()}
+        cur = {a: p[-1] for a, p in paths.items()}
+        want = [c for c in brute_force_conflicts({a: (prev[a], cur[a]) for a in paths}) if c[0] == 1]
+        found = sorted(step_conflicts(prev, cur, 1), key=lambda c: c.sort_key)
+        assert _normalize(found) == want
+
+
+def test_shared_transition_swaps_with_every_agent():
+    # agents 0 and 1 move u -> v together while agent 2 moves v -> u
+    u, v = (0, 0, 0), (1, 0, 0)
+    found = step_conflicts({0: u, 1: u, 2: v}, {0: v, 1: v, 2: u}, 5)
+    assert sorted(_normalize(found)) == [
+        (5, 0, 1, "vertex", (v,)),
+        (5, 0, 2, "edge", (u, v)),
+        (5, 1, 2, "edge", (u, v)),
+    ]
 
 
 # -- path cost ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 from skyrover import (
@@ -6,14 +7,16 @@ from skyrover import (
     UAV,
     Agent,
     GreedyShieldedPolicy,
+    InvariantViolation,
     WorldView,
     empty_grid,
     get_policy,
     manhattan,
     online_policy_step,
+    shield_moves,
 )
 
-from oracles import random_instance
+from oracles import pairwise_shield, random_instance
 
 
 def _step(grid, agents, cells):
@@ -104,6 +107,53 @@ def test_random_steps_never_conflict():
             assert _config_ok(cells, after)
             cells = after
             checks += 1
+
+
+def _random_joint_move(rng):
+    """Cells and proposed cells for a few agents on a tiny floor, so they contend.
+
+    Ids are sparse and inserted in random order; one configuration in ten
+    lets agents start on a shared cell.
+    """
+    nx, ny = rng.choice(((1, 4), (2, 3), (3, 3)))
+    spots = [(i, j, 0) for i in range(nx) for j in range(ny)]
+    n = rng.randrange(2, min(7, len(spots)) + 1)
+    ids = rng.sample(range(20), n)
+    if rng.random() < 0.1:
+        cells = {a: rng.choice(spots) for a in ids}
+    else:
+        cells = dict(zip(ids, rng.sample(spots, n)))
+    proposals = {}
+    for a in rng.sample(ids, n):
+        i, j, k = cells[a]
+        options = [(i, j, k)] + [
+            (i + di, j + dj, k) for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)) if (i + di, j + dj, k) in spots
+        ]
+        proposals[a] = rng.choice(options)
+    return cells, proposals
+
+
+def _outcome(shield, cells, proposals):
+    try:
+        return shield(cells, proposals)
+    except InvariantViolation as exc:
+        return ("raised", str(exc))
+
+
+def test_shield_matches_pairwise_reference():
+    rng = random.Random(77)
+    seen = Counter()
+    for _ in range(12_000):
+        cells, proposals = _random_joint_move(rng)
+        want = _outcome(pairwise_shield, cells, proposals)
+        assert _outcome(shield_moves, cells, proposals) == want, (cells, proposals)
+        movers = [a for a in proposals if proposals[a] != cells[a]]
+        waiters = {cells[a] for a in proposals if proposals[a] == cells[a]}
+        seen["raised"] += isinstance(want, tuple)
+        seen["3-way contention"] += max(Counter(proposals[a] for a in movers).values(), default=0) >= 3
+        seen["mover into waiter"] += any(proposals[a] in waiters for a in movers)
+        seen["swap"] += any(proposals[a] == cells[b] and proposals[b] == cells[a] for a in movers for b in movers if a < b)
+    assert all(seen[k] >= 100 for k in ("raised", "3-way contention", "mover into waiter", "swap")), seen
 
 
 def test_unknown_policy_rejected():

@@ -48,7 +48,6 @@ def _random_scenario(rng: random.Random) -> Scenario:
             algorithm=rng.choice(("astar", "cbs", "online")),
             node_expansion_limit=rng.randrange(1, 10**6),
             time_limit=rng.choice((1.0, 30.0, 120.5)),
-            rng_seed=rng.randrange(100),
         )
     grid = rng.choice(
         (
@@ -161,6 +160,18 @@ def test_inline_specs_materialize():
     assert grid.occupied_count > 0
     sc2 = Scenario(grid={"kind": "empty", "dims": [4, 5, 6]}, agents=sc.agents)
     assert sc2.materialize_grid().occupied_count == 0
+
+
+def test_legacy_rng_seed_is_accepted_and_ignored(tmp_path):
+    payload = {
+        "grid": {"kind": "empty", "dims": [4, 4, 1]},
+        "agents": [{"id": 0, "kind": "agv", "start": [0, 0, 0], "goal": [3, 3, 0]}],
+        "solver": {"algorithm": "astar", "time_limit": 5.0, "rng_seed": 42},
+    }
+    (tmp_path / "old.json").write_text(json.dumps(payload))
+    sc = load_scenario(tmp_path / "old.json")
+    assert sc.solver == SolverConfig(algorithm="astar", time_limit=5.0)
+    assert "rng_seed" not in json.loads(scenario_to_bytes(sc))["solver"]
 
 
 def test_not_json_is_a_scenario_error():

@@ -35,7 +35,7 @@ def test_init_trivial_start_equals_goal():
     assert state.tick == 0
     assert state.cells[0] == (1, 1, 0)
     assert state.status[0] == AT_GOAL
-    assert sim._solution.sum_of_costs == 0
+    assert sim.solution.sum_of_costs == 0
 
 
 def test_step_advances_along_the_path():
@@ -44,7 +44,7 @@ def test_step_advances_along_the_path():
     sim.init(sc, SolverConfig(algorithm="cbs"))
     s1 = sim.step()
     assert s1.tick == 1
-    assert s1.cells[0] == sim._solution.paths[0][1]
+    assert s1.cells[0] == sim.solution.paths[0][1]
 
 
 def test_fixpoint_step_is_a_noop():
@@ -65,10 +65,10 @@ def test_precomputed_run_finishes_exactly_at_makespan():
 
     grid, agents = random_instance(rng, (6, 6, 2), 3, density=0.15)
     sim = Simulator()
-    state = sim._init_core(grid, agents, SolverConfig(algorithm="cbs"))
+    state = sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="cbs"))
     assert state.tick == 0
     record = sim.run()
-    assert record.states[-1].tick == sim._solution.makespan
+    assert record.states[-1].tick == sim.solution.makespan
     assert record.states[-1].all_at_goal
 
 
@@ -99,6 +99,25 @@ def test_reset_with_new_scenario_swaps_roster():
     state = sim.reset(sc2)
     assert set(state.cells) == {0, 1, 2}
     assert state.tick == 0
+
+
+def test_init_with_loaded_grid_rejects_shared_start():
+    agents = [Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (0, 0, 0), (2, 2, 0))]
+    sim = Simulator()
+    with pytest.raises(ScenarioError, match="share start"):
+        sim.init(Scenario(grid=empty_grid((3, 3, 1)), agents=tuple(agents)), SolverConfig(algorithm="online"))
+
+
+def test_reset_reuses_the_loaded_grid():
+    sc = _scenario((4, 4, 1), [Agent(0, AGV, (0, 0, 0), (3, 3, 0))])
+    sim = Simulator()
+    sim.init(sc, SolverConfig(algorithm="cbs"))
+    grid = sim.grid
+    sim.run()
+    sim.reset()
+    assert sim.grid is grid
+    sim.reset(sc)  # a scenario passed in is loaded afresh
+    assert sim.grid is not grid
 
 
 def test_agv_goal_above_ground_is_a_validation_error():
@@ -185,13 +204,21 @@ def test_internal_conflict_raises_invariant_fault():
     grid = empty_grid((4, 1, 1))
     agents = (Agent(0, AGV, (0, 0, 0), (1, 0, 0)), Agent(1, AGV, (3, 0, 0), (2, 0, 0)))
     sim = Simulator()
-    sim._init_core(grid, agents, SolverConfig(algorithm="cbs"))
+    sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="cbs"))
     # corrupt the stored plan so both agents meet in (2,0,0) at t=2
     sim._solution = make_solution(
         {0: ((0, 0, 0), (1, 0, 0), (2, 0, 0)), 1: ((3, 0, 0), (2, 0, 0), (2, 0, 0))}
     )
     sim.step()
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="collide at tick 2"):
+        sim.step()
+    # and so that they swap (1,0,0) <-> (2,0,0) at t=2
+    sim.reset()
+    sim._solution = make_solution(
+        {0: ((0, 0, 0), (1, 0, 0), (2, 0, 0)), 1: ((3, 0, 0), (2, 0, 0), (1, 0, 0))}
+    )
+    sim.step()
+    with pytest.raises(InvariantViolation, match=r"agents 0 and 1 collide at tick 2"):
         sim.step()
 
 

@@ -107,6 +107,7 @@ def test_sealed_room_fails_naming_the_episode():
     script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
     report = run_task(grid, _roster(), script, SolverConfig(algorithm="cbs"))
     assert not report.success
+    assert report.status == "no_solution"
     assert report.failed_episode == 1
     assert "episode 1" in report.reason
 
