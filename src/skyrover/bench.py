@@ -76,7 +76,7 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
         try:
             sim.init(scenario, config=config)
         except (NoSolutionError, ResourceLimitError):
-            return BenchRow(name, algorithm, row_seed, len(scenario.agents), 0.0, 0.0, -1, -1)
+            return BenchRow(name, algorithm, row_seed, len(scenario.agents), sim.computation_time, 0.0, -1, -1)
         record = sim.run()
         times.append(record.computation_time)
         if metrics is None:

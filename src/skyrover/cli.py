@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-import time
 from dataclasses import replace
 
 from . import bench as bench_mod
@@ -26,22 +25,23 @@ from .errors import (
     SkyroverError,
     TaskError,
 )
-from .mapf import validate_agents, validate_solution
+from .mapf import make_solution
 from .pcd import parse_pcd
 from .pgm import parse_pgm
 from .scenario import Scenario, load_scenario, save_scenario
 from .sim import (
+    DEFAULT_CELL_DURATION,
     Simulator,
     collect_metrics,
     execute_plan,
-    plan_to_bytes,
     read_plan,
     waypoints_to_bytes,
+    write_plan,
 )
-from .solvers import NO_SOLUTION, RESOURCE_LIMIT, SolverConfig, normalize_algorithm, solve
+from .solvers import ONLINE, RESOURCE_LIMIT, SolverConfig, normalize_algorithm
 from .tasks import run_task
 from .voxelgrid import extrude_ground, rasterize, read_grid, write_grid
-from .warehouse import generate_warehouse
+from .warehouse import DEFAULT_DIMS, DEFAULT_ROSTER, DEFAULT_SHELF_ROWS, generate_warehouse
 
 log = logging.getLogger("skyrover")
 
@@ -57,26 +57,22 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
 
 
-def _solver_config(args, scenario: Scenario | None = None) -> SolverConfig:
-    base = scenario.solver if scenario is not None and scenario.solver else SolverConfig()
-    return SolverConfig(
-        algorithm=normalize_algorithm(args.alg) if args.alg else base.algorithm,
-        node_expansion_limit=args.expansion_limit or base.node_expansion_limit,
-        time_limit=args.time_limit or base.time_limit,
-        online_policy=getattr(args, "policy", None) or base.online_policy,
-    )
+def _load_scenario(args) -> Scenario:
+    scenario = load_scenario(args.scenario)
+    if args.grid:
+        scenario = replace(scenario, grid=read_grid(args.grid))
+    return scenario
 
 
-def _load_grid_for(args, scenario: Scenario):
-    if getattr(args, "grid", None):
-        return read_grid(args.grid)
-    return scenario.materialize_grid()
+def _solver_config(args, scenario: Scenario) -> SolverConfig:
+    """The scenario's solver block (or the defaults) with the given flags laid over it."""
+    flags = {"algorithm": args.alg, "node_expansion_limit": args.expansion_limit, "time_limit": args.time_limit}
+    return replace(scenario.solver or SolverConfig(), **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_gridgen(args) -> int:
     if bool(args.pcd) == bool(args.pgm):
-        print("error: pass exactly one of --pcd or --pgm", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("pass exactly one of --pcd or --pgm")
     if args.pcd:
         with open(args.pcd, "rb") as fh:
             cloud = parse_pcd(fh.read())
@@ -106,49 +102,34 @@ def cmd_gen_warehouse(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    scenario = load_scenario(args.scenario)
-    grid = _load_grid_for(args, scenario)
-    problems = validate_agents(grid, scenario.agents)
-    if problems:
-        raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
+    scenario = _load_scenario(args)
     config = _solver_config(args, scenario)
-    t0 = time.perf_counter()
-    result = solve(grid, scenario.agents, config)
-    comp_time = time.perf_counter() - t0
-    if result.status == NO_SOLUTION:
-        print(f"no solution: {result.reason}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    if result.status == RESOURCE_LIMIT:
-        print(f"resource limit: {result.reason}", file=sys.stderr)
-        return EXIT_LIMIT
-    solution = result.solution
-    violations = validate_solution(grid, scenario.agents, solution.paths)
-    success_rate = 1.0 if not violations else 0.0
+    if config.algorithm == ONLINE:
+        raise ValueError("online policies plan per step; there is nothing to precompute")
+    sim = Simulator()
+    sim.init(scenario, config)  # raises unless the plan is found and validated
+    solution = sim.solution
     if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(plan_to_bytes(solution, scenario.agents, comp_time))
+        write_plan(args.output, solution, scenario.agents, sim.computation_time)
     print(
         f"solved alg={config.algorithm} agents={len(scenario.agents)} "
         f"sum_of_costs={solution.sum_of_costs} makespan={solution.makespan} "
-        f"comp_time_s={comp_time:.3f} success_rate={success_rate * 100:.0f}%"
+        f"comp_time_s={sim.computation_time:.3f} success_rate=100%"
     )
     return EXIT_OK
 
 
 def cmd_sim(args) -> int:
-    scenario = load_scenario(args.scenario)
-    grid = _load_grid_for(args, scenario)
     if bool(args.plan) == bool(args.online):
-        print("error: pass exactly one of --plan or --online", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("pass exactly one of --plan or --online")
+    scenario = _load_scenario(args)
     sim = Simulator()
-    loaded = replace(scenario, grid=grid)
     if args.plan:
         plan = read_plan(args.plan)
-        sim.init(loaded, _solver_config(args, scenario), solution=plan.solution)
+        sim.init(scenario, solution=plan.solution)
         comp_time = plan.computation_time_s
     else:
-        sim.init(loaded, SolverConfig(algorithm="online", online_policy=args.online))
+        sim.init(scenario, SolverConfig(algorithm=ONLINE, online_policy=args.online))
         comp_time = sim.computation_time
     record = sim.run(max_ticks=args.max_ticks)
     metrics = collect_metrics(record)
@@ -164,10 +145,8 @@ def cmd_sim(args) -> int:
                     + "\n"
                 )
     if args.waypoints:
-        from .mapf import make_solution
-
         paths = {a.id: tuple(s.cells[a.id] for s in record.states) for a in record.agents}
-        commands = execute_plan(make_solution(paths), args.cell_duration, grid.resolution, grid.origin)
+        commands = execute_plan(make_solution(paths), args.cell_duration, sim.grid.resolution, sim.grid.origin)
         with open(args.waypoints, "wb") as fh:
             fh.write(waypoints_to_bytes(commands))
     print(
@@ -179,31 +158,24 @@ def cmd_sim(args) -> int:
 
 
 def cmd_task(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.task is None:
-        print("error: scenario has no task block", file=sys.stderr)
-        return EXIT_INPUT
-    grid = _load_grid_for(args, scenario)
-    config = _solver_config(args, scenario)
-    report = run_task(grid, scenario.agents, scenario.task, config)
+    scenario = _load_scenario(args)
+    report = run_task(scenario, _solver_config(args, scenario))
     for n, m in enumerate(report.episodes, start=1):
         print(
             f"episode {n}: success_rate={m.success_rate * 100:.1f}% makespan={m.makespan} "
             f"sum_of_costs={m.sum_of_costs} comp_time_s={m.computation_time:.3f}"
         )
     print(f"rendezvous_ok={report.rendezvous_ok} overall_success={report.success}")
-    if report.success:
-        return EXIT_OK
-    print(report.reason, file=sys.stderr)
-    return EXIT_LIMIT if report.status == RESOURCE_LIMIT else EXIT_NO_SOLUTION
+    if not report.success:
+        raise (ResourceLimitError if report.status == RESOURCE_LIMIT else NoSolutionError)(report.reason)
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     paths = bench_mod.load_suite(args.suite)
     algorithms = [normalize_algorithm(a) for a in args.algs.split(",") if a]
     if not algorithms:
-        print("error: --algs lists no algorithms", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--algs lists no algorithms")
     report = bench_mod.run_suite(paths, algorithms, repeats=args.repeats, seed=args.seed)
     if args.output:
         with open(args.output, "wb") as fh:
@@ -228,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gridgen)
 
     p = sub.add_parser("gen-warehouse", help="procedurally generate a warehouse grid + scenario")
-    p.add_argument("--dims", type=int, nargs=3, default=[80, 60, 10], metavar=("NX", "NY", "NZ"))
-    p.add_argument("--shelf-rows", type=int, default=6)
-    p.add_argument("--agents", default="6uav+16agv", help="roster such as 6uav+16agv")
+    p.add_argument("--dims", type=int, nargs=3, default=list(DEFAULT_DIMS), metavar=("NX", "NY", "NZ"))
+    p.add_argument("--shelf-rows", type=int, default=DEFAULT_SHELF_ROWS)
+    p.add_argument("--agents", default=DEFAULT_ROSTER, help=f"roster such as {DEFAULT_ROSTER}")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("-o", "--output", required=True, help="path prefix for the .grid and .json files")
     p.set_defaults(func=cmd_gen_warehouse)
@@ -252,11 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="override the scenario's grid reference")
     p.add_argument("--plan", help="plan JSON to replay")
     p.add_argument("--online", help="online policy name, e.g. greedy-shielded")
-    p.add_argument("--cell-duration", type=float, default=1.0, dest="cell_duration")
+    p.add_argument("--cell-duration", type=float, default=DEFAULT_CELL_DURATION, dest="cell_duration")
     p.add_argument("--max-ticks", type=int, default=None, dest="max_ticks")
     p.add_argument("--waypoints", help="waypoint CSV output path")
     p.add_argument("--ticks", help="tick log output path (JSON lines)")
-    _solver_flags(p)
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("task", help="run the scenario's task pipeline")

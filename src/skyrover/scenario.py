@@ -9,19 +9,22 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ScenarioError
-from .mapf import Agent, KINDS
+from .mapf import Agent
 from .solvers import SolverConfig
 from .tasks import TaskScript
 from .voxelgrid import OccupancyGrid3D, empty_grid, read_grid
+from .warehouse import warehouse_grid
 
 _TOP_KEYS = {"grid", "agents", "seed", "task", "solver"}
 _AGENT_KEYS = {"id", "kind", "start", "goal"}
-_TASK_KEYS = {"kind", "agv_id", "uav_id", "point_a", "point_b", "hover_offset", "hold_steps"}
+_TASK_KEYS = {f.name for f in fields(TaskScript)}
+_TASK_REQUIRED = {f.name for f in fields(TaskScript) if f.default is MISSING}
 # "rng_seed" is accepted for older files and ignored: no solver is randomized.
-_SOLVER_KEYS = {"algorithm", "node_expansion_limit", "time_limit", "rng_seed", "online_policy"}
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)} | {"rng_seed"}
 _GRID_SPEC_KEYS = {
     "empty": {"kind", "dims"},
     "warehouse": {"kind", "dims", "shelf_rows", "shelf_height"},
@@ -49,16 +52,19 @@ class Scenario:
             if self.base_dir and not os.path.isabs(path):
                 path = os.path.join(self.base_dir, path)
             return read_grid(path)
-        spec = self.grid
-        if spec["kind"] == "empty":
-            return empty_grid(tuple(spec["dims"]))
-        from .warehouse import warehouse_grid
+        params = {k: v for k, v in self.grid.items() if k != "kind"}
+        if self.grid["kind"] == "empty":
+            return empty_grid(tuple(params["dims"]))
+        return warehouse_grid(**params)
 
-        return warehouse_grid(
-            tuple(spec["dims"]),
-            shelf_rows=spec.get("shelf_rows", 6),
-            shelf_height=spec.get("shelf_height", 4),
-        )
+
+@contextmanager
+def _fields_of(what: str):
+    """Turn a coercion or range error raised while building ``what`` into a ScenarioError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {what}: {exc}") from None
 
 
 def _require_keys(obj: dict, allowed: set, required: set, what: str) -> None:
@@ -72,32 +78,24 @@ def _require_keys(obj: dict, allowed: set, required: set, what: str) -> None:
         raise ScenarioError(f"{what} is missing fields: {sorted(missing)}")
 
 
-def _cell(value, what: str) -> tuple:
+def _cell(value, what: str):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError(f"{what} must be a [i, j, k] triple")
-    try:
-        return tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what} must hold integers") from None
+        raise ValueError(f"{what} must be an [i, j, k] triple")
+    return value
 
 
 def _parse_grid_field(value):
     if isinstance(value, str):
         return value
-    if isinstance(value, dict):
-        kind = value.get("kind")
-        if kind not in _GRID_SPEC_KEYS:
-            raise ScenarioError(f"inline grid spec kind must be one of {sorted(_GRID_SPEC_KEYS)}")
-        _require_keys(value, _GRID_SPEC_KEYS[kind], {"kind", "dims"}, "grid spec")
-        dims = value["dims"]
-        if not isinstance(dims, (list, tuple)) or len(dims) != 3:
-            raise ScenarioError("grid spec dims must be [nx, ny, nz]")
-        spec = {"kind": kind, "dims": [int(v) for v in dims]}
-        for extra in sorted(_GRID_SPEC_KEYS[kind] - {"kind", "dims"}):
-            if extra in value:
-                spec[extra] = int(value[extra])
-        return spec
-    raise ScenarioError("grid must be a file path or an inline generator spec")
+    if not isinstance(value, dict):
+        raise ScenarioError("grid must be a file path or an inline generator spec")
+    kind = value.get("kind")
+    if kind not in _GRID_SPEC_KEYS:
+        raise ScenarioError(f"inline grid spec kind must be one of {sorted(_GRID_SPEC_KEYS)}")
+    _require_keys(value, _GRID_SPEC_KEYS[kind], {"kind", "dims"}, "grid spec")
+    with _fields_of("grid spec"):
+        spec = {k: int(v) for k, v in value.items() if k not in ("kind", "dims")}
+        return {"kind": kind, "dims": [int(v) for v in _cell(value["dims"], "dims")], **spec}
 
 
 def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
@@ -109,16 +107,15 @@ def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
     agents = []
     for n, entry in enumerate(payload["agents"]):
         _require_keys(entry, _AGENT_KEYS, _AGENT_KEYS, f"agent #{n}")
-        if entry["kind"] not in KINDS:
-            raise ScenarioError(f"agent #{n} kind must be one of {list(KINDS)}")
-        agents.append(
-            Agent(
-                id=int(entry["id"]),
-                kind=entry["kind"],
-                start=_cell(entry["start"], f"agent #{n} start"),
-                goal=_cell(entry["goal"], f"agent #{n} goal"),
+        with _fields_of(f"agent #{n}"):
+            agents.append(
+                Agent(
+                    id=int(entry["id"]),
+                    kind=entry["kind"],
+                    start=_cell(entry["start"], "start"),
+                    goal=_cell(entry["goal"], "goal"),
+                )
             )
-        )
 
     seed = payload.get("seed", 0)
     if not isinstance(seed, int):
@@ -127,38 +124,25 @@ def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
     task = None
     if "task" in payload:
         t = payload["task"]
-        _require_keys(t, _TASK_KEYS, {"kind", "agv_id", "uav_id", "point_a", "point_b"}, "task")
-        try:
-            task = TaskScript(
-                kind=t["kind"],
-                agv_id=int(t["agv_id"]),
-                uav_id=int(t["uav_id"]),
-                point_a=_cell(t["point_a"], "task point_a"),
-                point_b=_cell(t["point_b"], "task point_b"),
-                hover_offset=int(t.get("hover_offset", 2)),
-                hold_steps=int(t.get("hold_steps", 3)),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"bad task block: {exc}") from None
+        _require_keys(t, _TASK_KEYS, _TASK_REQUIRED, "task")
+        with _fields_of("task block"):
+            for name in ("point_a", "point_b"):
+                _cell(t[name], name)
+            task = TaskScript(**t)
 
     solver = None
     if "solver" in payload:
         s = payload["solver"]
         _require_keys(s, _SOLVER_KEYS, set(), "solver")
-        try:
-            solver = SolverConfig(
-                algorithm=s.get("algorithm", "cbs"),
-                node_expansion_limit=int(s.get("node_expansion_limit", 5_000_000)),
-                time_limit=float(s.get("time_limit", 300.0)),
-                online_policy=s.get("online_policy", "greedy-shielded"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"bad solver block: {exc}") from None
+        with _fields_of("solver block"):
+            solver = SolverConfig(**{k: v for k, v in s.items() if k != "rng_seed"})
 
     return Scenario(grid=grid, agents=tuple(agents), seed=seed, task=task, solver=solver, base_dir=base_dir)
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
+    if isinstance(scenario.grid, OccupancyGrid3D):
+        raise ScenarioError("a scenario holding a loaded grid cannot be saved; write the grid and reference its path")
     payload = {
         "grid": scenario.grid,
         "agents": [
@@ -168,24 +152,9 @@ def scenario_to_json(scenario: Scenario) -> dict:
         "seed": scenario.seed,
     }
     if scenario.task is not None:
-        t = scenario.task
-        payload["task"] = {
-            "kind": t.kind,
-            "agv_id": t.agv_id,
-            "uav_id": t.uav_id,
-            "point_a": list(t.point_a),
-            "point_b": list(t.point_b),
-            "hover_offset": t.hover_offset,
-            "hold_steps": t.hold_steps,
-        }
+        payload["task"] = asdict(scenario.task)
     if scenario.solver is not None:
-        s = scenario.solver
-        payload["solver"] = {
-            "algorithm": s.algorithm,
-            "node_expansion_limit": s.node_expansion_limit,
-            "time_limit": s.time_limit,
-            "online_policy": s.online_policy,
-        }
+        payload["solver"] = asdict(scenario.solver)
     return payload
 
 
@@ -207,5 +176,6 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    data = scenario_to_bytes(scenario)  # before opening, so a refused scenario leaves no file
     with open(path, "wb") as fh:
-        fh.write(scenario_to_bytes(scenario))
+        fh.write(data)

@@ -103,7 +103,9 @@ class Simulator:
 
         ``scenario.grid`` may be a file path, an inline spec or an already
         loaded grid. An externally supplied ``solution`` (a replayed plan
-        file) skips the solver but is still validated before it is trusted.
+        file) is replayed whatever ``config.algorithm`` says: it skips the
+        solver and the policy but is still validated before it is trusted.
+        On a failed solve ``computation_time`` holds the time spent.
         """
         config = config or scenario.solver or SolverConfig()
         grid = scenario.materialize_grid()
@@ -116,7 +118,7 @@ class Simulator:
         self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
         self._solution = None
         self._policy = None
-        if config.algorithm == ONLINE:
+        if solution is None and config.algorithm == ONLINE:
             t0 = time.perf_counter()
             self._policy = get_policy(config.online_policy)
             self._computation_time = time.perf_counter() - t0

@@ -35,6 +35,10 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
+        object.__setattr__(self, "node_expansion_limit", int(self.node_expansion_limit))
+        object.__setattr__(self, "time_limit", float(self.time_limit))
+        if not isinstance(self.online_policy, str):
+            raise TypeError("online_policy must be a policy name")
         if self.node_expansion_limit <= 0:
             raise ValueError("node_expansion_limit must be positive")
         if self.time_limit <= 0:

@@ -38,6 +38,8 @@ class TaskScript:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
+        for name in ("agv_id", "uav_id", "hover_offset", "hold_steps"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "point_a", tuple(int(v) for v in self.point_a))
         object.__setattr__(self, "point_b", tuple(int(v) for v in self.point_b))
         if self.hover_offset < 1:
@@ -147,18 +149,22 @@ def hover_streak(states, uav_id: int, agv_id: int, hover_offset: int) -> int:
     return streak
 
 
-def run_task(grid, agents, script: TaskScript, config: SolverConfig | None = None) -> TaskReport:
-    """Solve and simulate each episode in order, then verify the rendezvous.
+def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
+    """Solve and simulate the task's episodes in order, then verify the rendezvous.
 
+    Every episode starts through ``Simulator.init`` as the scenario with that
+    episode's roster, so ``config`` falls back to ``scenario.solver`` as there.
     The rendezvous predicate is checked from the recorded tick logs, not
     from solver output. Episode 1's log is extended by hold_steps parked
     ticks before episode 2 begins.
     """
-    from .scenario import Scenario  # scenario.py imports TaskScript from this module
-
-    config = config or SolverConfig()
-    episodes = compile_task(grid, script, agents)
-    roster = sorted(agents, key=lambda a: a.id)
+    script = scenario.task
+    if script is None:
+        raise TaskError("scenario has no task block")
+    grid = scenario.materialize_grid()
+    scenario = replace(scenario, grid=grid)
+    episodes = compile_task(grid, script, scenario.agents)
+    roster = sorted(scenario.agents, key=lambda a: a.id)
     cells = {a.id: a.start for a in roster}
     metrics: list[RunMetrics] = []
     rendezvous_ok = False
@@ -169,7 +175,7 @@ def run_task(grid, agents, script: TaskScript, config: SolverConfig | None = Non
         instance = tuple(replace(a, start=ep.starts[a.id], goal=ep.goals[a.id]) for a in roster)
         sim = Simulator()
         try:
-            sim.init(Scenario(grid=grid, agents=instance), config)
+            sim.init(replace(scenario, agents=instance), config)
         except (NoSolutionError, ResourceLimitError) as exc:
             return TaskReport(
                 episodes=tuple(metrics),

@@ -151,12 +151,6 @@ class OccupancyGrid3D:
     def free_cell_count(self) -> int:
         return len(self.cells) - self.occupied_count
 
-    def cell_center(self, cell) -> tuple[float, float, float]:
-        i, j, k = cell
-        ox, oy, oz = self.origin
-        r = self.resolution
-        return (ox + (i + 0.5) * r, oy + (j + 0.5) * r, oz + (k + 0.5) * r)
-
     def __eq__(self, other):
         if not isinstance(other, OccupancyGrid3D):
             return NotImplemented

@@ -296,7 +296,7 @@ def test_task_pipeline():
                             hover_offset=2, hold_steps=3)
         from skyrover import run_task
 
-        report = run_task(grid, roster, script, SolverConfig(algorithm="cbs"))
+        report = run_task(Scenario(grid=grid, agents=roster, task=script), SolverConfig(algorithm="cbs"))
         assert report.success and report.rendezvous_ok, (kind, report.reason)
 
         # independent re-verification of the hover straight from a fresh tick log

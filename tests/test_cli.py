@@ -10,7 +10,7 @@ from skyrover import (
     validate_solution,
     waypoints_from_bytes,
 )
-from skyrover.bench import report_from_bytes
+from skyrover.bench import report_from_bytes, run_cell
 from skyrover.cli import main
 
 from oracles import pcd_ascii_bytes, pgm_p2_bytes
@@ -138,6 +138,38 @@ def test_solve_resource_limit_exits_5(warehouse_files):
     assert rc == 5
 
 
+def test_solve_online_exits_2(warehouse_files, capsys):
+    scenario_path, _ = warehouse_files
+    assert main(["solve", "--scenario", str(scenario_path), "--alg", "online"]) == 2
+    assert "nothing to precompute" in capsys.readouterr().err
+
+
+def test_sim_takes_no_solver_flags(warehouse_files):
+    scenario_path, _ = warehouse_files
+    with pytest.raises(SystemExit):
+        main(["sim", "--scenario", str(scenario_path), "--online", "greedy-shielded", "--alg", "cbs"])
+
+
+def test_sim_plan_is_replayed_when_the_scenario_says_online(warehouse_files, tmp_path, capsys):
+    scenario_path, _ = warehouse_files
+    plan_path = tmp_path / "plan.json"
+    assert main(["solve", "--scenario", str(scenario_path), "--alg", "cbs", "-o", str(plan_path)]) == 0
+    payload = json.loads(scenario_path.read_text())
+    payload["solver"] = {"algorithm": "online"}
+    scenario_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["sim", "--scenario", str(scenario_path), "--plan", str(plan_path)]) == 0
+    out = capsys.readouterr().out
+    assert "mode=precomputed-plan" in out and "success_rate=100.0%" in out
+
+
+def test_gen_warehouse_defaults_are_the_library_world(tmp_path):
+    from skyrover import warehouse_grid
+
+    assert main(["gen-warehouse", "--agents", "1uav+1agv", "-o", str(tmp_path / "wh")]) == 0
+    assert read_grid(tmp_path / "wh.grid") == warehouse_grid()
+
+
 def test_sim_replays_plan_and_exports(warehouse_files, tmp_path, capsys):
     scenario_path, _ = warehouse_files
     plan_path = tmp_path / "plan.json"
@@ -258,6 +290,16 @@ def test_bench_produces_report(warehouse_files, tmp_path, capsys):
     assert by_alg["astar_prioritized"].success_rate == 1.0
     assert by_alg["cbs"].success_rate == 1.0
     assert 0.0 <= by_alg["online"].success_rate <= 1.0
+
+
+def test_bench_failed_cell_reports_the_time_it_spent(warehouse_files):
+    scenario_path, _ = warehouse_files
+    payload = json.loads(scenario_path.read_text())
+    payload["solver"] = {"node_expansion_limit": 1}
+    scenario_path.write_text(json.dumps(payload))
+    row = run_cell(scenario_path, "cbs")
+    assert (row.success_rate, row.makespan, row.sum_of_costs) == (0.0, -1, -1)
+    assert row.comp_time_s > 0.0
 
 
 def test_bench_empty_suite_exits_2(tmp_path):

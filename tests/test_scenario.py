@@ -11,6 +11,7 @@ from skyrover import (
     ScenarioError,
     SolverConfig,
     TaskScript,
+    empty_grid,
     load_scenario,
     save_scenario,
     scenario_from_bytes,
@@ -177,3 +178,62 @@ def test_legacy_rng_seed_is_accepted_and_ignored(tmp_path):
 def test_not_json_is_a_scenario_error():
     with pytest.raises(ScenarioError, match="not valid JSON"):
         scenario_from_bytes(b"{nope")
+
+
+def _typed_payload():
+    return {
+        "grid": {"kind": "warehouse", "dims": [30, 24, 6], "shelf_rows": 2},
+        "agents": [
+            {"id": 0, "kind": "agv", "start": [0, 0, 0], "goal": [1, 0, 0]},
+            {"id": 1, "kind": "uav", "start": [2, 0, 0], "goal": [3, 0, 1]},
+        ],
+        "task": {"kind": "inventory_scan", "agv_id": 0, "uav_id": 1, "point_a": [4, 4, 0], "point_b": [5, 5, 0]},
+        "solver": {"algorithm": "cbs", "time_limit": 5.0},
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("solver", "time_limit"), [1]),
+        (("solver", "node_expansion_limit"), "many"),
+        (("solver", "algorithm"), [1]),
+        (("solver", "online_policy"), [1]),
+        (("agents", 0, "id"), [0]),
+        (("agents", 1, "goal"), [3, [0], 1]),
+        (("task", "hover_offset"), [2]),
+        (("task", "point_a"), 4),
+        (("grid", "dims"), [30, None, 6]),
+        (("grid", "shelf_rows"), {}),
+    ],
+)
+def test_wrongly_typed_field_is_a_scenario_error(tmp_path, path, value):
+    from skyrover.cli import main
+
+    payload = _typed_payload()
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    data = json.dumps(payload).encode()
+    with pytest.raises(ScenarioError, match="bad "):
+        scenario_from_bytes(data)
+    (tmp_path / "s.json").write_bytes(data)
+    assert main(["solve", "--scenario", str(tmp_path / "s.json")]) == 2
+
+
+def test_scenario_holding_a_loaded_grid_is_not_saved(tmp_path):
+    sc = Scenario(grid=empty_grid((2, 2, 1)), agents=(Agent(0, AGV, (0, 0, 0), (1, 0, 0)),))
+    with pytest.raises(ScenarioError, match="loaded grid"):
+        scenario_to_bytes(sc)
+    with pytest.raises(ScenarioError, match="loaded grid"):
+        save_scenario(sc, tmp_path / "s.json")
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_inline_warehouse_spec_defaults_to_the_library_world():
+    from skyrover import warehouse_grid
+    from skyrover.warehouse import DEFAULT_DIMS
+
+    sc = Scenario(grid={"kind": "warehouse", "dims": list(DEFAULT_DIMS)}, agents=())
+    assert sc.materialize_grid() == warehouse_grid()

@@ -6,6 +6,7 @@ from skyrover import (
     UAV,
     Agent,
     OccupancyGrid3D,
+    Scenario,
     SolverConfig,
     TaskError,
     TaskScript,
@@ -76,7 +77,7 @@ def test_unknown_agent_ids_rejected():
 
 def test_inventory_scan_runs_to_success_with_verified_rendezvous():
     script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
-    report = run_task(_grid(), _roster(), script, SolverConfig(algorithm="cbs"))
+    report = run_task(Scenario(grid=_grid(), agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
     assert report.success and report.rendezvous_ok
     assert report.failed_episode is None
     assert len(report.episodes) == 2
@@ -85,13 +86,13 @@ def test_inventory_scan_runs_to_success_with_verified_rendezvous():
 
 def test_aerial_transfer_runs_to_success():
     script = TaskScript("aerial_transfer", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(5, 5, 4))
-    report = run_task(_grid(), _roster(), script, SolverConfig(algorithm="cbs"))
+    report = run_task(Scenario(grid=_grid(), agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
     assert report.success and report.rendezvous_ok
 
 
 def test_weaker_hold_requirement_still_succeeds():
     script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0), hold_steps=1)
-    report = run_task(_grid(), _roster(), script, SolverConfig(algorithm="cbs"))
+    report = run_task(Scenario(grid=_grid(), agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
     assert report.success
 
 
@@ -105,11 +106,24 @@ def test_sealed_room_fails_naming_the_episode():
                 arr[:, j, i] = 1
     grid = OccupancyGrid3D((0, 0, 0), 1.0, (10, 10, 6), arr.reshape(-1))
     script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
-    report = run_task(grid, _roster(), script, SolverConfig(algorithm="cbs"))
+    report = run_task(Scenario(grid=grid, agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
     assert not report.success
     assert report.status == "no_solution"
     assert report.failed_episode == 1
     assert "episode 1" in report.reason
+
+
+def test_run_task_without_config_uses_the_scenario_solver_block():
+    script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
+    solver = SolverConfig(algorithm="cbs", node_expansion_limit=3)
+    report = run_task(Scenario(grid=_grid(), agents=_roster(), task=script, solver=solver))
+    assert report.status == "resource_limit"
+    assert report.failed_episode == 1
+
+
+def test_run_task_needs_a_task_block():
+    with pytest.raises(TaskError, match="no task block"):
+        run_task(Scenario(grid=_grid(), agents=_roster()))
 
 
 def test_hover_streak_reads_the_tick_log():
