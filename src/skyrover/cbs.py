@@ -43,15 +43,6 @@ def _node(constraints, paths) -> CTNode:
     )
 
 
-def _avoid_table(paths: dict, skip_agent: int) -> ReservationTable:
-    """Soft tie-break table from every other agent's current path."""
-    table = ReservationTable()
-    for aid in sorted(paths):
-        if aid != skip_agent:
-            table.reserve_path(paths[aid])
-    return table
-
-
 def cbs_solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
     config = config or SolverConfig(algorithm="cbs")
     budget = Budget(config.node_expansion_limit, config.time_limit)
@@ -71,13 +62,14 @@ def cbs_solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
 
     try:
         paths = {}
+        avoid = ReservationTable()
         for a in roster:
             # independent optimal plans; earlier roots only steer tie-breaking
-            avoid = _avoid_table(paths, a.id) if paths else None
             p = spacetime_astar(grid, a.kind, a.start, a.goal, budget=budget, avoid=avoid)
             if p is None:
                 return SolveResult(NO_SOLUTION, reason=f"agent {a.id}: goal unreachable", stats=stats())
             paths[a.id] = p
+            avoid.reserve_path(p)
 
         tick = count()
         root = _node((), paths)
@@ -95,6 +87,10 @@ def cbs_solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
                 agent = by_id[cons.agent_id]
                 child_constraints = node.constraints + (cons,)
                 own = tuple(c for c in child_constraints if c.agent_id == agent.id)
+                avoid = ReservationTable()  # every other agent's current path
+                for aid, q in node.paths.items():
+                    if aid != agent.id:
+                        avoid.reserve_path(q)
                 p = spacetime_astar(
                     grid,
                     agent.kind,
@@ -102,7 +98,7 @@ def cbs_solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
                     agent.goal,
                     own,
                     budget=budget,
-                    avoid=_avoid_table(node.paths, agent.id),
+                    avoid=avoid,
                 )
                 if p is None:
                     continue

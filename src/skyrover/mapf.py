@@ -1,4 +1,4 @@
-"""Problem model shared by every solver: agents, motion, conflicts, solutions.
+"""Problem model shared by every solver: agents, motion, reachability, conflicts, solutions.
 
 Cells are (i, j, k) integer tuples. A path is a cell sequence indexed by
 timestep; once a path ends the agent keeps occupying its final cell forever
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 UAV = "uav"
 AGV = "agv"
@@ -46,6 +48,30 @@ class Agent:
         object.__setattr__(self, "goal", tuple(int(v) for v in self.goal))
         if len(self.start) != 3 or len(self.goal) != 3:
             raise ValueError("start and goal must be (i, j, k) cells")
+
+
+def components(grid, kind: str) -> np.ndarray:
+    """Static reachability: a label per flat cell index of the grid.
+
+    Two free cells share a label exactly when an agent of ``kind`` can move
+    between them; obstacles, and for AGVs every cell above layer 0, get -1.
+    Labels spread to free face neighbours and jump along the cells they name.
+    """
+    free = grid.cells.reshape(grid.dims[::-1]) == 0
+    if kind == AGV:
+        free[1:] = False
+    labels = np.where(free, np.arange(free.size).reshape(free.shape), free.size)
+    flat = labels.reshape(-1)
+    while True:
+        before = flat.copy()
+        for axis in range(3):
+            v, m = np.swapaxes(labels, 0, axis), np.swapaxes(free, 0, axis)
+            np.minimum(v[1:], v[:-1], out=v[1:], where=m[1:])
+            np.minimum(v[:-1], v[1:], out=v[:-1], where=m[:-1])
+        labels[free] = flat[labels[free]]
+        if np.array_equal(flat, before):
+            labels[~free] = -1
+            return flat
 
 
 def validate_agents(grid, agents) -> list[str]:

@@ -118,6 +118,8 @@ class Simulator:
         self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
         self._solution = None
         self._policy = None
+        self._computation_time = 0.0
+        self._states = []
         if solution is None and config.algorithm == ONLINE:
             t0 = time.perf_counter()
             self._policy = get_policy(config.online_policy)
@@ -125,9 +127,7 @@ class Simulator:
             mode = ONLINE_MODE
         else:
             supplied = solution is not None
-            if supplied:
-                self._computation_time = 0.0
-            else:
+            if not supplied:
                 t0 = time.perf_counter()
                 result = solve(grid, self._agents, config)
                 self._computation_time = time.perf_counter() - t0
@@ -143,10 +143,12 @@ class Simulator:
                 raise InvariantViolation(f"solver produced an invalid solution: {detail}")
             self._solution = solution
             mode = PRECOMPUTED_MODE
+        return self._rewind(mode)
+
+    def _rewind(self, mode) -> SimState:
         cells = {a.id: a.start for a in self._agents}
-        state = SimState(0, cells, self._statuses(cells, 0, mode), mode)
-        self._states = [state]
-        return state
+        self._states = [SimState(0, cells, self._statuses(cells, 0, mode), mode)]
+        return self.state
 
     def _statuses(self, cells, tick, mode) -> dict:
         status = {}
@@ -194,10 +196,12 @@ class Simulator:
         return state
 
     def reset(self, scenario=None, config: SolverConfig | None = None) -> SimState:
-        """Fresh state as from init; without a new scenario the loaded grid is reused."""
+        """Tick 0 with the same plan or policy; a new scenario or config goes through init."""
         if scenario is None:
             if self._scenario is None:
                 raise ScenarioError("reset before init: no scenario to rebuild from")
+            if config is None and self._states:  # a failed init has nothing to rewind to
+                return self._rewind(self.state.mode)
             scenario = replace(self._scenario, grid=self._grid)
         return self.init(scenario, config=config or self._config)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .mapf import components
+
 ASTAR_PRIORITIZED = "astar_prioritized"
 CBS = "cbs"
 ONLINE = "online"
@@ -66,12 +68,18 @@ class SolveResult:
 
 
 def solve(grid, agents, config: SolverConfig) -> SolveResult:
-    """Run the configured precomputing solver. Online mode has no plan phase."""
+    """Run the configured precomputing solver. Online mode has no plan phase.
+
+    The agents must pass ``mapf.validate_agents``. An agent whose goal lies
+    outside its start's component is no_solution before any search.
+    """
     from .cbs import cbs_solve
     from .prioritized import prioritized_solve
 
-    if config.algorithm == CBS:
-        return cbs_solve(grid, agents, config)
-    if config.algorithm == ASTAR_PRIORITIZED:
-        return prioritized_solve(grid, agents, config)
-    raise ValueError("online policies plan per step; there is nothing to precompute")
+    if config.algorithm == ONLINE:
+        raise ValueError("online policies plan per step; there is nothing to precompute")
+    labels = {kind: components(grid, kind) for kind in {a.kind for a in agents}}
+    for a in sorted(agents, key=lambda a: a.id):
+        if labels[a.kind][grid.index(*a.start)] != labels[a.kind][grid.index(*a.goal)]:
+            return SolveResult(NO_SOLUTION, reason=f"agent {a.id}: goal is not reachable from its start")
+    return (cbs_solve if config.algorithm == CBS else prioritized_solve)(grid, agents, config)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
 
 import numpy as np
 
 from .errors import PlacementError
-from .mapf import AGV, MOVES, UAV, Agent
+from .mapf import AGV, UAV, Agent, components
 from .voxelgrid import OccupancyGrid3D
 
 DEFAULT_DIMS = (80, 60, 10)
@@ -72,48 +71,17 @@ def parse_roster(spec: str) -> list[tuple[int, str]]:
     return groups
 
 
-def _component_labels(grid: OccupancyGrid3D, kind: str) -> dict:
-    """Connected-component id per free cell under the kind's move set."""
-    nx, ny, nz = grid.dims
-    occ = grid.occ_bytes
-    if kind == AGV:
-        cells = [(i, j, 0) for j in range(ny) for i in range(nx) if not occ[i + nx * j]]
-    else:
-        cells = [
-            (i, j, k)
-            for k in range(nz)
-            for j in range(ny)
-            for i in range(nx)
-            if not occ[i + nx * (j + ny * k)]
-        ]
-    moves = [m for m in MOVES[kind] if m != (0, 0, 0)]
-    labels = {}
-    comp = 0
-    for seed_cell in cells:
-        if seed_cell in labels:
-            continue
-        labels[seed_cell] = comp
-        queue = deque([seed_cell])
-        while queue:
-            i, j, k = queue.popleft()
-            for dx, dy, dz in moves:
-                n = (i + dx, j + dy, k + dz)
-                if n in labels or not grid.in_bounds(*n) or grid.is_occupied(*n):
-                    continue
-                labels[n] = comp
-                queue.append(n)
-        comp += 1
-    return labels
-
-
 def sample_agents(grid: OccupancyGrid3D, roster, seed: int, max_attempts: int = 2000):
     """Seeded roster placement: free, mutually distinct, reachable start/goal."""
     rng = random.Random(seed)
-    labels = {AGV: _component_labels(grid, AGV), UAV: _component_labels(grid, UAV)}
-    pools = {kind: sorted(labels[kind]) for kind in (UAV, AGV)}
+    labels = {kind: components(grid, kind) for kind in (UAV, AGV)}
+    pools = {}
+    for kind, comp in labels.items():
+        # reachable cells in sorted (i, j, k) order
+        i, j, k = np.nonzero((comp.reshape(grid.dims[::-1]) >= 0).transpose(2, 1, 0))
+        pools[kind] = list(zip(i.tolist(), j.tolist(), k.tolist()))
     used = set()
     agents = []
-    aid = 0
     for count, kind in roster:
         pool = pools[kind]
         comp = labels[kind]
@@ -127,15 +95,13 @@ def sample_agents(grid: OccupancyGrid3D, roster, seed: int, max_attempts: int = 
                 if start in used:
                     continue
                 goal = pool[rng.randrange(len(pool))]
-                if goal in used or goal == start or comp[start] != comp[goal]:
+                if goal in used or goal == start or comp[grid.index(*start)] != comp[grid.index(*goal)]:
                     continue
                 break
             else:
-                raise PlacementError(f"could not place agent {aid} after {max_attempts} attempts")
-            used.add(start)
-            used.add(goal)
-            agents.append(Agent(aid, kind, start, goal))
-            aid += 1
+                raise PlacementError(f"could not place agent {len(agents)} after {max_attempts} attempts")
+            used.update((start, goal))
+            agents.append(Agent(len(agents), kind, start, goal))
     return tuple(agents)
 
 

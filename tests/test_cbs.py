@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from skyrover import (
     AGV,
@@ -10,6 +11,7 @@ from skyrover import (
     SolverConfig,
     cbs_solve,
     empty_grid,
+    solve,
     spacetime_astar,
     validate_solution,
 )
@@ -56,6 +58,18 @@ def test_unreachable_goal_is_no_solution():
     res = cbs_solve(grid, agents)
     assert res.status == "no_solution"
     assert "agent 0" in res.reason
+
+
+@pytest.mark.parametrize("algorithm", ["astar", "cbs"])
+def test_solve_reports_an_unreachable_goal_before_any_search(algorithm):
+    arr = np.zeros((1, 60, 60), dtype=np.uint8)  # [k, j, i]
+    arr[0, :, 30] = 1
+    grid = OccupancyGrid3D((0, 0, 0), 1.0, (60, 60, 1), arr.reshape(-1))
+    agents = (Agent(0, UAV, (0, 5, 0), (0, 6, 0)), Agent(1, AGV, (0, 0, 0), (59, 0, 0)))
+    res = solve(grid, agents, SolverConfig(algorithm=algorithm, node_expansion_limit=200_000))
+    assert res.status == "no_solution"
+    assert res.reason == "agent 1: goal is not reachable from its start"
+    assert res.stats.ll_expansions == 0
 
 
 def test_resource_limit_reported():

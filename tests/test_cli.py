@@ -109,6 +109,21 @@ def test_solve_unsolvable_exits_4(tmp_path, capsys):
     assert "no solution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["astar", "cbs"])
+def test_solve_walled_goal_exits_4_before_any_search(tmp_path, capsys, alg):
+    from skyrover import AGV, Agent, OccupancyGrid3D, Scenario, save_scenario, write_grid
+    import numpy as np
+
+    arr = np.zeros((1, 60, 60), dtype=np.uint8)  # [k, j, i]
+    arr[0, :, 30] = 1
+    write_grid(OccupancyGrid3D((0, 0, 0), 1.0, (60, 60, 1), arr.reshape(-1)), tmp_path / "g.grid")
+    sc = Scenario(grid="g.grid", agents=(Agent(0, AGV, (0, 0, 0), (59, 0, 0)),))
+    save_scenario(sc, tmp_path / "s.json")
+    argv = ["solve", "--scenario", str(tmp_path / "s.json"), "--alg", alg, "--expansion-limit", "200000"]
+    assert main(argv) == 4
+    assert "no solution" in capsys.readouterr().err
+
+
 def _shared_start_scenario(tmp_path):
     from skyrover import AGV, Agent, Scenario, save_scenario
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from skyrover import (
     AGV,
     UAV,
     Agent,
+    OccupancyGrid3D,
     detect_conflicts,
     empty_grid,
     make_solution,
@@ -16,8 +18,9 @@ from skyrover import (
     validate_agents,
     validate_solution,
 )
+from skyrover.mapf import components
 
-from oracles import brute_force_conflicts, random_walk_paths
+from oracles import brute_force_conflicts, free_cells, random_grid, random_walk_paths, static_bfs_cost
 
 
 def _normalize(conflicts):
@@ -220,3 +223,60 @@ def test_validate_agents_instance_rules():
     assert "duplicate agent id 0" in problems
     assert "share start" in problems
     assert "above the ground layer" in problems
+
+
+# -- static reachability -----------------------------------------------------
+
+
+def _assert_components_match_bfs(grid, kind, pairs):
+    labels = components(grid, kind)
+    nx, ny, nz = grid.dims
+    assert len(labels) == nx * ny * nz
+    cells = set(free_cells(grid, kind))
+    for flat, label in enumerate(labels.tolist()):
+        cell = (flat % nx, flat // nx % ny, flat // (nx * ny))
+        assert (label >= 0) == (cell in cells)
+    for a, b in pairs:
+        same = labels[grid.index(*a)] == labels[grid.index(*b)]
+        assert same == (static_bfs_cost(grid, kind, a, b) is not None), (kind, a, b)
+
+
+def test_components_agree_with_static_bfs_on_random_grids():
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(80):
+        dims = (rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 4))
+        grid = random_grid(rng, dims, rng.choice((0.2, 0.35, 0.5)))
+        for kind in (UAV, AGV):
+            cells = free_cells(grid, kind)
+            if len(cells) < 2:
+                continue
+            pairs = [tuple(rng.sample(cells, 2)) for _ in range(40)]
+            _assert_components_match_bfs(grid, kind, pairs)
+            checked += len(pairs)
+    assert checked > 5000
+
+
+def _serpentine(n, cut=None):
+    """n x n one-cell corridor winding row by row; ``cut`` blocks one of its cells."""
+    arr = np.ones((n, n), dtype=np.uint8)  # [j, i]
+    arr[::2, :] = 0
+    for j in range(1, n, 2):
+        arr[j, n - 1 if j % 4 == 1 else 0] = 0
+    if cut is not None:
+        arr[cut[1], cut[0]] = 1
+    return OccupancyGrid3D((0, 0, 0), 1.0, (n, n, 1), arr.reshape(-1))
+
+
+@pytest.mark.parametrize("kind", [UAV, AGV])
+def test_components_follow_a_serpentine_corridor(kind):
+    n = 41
+    ends = ((0, 0, 0), (n - 1, n - 1, 0))
+    whole = _serpentine(n)
+    labels = components(whole, kind)
+    assert len(set(labels[labels >= 0].tolist())) == 1
+    _assert_components_match_bfs(whole, kind, [ends])
+    cut = _serpentine(n, cut=(n // 2, n // 2, 0))
+    labels = components(cut, kind)
+    assert len(set(labels[labels >= 0].tolist())) == 2
+    _assert_components_match_bfs(cut, kind, [ends, ((0, 0, 0), (n // 2 - 1, n // 2, 0))])

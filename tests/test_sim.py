@@ -14,14 +14,17 @@ from skyrover import (
     collect_metrics,
     empty_grid,
     execute_plan,
+    generate_warehouse,
     make_solution,
     manhattan,
     plan_from_bytes,
     plan_to_bytes,
+    solve,
     waypoints_from_bytes,
     waypoints_to_bytes,
 )
-from skyrover.sim import AT_GOAL, RunRecord, SimState
+import skyrover.sim
+from skyrover.sim import AT_GOAL, PRECOMPUTED_MODE, RunRecord, SimState
 
 
 def _scenario(dims, agents, **kw):
@@ -82,6 +85,26 @@ def test_reset_reproduces_init_and_is_idempotent():
     assert once == first
     assert twice == once
     assert once.tick == 0
+
+
+def test_reset_keeps_a_replayed_plan_and_solves_nothing(monkeypatch):
+    grid, agents = generate_warehouse((24, 20, 6), 3, "2uav+4agv", seed=9)
+    plan = solve(grid, agents, SolverConfig(algorithm="cbs")).solution
+    sc = Scenario(grid=grid, agents=agents, solver=SolverConfig(algorithm="online"))
+    sim = Simulator()
+    first = sim.init(sc, solution=plan)
+    assert first.mode == PRECOMPUTED_MODE
+    sim.run()
+
+    def no_second_solve(*args):
+        raise AssertionError("reset ran the solver again")
+
+    monkeypatch.setattr(skyrover.sim, "solve", no_second_solve)
+    again = sim.reset()
+    assert again == first
+    assert sim.solution is plan
+    assert sim.computation_time == 0.0
+    assert sim.run().states[-1].tick == plan.makespan
 
 
 def test_reset_with_new_scenario_swaps_roster():

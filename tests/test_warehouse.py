@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from skyrover import (
@@ -62,3 +64,12 @@ def test_roster_parsing():
     assert parse_roster("1agv") == [(1, "agv")]
     with pytest.raises(ValueError, match="bad roster"):
         parse_roster("3cars")
+
+
+def test_rosters_are_pinned():
+    rosters = []
+    for roster in ("6uav+16agv", "12uav+32agv", "16uav+48agv", "20uav+60agv"):
+        for seed in (1, 2, 3):
+            rosters.append(repr(generate_warehouse((80, 60, 10), 12, roster, seed)[1]))
+    digest = hashlib.sha256("".join(rosters).encode()).hexdigest()
+    assert digest == "4e7c74c71e89b8d5bde8dde2211ee24046db2cce3a9a69bee846da016478cbe5"
