@@ -8,7 +8,6 @@ computation time.
 """
 
 from .astar import Budget, ReservationTable, spacetime_astar
-from .cbs import cbs_solve
 from .errors import (
     CapacityError,
     InvariantViolation,
@@ -43,7 +42,6 @@ from .mapf import (
 from .pcd import parse_pcd
 from .pgm import parse_pgm
 from .policy import GreedyShieldedPolicy, WorldView, get_policy, online_policy_step, shield_moves
-from .prioritized import prioritized_solve
 from .scenario import Scenario, load_scenario, save_scenario, scenario_from_bytes, scenario_to_bytes
 from .sim import (
     RunMetrics,

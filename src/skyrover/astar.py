@@ -2,9 +2,9 @@
 
 States are (cell, timestep). All steps cost 1, including waits; resting at
 the destination after final arrival is free, which the search realizes by
-only accepting the goal once no later constraint or reservation can touch
-it. Ties on f are broken by lower heuristic, then lexicographic cell order,
-so identical inputs always return the identical path.
+only accepting the goal once no later blocked entry can touch it. Ties on f
+are broken by lower heuristic, then lexicographic cell order, so identical
+inputs always return the identical path.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from .mapf import AGV, MOVES, VERTEX
 
 
 class Budget:
-    """Shared expansion/wall-clock budget for one solver invocation."""
+    """Expansion/wall-clock budget of one solve, and the search counters it reports."""
 
-    __slots__ = ("remaining", "deadline", "used")
+    __slots__ = ("remaining", "deadline", "used", "ct_expanded", "best_cost")
 
     def __init__(self, max_expansions: int | None = None, time_limit: float | None = None):
         self.remaining = max_expansions
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
         self.used = 0
+        self.ct_expanded = 0
+        self.best_cost = None
 
     def charge(self, n: int = 1) -> None:
         self.used += n
@@ -41,31 +43,40 @@ class Budget:
 
 
 class ReservationTable:
-    """Space-time occupancy of committed paths, stay-at-goal included."""
+    """Space-time cells and moves that are taken: reserved paths or CBS constraints."""
 
     def __init__(self):
         self._vertex = set()  # (cell, t)
-        self._edge = set()  # (u, v, t): a path moved u -> v arriving at t
+        self._edge = set()  # (u, v, t): u -> v arriving at t blocks v -> u
         self._terminal = {}  # cell -> time from which it is parked forever
         self._last_vertex = {}  # cell -> latest finite reservation time
         self.max_time = 0
 
-    def reserve_path(self, cells, start_time: int = 0) -> None:
+    def reserve_path(self, cells) -> None:
         prev = None
-        for s, cell in enumerate(cells):
-            t = start_time + s
+        for t, cell in enumerate(cells):
             self._vertex.add((cell, t))
             if self._last_vertex.get(cell, -1) < t:
                 self._last_vertex[cell] = t
             if prev is not None:
                 self._edge.add((prev, cell, t))
             prev = cell
-        end = start_time + len(cells) - 1
+        end = len(cells) - 1
         goal = cells[-1]
         if goal not in self._terminal or self._terminal[goal] > end:
             self._terminal[goal] = end
-        if end > self.max_time:
-            self.max_time = end
+        self.max_time = max(self.max_time, end)
+
+    def forbid(self, constraint) -> None:
+        """Block one CBS constraint: its cell at its time, or its move u -> v."""
+        t = constraint.time
+        cell = constraint.cells[0]
+        if constraint.kind == VERTEX:
+            self._vertex.add((cell, t))
+            self._last_vertex[cell] = max(self._last_vertex.get(cell, -1), t)
+        else:
+            self._edge.add((constraint.cells[1], cell, t))  # reversed, as _edge stores it
+        self.max_time = max(self.max_time, t)
 
     def vertex_free(self, cell, t: int) -> bool:
         if (cell, t) in self._vertex:
@@ -76,37 +87,29 @@ class ReservationTable:
     def move_free(self, u, v, t: int) -> bool:
         return self.vertex_free(v, t) and (v, u, t) not in self._edge
 
-    def terminal_time(self, cell) -> int | None:
-        return self._terminal.get(cell)
-
-    def last_vertex_time(self, cell) -> int:
-        return self._last_vertex.get(cell, -1)
-
 
 def spacetime_astar(
     grid,
     kind: str,
     start,
     goal,
-    constraints=(),
-    reservations: ReservationTable | None = None,
-    start_time: int = 0,
+    blocked: ReservationTable | None = None,
     budget: Budget | None = None,
     avoid: ReservationTable | None = None,
 ):
     """Minimum-arrival-time path from start to goal, or None when there is none.
 
-    The returned tuple of cells is indexed by timestep, first entry at
-    ``start_time``. The search refuses to finish on the goal while any later
-    vertex constraint or reservation still touches it, and is cut off at an
-    absolute horizon of free-cell-count + last-constrained-timestep + 1,
+    The returned tuple of cells is indexed by timestep from 0. ``blocked`` is
+    the hard table: CBS fills it with the agent's constraints, prioritized
+    planning with the earlier agents' paths. The search refuses to finish on
+    the goal while the table still blocks it at a later timestep, and is cut
+    off at an absolute horizon of free-cell-count + last-blocked-timestep + 1,
     which guarantees termination.
 
     ``avoid`` is a soft conflict-avoidance table: it never blocks a move and
     never changes the returned cost, but among equal-cost paths the one
-    touching it least wins. High-level solvers pass the other agents' current
-    paths here so replans sidestep them instead of enumerating equally cheap
-    collisions.
+    touching it least wins. CBS passes the other agents' current paths here
+    so replans sidestep them instead of enumerating equally cheap collisions.
 
     Raises SearchLimitExceeded when the budget runs out first.
     """
@@ -120,39 +123,23 @@ def spacetime_astar(
         raise ValueError("ground agents must start and end on layer 0")
     moves = MOVES[kind]
 
-    vertex_cons = set()
-    edge_cons = set()
-    last_dynamic = start_time
-    goal_blocked_until = start_time - 1
-    for c in constraints:
-        if c.time > last_dynamic:
-            last_dynamic = c.time
-        if c.kind == VERTEX:
-            vertex_cons.add((c.cells[0], c.time))
-            if c.cells[0] == goal and c.time > goal_blocked_until:
-                goal_blocked_until = c.time
-        else:
-            edge_cons.add((c.cells[0], c.cells[1], c.time))
-    res = reservations
-    if res is not None:
-        if res.terminal_time(goal) is not None:
+    min_arrival = 0
+    horizon = grid.free_cell_count + 1
+    if blocked is not None:
+        if goal in blocked._terminal:
             return None  # someone parks on the goal forever
-        goal_blocked_until = max(goal_blocked_until, res.last_vertex_time(goal))
-        last_dynamic = max(last_dynamic, res.max_time)
-    min_arrival = max(start_time, goal_blocked_until + 1)
-    horizon = last_dynamic + grid.free_cell_count + 1
-
-    if (start, start_time) in vertex_cons:
-        return None
-    if res is not None and not res.vertex_free(start, start_time):
-        return None
+        if not blocked.vertex_free(start, 0):
+            return None
+        min_arrival = blocked._last_vertex.get(goal, -1) + 1
+        horizon += blocked.max_time
+        vertex, edge, terminal = blocked._vertex, blocked._edge, blocked._terminal
 
     gx, gy, gz = goal
     h0 = abs(start[0] - gx) + abs(start[1] - gy) + abs(start[2] - gz)
     # every step costs 1, so a state's g equals its elapsed time; only the
     # soft-collision count can differ between two visits of the same state
-    heap = [(h0, 0, h0, start[0], start[1], start[2], start_time)]
-    coll_best = {(start, start_time): 0}
+    heap = [(h0, 0, h0, start[0], start[1], start[2], 0)]
+    coll_best = {(start, 0): 0}
     parent = {}
     closed = set()
 
@@ -185,11 +172,11 @@ def spacetime_astar(
             if occ[ci + nx * (cj + ny * ck)]:
                 continue
             ncell = (ci, cj, ck)
-            if (ncell, t1) in vertex_cons:
-                continue
-            if (cell, ncell, t1) in edge_cons:
-                continue
-            if res is not None and not res.move_free(cell, ncell, t1):
+            if blocked is not None and (
+                (ncell, t1) in vertex
+                or (ncell, cell, t1) in edge
+                or (ncell in terminal and terminal[ncell] <= t1)
+            ):
                 continue
             ncoll = coll
             if avoid is not None and not avoid.move_free(cell, ncell, t1):

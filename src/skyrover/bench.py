@@ -56,6 +56,8 @@ def load_suite(path) -> list[str]:
     paths = payload["scenarios"]
     if not isinstance(paths, list) or not paths:
         raise ParseError("suite lists no scenarios")
+    if not all(isinstance(p, str) for p in paths):
+        raise ParseError("suite scenarios must be file paths")
     base = os.path.dirname(os.path.abspath(path))
     return [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
 

@@ -7,37 +7,17 @@ complete only relative to the ordering.
 
 from __future__ import annotations
 
-import time
-
 from .astar import Budget, ReservationTable, spacetime_astar
-from .errors import SearchLimitExceeded
-from .mapf import make_solution
-from .solvers import NO_SOLUTION, RESOURCE_LIMIT, SOLVED, SolveResult, SolveStats, SolverConfig
 
 
-def prioritized_solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
-    config = config or SolverConfig(algorithm="astar_prioritized")
-    budget = Budget(config.node_expansion_limit, config.time_limit)
-    t0 = time.perf_counter()
+def search(grid, roster, budget: Budget):
+    """Paths by agent id, or the reason the id order cannot route them."""
     table = ReservationTable()
     paths = {}
-
-    def stats():
-        return SolveStats(ll_expansions=budget.used, wall_time=time.perf_counter() - t0)
-
-    try:
-        for agent in sorted(agents, key=lambda a: a.id):
-            p = spacetime_astar(
-                grid, agent.kind, agent.start, agent.goal, reservations=table, budget=budget
-            )
-            if p is None:
-                return SolveResult(
-                    NO_SOLUTION,
-                    reason=f"agent {agent.id} cannot be routed around earlier reservations",
-                    stats=stats(),
-                )
-            paths[agent.id] = p
-            table.reserve_path(p)
-    except SearchLimitExceeded as exc:
-        return SolveResult(RESOURCE_LIMIT, reason=str(exc), stats=stats())
-    return SolveResult(SOLVED, solution=make_solution(paths), stats=stats())
+    for agent in roster:
+        p = spacetime_astar(grid, agent.kind, agent.start, agent.goal, table, budget)
+        if p is None:
+            return f"agent {agent.id} cannot be routed around earlier reservations"
+        paths[agent.id] = p
+        table.reserve_path(p)
+    return paths

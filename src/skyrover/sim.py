@@ -380,19 +380,27 @@ def plan_from_bytes(data: bytes) -> PlanFile:
         raise ParseError(f"plan must have exactly the keys {sorted(expected)}")
     paths = {}
     kinds = {}
-    for entry in payload["agents"]:
-        if set(entry) != {"id", "kind", "path"}:
-            raise ParseError("plan agent entries must have exactly id, kind, path")
-        aid = int(entry["id"])
-        paths[aid] = tuple(tuple(int(v) for v in c) for c in entry["path"])
-        kinds[aid] = entry["kind"]
-    return PlanFile(
-        paths=paths,
-        kinds=kinds,
-        sum_of_costs=int(payload["sum_of_costs"]),
-        makespan=int(payload["makespan"]),
-        computation_time_s=float(payload["computation_time_s"]),
-    )
+    try:
+        for n, entry in enumerate(payload["agents"]):
+            if not isinstance(entry, dict) or set(entry) != {"id", "kind", "path"}:
+                raise ParseError("plan agent entries must have exactly id, kind, path")
+            aid = int(entry["id"])
+            path = tuple(tuple(int(v) for v in c) for c in entry["path"])
+            if not path or any(len(c) != 3 for c in path):
+                raise ParseError(f"plan agent #{n}: path must be a non-empty list of [i, j, k] cells")
+            if aid in paths:
+                raise ParseError(f"plan lists agent {aid} twice")
+            paths[aid] = path
+            kinds[aid] = entry["kind"]
+        return PlanFile(
+            paths=paths,
+            kinds=kinds,
+            sum_of_costs=int(payload["sum_of_costs"]),
+            makespan=int(payload["makespan"]),
+            computation_time_s=float(payload["computation_time_s"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad plan: {exc}") from None
 
 
 def write_plan(path, solution: Solution, agents, computation_time: float) -> None:

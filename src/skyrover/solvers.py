@@ -1,10 +1,14 @@
-"""Solver configuration, result types, and the algorithm dispatch."""
+"""Solver configuration, result types, and ``solve()``, the one planner."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
-from .mapf import components
+from . import cbs, prioritized
+from .astar import Budget
+from .errors import SearchLimitExceeded
+from .mapf import components, make_solution
 
 ASTAR_PRIORITIZED = "astar_prioritized"
 CBS = "cbs"
@@ -67,19 +71,28 @@ class SolveResult:
         return self.status == SOLVED
 
 
-def solve(grid, agents, config: SolverConfig) -> SolveResult:
-    """Run the configured precomputing solver. Online mode has no plan phase.
+def solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
+    """Plan with the configured precomputing solver: the one public planner.
 
     The agents must pass ``mapf.validate_agents``. An agent whose goal lies
-    outside its start's component is no_solution before any search.
+    outside its start's component is no_solution before any search. Online
+    mode has no plan phase.
     """
-    from .cbs import cbs_solve
-    from .prioritized import prioritized_solve
-
+    config = config or SolverConfig()
     if config.algorithm == ONLINE:
         raise ValueError("online policies plan per step; there is nothing to precompute")
-    labels = {kind: components(grid, kind) for kind in {a.kind for a in agents}}
-    for a in sorted(agents, key=lambda a: a.id):
-        if labels[a.kind][grid.index(*a.start)] != labels[a.kind][grid.index(*a.goal)]:
-            return SolveResult(NO_SOLUTION, reason=f"agent {a.id}: goal is not reachable from its start")
-    return (cbs_solve if config.algorithm == CBS else prioritized_solve)(grid, agents, config)
+    t0 = perf_counter()
+    budget = Budget(config.node_expansion_limit, config.time_limit)
+    roster = sorted(agents, key=lambda a: a.id)
+    labels = {kind: components(grid, kind) for kind in {a.kind for a in roster}}
+    cut = [a.id for a in roster if labels[a.kind][grid.index(*a.start)] != labels[a.kind][grid.index(*a.goal)]]
+    search = cbs.search if config.algorithm == CBS else prioritized.search
+    try:
+        found = f"agent {cut[0]}: goal is not reachable from its start" if cut else search(grid, roster, budget)
+        status = SOLVED if isinstance(found, dict) else NO_SOLUTION
+    except SearchLimitExceeded as exc:
+        status, found = RESOURCE_LIMIT, str(exc)
+    stats = SolveStats(budget.used, budget.ct_expanded, perf_counter() - t0, budget.best_cost)
+    if status == SOLVED:
+        return SolveResult(SOLVED, solution=make_solution(found), stats=stats)
+    return SolveResult(status, reason=found, stats=stats)

@@ -26,7 +26,6 @@ from skyrover import (
     Simulator,
     TaskScript,
     WorldView,
-    cbs_solve,
     collect_metrics,
     detect_conflicts,
     empty_grid,
@@ -38,8 +37,8 @@ from skyrover import (
     online_policy_step,
     plan_from_bytes,
     plan_to_bytes,
-    prioritized_solve,
     rasterize,
+    solve,
     spacetime_astar,
     validate_solution,
     waypoints_from_bytes,
@@ -138,7 +137,7 @@ def test_cbs_matches_joint_oracle():
     agree = 0
     unsolvable = 0
     for grid, agents, expected in _cbs_oracle_instances(200):
-        res = cbs_solve(grid, agents, SolverConfig(algorithm="cbs", time_limit=30.0))
+        res = solve(grid, agents, SolverConfig(algorithm="cbs", time_limit=30.0))
         if expected is None:
             assert res.status == "no_solution"
             unsolvable += 1

@@ -18,6 +18,13 @@ from skyrover.mapf import EDGE, VERTEX
 from oracles import enumerate_best_constrained_cost, random_grid, static_bfs_cost
 
 
+def forbidden(constraints):
+    table = ReservationTable()
+    for c in constraints:
+        table.forbid(c)
+    return table
+
+
 def check_compliance(path, constraints=(), reservations=None, grid=None, kind=None):
     """Post-hoc audit: a returned path must violate nothing it was given."""
     vertex = {(c.cells[0], c.time) for c in constraints if c.kind == VERTEX}
@@ -79,7 +86,7 @@ def test_random_grids_match_static_bfs():
 
 def test_vertex_constraint_forces_one_wait(corridor_grid):
     cons = (Constraint(0, VERTEX, 1, ((0, 1, 0),)),)
-    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), cons)
+    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(cons))
     assert path_cost(path) == 3
     check_compliance(path, cons, grid=corridor_grid)
     oracle = enumerate_best_constrained_cost(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), cons, max_len=4)
@@ -99,7 +106,7 @@ def test_constrained_costs_match_exhaustive_enumeration():
         if any(c.cells[0] == start and c.time == 0 for c in cons):
             continue
         best = enumerate_best_constrained_cost(grid, AGV, start, goal, cons, max_len=7)
-        path = spacetime_astar(grid, AGV, start, goal, cons)
+        path = spacetime_astar(grid, AGV, start, goal, forbidden(cons))
         if best is None or best > 7:
             if path is not None:
                 assert path_cost(path) > 7
@@ -110,7 +117,7 @@ def test_constrained_costs_match_exhaustive_enumeration():
 
 def test_edge_constraint_respected(corridor_grid):
     cons = (Constraint(0, EDGE, 1, ((0, 0, 0), (0, 1, 0))),)
-    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), cons)
+    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(cons))
     check_compliance(path, cons, grid=corridor_grid)
     assert path_cost(path) == 3  # wait once, then walk through
 
@@ -118,7 +125,7 @@ def test_edge_constraint_respected(corridor_grid):
 def test_goal_constraint_delays_arrival(corridor_grid):
     # the goal is poisoned at t=3, so settling must happen at t>=4
     cons = (Constraint(0, VERTEX, 3, ((0, 2, 0),)),)
-    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), cons)
+    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(cons))
     assert path_cost(path) == 4
     assert path[3] != (0, 2, 0)
 
@@ -127,7 +134,7 @@ def test_reservations_block_and_delay():
     grid = empty_grid((4, 1, 1))
     table = ReservationTable()
     table.reserve_path(((1, 0, 0), (2, 0, 0), (3, 0, 0)))
-    path = spacetime_astar(grid, AGV, (0, 0, 0), (2, 0, 0), reservations=table)
+    path = spacetime_astar(grid, AGV, (0, 0, 0), (2, 0, 0), blocked=table)
     check_compliance(path, reservations=table, grid=grid)
     # (2,0,0) is crossed by the reserved path at t=1 and free from t=2 on
     assert path_cost(path) == 2
@@ -137,7 +144,7 @@ def test_terminal_reservation_makes_goal_unreachable():
     grid = empty_grid((3, 1, 1))
     table = ReservationTable()
     table.reserve_path(((1, 0, 0),))  # parks forever at t=0
-    assert spacetime_astar(grid, AGV, (0, 0, 0), (1, 0, 0), reservations=table) is None
+    assert spacetime_astar(grid, AGV, (0, 0, 0), (1, 0, 0), blocked=table) is None
 
 
 def test_swap_against_reservation_is_blocked():
@@ -146,7 +153,7 @@ def test_swap_against_reservation_is_blocked():
     table.reserve_path(((1, 0, 0), (0, 0, 0)))
     # head-on swap impossible; and the reserved agent parks at (0,0,0),
     # which is the searcher's start, so no path can exist at all
-    assert spacetime_astar(grid, AGV, (0, 0, 0), (1, 0, 0), reservations=table) is None
+    assert spacetime_astar(grid, AGV, (0, 0, 0), (1, 0, 0), blocked=table) is None
 
 
 def test_unreachable_goal_terminates_via_horizon():
@@ -172,15 +179,6 @@ def test_deterministic_tie_breaking():
     first = spacetime_astar(grid, UAV, (0, 0, 0), (5, 5, 1))
     for _ in range(5):
         assert spacetime_astar(grid, UAV, (0, 0, 0), (5, 5, 1)) == first
-
-
-def test_start_time_offsets_constraint_times():
-    grid = empty_grid((1, 3, 1))
-    cons = (Constraint(0, VERTEX, 6, ((0, 1, 0),)),)
-    path = spacetime_astar(grid, AGV, (0, 0, 0), (0, 2, 0), cons, start_time=5)
-    # at absolute t=6 the middle cell is blocked, so wait once
-    assert len(path) == 4
-    assert path[1] == (0, 0, 0)
 
 
 def test_occupied_endpoint_is_contract_error():

@@ -9,7 +9,6 @@ from skyrover import (
     Agent,
     OccupancyGrid3D,
     SolverConfig,
-    cbs_solve,
     empty_grid,
     solve,
     spacetime_astar,
@@ -31,7 +30,7 @@ def pocket_corridor():
 def test_non_interacting_agents_cost_is_independent_sum():
     grid = empty_grid((5, 5, 1))
     agents = (Agent(0, AGV, (0, 0, 0), (4, 0, 0)), Agent(1, AGV, (0, 4, 0), (4, 4, 0)))
-    res = cbs_solve(grid, agents)
+    res = solve(grid, agents)
     assert res.ok
     assert res.solution.sum_of_costs == 8
     assert res.stats.ct_expanded == 0  # root was already conflict-free
@@ -44,7 +43,7 @@ def test_swap_instance_costs_more_than_independent_optimum():
     independent = sum(
         path_cost(spacetime_astar(grid, a.kind, a.start, a.goal)) for a in agents
     )
-    res = cbs_solve(grid, agents)
+    res = solve(grid, agents)
     assert res.ok
     assert validate_solution(grid, agents, res.solution.paths) == []
     assert res.solution.sum_of_costs > independent
@@ -55,7 +54,7 @@ def test_unreachable_goal_is_no_solution():
     cells = np.array([0, 1, 0], dtype=np.uint8)
     grid = OccupancyGrid3D((0, 0, 0), 1.0, (3, 1, 1), cells)
     agents = (Agent(0, AGV, (0, 0, 0), (2, 0, 0)),)
-    res = cbs_solve(grid, agents)
+    res = solve(grid, agents)
     assert res.status == "no_solution"
     assert "agent 0" in res.reason
 
@@ -69,13 +68,35 @@ def test_solve_reports_an_unreachable_goal_before_any_search(algorithm):
     res = solve(grid, agents, SolverConfig(algorithm=algorithm, node_expansion_limit=200_000))
     assert res.status == "no_solution"
     assert res.reason == "agent 1: goal is not reachable from its start"
-    assert res.stats.ll_expansions == 0
+    assert (res.stats.ll_expansions, res.stats.ct_expanded, res.stats.best_cost) == (0, 0, None)
+
+
+def test_solved_stats_report_the_optimal_cost_as_the_bound():
+    grid = pocket_corridor()
+    agents = (Agent(0, AGV, (0, 0, 0), (0, 2, 0)), Agent(1, AGV, (0, 2, 0), (0, 0, 0)))
+    res = solve(grid, agents)
+    assert res.ok
+    assert res.stats.ct_expanded > 0
+    assert res.stats.best_cost == res.solution.sum_of_costs
+
+
+def test_budget_spent_after_the_root_keeps_ct_nodes_and_bound():
+    grid = pocket_corridor()
+    agents = (Agent(0, AGV, (0, 0, 0), (0, 2, 0)), Agent(1, AGV, (0, 2, 0), (0, 0, 0)))
+    solved = solve(grid, agents)
+    # one expansion short of the solved run: the search dies in its last replan
+    limit = solved.stats.ll_expansions - 1
+    res = solve(grid, agents, SolverConfig(algorithm="cbs", node_expansion_limit=limit))
+    assert res.status == "resource_limit"
+    assert 0 < res.stats.ct_expanded <= solved.stats.ct_expanded
+    assert res.stats.best_cost is not None
+    assert res.stats.best_cost <= solved.solution.sum_of_costs
 
 
 def test_resource_limit_reported():
     grid = pocket_corridor()
     agents = (Agent(0, AGV, (0, 0, 0), (0, 2, 0)), Agent(1, AGV, (0, 2, 0), (0, 0, 0)))
-    res = cbs_solve(grid, agents, SolverConfig(algorithm="cbs", node_expansion_limit=2))
+    res = solve(grid, agents, SolverConfig(algorithm="cbs", node_expansion_limit=2))
     assert res.status == "resource_limit"
     assert res.stats.ll_expansions >= 2
 
@@ -86,7 +107,7 @@ def test_matches_joint_oracle_on_random_instances():
     for _ in range(60):
         n = rng.choice((2, 2, 3))
         grid, agents = random_instance(rng, (5, 5, 2), n, density=0.2)
-        res = cbs_solve(grid, agents, SolverConfig(algorithm="cbs", time_limit=60.0))
+        res = solve(grid, agents, SolverConfig(algorithm="cbs", time_limit=60.0))
         expected = joint_optimal_cost(grid, agents)
         if expected is None:
             assert res.status == "no_solution"
@@ -101,9 +122,9 @@ def test_matches_joint_oracle_on_random_instances():
 def test_deterministic_output():
     rng = random.Random(7)
     grid, agents = random_instance(rng, (5, 5, 2), 3, density=0.25)
-    first = cbs_solve(grid, agents)
+    first = solve(grid, agents)
     for _ in range(3):
-        again = cbs_solve(grid, agents)
+        again = solve(grid, agents)
         assert again.status == first.status
         if first.ok:
             assert again.solution == first.solution
@@ -115,7 +136,7 @@ def test_mixed_kinds_resolved():
         Agent(0, AGV, (0, 0, 0), (2, 0, 0)),
         Agent(1, UAV, (2, 0, 0), (0, 0, 0)),
     )
-    res = cbs_solve(grid, agents)
+    res = solve(grid, agents)
     assert res.ok
     assert validate_solution(grid, agents, res.solution.paths) == []
     assert res.solution.sum_of_costs == joint_optimal_cost(grid, agents)

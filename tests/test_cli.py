@@ -178,6 +178,29 @@ def test_sim_plan_is_replayed_when_the_scenario_says_online(warehouse_files, tmp
     assert "mode=precomputed-plan" in out and "success_rate=100.0%" in out
 
 
+BAD_PLANS = {
+    "agents-not-a-list": lambda plan: plan.update(agents=5),
+    "id-not-an-int": lambda plan: plan["agents"][0].update(id=[0]),
+    "path-not-a-list": lambda plan: plan["agents"][0].update(path=3),
+    "two-value-cell": lambda plan: plan["agents"][0].update(path=[[0, 0]]),
+    "empty-path": lambda plan: plan["agents"][0].update(path=[]),
+    "agent-listed-twice": lambda plan: plan["agents"].append(dict(plan["agents"][0])),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PLANS))
+def test_sim_malformed_plan_exits_2(warehouse_files, tmp_path, capsys, case):
+    scenario_path, _ = warehouse_files
+    plan_path = tmp_path / "plan.json"
+    assert main(["solve", "--scenario", str(scenario_path), "--alg", "cbs", "-o", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text())
+    BAD_PLANS[case](plan)
+    plan_path.write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert main(["sim", "--scenario", str(scenario_path), "--plan", str(plan_path)]) == 2
+    assert "plan" in capsys.readouterr().err
+
+
 def test_gen_warehouse_defaults_are_the_library_world(tmp_path):
     from skyrover import warehouse_grid
 
@@ -320,6 +343,12 @@ def test_bench_failed_cell_reports_the_time_it_spent(warehouse_files):
 def test_bench_empty_suite_exits_2(tmp_path):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"scenarios": []}))
+    assert main(["bench", "--suite", str(suite)]) == 2
+
+
+def test_bench_non_string_scenario_exits_2(tmp_path):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"scenarios": [5]}))
     assert main(["bench", "--suite", str(suite)]) == 2
 
 

@@ -275,9 +275,7 @@ def test_command_count_and_monotone_timestamps():
     from oracles import random_instance
 
     grid, agents = random_instance(rng, (6, 6, 2), 4, density=0.1)
-    from skyrover import cbs_solve
-
-    sol = cbs_solve(grid, agents).solution
+    sol = solve(grid, agents).solution
     cmds = execute_plan(sol, 0.5, grid.resolution, grid.origin)
     assert len(cmds) == sum(len(p) for p in sol.paths.values())
     for aid in sol.paths:
