@@ -10,6 +10,7 @@ inputs always return the identical path.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from heapq import heappop, heappush
 
 from .errors import SearchLimitExceeded
@@ -43,39 +44,53 @@ class Budget:
 
 
 class ReservationTable:
-    """Space-time cells and moves that are taken: reserved paths or CBS constraints."""
+    """Space-time cells and moves that are taken: reserved paths or CBS constraints.
+
+    Entries are counted, one per reserving path, so a reserved path can be
+    taken back out (``release_path``). CBS keeps one such table as its
+    space-time occupancy index and moves it from node to node path by path.
+    """
 
     def __init__(self):
-        self._vertex = set()  # (cell, t)
-        self._edge = set()  # (u, v, t): u -> v arriving at t blocks v -> u
+        self._vertex = Counter()  # (cell, t) -> entries
+        self._edge = Counter()  # (u, v, t) -> entries; u -> v arriving at t blocks v -> u
         self._terminal = {}  # cell -> time from which it is parked forever
-        self._last_vertex = {}  # cell -> latest finite reservation time
+        self._ends = Counter()  # (cell, t) -> reserved paths ending on cell at t
         self.max_time = 0
 
     def reserve_path(self, cells) -> None:
-        prev = None
-        for t, cell in enumerate(cells):
-            self._vertex.add((cell, t))
-            if self._last_vertex.get(cell, -1) < t:
-                self._last_vertex[cell] = t
-            if prev is not None:
-                self._edge.add((prev, cell, t))
-            prev = cell
-        end = len(cells) - 1
+        n = len(cells)
+        self._vertex.update(zip(cells, range(n)))
+        self._edge.update(zip(cells, cells[1:], range(1, n)))
+        end = n - 1
         goal = cells[-1]
-        if goal not in self._terminal or self._terminal[goal] > end:
+        self._ends[goal, end] += 1
+        if self._terminal.get(goal, end) >= end:
             self._terminal[goal] = end
         self.max_time = max(self.max_time, end)
+
+    def release_path(self, cells) -> None:
+        """Take one reserved path back out of a table of paths: the inverse of ``reserve_path``."""
+        n = len(cells)
+        _drop(self._vertex, zip(cells, range(n)))
+        _drop(self._edge, zip(cells, cells[1:], range(1, n)))
+        goal = cells[-1]
+        _drop(self._ends, [(goal, n - 1)])
+        rest = [t for cell, t in self._ends if cell == goal]
+        if rest:
+            self._terminal[goal] = min(rest)
+        else:
+            del self._terminal[goal]
+        self.max_time = max((t for _, t in self._ends), default=0)
 
     def forbid(self, constraint) -> None:
         """Block one CBS constraint: its cell at its time, or its move u -> v."""
         t = constraint.time
         cell = constraint.cells[0]
         if constraint.kind == VERTEX:
-            self._vertex.add((cell, t))
-            self._last_vertex[cell] = max(self._last_vertex.get(cell, -1), t)
+            self._vertex[cell, t] += 1
         else:
-            self._edge.add((constraint.cells[1], cell, t))  # reversed, as _edge stores it
+            self._edge[constraint.cells[1], cell, t] += 1  # reversed, as _edge stores it
         self.max_time = max(self.max_time, t)
 
     def vertex_free(self, cell, t: int) -> bool:
@@ -86,6 +101,15 @@ class ReservationTable:
 
     def move_free(self, u, v, t: int) -> bool:
         return self.vertex_free(v, t) and (v, u, t) not in self._edge
+
+
+def _drop(counts: Counter, keys) -> None:
+    """Take one count of every key off ``counts``."""
+    for key in keys:
+        if counts[key] == 1:
+            counts.pop(key)
+        else:
+            counts[key] -= 1
 
 
 def spacetime_astar(
@@ -130,9 +154,12 @@ def spacetime_astar(
             return None  # someone parks on the goal forever
         if not blocked.vertex_free(start, 0):
             return None
-        min_arrival = blocked._last_vertex.get(goal, -1) + 1
-        horizon += blocked.max_time
         vertex, edge, terminal = blocked._vertex, blocked._edge, blocked._terminal
+        # one step past the goal's last blocked timestep
+        min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if (goal, t) in vertex), 0)
+        horizon += blocked.max_time
+    if avoid is not None:
+        soft_vertex, soft_edge, soft_terminal = avoid._vertex, avoid._edge, avoid._terminal
 
     gx, gy, gz = goal
     h0 = abs(start[0] - gx) + abs(start[1] - gy) + abs(start[2] - gz)
@@ -179,7 +206,11 @@ def spacetime_astar(
             ):
                 continue
             ncoll = coll
-            if avoid is not None and not avoid.move_free(cell, ncell, t1):
+            if avoid is not None and (
+                (ncell, t1) in soft_vertex
+                or (ncell, cell, t1) in soft_edge
+                or (ncell in soft_terminal and soft_terminal[ncell] <= t1)
+            ):
                 ncoll += 1
             nstate = (ncell, t1)
             old = coll_best.get(nstate)

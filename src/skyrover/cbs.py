@@ -11,6 +11,15 @@ Replans hand the other agents' current paths to the low level as a soft
 conflict-avoidance table. Costs are untouched, so optimality is unaffected,
 but equal-cost replans dodge known paths instead of recolliding, which keeps
 the tree small on open floors where agents cross.
+
+A child differs from its parent in one path, so nothing is rescanned per
+child. The search keeps one space-time occupancy index: a counted
+``ReservationTable`` of the expanded node's paths, moved from node to node
+by releasing and reserving only the paths that differ. A replan's avoid
+table is that index without the replanned agent's path. The child's
+conflicts are updated rather than rescanned: the parent's conflicts that do
+not involve the agent, plus the new path's hits in the index. Only the root
+runs the full scan, ``detect_conflicts``.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from .astar import Budget, ReservationTable, spacetime_astar
-from .mapf import constraints_from_conflict, detect_conflicts, path_cost
+from .mapf import EDGE, VERTEX, Conflict, cell_at, constraints_from_conflict, detect_conflicts, path_cost
 
 
 @dataclass
@@ -31,13 +40,35 @@ class CTNode:
     conflicts: list
 
 
-def _node(constraints, paths) -> CTNode:
-    return CTNode(
-        constraints=constraints,
-        paths=paths,
-        cost=sum(path_cost(p) for p in paths.values()),
-        conflicts=detect_conflicts(paths),
-    )
+def replan_conflicts(conflicts, paths: dict, aid, cells, others: ReservationTable) -> list[Conflict]:
+    """``detect_conflicts`` of ``paths`` once agent ``aid``'s path is replaced by ``cells``.
+
+    ``conflicts`` is ``detect_conflicts(paths)`` and ``others`` the table of
+    every path but ``aid``'s. The agent's cells are looked up in the table
+    and the other paths are scanned only on a hit.
+    """
+    t_old = max(len(p) for p in paths.values()) - 1
+    t_end = max([len(cells)] + [len(p) for b, p in paths.items() if b != aid]) - 1
+    out = [c for c in conflicts if aid not in c.agents and c.time <= t_end]
+    # every other agent stands on its final cell from t_old on, so a pair
+    # sharing one collides at every timestep the longer horizon adds
+    parked = [c for c in out if c.time == t_old and c.kind == VERTEX]
+    out.extend(Conflict(VERTEX, c.agents, t, c.cells) for t in range(t_old + 1, t_end + 1) for c in parked)
+    vertex, edge, terminal = others._vertex, others._edge, others._terminal
+    goal = cells[-1]
+    for t in range(t_end + 1):
+        v = cells[t] if t < len(cells) else goal
+        if (v, t) in vertex or terminal.get(v, t) < t:
+            for b, q in paths.items():
+                if b != aid and cell_at(q, t) == v:
+                    out.append(Conflict(VERTEX, (min(aid, b), max(aid, b)), t, (v,)))
+        u = cells[t - 1] if 0 < t < len(cells) else v
+        if u != v and (v, u, t) in edge:
+            for b, q in paths.items():
+                if b != aid and t < len(q) and q[t - 1] == v and q[t] == u:
+                    out.append(Conflict(EDGE, (aid, b), t, (u, v)) if aid < b else Conflict(EDGE, (b, aid), t, (v, u)))
+    out.sort(key=lambda c: c.sort_key)
+    return out
 
 
 def search(grid, roster, budget: Budget):
@@ -49,14 +80,15 @@ def search(grid, roster, budget: Budget):
     """
     by_id = {a.id: a for a in roster}
     paths = {}
-    avoid = ReservationTable()
+    index = ReservationTable()
     for a in roster:
         # independent optimal plans; earlier roots only steer tie-breaking
-        paths[a.id] = spacetime_astar(grid, a.kind, a.start, a.goal, budget=budget, avoid=avoid)
-        avoid.reserve_path(paths[a.id])
+        paths[a.id] = spacetime_astar(grid, a.kind, a.start, a.goal, budget=budget, avoid=index)
+        index.reserve_path(paths[a.id])
+    held = dict(paths)  # the path the index holds per agent; None when left out
 
     tick = count()
-    root = _node((), paths)
+    root = CTNode((), paths, sum(path_cost(p) for p in paths.values()), detect_conflicts(paths))
     heap = [(root.cost, len(root.conflicts), next(tick), root)]
     while heap:
         cost, _, _, node = heappop(heap)
@@ -72,15 +104,21 @@ def search(grid, roster, budget: Budget):
             for c in child_constraints:
                 if c.agent_id == agent.id:
                     blocked.forbid(c)
-            avoid = ReservationTable()  # every other agent's current path
-            for aid, q in node.paths.items():
-                if aid != agent.id:
-                    avoid.reserve_path(q)
-            p = spacetime_astar(grid, agent.kind, agent.start, agent.goal, blocked, budget, avoid)
+            for aid, q in node.paths.items():  # index := every other agent's current path
+                want = None if aid == agent.id else q
+                if held[aid] is not want:
+                    if held[aid] is not None:
+                        index.release_path(held[aid])
+                    if want is not None:
+                        index.reserve_path(want)
+                    held[aid] = want
+            p = spacetime_astar(grid, agent.kind, agent.start, agent.goal, blocked, budget, index)
             if p is None:
                 continue
             child_paths = dict(node.paths)
             child_paths[agent.id] = p
-            child = _node(child_constraints, child_paths)
-            heappush(heap, (child.cost, len(child.conflicts), next(tick), child))
+            child_cost = node.cost - path_cost(node.paths[agent.id]) + path_cost(p)
+            conflicts = replan_conflicts(node.conflicts, node.paths, agent.id, p, index)
+            child = CTNode(child_constraints, child_paths, child_cost, conflicts)
+            heappush(heap, (child_cost, len(conflicts), next(tick), child))
     return "constraint tree exhausted"

@@ -114,7 +114,8 @@ def cmd_solve(args) -> int:
     print(
         f"solved alg={config.algorithm} agents={len(scenario.agents)} "
         f"sum_of_costs={solution.sum_of_costs} makespan={solution.makespan} "
-        f"comp_time_s={sim.computation_time:.3f} success_rate=100%"
+        f"comp_time_s={sim.computation_time:.3f} success_rate=100% "
+        f"expansions={sim.stats.ll_expansions} ct_nodes={sim.stats.ct_expanded}"
     )
     return EXIT_OK
 
@@ -126,6 +127,10 @@ def cmd_sim(args) -> int:
     sim = Simulator()
     if args.plan:
         plan = read_plan(args.plan)
+        kinds = {a.id: a.kind for a in scenario.agents}
+        for aid, kind in sorted(plan.kinds.items()):
+            if kinds.get(aid, kind) != kind:
+                raise ScenarioError(f"plan gives agent {aid} kind {kind!r}, the scenario {kinds[aid]!r}")
         sim.init(scenario, solution=plan.solution)
         comp_time = plan.computation_time_s
     else:

@@ -32,7 +32,7 @@ from .mapf import (
     validate_solution,
 )
 from .policy import WorldView, get_policy, online_policy_step
-from .solvers import NO_SOLUTION, ONLINE, SolverConfig, solve
+from .solvers import NO_SOLUTION, ONLINE, SolverConfig, SolveStats, solve
 
 EN_ROUTE = "en-route"
 AT_GOAL = "at-goal"
@@ -92,6 +92,7 @@ class Simulator:
         self._config = None
         self._agents = ()
         self._solution = None
+        self._stats = None
         self._policy = None
         self._computation_time = 0.0
         self._states = []
@@ -105,7 +106,8 @@ class Simulator:
         loaded grid. An externally supplied ``solution`` (a replayed plan
         file) is replayed whatever ``config.algorithm`` says: it skips the
         solver and the policy but is still validated before it is trusted.
-        On a failed solve ``computation_time`` holds the time spent.
+        On a failed solve ``computation_time`` and ``stats`` hold the time
+        and the search effort spent.
         """
         config = config or scenario.solver or SolverConfig()
         grid = scenario.materialize_grid()
@@ -117,6 +119,7 @@ class Simulator:
         self._config = config
         self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
         self._solution = None
+        self._stats = None
         self._policy = None
         self._computation_time = 0.0
         self._states = []
@@ -131,6 +134,7 @@ class Simulator:
                 t0 = time.perf_counter()
                 result = solve(grid, self._agents, config)
                 self._computation_time = time.perf_counter() - t0
+                self._stats = result.stats
                 if not result.ok:
                     err = NoSolutionError if result.status == NO_SOLUTION else ResourceLimitError
                     raise err(f"{config.algorithm}: {result.reason}")
@@ -176,6 +180,11 @@ class Simulator:
     def solution(self) -> Solution | None:
         """The validated plan being replayed; None in online mode."""
         return self._solution
+
+    @property
+    def stats(self) -> SolveStats | None:
+        """The solver's search effort; None when nothing was solved (online mode or a supplied plan)."""
+        return self._stats
 
     def step(self) -> SimState:
         """Advance one tick; a state with everyone at goal is a fixpoint no-op."""
@@ -392,7 +401,7 @@ def plan_from_bytes(data: bytes) -> PlanFile:
                 raise ParseError(f"plan lists agent {aid} twice")
             paths[aid] = path
             kinds[aid] = entry["kind"]
-        return PlanFile(
+        plan = PlanFile(
             paths=paths,
             kinds=kinds,
             sum_of_costs=int(payload["sum_of_costs"]),
@@ -401,6 +410,13 @@ def plan_from_bytes(data: bytes) -> PlanFile:
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad plan: {exc}") from None
+    solution = plan.solution
+    if (plan.sum_of_costs, plan.makespan) != (solution.sum_of_costs, solution.makespan):
+        raise ParseError(
+            f"plan says sum_of_costs={plan.sum_of_costs} makespan={plan.makespan}, "
+            f"its paths give sum_of_costs={solution.sum_of_costs} makespan={solution.makespan}"
+        )
+    return plan
 
 
 def write_plan(path, solution: Solution, agents, computation_time: float) -> None:

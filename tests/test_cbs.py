@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -8,15 +9,19 @@ from skyrover import (
     UAV,
     Agent,
     OccupancyGrid3D,
+    ReservationTable,
     SolverConfig,
+    detect_conflicts,
     empty_grid,
+    generate_warehouse,
     solve,
     spacetime_astar,
     validate_solution,
 )
-from skyrover.mapf import path_cost
+from skyrover.cbs import replan_conflicts
+from skyrover.mapf import EDGE, path_cost
 
-from oracles import joint_optimal_cost, random_instance
+from oracles import brute_force_conflicts, joint_optimal_cost, random_instance, random_walk_paths
 
 
 def pocket_corridor():
@@ -140,3 +145,72 @@ def test_mixed_kinds_resolved():
     assert res.ok
     assert validate_solution(grid, agents, res.solution.paths) == []
     assert res.solution.sum_of_costs == joint_optimal_cost(grid, agents)
+
+
+def _table(paths):
+    table = ReservationTable()
+    for cells in paths:
+        table.reserve_path(cells)
+    return table
+
+
+def _entries(table):
+    return table._vertex, table._edge, table._terminal
+
+
+def test_incremental_conflicts_and_index_match_full_rescans():
+    """CBS's per-child pieces against full rebuilds: the index without one
+    agent, and the conflicts once that agent's path is replaced."""
+    rng = random.Random(29)
+    seen = {"longer": 0, "shorter": 0, "parked": 0, "three-way": 0, "swap": 0}
+    for _ in range(120):
+        paths = random_walk_paths(rng, (3, 3, 2), rng.randrange(2, 6), 8)
+        conflicts = detect_conflicts(paths)
+        t_old = max(len(q) for q in paths.values()) - 1
+        index = _table(paths.values())
+        for aid in paths:
+            index.release_path(paths[aid])
+            assert _entries(index) == _entries(_table(q for b, q in paths.items() if b != aid))
+            for cells in random_walk_paths(rng, (3, 3, 2), 3, 12).values():
+                child = dict(paths)
+                child[aid] = cells
+                got = replan_conflicts(conflicts, paths, aid, cells, index)
+                assert [(c.time, *c.agents, c.kind, c.cells) for c in got] == brute_force_conflicts(child)
+                mine = [c for c in got if aid in c.agents]
+                seen["longer" if len(cells) - 1 > t_old else "shorter"] += 1
+                seen["parked"] += any(c.time >= min(len(child[b]) for b in c.agents) for c in mine)
+                seen["swap"] += any(c.kind == EDGE for c in mine)
+                at = [(c.time, c.cells) for c in got if c.kind != EDGE]
+                seen["three-way"] += len(at) > len(set(at))
+            index.reserve_path(paths[aid])
+        assert _entries(index) == _entries(_table(paths.values()))
+    assert min(seen.values()) > 10, seen
+
+
+# (dims, shelf rows, roster, seed) -> (sum_of_costs, low-level expansions,
+# CT nodes) and the sha256 of the sorted paths' repr. Any change to them is
+# a change of CBS behaviour, not only of its speed.
+PINNED_CBS = {
+    ((40, 30, 6), 6, "4uav+10agv", 7): (
+        (359, 7114, 25),
+        "2924dd29de0ab8c4151e836f0d3ddc5d14c8d30e350f07121d549bc86844cac3",
+    ),
+    ((40, 30, 6), 6, "6uav+16agv", 7): (
+        (602, 17816, 55),
+        "5966f50093914fd781d756f36b732e37cb0b9069b2196bd219f4134ac198b33e",
+    ),
+    ((48, 36, 6), 8, "8uav+20agv", 4): (
+        (716, 25705, 22),
+        "ab8dfadedf86c676ac9d9a78032a757bc247eabc9b51639f0a8134cc3adaf051",
+    ),
+}
+
+
+@pytest.mark.parametrize("world", list(PINNED_CBS), ids=lambda w: f"{w[2]}-seed{w[3]}")
+def test_cbs_answers_and_effort_are_pinned_on_warehouses(world):
+    counters, digest = PINNED_CBS[world]
+    grid, agents = generate_warehouse(*world)
+    res = solve(grid, agents, SolverConfig(algorithm="cbs"))
+    assert res.ok
+    assert (res.solution.sum_of_costs, res.stats.ll_expansions, res.stats.ct_expanded) == counters
+    assert hashlib.sha256(repr(sorted(res.solution.paths.items())).encode()).hexdigest() == digest

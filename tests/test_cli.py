@@ -89,6 +89,19 @@ def test_solve_writes_valid_plan(warehouse_files, tmp_path, capsys):
     assert validate_solution(grid, scenario.agents, plan.paths) == []
 
 
+def test_solve_prints_the_search_effort_of_solve(tmp_path, capsys):
+    from skyrover import SolverConfig, solve
+
+    argv = ["gen-warehouse", "--dims", "40", "30", "6", "--shelf-rows", "6", "--agents", "4uav+10agv", "--seed", "7"]
+    assert main(argv + ["-o", str(tmp_path / "wh")]) == 0
+    assert main(["solve", "--scenario", str(tmp_path / "wh.json"), "--alg", "cbs"]) == 0
+    out = capsys.readouterr().out
+    scenario = load_scenario(tmp_path / "wh.json")
+    stats = solve(scenario.materialize_grid(), scenario.agents, SolverConfig(algorithm="cbs")).stats
+    assert stats.ct_expanded > 0
+    assert out.rstrip().endswith(f" expansions={stats.ll_expansions} ct_nodes={stats.ct_expanded}")
+
+
 def test_solve_prioritized_also_succeeds(warehouse_files, tmp_path):
     scenario_path, _ = warehouse_files
     rc = main(["solve", "--scenario", str(scenario_path), "--alg", "astar", "-o", str(tmp_path / "p.json")])
@@ -185,6 +198,9 @@ BAD_PLANS = {
     "two-value-cell": lambda plan: plan["agents"][0].update(path=[[0, 0]]),
     "empty-path": lambda plan: plan["agents"][0].update(path=[]),
     "agent-listed-twice": lambda plan: plan["agents"].append(dict(plan["agents"][0])),
+    "kind-not-the-scenario's": lambda plan: plan["agents"][0].update(kind="boat"),
+    "sum-of-costs-not-the-paths'": lambda plan: plan.update(sum_of_costs=1),
+    "makespan-not-the-paths'": lambda plan: plan.update(makespan=plan["makespan"] + 1),
 }
 
 

@@ -7,6 +7,7 @@ from skyrover import (
     UAV,
     Agent,
     InvariantViolation,
+    ResourceLimitError,
     Scenario,
     ScenarioError,
     Simulator,
@@ -29,6 +30,27 @@ from skyrover.sim import AT_GOAL, PRECOMPUTED_MODE, RunRecord, SimState
 
 def _scenario(dims, agents, **kw):
     return Scenario(grid={"kind": "empty", "dims": list(dims)}, agents=tuple(agents), **kw)
+
+
+def test_init_keeps_the_solver_stats():
+    agents = (Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (2, 0, 0), (0, 0, 0)))
+    sc = _scenario((3, 2, 1), agents)
+    sim = Simulator()
+    sim.init(sc, SolverConfig(algorithm="cbs"))
+    expected = solve(sc.materialize_grid(), agents, SolverConfig(algorithm="cbs")).stats
+    assert (sim.stats.ll_expansions, sim.stats.ct_expanded, sim.stats.best_cost) == (
+        expected.ll_expansions,
+        expected.ct_expanded,
+        expected.best_cost,
+    )
+    assert sim.stats.ct_expanded > 0
+    sim.init(sc, solution=sim.solution)
+    assert sim.stats is None  # a supplied plan was not searched for
+    sim.init(sc, SolverConfig(algorithm="online"))
+    assert sim.stats is None
+    with pytest.raises(ResourceLimitError):
+        sim.init(sc, SolverConfig(algorithm="cbs", node_expansion_limit=1))
+    assert sim.stats.ll_expansions > 0  # a failed solve still reports its effort
 
 
 def test_init_trivial_start_equals_goal():
