@@ -93,14 +93,19 @@ class ReservationTable:
             self._edge[constraint.cells[1], cell, t] += 1  # reversed, as _edge stores it
         self.max_time = max(self.max_time, t)
 
-    def vertex_free(self, cell, t: int) -> bool:
-        if (cell, t) in self._vertex:
-            return False
-        parked = self._terminal.get(cell)
-        return parked is None or t < parked
-
-    def move_free(self, u, v, t: int) -> bool:
-        return self.vertex_free(v, t) and (v, u, t) not in self._edge
+    def touches(self, cells, t_end: int) -> list[int]:
+        """The timesteps up to ``t_end`` at which path ``cells`` enters a taken
+        cell or takes back a taken move; after it ends it is parked on its last cell."""
+        vertex, edge, terminal = self._vertex, self._edge, self._terminal
+        out = []
+        n = len(cells)
+        u = cells[0]
+        for t in range(t_end + 1):
+            v = cells[t] if t < n else cells[-1]
+            if (v, t) in vertex or terminal.get(v, t) < t or (u != v and (v, u, t) in edge):
+                out.append(t)
+            u = v
+        return out
 
 
 def _drop(counts: Counter, keys) -> None:
@@ -150,11 +155,9 @@ def spacetime_astar(
     min_arrival = 0
     horizon = grid.free_cell_count + 1
     if blocked is not None:
-        if goal in blocked._terminal:
-            return None  # someone parks on the goal forever
-        if not blocked.vertex_free(start, 0):
-            return None
         vertex, edge, terminal = blocked._vertex, blocked._edge, blocked._terminal
+        if goal in terminal or (start, 0) in vertex:
+            return None  # someone parks on the goal forever, or holds the start at t=0
         # one step past the goal's last blocked timestep
         min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if (goal, t) in vertex), 0)
         horizon += blocked.max_time

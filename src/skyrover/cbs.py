@@ -18,8 +18,9 @@ child. The search keeps one space-time occupancy index: a counted
 by releasing and reserving only the paths that differ. A replan's avoid
 table is that index without the replanned agent's path. The child's
 conflicts are updated rather than rescanned: the parent's conflicts that do
-not involve the agent, plus the new path's hits in the index. Only the root
-runs the full scan, ``detect_conflicts``.
+not involve the agent, plus ``step_conflicts`` at the timesteps the index
+reports the new path touching another (``ReservationTable.touches``). Only
+the root runs the full scan, ``detect_conflicts``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from .astar import Budget, ReservationTable, spacetime_astar
-from .mapf import EDGE, VERTEX, Conflict, cell_at, constraints_from_conflict, detect_conflicts, path_cost
+from .mapf import Conflict, cell_at, constraints_from_conflict, detect_conflicts, path_cost, step_conflicts
 
 
 @dataclass
@@ -44,29 +45,24 @@ def replan_conflicts(conflicts, paths: dict, aid, cells, others: ReservationTabl
     """``detect_conflicts`` of ``paths`` once agent ``aid``'s path is replaced by ``cells``.
 
     ``conflicts`` is ``detect_conflicts(paths)`` and ``others`` the table of
-    every path but ``aid``'s. The agent's cells are looked up in the table
-    and the other paths are scanned only on a hit.
+    every path but ``aid``'s. New conflicts come from ``step_conflicts``:
+    among the parked others past the old horizon, and for ``aid`` only at
+    the timesteps at which the table reports that its path touches another.
     """
+    rest = {b: q for b, q in paths.items() if b != aid}
     t_old = max(len(p) for p in paths.values()) - 1
-    t_end = max([len(cells)] + [len(p) for b, p in paths.items() if b != aid]) - 1
+    t_end = max([len(cells)] + [len(q) for q in rest.values()]) - 1
     out = [c for c in conflicts if aid not in c.agents and c.time <= t_end]
-    # every other agent stands on its final cell from t_old on, so a pair
-    # sharing one collides at every timestep the longer horizon adds
-    parked = [c for c in out if c.time == t_old and c.kind == VERTEX]
-    out.extend(Conflict(VERTEX, c.agents, t, c.cells) for t in range(t_old + 1, t_end + 1) for c in parked)
-    vertex, edge, terminal = others._vertex, others._edge, others._terminal
-    goal = cells[-1]
-    for t in range(t_end + 1):
-        v = cells[t] if t < len(cells) else goal
-        if (v, t) in vertex or terminal.get(v, t) < t:
-            for b, q in paths.items():
-                if b != aid and cell_at(q, t) == v:
-                    out.append(Conflict(VERTEX, (min(aid, b), max(aid, b)), t, (v,)))
-        u = cells[t - 1] if 0 < t < len(cells) else v
-        if u != v and (v, u, t) in edge:
-            for b, q in paths.items():
-                if b != aid and t < len(q) and q[t - 1] == v and q[t] == u:
-                    out.append(Conflict(EDGE, (aid, b), t, (u, v)) if aid < b else Conflict(EDGE, (b, aid), t, (v, u)))
+    final = {b: q[-1] for b, q in rest.items()}  # every other agent is parked from t_old on
+    for t in range(t_old + 1, t_end + 1):
+        out.extend(step_conflicts(final, final, t))
+    for t in others.touches(cells, t_end):
+        u, v = cell_at(cells, max(t - 1, 0)), cell_at(cells, t)
+        near = [b for b, q in rest.items() if cell_at(q, t) in (u, v)]
+        prev = {b: cell_at(rest[b], max(t - 1, 0)) for b in near}
+        cur = {b: cell_at(rest[b], t) for b in near}
+        prev[aid], cur[aid] = u, v
+        out.extend(c for c in step_conflicts(prev, cur, t) if aid in c.agents)
     out.sort(key=lambda c: c.sort_key)
     return out
 

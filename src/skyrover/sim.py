@@ -75,7 +75,6 @@ class RunMetrics:
     success_rate: float
     makespan: int
     sum_of_costs: int
-    path_lengths: dict
 
 
 def grid_diameter(grid) -> int:
@@ -131,9 +130,8 @@ class Simulator:
         else:
             supplied = solution is not None
             if not supplied:
-                t0 = time.perf_counter()
                 result = solve(grid, self._agents, config)
-                self._computation_time = time.perf_counter() - t0
+                self._computation_time = result.stats.wall_time
                 self._stats = result.stats
                 if not result.ok:
                     err = NoSolutionError if result.status == NO_SOLUTION else ResourceLimitError
@@ -266,16 +264,11 @@ def collect_metrics(record: RunRecord) -> RunMetrics:
     costs = {
         aid: (len(trajectories[aid]) - 1 if t is None else t) for aid, t in arrivals.items()
     }
-    if record.mode == PRECOMPUTED_MODE:
-        lengths = {aid: len(cells) - 1 for aid, cells in record.solution.paths.items()}
-    else:
-        lengths = {aid: len(traj) - 1 for aid, traj in trajectories.items()}
     return RunMetrics(
         computation_time=record.computation_time,
         success_rate=successes / len(agents) if agents else 1.0,
         makespan=max(costs.values(), default=0),
         sum_of_costs=sum(costs.values()),
-        path_lengths=lengths,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -41,14 +42,17 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
-        object.__setattr__(self, "node_expansion_limit", int(self.node_expansion_limit))
+        try:
+            object.__setattr__(self, "node_expansion_limit", int(self.node_expansion_limit))
+        except OverflowError:
+            raise ValueError("node_expansion_limit must be finite") from None
         object.__setattr__(self, "time_limit", float(self.time_limit))
         if not isinstance(self.online_policy, str):
             raise TypeError("online_policy must be a policy name")
         if self.node_expansion_limit <= 0:
             raise ValueError("node_expansion_limit must be positive")
-        if self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        if not 0 < self.time_limit < math.inf:  # also false for NaN
+            raise ValueError("time_limit must be positive and finite")
 
 
 @dataclass(frozen=True)

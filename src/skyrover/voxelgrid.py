@@ -326,23 +326,20 @@ def grid_from_bytes(data: bytes) -> OccupancyGrid3D:
         raise ParseError("origin and dims must each have three values", offset=sep)
 
     n_cells = dims[0] * dims[1] * dims[2]
-    payload = data[sep + 2 :]
     cells = np.zeros(n_cells, dtype=np.uint8)
-    pos = 0
+    pos = sep + 2  # absolute, so an error names the file offset of the offending varint
     filled = 0
-    while pos < len(payload):
-        count, pos = _read_uvarint(payload, pos)
-        bit, pos = _read_uvarint(payload, pos)
+    while pos < len(data):
+        count, bit_at = _read_uvarint(data, pos)
+        bit, end = _read_uvarint(data, bit_at)
         if bit not in (0, 1):
-            raise ParseError(f"run bit must be 0 or 1, got {bit}", offset=sep + 2 + pos)
+            raise ParseError(f"run bit must be 0 or 1, got {bit}", offset=bit_at)
         if filled + count > n_cells:
-            raise ParseError(
-                f"payload describes more than the {n_cells} cells in the header",
-                offset=sep + 2 + pos,
-            )
+            raise ParseError(f"payload describes more than the {n_cells} cells in the header", offset=pos)
         if bit:
             cells[filled : filled + count] = 1
         filled += count
+        pos = end
     if filled != n_cells:
         raise ParseError(f"payload covers {filled} cells, header declares {n_cells}", offset=len(data))
     return OccupancyGrid3D(origin, resolution, dims, cells)

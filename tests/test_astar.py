@@ -13,7 +13,7 @@ from skyrover import (
     path_cost,
     spacetime_astar,
 )
-from skyrover.mapf import EDGE, VERTEX
+from skyrover.mapf import EDGE, VERTEX, detect_conflicts
 
 from oracles import enumerate_best_constrained_cost, random_grid, static_bfs_cost
 
@@ -25,18 +25,21 @@ def forbidden(constraints):
     return table
 
 
-def check_compliance(path, constraints=(), reservations=None, grid=None, kind=None):
-    """Post-hoc audit: a returned path must violate nothing it was given."""
+def check_compliance(path, constraints=(), reserved=(), grid=None, kind=None):
+    """Post-hoc audit: a returned path must violate nothing it was given.
+
+    ``reserved`` are the paths of the table the search was given; the
+    returned path must not collide with any of them.
+    """
     vertex = {(c.cells[0], c.time) for c in constraints if c.kind == VERTEX}
     edges = {(c.cells[0], c.cells[1], c.time) for c in constraints if c.kind == EDGE}
     for t, cell in enumerate(path):
         assert (cell, t) not in vertex, f"vertex constraint violated at t={t}"
-        if reservations is not None:
-            assert reservations.vertex_free(cell, t), f"reservation violated at t={t}"
     for t in range(1, len(path)):
         assert (path[t - 1], path[t], t) not in edges, f"edge constraint violated at t={t}"
-        if reservations is not None:
-            assert reservations.move_free(path[t - 1], path[t], t)
+    me = len(reserved)
+    hits = [c for c in detect_conflicts(dict(enumerate(reserved)) | {me: path}) if me in c.agents]
+    assert hits == [], f"reservation violated: {hits}"
     if grid is not None:
         for cell in path:
             assert grid.in_bounds(*cell) and not grid.is_occupied(*cell)
@@ -132,10 +135,11 @@ def test_goal_constraint_delays_arrival(corridor_grid):
 
 def test_reservations_block_and_delay():
     grid = empty_grid((4, 1, 1))
+    reserved = ((1, 0, 0), (2, 0, 0), (3, 0, 0))
     table = ReservationTable()
-    table.reserve_path(((1, 0, 0), (2, 0, 0), (3, 0, 0)))
+    table.reserve_path(reserved)
     path = spacetime_astar(grid, AGV, (0, 0, 0), (2, 0, 0), blocked=table)
-    check_compliance(path, reservations=table, grid=grid)
+    check_compliance(path, reserved=[reserved], grid=grid)
     # (2,0,0) is crossed by the reserved path at t=1 and free from t=2 on
     assert path_cost(path) == 2
 
@@ -154,6 +158,20 @@ def test_swap_against_reservation_is_blocked():
     # head-on swap impossible; and the reserved agent parks at (0,0,0),
     # which is the searcher's start, so no path can exist at all
     assert spacetime_astar(grid, AGV, (0, 0, 0), (1, 0, 0), blocked=table) is None
+
+
+@pytest.mark.parametrize("how", ["constraint", "reserved path"])
+def test_start_taken_at_t0_means_no_path(how):
+    grid = empty_grid((3, 3, 1))
+    start, goal = (1, 1, 0), (1, 0, 0)
+    if how == "constraint":
+        table = forbidden((Constraint(0, VERTEX, 0, (start,)),))
+    else:
+        table = ReservationTable()
+        table.reserve_path((start, (1, 2, 0)))  # leaves the start at once
+    assert spacetime_astar(grid, AGV, start, goal, blocked=table) is None
+    # nothing else in the table stands in the way
+    assert spacetime_astar(grid, AGV, (0, 1, 0), goal, blocked=table) is not None
 
 
 def test_unreachable_goal_terminates_via_horizon():

@@ -166,6 +166,13 @@ def test_solve_resource_limit_exits_5(warehouse_files):
     assert rc == 5
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_time_limit_exits_2(warehouse_files, capsys, value):
+    scenario_path, _ = warehouse_files
+    assert main(["solve", "--scenario", str(scenario_path), "--time-limit", value]) == 2
+    assert "time_limit must be positive and finite" in capsys.readouterr().err
+
+
 def test_solve_online_exits_2(warehouse_files, capsys):
     scenario_path, _ = warehouse_files
     assert main(["solve", "--scenario", str(scenario_path), "--alg", "online"]) == 2

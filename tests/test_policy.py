@@ -2,12 +2,15 @@ import random
 from collections import Counter
 from itertools import permutations
 
+import numpy as np
+
 from skyrover import (
     AGV,
     UAV,
     Agent,
     GreedyShieldedPolicy,
     InvariantViolation,
+    OccupancyGrid3D,
     WorldView,
     empty_grid,
     get_policy,
@@ -154,6 +157,37 @@ def test_shield_matches_pairwise_reference():
         seen["mover into waiter"] += any(proposals[a] in waiters for a in movers)
         seen["swap"] += any(proposals[a] == cells[b] and proposals[b] == cells[a] for a in movers for b in movers if a < b)
     assert all(seen[k] >= 100 for k in ("raised", "3-way contention", "mover into waiter", "swap")), seen
+
+
+class _FixedPolicy:
+    def __init__(self, proposals):
+        self.proposals = proposals
+
+    def propose(self, view):
+        return self.proposals
+
+
+def test_illegal_proposals_degrade_to_waits():
+    cells = np.zeros(4 * 3 * 2, dtype=np.uint8)
+    cells[empty_grid((4, 3, 2)).index(2, 1, 0)] = 1
+    grid = OccupancyGrid3D((0, 0, 0), 1.0, (4, 3, 2), cells)
+    agents = (
+        Agent(0, UAV, (0, 0, 0), (3, 2, 1)),
+        Agent(1, UAV, (1, 1, 0), (3, 2, 1)),
+        Agent(2, UAV, (3, 2, 1), (0, 0, 0)),
+        Agent(3, AGV, (0, 2, 0), (3, 2, 0)),
+        Agent(4, UAV, (3, 0, 0), (3, 0, 1)),
+    )
+    at = {a.id: a.start for a in agents}
+    proposals = {
+        0: (-1, 0, 0),  # out of bounds
+        1: (2, 1, 0),  # into the obstacle
+        2: (1, 2, 1),  # two cells away
+        3: (0, 2, 1),  # a ground agent leaving layer 0
+        4: (3, 0, 1),  # legal
+    }
+    moves = online_policy_step(_FixedPolicy(proposals), WorldView(grid, agents, dict(at)))
+    assert moves == at | {4: (3, 0, 1)}
 
 
 def test_unknown_policy_rejected():

@@ -205,6 +205,11 @@ def _typed_payload():
         (("task", "point_a"), 4),
         (("grid", "dims"), [30, None, 6]),
         (("grid", "shelf_rows"), {}),
+        # non-finite limits: NaN would turn the clock off, int(inf) overflows
+        (("solver", "time_limit"), float("nan")),
+        (("solver", "time_limit"), float("inf")),
+        (("solver", "node_expansion_limit"), float("inf")),
+        (("solver", "node_expansion_limit"), float("nan")),
     ],
 )
 def test_wrongly_typed_field_is_a_scenario_error(tmp_path, path, value):

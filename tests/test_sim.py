@@ -44,6 +44,7 @@ def test_init_keeps_the_solver_stats():
         expected.best_cost,
     )
     assert sim.stats.ct_expanded > 0
+    assert sim.computation_time == sim.stats.wall_time > 0  # one clock: the solve's own
     sim.init(sc, solution=sim.solution)
     assert sim.stats is None  # a supplied plan was not searched for
     sim.init(sc, SolverConfig(algorithm="online"))
@@ -51,6 +52,7 @@ def test_init_keeps_the_solver_stats():
     with pytest.raises(ResourceLimitError):
         sim.init(sc, SolverConfig(algorithm="cbs", node_expansion_limit=1))
     assert sim.stats.ll_expansions > 0  # a failed solve still reports its effort
+    assert sim.computation_time == sim.stats.wall_time > 0
 
 
 def test_init_trivial_start_equals_goal():
@@ -233,6 +235,17 @@ def test_partial_arrival_ratio():
     )
     metrics = collect_metrics(record)
     assert metrics.success_rate == pytest.approx(21 / 22, abs=1e-9)
+
+
+def test_metrics_fail_an_agent_whose_stored_plan_is_invalid():
+    grid = empty_grid((3, 1, 1))
+    agents = (Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (1, 0, 0), (1, 0, 0)))
+    # the log is clean and both agents arrive, but agent 0's stored path jumps two cells
+    s0 = SimState(0, {0: (0, 0, 0), 1: (1, 0, 0)}, {0: "en-route", 1: AT_GOAL}, PRECOMPUTED_MODE)
+    s1 = SimState(1, {0: (2, 0, 0), 1: (1, 0, 0)}, {0: AT_GOAL, 1: AT_GOAL}, PRECOMPUTED_MODE)
+    solution = make_solution({0: ((0, 0, 0), (2, 0, 0)), 1: ((1, 0, 0),)})
+    record = RunRecord(grid, agents, PRECOMPUTED_MODE, 0.0, (s0, s1), solution, 4)
+    assert collect_metrics(record).success_rate == 0.5
 
 
 def test_metrics_recompute_conflicts_from_the_log():

@@ -220,6 +220,27 @@ def test_overlong_payload_rejected():
         grid_from_bytes(data + bytes([3, 1]))
 
 
+# empty_grid((200, 1, 1)) is a 70-byte header and the payload c8 01 00:
+# one run of 200 free cells
+@pytest.mark.parametrize(
+    "payload, offset, message",
+    [
+        (b"\xc8", 71, "truncated"),  # inside the count: the end of the file
+        (b"\xc8\x01", 72, "truncated"),  # before the bit: the end of the file
+        (b"\xc8\x01\x02", 72, "run bit"),  # the bit's first byte
+        (b"\xc9\x01\x00", 70, "more than"),  # 201 cells: the count's first byte
+        (b"\x05\x00", 72, "covers 5 cells"),  # too few cells: the end of the file
+    ],
+    ids=["truncated-count", "truncated-bit", "bad-bit", "too-many-cells", "too-few-cells"],
+)
+def test_payload_errors_give_the_absolute_offset(payload, offset, message):
+    data = grid_to_bytes(empty_grid((200, 1, 1)))
+    assert data[70:] == b"\xc8\x01\x00"
+    with pytest.raises(ParseError, match=message) as info:
+        grid_from_bytes(data[:70] + payload)
+    assert info.value.offset == offset
+
+
 def test_bad_magic():
     with pytest.raises(ParseError, match="bad magic"):
         grid_from_bytes(b"NOTAGRID\n\nxx")
