@@ -3,8 +3,17 @@
 States are (cell, timestep). All steps cost 1, including waits; resting at
 the destination after final arrival is free, which the search realizes by
 only accepting the goal once no later blocked entry can touch it. Ties on f
-are broken by lower heuristic, then lexicographic cell order, so identical
-inputs always return the identical path.
+are broken by lower heuristic, then lexicographic (i, j, k) cell order, then
+time, so identical inputs always return the identical path.
+
+The search and the reservation table work on plain ints. A cell's id is
+``(i * ny + j) * nz + k``, so ids sort exactly like (i, j, k) cells (the
+grid's own ``index`` order, i fastest, would not), and a state's id is
+``cell_id * 2**32 + t``, so state ids sort like (cell, t). Each cell's free,
+in-bounds neighbours per agent kind, in ``MOVES`` order, are listed the first
+time a search expands the cell and kept on the grid
+(``OccupancyGrid3D.neighbour_lists``) for every later search on it. Paths go
+in and come out as tuples of (i, j, k) cells.
 """
 
 from __future__ import annotations
@@ -15,6 +24,21 @@ from heapq import heappop, heappush
 
 from .errors import SearchLimitExceeded
 from .mapf import AGV, MOVES, VERTEX
+
+_SHIFT = 32  # state id = cell id << _SHIFT | t
+_TIME = (1 << _SHIFT) - 1
+_UNLIMITED = 1 << 62
+
+
+def _cell_ids(dims, cells) -> list[int]:
+    _, ny, nz = dims
+    return [(i * ny + j) * nz + k for i, j, k in cells]
+
+
+def _cell(dims, cid: int) -> tuple[int, int, int]:
+    _, ny, nz = dims
+    i, rest = divmod(cid, ny * nz)
+    return (i, *divmod(rest, nz))
 
 
 class Budget:
@@ -29,7 +53,8 @@ class Budget:
         self.ct_expanded = 0
         self.best_cost = None
 
-    def charge(self, n: int = 1) -> None:
+    def charge(self, n: int) -> None:
+        """Count ``n`` expansions; the clock is read when the count lands on a multiple of 64."""
         self.used += n
         if self.remaining is not None:
             self.remaining -= n
@@ -38,71 +63,96 @@ class Budget:
         if self.deadline is not None and self.used & 0x3F == 0:
             self.check_time()
 
+    def headroom(self) -> int:
+        """Expansions a search may count locally before it must ``charge`` them:
+        up to the one that trips the limit or lands on the next clock reading."""
+        n = _UNLIMITED if self.remaining is None else self.remaining + 1
+        if self.deadline is not None:
+            n = min(n, 64 - (self.used & 0x3F))
+        return n
+
     def check_time(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise SearchLimitExceeded("time limit exceeded")
 
 
 class ReservationTable:
-    """Space-time cells and moves that are taken: reserved paths or CBS constraints.
+    """Space-time cells and moves that are taken on one grid: reserved paths or CBS constraints.
 
     Entries are counted, one per reserving path, so a reserved path can be
     taken back out (``release_path``). CBS keeps one such table as its
     space-time occupancy index and moves it from node to node path by path.
+    Entries are keyed by the state and cell ids of the module docstring, which
+    depend on the grid's dims, so a table serves only grids of those dims.
     """
 
-    def __init__(self):
-        self._vertex = Counter()  # (cell, t) -> entries
-        self._edge = Counter()  # (u, v, t) -> entries; u -> v arriving at t blocks v -> u
-        self._terminal = {}  # cell -> time from which it is parked forever
-        self._ends = Counter()  # (cell, t) -> reserved paths ending on cell at t
+    def __init__(self, grid):
+        self.dims = nx, ny, nz = grid.dims
+        self._span = nx * ny * nz  # edge key = arrival state id * _span + cell id left
+        self._vertex = Counter()  # state id -> entries
+        self._edge = Counter()  # key of u -> v arriving at t -> entries; it blocks v -> u
+        self._terminal = {}  # cell id -> time from which it is parked forever
+        self._ends = Counter()  # state id -> reserved paths ending there
         self.max_time = 0
 
+    def _path_keys(self, cells):
+        """Cell ids, vertex keys and edge keys of a path."""
+        ids = _cell_ids(self.dims, cells)
+        states = [c << _SHIFT | t for t, c in enumerate(ids)]
+        span = self._span
+        return ids, states, [s * span + u for s, u in zip(states[1:], ids)]
+
     def reserve_path(self, cells) -> None:
-        n = len(cells)
-        self._vertex.update(zip(cells, range(n)))
-        self._edge.update(zip(cells, cells[1:], range(1, n)))
-        end = n - 1
-        goal = cells[-1]
-        self._ends[goal, end] += 1
+        ids, states, edges = self._path_keys(cells)
+        self._vertex.update(states)
+        self._edge.update(edges)
+        end = len(ids) - 1
+        goal = ids[-1]
+        self._ends[states[-1]] += 1
         if self._terminal.get(goal, end) >= end:
             self._terminal[goal] = end
         self.max_time = max(self.max_time, end)
 
     def release_path(self, cells) -> None:
         """Take one reserved path back out of a table of paths: the inverse of ``reserve_path``."""
-        n = len(cells)
-        _drop(self._vertex, zip(cells, range(n)))
-        _drop(self._edge, zip(cells, cells[1:], range(1, n)))
-        goal = cells[-1]
-        _drop(self._ends, [(goal, n - 1)])
-        rest = [t for cell, t in self._ends if cell == goal]
+        ids, states, edges = self._path_keys(cells)
+        _drop(self._vertex, states)
+        _drop(self._edge, edges)
+        _drop(self._ends, states[-1:])
+        goal = ids[-1]
+        rest = [s & _TIME for s in self._ends if s >> _SHIFT == goal]
         if rest:
             self._terminal[goal] = min(rest)
         else:
             del self._terminal[goal]
-        self.max_time = max((t for _, t in self._ends), default=0)
+        self.max_time = max((s & _TIME for s in self._ends), default=0)
 
     def forbid(self, constraint) -> None:
         """Block one CBS constraint: its cell at its time, or its move u -> v."""
         t = constraint.time
-        cell = constraint.cells[0]
+        ids = _cell_ids(self.dims, constraint.cells)
         if constraint.kind == VERTEX:
-            self._vertex[cell, t] += 1
+            self._vertex[ids[0] << _SHIFT | t] += 1
         else:
-            self._edge[constraint.cells[1], cell, t] += 1  # reversed, as _edge stores it
+            u, v = ids
+            self._edge[(u << _SHIFT | t) * self._span + v] += 1  # as if a path moved v -> u
         self.max_time = max(self.max_time, t)
 
     def touches(self, cells, t_end: int) -> list[int]:
         """The timesteps up to ``t_end`` at which path ``cells`` enters a taken
         cell or takes back a taken move; after it ends it is parked on its last cell."""
-        vertex, edge, terminal = self._vertex, self._edge, self._terminal
+        vertex, edge, terminal, span = self._vertex, self._edge, self._terminal, self._span
+        ids = _cell_ids(self.dims, cells)
         out = []
-        n = len(cells)
-        u = cells[0]
+        n = len(ids)
+        u = ids[0]
         for t in range(t_end + 1):
-            v = cells[t] if t < n else cells[-1]
-            if (v, t) in vertex or terminal.get(v, t) < t or (u != v and (v, u, t) in edge):
+            v = ids[t] if t < n else ids[-1]
+            if (
+                (v << _SHIFT | t) in vertex
+                or terminal.get(v, t) < t
+                or (u != v and (u << _SHIFT | t) * span + v in edge)
+            ):
                 out.append(t)
             u = v
         return out
@@ -115,6 +165,43 @@ def _drop(counts: Counter, keys) -> None:
             counts.pop(key)
         else:
             counts[key] -= 1
+
+
+class _Neighbours(dict):
+    """Cell id -> ((neighbour id, i, j, k), ...) on one grid for one agent kind, filled on first use.
+
+    Each cell's (id, i, j, k) entry is built once and shared by the lists of
+    all its neighbours, which keeps the cache about a third of the size.
+    """
+
+    def __init__(self, grid, kind: str):
+        super().__init__()
+        self.dims = grid.dims
+        self.occ = grid.occ_bytes  # not the grid itself: the grid holds this dict
+        self.moves = MOVES[kind]
+        self.entries = {}
+
+    def __missing__(self, cid: int):
+        nx, ny, nz = self.dims
+        occ, entries = self.occ, self.entries
+        i, j, k = _cell(self.dims, cid)
+        out = []
+        for dx, dy, dz in self.moves:
+            ci, cj, ck = i + dx, j + dy, k + dz
+            if 0 <= ci < nx and 0 <= cj < ny and 0 <= ck < nz and not occ[ci + nx * (cj + ny * ck)]:
+                nid = (ci * ny + cj) * nz + ck
+                if nid not in entries:
+                    entries[nid] = (nid, ci, cj, ck)
+                out.append(entries[nid])
+        self[cid] = out = tuple(out)
+        return out
+
+
+def _neighbours(grid, kind: str) -> _Neighbours:
+    lists = grid.neighbour_lists
+    if kind not in lists:
+        lists[kind] = _Neighbours(grid, kind)
+    return lists[kind]
 
 
 def spacetime_astar(
@@ -140,87 +227,95 @@ def spacetime_astar(
     touching it least wins. CBS passes the other agents' current paths here
     so replans sidestep them instead of enumerating equally cheap collisions.
 
-    Raises SearchLimitExceeded when the budget runs out first.
+    Both tables must have been built for a grid of ``grid.dims``. Raises
+    SearchLimitExceeded when the budget runs out first.
     """
-    nx, ny, nz = grid.dims
-    occ = grid.occ_bytes
+    dims = grid.dims
+    for table in (blocked, avoid):
+        if table is not None and table.dims != dims:
+            raise ValueError(f"reservation table was built for dims {table.dims}, not the grid's {dims}")
     start = tuple(start)
     goal = tuple(goal)
     if grid.is_occupied(*start) or grid.is_occupied(*goal):
         raise ValueError("start and goal must be free cells")
     if kind == AGV and not (start[2] == 0 == goal[2]):
         raise ValueError("ground agents must start and end on layer 0")
-    moves = MOVES[kind]
+    if budget is None:
+        budget = Budget()
+    nbrs = _neighbours(grid, kind)
+    span = dims[0] * dims[1] * dims[2]
+    start_id, goal_id = _cell_ids(dims, (start, goal))
 
     min_arrival = 0
     horizon = grid.free_cell_count + 1
     if blocked is not None:
         vertex, edge, terminal = blocked._vertex, blocked._edge, blocked._terminal
-        if goal in terminal or (start, 0) in vertex:
+        if goal_id in terminal or start_id << _SHIFT in vertex:
             return None  # someone parks on the goal forever, or holds the start at t=0
         # one step past the goal's last blocked timestep
-        min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if (goal, t) in vertex), 0)
+        min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if goal_id << _SHIFT | t in vertex), 0)
         horizon += blocked.max_time
     if avoid is not None:
         soft_vertex, soft_edge, soft_terminal = avoid._vertex, avoid._edge, avoid._terminal
 
-    gx, gy, gz = goal
-    h0 = abs(start[0] - gx) + abs(start[1] - gy) + abs(start[2] - gz)
-    # every step costs 1, so a state's g equals its elapsed time; only the
-    # soft-collision count can differ between two visits of the same state
-    heap = [(h0, 0, h0, start[0], start[1], start[2], 0)]
-    coll_best = {(start, 0): 0}
+    # the Manhattan heuristic, one table per axis
+    hx, hy, hz = ([abs(c - g) for c in range(n)] for g, n in zip(goal, dims))
+    h0 = hx[start[0]] + hy[start[1]] + hz[start[2]]
+    # every step costs 1, so a state's g equals its elapsed time t = f - h;
+    # only the soft-collision count can differ between two visits of a state
+    s0 = start_id << _SHIFT
+    heap = [(h0, 0, h0, s0)]
+    coll_best = {s0: 0}
     parent = {}
     closed = set()
+    counted = 0  # expansions not yet charged to the budget
+    due = budget.headroom()
 
     while heap:
-        f, coll, h, i, j, k, t = heappop(heap)
-        cell = (i, j, k)
-        state = (cell, t)
+        f, coll, h, state = heappop(heap)
         if state in closed:
             continue
         closed.add(state)
-        if budget is not None:
-            budget.charge()
-        if cell == goal and t >= min_arrival:
-            out = [cell]
+        counted += 1
+        if counted == due:
+            budget.charge(counted)
+            counted = 0
+            due = budget.headroom()
+        cid = state >> _SHIFT
+        t = f - h
+        if cid == goal_id and t >= min_arrival:
+            if counted:
+                budget.charge(counted)
+            states = [state]
             while state in parent:
                 state = parent[state]
-                out.append(state[0])
-            out.reverse()
-            return tuple(out)
+                states.append(state)
+            return tuple(_cell(dims, s >> _SHIFT) for s in reversed(states))
         if t >= horizon:
             continue
-        g1 = f - h + 1
         t1 = t + 1
-        for dx, dy, dz in moves:
-            ci = i + dx
-            cj = j + dy
-            ck = k + dz
-            if not (0 <= ci < nx and 0 <= cj < ny and 0 <= ck < nz):
-                continue
-            if occ[ci + nx * (cj + ny * ck)]:
-                continue
-            ncell = (ci, cj, ck)
+        back = (state + 1) * span  # + v: the key of a move v -> cid arriving at t1
+        for ncid, ci, cj, ck in nbrs[cid]:
+            nstate = ncid << _SHIFT | t1
             if blocked is not None and (
-                (ncell, t1) in vertex
-                or (ncell, cell, t1) in edge
-                or (ncell in terminal and terminal[ncell] <= t1)
+                nstate in vertex
+                or back + ncid in edge
+                or (ncid in terminal and terminal[ncid] <= t1)
             ):
                 continue
             ncoll = coll
             if avoid is not None and (
-                (ncell, t1) in soft_vertex
-                or (ncell, cell, t1) in soft_edge
-                or (ncell in soft_terminal and soft_terminal[ncell] <= t1)
+                nstate in soft_vertex
+                or back + ncid in soft_edge
+                or (ncid in soft_terminal and soft_terminal[ncid] <= t1)
             ):
                 ncoll += 1
-            nstate = (ncell, t1)
-            old = coll_best.get(nstate)
-            if old is not None and old <= ncoll:
+            if nstate in coll_best and coll_best[nstate] <= ncoll:
                 continue
             coll_best[nstate] = ncoll
             parent[nstate] = state
-            nh = abs(ci - gx) + abs(cj - gy) + abs(ck - gz)
-            heappush(heap, (g1 + nh, ncoll, nh, ci, cj, ck, t1))
+            nh = hx[ci] + hy[cj] + hz[ck]
+            heappush(heap, (t1 + nh, ncoll, nh, nstate))
+    if counted:
+        budget.charge(counted)
     return None

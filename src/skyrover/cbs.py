@@ -76,7 +76,7 @@ def search(grid, roster, budget: Budget):
     """
     by_id = {a.id: a for a in roster}
     paths = {}
-    index = ReservationTable()
+    index = ReservationTable(grid)
     for a in roster:
         # independent optimal plans; earlier roots only steer tie-breaking
         paths[a.id] = spacetime_astar(grid, a.kind, a.start, a.goal, budget=budget, avoid=index)
@@ -96,7 +96,7 @@ def search(grid, roster, budget: Budget):
         for cons in constraints_from_conflict(node.conflicts[0]):
             agent = by_id[cons.agent_id]
             child_constraints = node.constraints + (cons,)
-            blocked = ReservationTable()
+            blocked = ReservationTable(grid)
             for c in child_constraints:
                 if c.agent_id == agent.id:
                     blocked.forbid(c)

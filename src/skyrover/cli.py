@@ -132,12 +132,11 @@ def cmd_sim(args) -> int:
             if kinds.get(aid, kind) != kind:
                 raise ScenarioError(f"plan gives agent {aid} kind {kind!r}, the scenario {kinds[aid]!r}")
         sim.init(scenario, solution=plan.solution)
-        comp_time = plan.computation_time_s
     else:
         sim.init(scenario, SolverConfig(algorithm=ONLINE, online_policy=args.online))
-        comp_time = sim.computation_time
     record = sim.run(max_ticks=args.max_ticks)
     metrics = collect_metrics(record)
+    comp_time = plan.computation_time_s if args.plan else metrics.computation_time
 
     if args.ticks:
         with open(args.ticks, "w", encoding="ascii") as fh:

@@ -12,7 +12,7 @@ from .astar import Budget, ReservationTable, spacetime_astar
 
 def search(grid, roster, budget: Budget):
     """Paths by agent id, or the reason the id order cannot route them."""
-    table = ReservationTable()
+    table = ReservationTable(grid)
     paths = {}
     for agent in roster:
         p = spacetime_astar(grid, agent.kind, agent.start, agent.goal, table, budget)

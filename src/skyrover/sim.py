@@ -94,6 +94,7 @@ class Simulator:
         self._stats = None
         self._policy = None
         self._computation_time = 0.0
+        self._policy_time = 0.0
         self._states = []
 
     # -- lifecycle ---------------------------------------------------------
@@ -148,6 +149,7 @@ class Simulator:
         return self._rewind(mode)
 
     def _rewind(self, mode) -> SimState:
+        self._policy_time = 0.0
         cells = {a.id: a.start for a in self._agents}
         self._states = [SimState(0, cells, self._statuses(cells, 0, mode), mode)]
         return self.state
@@ -172,7 +174,9 @@ class Simulator:
 
     @property
     def computation_time(self) -> float:
-        return self._computation_time
+        """Seconds spent deciding moves: the solve, or in online mode loading
+        the policy plus every tick's policy step since the last init or reset."""
+        return self._computation_time + self._policy_time
 
     @property
     def solution(self) -> Solution | None:
@@ -193,7 +197,9 @@ class Simulator:
             nxt = {a.id: cell_at(self._solution.paths[a.id], cur.tick + 1) for a in self._agents}
         else:
             view = WorldView(self._grid, self._agents, cur.cells)
+            t0 = time.perf_counter()
             nxt = online_policy_step(self._policy, view)
+            self._policy_time += time.perf_counter() - t0
         conflicts = step_conflicts(cur.cells, nxt, cur.tick + 1)
         if conflicts:
             c = min(conflicts, key=lambda c: c.sort_key)
@@ -228,7 +234,7 @@ class Simulator:
             grid=self._grid,
             agents=self._agents,
             mode=self.state.mode,
-            computation_time=self._computation_time,
+            computation_time=self.computation_time,
             states=tuple(self._states),
             solution=self._solution,
             budget=budget,

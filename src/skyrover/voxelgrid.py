@@ -144,6 +144,11 @@ class OccupancyGrid3D:
         return self.cells.tobytes()
 
     @cached_property
+    def neighbour_lists(self) -> dict:
+        """The planners' per-grid cache: agent kind -> each cell's free neighbours, filled by ``astar``."""
+        return {}
+
+    @cached_property
     def occupied_count(self) -> int:
         return int(self.cells.sum())
 

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -9,17 +10,20 @@ from skyrover import (
     Constraint,
     ReservationTable,
     SearchLimitExceeded,
+    SolverConfig,
     empty_grid,
+    generate_warehouse,
     path_cost,
+    solve,
     spacetime_astar,
 )
-from skyrover.mapf import EDGE, VERTEX, detect_conflicts
+from skyrover.mapf import EDGE, MOVES, VERTEX, detect_conflicts
 
-from oracles import enumerate_best_constrained_cost, random_grid, static_bfs_cost
+from oracles import enumerate_best_constrained_cost, free_cells, random_grid, static_bfs_cost
 
 
-def forbidden(constraints):
-    table = ReservationTable()
+def forbidden(grid, constraints):
+    table = ReservationTable(grid)
     for c in constraints:
         table.forbid(c)
     return table
@@ -89,7 +93,7 @@ def test_random_grids_match_static_bfs():
 
 def test_vertex_constraint_forces_one_wait(corridor_grid):
     cons = (Constraint(0, VERTEX, 1, ((0, 1, 0),)),)
-    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(cons))
+    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(corridor_grid, cons))
     assert path_cost(path) == 3
     check_compliance(path, cons, grid=corridor_grid)
     oracle = enumerate_best_constrained_cost(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), cons, max_len=4)
@@ -109,7 +113,7 @@ def test_constrained_costs_match_exhaustive_enumeration():
         if any(c.cells[0] == start and c.time == 0 for c in cons):
             continue
         best = enumerate_best_constrained_cost(grid, AGV, start, goal, cons, max_len=7)
-        path = spacetime_astar(grid, AGV, start, goal, forbidden(cons))
+        path = spacetime_astar(grid, AGV, start, goal, forbidden(grid, cons))
         if best is None or best > 7:
             if path is not None:
                 assert path_cost(path) > 7
@@ -120,7 +124,7 @@ def test_constrained_costs_match_exhaustive_enumeration():
 
 def test_edge_constraint_respected(corridor_grid):
     cons = (Constraint(0, EDGE, 1, ((0, 0, 0), (0, 1, 0))),)
-    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(cons))
+    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(corridor_grid, cons))
     check_compliance(path, cons, grid=corridor_grid)
     assert path_cost(path) == 3  # wait once, then walk through
 
@@ -128,7 +132,7 @@ def test_edge_constraint_respected(corridor_grid):
 def test_goal_constraint_delays_arrival(corridor_grid):
     # the goal is poisoned at t=3, so settling must happen at t>=4
     cons = (Constraint(0, VERTEX, 3, ((0, 2, 0),)),)
-    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(cons))
+    path = spacetime_astar(corridor_grid, AGV, (0, 0, 0), (0, 2, 0), forbidden(corridor_grid, cons))
     assert path_cost(path) == 4
     assert path[3] != (0, 2, 0)
 
@@ -136,7 +140,7 @@ def test_goal_constraint_delays_arrival(corridor_grid):
 def test_reservations_block_and_delay():
     grid = empty_grid((4, 1, 1))
     reserved = ((1, 0, 0), (2, 0, 0), (3, 0, 0))
-    table = ReservationTable()
+    table = ReservationTable(grid)
     table.reserve_path(reserved)
     path = spacetime_astar(grid, AGV, (0, 0, 0), (2, 0, 0), blocked=table)
     check_compliance(path, reserved=[reserved], grid=grid)
@@ -146,14 +150,14 @@ def test_reservations_block_and_delay():
 
 def test_terminal_reservation_makes_goal_unreachable():
     grid = empty_grid((3, 1, 1))
-    table = ReservationTable()
+    table = ReservationTable(grid)
     table.reserve_path(((1, 0, 0),))  # parks forever at t=0
     assert spacetime_astar(grid, AGV, (0, 0, 0), (1, 0, 0), blocked=table) is None
 
 
 def test_swap_against_reservation_is_blocked():
     grid = empty_grid((2, 1, 1))
-    table = ReservationTable()
+    table = ReservationTable(grid)
     table.reserve_path(((1, 0, 0), (0, 0, 0)))
     # head-on swap impossible; and the reserved agent parks at (0,0,0),
     # which is the searcher's start, so no path can exist at all
@@ -165,13 +169,40 @@ def test_start_taken_at_t0_means_no_path(how):
     grid = empty_grid((3, 3, 1))
     start, goal = (1, 1, 0), (1, 0, 0)
     if how == "constraint":
-        table = forbidden((Constraint(0, VERTEX, 0, (start,)),))
+        table = forbidden(grid, (Constraint(0, VERTEX, 0, (start,)),))
     else:
-        table = ReservationTable()
+        table = ReservationTable(grid)
         table.reserve_path((start, (1, 2, 0)))  # leaves the start at once
     assert spacetime_astar(grid, AGV, start, goal, blocked=table) is None
     # nothing else in the table stands in the way
     assert spacetime_astar(grid, AGV, (0, 1, 0), goal, blocked=table) is not None
+
+
+@pytest.mark.parametrize("which", ["blocked", "avoid"])
+def test_table_built_for_other_dims_is_rejected(which):
+    grid = empty_grid((4, 3, 1))
+    table = ReservationTable(empty_grid((3, 4, 1)))  # same cell count, other shape
+    with pytest.raises(ValueError, match="dims"):
+        spacetime_astar(grid, AGV, (0, 0, 0), (2, 2, 0), **{which: table})
+    assert spacetime_astar(grid, AGV, (0, 0, 0), (2, 2, 0), **{which: ReservationTable(grid)}) is not None
+
+
+def test_neighbour_lists_are_kept_on_the_grid_without_keeping_it_alive():
+    rng = random.Random(5)
+    grid = random_grid(rng, (6, 5, 3), density=0.3)
+    start, goal = rng.sample(free_cells(grid), 2)
+    spacetime_astar(grid, UAV, start, goal)
+    lists = grid.neighbour_lists[UAV]
+    assert lists
+    _, ny, nz = grid.dims
+    for cid, entries in lists.items():
+        i, j, k = cid // (ny * nz), cid // nz % ny, cid % nz
+        free = [(i + dx, j + dy, k + dz) for dx, dy, dz in MOVES[UAV]]
+        free = [c for c in free if grid.in_bounds(*c) and not grid.is_occupied(*c)]
+        assert entries == tuple(((a * ny + b) * nz + c, a, b, c) for a, b, c in free)
+    ref = weakref.ref(grid)
+    del grid, lists
+    assert ref() is None  # freed at once: the cache holds no reference back to its grid
 
 
 def test_unreachable_goal_terminates_via_horizon():
@@ -190,6 +221,35 @@ def test_expansion_limit_is_distinguishable():
     budget = Budget(max_expansions=3)
     with pytest.raises(SearchLimitExceeded):
         spacetime_astar(grid, AGV, (0, 0, 0), (5, 5, 0), budget=budget)
+
+
+# (algorithm, node_expansion_limit) -> (ll_expansions, ct_expanded) on the
+# 40x30x6, 6-shelf-row, 4uav+10agv seed-7 warehouse: the limit trips on
+# expansion limit + 1, and that count is what the budget reports
+BUDGET_TRIPS = {
+    ("cbs", 1): (2, 0),
+    ("cbs", 1000): (1001, 2),
+    ("cbs", 5000): (5001, 18),
+    ("astar", 1): (2, 0),
+}
+
+
+@pytest.mark.parametrize("alg, limit", list(BUDGET_TRIPS), ids=lambda v: str(v))
+def test_expansion_limit_trips_at_limit_plus_one(alg, limit):
+    grid, agents = generate_warehouse((40, 30, 6), 6, "4uav+10agv", 7)
+    res = solve(grid, agents, SolverConfig(algorithm=alg, node_expansion_limit=limit))
+    used, ct = BUDGET_TRIPS[alg, limit]
+    assert res.status == "resource_limit"
+    assert (res.stats.ll_expansions, res.stats.ct_expanded) == (used, ct)
+    assert res.reason == f"expansion limit hit after {used} nodes"
+
+
+def test_clock_is_checked_by_the_64th_expansion():
+    grid = empty_grid((60, 60, 1))  # the path alone takes 119 expansions
+    budget = Budget(time_limit=1e-9)
+    with pytest.raises(SearchLimitExceeded, match="time limit exceeded"):
+        spacetime_astar(grid, AGV, (0, 0, 0), (59, 59, 0), budget=budget)
+    assert budget.used == 64
 
 
 def test_deterministic_tie_breaking():

@@ -148,7 +148,7 @@ def test_mixed_kinds_resolved():
 
 
 def _table(paths):
-    table = ReservationTable()
+    table = ReservationTable(empty_grid((3, 3, 2)))
     for cells in paths:
         table.reserve_path(cells)
     return table

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -271,6 +272,28 @@ def test_sim_online_succeeds_in_open_grid(tmp_path, capsys):
     rc = main(["sim", "--scenario", str(tmp_path / "s.json"), "--online", "greedy-shielded"])
     assert rc == 0
     assert "success_rate=100.0%" in capsys.readouterr().out
+
+
+def test_sim_online_reports_the_time_its_policy_steps_took(tmp_path, capsys, monkeypatch):
+    import time
+
+    import skyrover.sim
+    from skyrover import AGV, Agent, Scenario, save_scenario
+
+    real = skyrover.sim.online_policy_step
+
+    def slow_step(policy, view):
+        time.sleep(0.002)
+        return real(policy, view)
+
+    monkeypatch.setattr(skyrover.sim, "online_policy_step", slow_step)
+    sc = Scenario(grid={"kind": "empty", "dims": [8, 8, 1]}, agents=(Agent(0, AGV, (0, 0, 0), (7, 7, 0)),))
+    save_scenario(sc, tmp_path / "s.json")
+    assert main(["sim", "--scenario", str(tmp_path / "s.json"), "--online", "greedy-shielded"]) == 0
+    out = capsys.readouterr().out
+    ticks = int(re.search(r"simulated (\d+) ticks", out).group(1))
+    assert ticks == 14
+    assert float(re.search(r"comp_time_s=([\d.]+)", out).group(1)) >= 0.002 * ticks
 
 
 def test_sim_requires_exactly_one_source(warehouse_files):

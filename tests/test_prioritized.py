@@ -1,10 +1,14 @@
+import hashlib
 import random
+
+import pytest
 
 from skyrover import (
     AGV,
     Agent,
     SolverConfig,
     empty_grid,
+    generate_warehouse,
     solve,
     spacetime_astar,
     validate_solution,
@@ -77,3 +81,31 @@ def test_resource_limit():
     agents = (Agent(0, AGV, (0, 0, 0), (7, 7, 0)),)
     res = solve(grid, agents, SolverConfig(algorithm="astar", node_expansion_limit=2))
     assert res.status == "resource_limit"
+
+
+# (dims, shelf rows, roster, seed) -> ((sum_of_costs, ll_expansions), sha256 of
+# the sorted paths), on the same worlds as test_cbs.PINNED_CBS
+PINNED_PRIORITIZED = {
+    ((40, 30, 6), 6, "4uav+10agv", 7): (
+        (361, 947),
+        "aaf9940c35e3365877342248d30ab131de5843ea95c65cffba1ebef348c570f6",
+    ),
+    ((40, 30, 6), 6, "6uav+16agv", 7): (
+        (607, 1615),
+        "0535bc23b07d17a5ea7a3350b54dd1ea38a3b352f135bd9600696fd06726a5f3",
+    ),
+    ((48, 36, 6), 8, "8uav+20agv", 4): (
+        (717, 1179),
+        "0fb220bd628422e633330ef19ba7e9a9e65f3c3e784f34889d18a416bd5fb220",
+    ),
+}
+
+
+@pytest.mark.parametrize("world", list(PINNED_PRIORITIZED), ids=lambda w: f"{w[2]}-seed{w[3]}")
+def test_prioritized_answers_and_effort_are_pinned_on_warehouses(world):
+    counters, digest = PINNED_PRIORITIZED[world]
+    grid, agents = generate_warehouse(*world)
+    res = solve(grid, agents, PRIORITIZED)
+    assert res.ok
+    assert (res.solution.sum_of_costs, res.stats.ll_expansions) == counters
+    assert hashlib.sha256(repr(sorted(res.solution.paths.items())).encode()).hexdigest() == digest

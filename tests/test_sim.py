@@ -131,6 +131,24 @@ def test_reset_keeps_a_replayed_plan_and_solves_nothing(monkeypatch):
     assert sim.run().states[-1].tick == plan.makespan
 
 
+def test_online_computation_time_counts_every_policy_step():
+    grid, agents = generate_warehouse((24, 20, 6), 3, "2uav+4agv", seed=9)
+    sim = Simulator()
+    sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+    loaded = sim.computation_time
+    seen = [loaded]
+    for _ in range(5):
+        sim.step()
+        seen.append(sim.computation_time)
+    assert seen[-1] > 0
+    assert all(b > a for a, b in zip(seen, seen[1:]))
+    record = sim.run()
+    assert record.computation_time == sim.computation_time > seen[-1]
+    assert collect_metrics(record).computation_time == record.computation_time
+    sim.reset()  # a rewind counts afresh from the loaded policy
+    assert sim.computation_time == loaded
+
+
 def test_reset_with_new_scenario_swaps_roster():
     sc1 = _scenario((4, 4, 1), [Agent(0, AGV, (0, 0, 0), (3, 3, 0))])
     sc2 = _scenario(
