@@ -180,6 +180,7 @@ class _Neighbours(dict):
         self.occ = grid.occ_bytes  # not the grid itself: the grid holds this dict
         self.moves = MOVES[kind]
         self.entries = {}
+        self.cells = {}  # cell id -> the same list as (i, j, k) tuples, filled by next_cells
 
     def __missing__(self, cid: int):
         nx, ny, nz = self.dims
@@ -202,6 +203,23 @@ def _neighbours(grid, kind: str) -> _Neighbours:
     if kind not in lists:
         lists[kind] = _Neighbours(grid, kind)
     return lists[kind]
+
+
+def next_cells(grid, kind: str, cell) -> tuple:
+    """The cells an agent of ``kind`` on ``cell`` may occupy one tick later.
+
+    They are the free, in-bounds cells of its ``MOVES``, in that order and
+    the wait included: the grid's cached neighbour list of ``cell``, as
+    (i, j, k) tuples.
+    """
+    nbrs = _neighbours(grid, kind)
+    _, ny, nz = grid.dims
+    i, j, k = cell
+    cid = (i * ny + j) * nz + k
+    out = nbrs.cells.get(cid)
+    if out is None:
+        nbrs.cells[cid] = out = tuple(entry[1:] for entry in nbrs[cid])
+    return out
 
 
 def spacetime_astar(

@@ -10,9 +10,11 @@ though livelock is possible and left for the benchmark to measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
+from .astar import next_cells
 from .errors import InvariantViolation
-from .mapf import EDGE, MOVES, manhattan, step_conflicts
+from .mapf import EDGE, step_conflicts
 
 
 @dataclass(frozen=True)
@@ -38,19 +40,16 @@ class GreedyShieldedPolicy:
         out = {}
         for agent in view.agents:
             cell = view.cells[agent.id]
-            if cell == agent.goal:
-                out[agent.id] = cell
-                continue
-            best_key = None
             best_cell = cell
-            for index, (dx, dy, dz) in enumerate(MOVES[agent.kind]):
-                nxt = (cell[0] + dx, cell[1] + dy, cell[2] + dz)
-                if not grid.in_bounds(*nxt) or grid.is_occupied(*nxt):
-                    continue
-                key = (manhattan(nxt, agent.goal), index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_cell = nxt
+            if cell != agent.goal:
+                gi, gj, gk = agent.goal
+                best = None
+                for option in next_cells(grid, agent.kind, cell):
+                    i, j, k = option
+                    d = abs(i - gi) + abs(j - gj) + abs(k - gk)
+                    if best is None or d < best:  # the first minimum in move order
+                        best = d
+                        best_cell = option
             out[agent.id] = best_cell
         return out
 
@@ -72,17 +71,30 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
     (a, b) agent pair. Contended cell between two movers: the lower id
     enters, the higher id waits. A mover colliding with a waiter yields
     regardless of id (the waiter has nowhere to go). Swaps always involve
-    two movers, so the higher id waits. Terminates in at most one round per
-    agent since waits only accumulate.
+    two movers, so the higher id waits. Two waiters on one cell mean the
+    input already collides, which raises.
+
+    One full ``step_conflicts`` scan per call fills a heap of conflicting
+    pairs; each popped pair is re-checked on its own and dropped when an
+    earlier downgrade has resolved it. A move only ever turns into a wait,
+    so downgrading agent x can only make x collide with the agents that
+    enter ``cells[x]`` (a waiter cannot swap): those few are all that is
+    scanned again. Every resolved round turns one mover into a waiter, so
+    the loop ends within one round per agent; no convergence guard is
+    needed, since a conflict left among waiters raises.
     """
     moves = dict(proposals)
-    for _ in range(len(moves) + 1):
-        conflicts = step_conflicts(cells, moves)
-        if not conflicts:
-            return moves
-        conflict = min(conflicts, key=lambda c: c.agents)
-        a, b = conflict.agents
-        if conflict.kind == EDGE:
+    entering = {}  # cell -> the agents whose move ends there
+    for a, cell in moves.items():
+        entering.setdefault(cell, []).append(a)
+    heap = [c.agents for c in step_conflicts(cells, moves)]
+    heapify(heap)
+    while heap:
+        a, b = heappop(heap)
+        found = step_conflicts(cells, {a: moves[a], b: moves[b]})
+        if not found:
+            continue  # stale: an earlier downgrade resolved it
+        if found[0].kind == EDGE:
             offender = b
         else:
             a_waits = moves[a] == cells[a]
@@ -90,8 +102,16 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
             if a_waits and b_waits:
                 raise InvariantViolation(f"agents {a} and {b} already share cell {moves[a]}")
             offender = a if b_waits else b
-        moves[offender] = cells[offender]
-    raise InvariantViolation("shield failed to converge")
+        here = cells[offender]
+        entering[moves[offender]].remove(offender)
+        moves[offender] = here
+        group = entering.setdefault(here, [])
+        group.append(offender)
+        if len(group) > 1:
+            for c in step_conflicts(cells, {x: moves[x] for x in group}):
+                if offender in c.agents:  # pairs without it are already queued
+                    heappush(heap, c.agents)
+    return moves
 
 
 def online_policy_step(policy, view: WorldView) -> dict:
@@ -102,12 +122,7 @@ def online_policy_step(policy, view: WorldView) -> dict:
     for agent in view.agents:
         cell = view.cells[agent.id]
         nxt = tuple(proposals.get(agent.id, cell))
-        delta = (nxt[0] - cell[0], nxt[1] - cell[1], nxt[2] - cell[2])
-        if (
-            delta not in MOVES[agent.kind]
-            or not grid.in_bounds(*nxt)
-            or grid.is_occupied(*nxt)
-        ):
+        if nxt not in next_cells(grid, agent.kind, cell):
             nxt = cell  # illegal proposal degrades to wait
         legal[agent.id] = nxt
     return shield_moves(view.cells, legal)

@@ -17,6 +17,7 @@ from skyrover import (
     solve,
     spacetime_astar,
 )
+from skyrover.astar import next_cells
 from skyrover.mapf import EDGE, MOVES, VERTEX, detect_conflicts
 
 from oracles import enumerate_best_constrained_cost, free_cells, random_grid, static_bfs_cost
@@ -203,6 +204,18 @@ def test_neighbour_lists_are_kept_on_the_grid_without_keeping_it_alive():
     ref = weakref.ref(grid)
     del grid, lists
     assert ref() is None  # freed at once: the cache holds no reference back to its grid
+
+
+def test_next_cells_are_the_legal_moves_in_move_order():
+    rng = random.Random(6)
+    grid = random_grid(rng, (5, 4, 3), density=0.3)
+    for kind in (UAV, AGV):
+        for cell in free_cells(grid, kind):
+            i, j, k = cell
+            legal = [(i + dx, j + dy, k + dz) for dx, dy, dz in MOVES[kind]]
+            legal = [c for c in legal if grid.in_bounds(*c) and not grid.is_occupied(*c)]
+            assert next_cells(grid, kind, cell) == tuple(legal)
+            assert next_cells(grid, kind, cell) is next_cells(grid, kind, cell)  # kept, not rebuilt
 
 
 def test_unreachable_goal_terminates_via_horizon():

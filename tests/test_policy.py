@@ -159,6 +159,45 @@ def test_shield_matches_pairwise_reference():
     assert all(seen[k] >= 100 for k in ("raised", "3-way contention", "mover into waiter", "swap")), seen
 
 
+def _dense_joint_move(rng):
+    """10-60 agents packed into a box with 1.1-2 cells per agent, proposing 6-connected steps.
+
+    Long downgrade cascades and pairs that an earlier downgrade already
+    resolved are common here. One configuration in five starts two agents
+    on one cell.
+    """
+    n = rng.randrange(10, 61)
+    nx, ny = rng.randrange(3, 9), rng.randrange(3, 9)
+    nz = -(-int(n * rng.uniform(1.1, 2.0)) // (nx * ny))
+    spots = {(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)}
+    ids = rng.sample(range(200), n)
+    cells = dict(zip(ids, rng.sample(sorted(spots), n)))
+    if rng.random() < 0.2:
+        a, b = rng.sample(ids, 2)
+        cells[b] = cells[a]
+    steps = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    proposals = {}
+    for a in rng.sample(ids, n):
+        i, j, k = cells[a]
+        options = [(i, j, k)] + [c for c in ((i + di, j + dj, k + dk) for di, dj, dk in steps) if c in spots]
+        proposals[a] = rng.choice(options)
+    return cells, proposals
+
+
+def test_shield_matches_pairwise_reference_at_fleet_density():
+    rng = random.Random(9)
+    seen = Counter()
+    for _ in range(500):
+        cells, proposals = _dense_joint_move(rng)
+        want = _outcome(pairwise_shield, cells, proposals)
+        assert _outcome(shield_moves, cells, proposals) == want, (cells, proposals)
+        if isinstance(want, tuple):
+            seen["raised"] += 1
+        else:
+            seen["downgrades"] += sum(1 for a in proposals if want[a] != proposals[a])
+    assert seen["downgrades"] >= 5000 and seen["raised"] >= 20, seen
+
+
 class _FixedPolicy:
     def __init__(self, proposals):
         self.proposals = proposals

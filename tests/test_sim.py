@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -24,8 +26,11 @@ from skyrover import (
     waypoints_from_bytes,
     waypoints_to_bytes,
 )
+import skyrover.policy
 import skyrover.sim
 from skyrover.sim import AT_GOAL, PRECOMPUTED_MODE, RunRecord, SimState
+
+from oracles import pairwise_shield
 
 
 def _scenario(dims, agents, **kw):
@@ -211,6 +216,31 @@ def test_online_mode_runs_to_goal():
     metrics = collect_metrics(record)
     assert metrics.success_rate == 1.0
     assert metrics.makespan == max(manhattan(a.start, a.goal) for a in agents)
+
+
+def test_online_warehouse_run_is_pinned(monkeypatch):
+    """The shielded greedy policy on a 40x30x6 warehouse, 8uav+24agv, seed 7.
+
+    The figures and the trajectory digest were recorded with the shield that
+    rescanned every pair after each downgrade; the pairwise reference shield
+    must reproduce every state.
+    """
+    grid, agents = generate_warehouse((40, 30, 6), 6, "8uav+24agv", seed=7)
+
+    def run():
+        sim = Simulator()
+        sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+        return sim.run()
+
+    record = run()
+    metrics = collect_metrics(record)
+    assert record.states[-1].tick == 292
+    assert (metrics.success_rate, metrics.sum_of_costs) == (11 / 32, 6388)
+    trajectories = [[a.id, [s.cells[a.id] for s in record.states]] for a in record.agents]
+    digest = hashlib.sha256(json.dumps(trajectories).encode()).hexdigest()
+    assert digest == "37a2bf8df2c5e2fec18eb9a0068483e32a01fe68758e74a58827dba1ea745b4c"
+    monkeypatch.setattr(skyrover.policy, "shield_moves", pairwise_shield)
+    assert run().states == record.states
 
 
 def test_determinism_of_trajectories_and_exports():
