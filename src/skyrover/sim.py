@@ -8,11 +8,11 @@ here means a solver or shield bug and raises instead of passing silently.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     InvariantViolation,
@@ -281,8 +281,7 @@ def collect_metrics(record: RunRecord) -> RunMetrics:
 # -- plan execution ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WaypointCommand:
+class WaypointCommand(NamedTuple):
     agent_id: int
     timestamp: float
     position: tuple[float, float, float]
@@ -294,23 +293,25 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
 
     One command per agent per path index: timestamp = index * cell_duration,
     position at the cell center, hold set when the cell repeats the previous
-    one. The stream is ordered by (timestamp, agent id).
+    one. Emitted timestep by timestep, agents in id order, so the stream is in
+    (timestamp, agent id) order; ``cell_duration`` must be positive and finite.
     """
-    if cell_duration <= 0:
-        raise ValueError("cell_duration must be positive")
+    if not 0 < cell_duration < math.inf:
+        raise ValueError("cell_duration must be positive and finite")
     ox, oy, oz = (float(v) for v in origin)
+    paths = sorted(solution.paths.items())
     out = []
-    for aid in sorted(solution.paths):
-        cells = solution.paths[aid]
-        for t, (i, j, k) in enumerate(cells):
-            pos = (
-                ox + (i + 0.5) * resolution,
-                oy + (j + 0.5) * resolution,
-                oz + (k + 0.5) * resolution,
-            )
-            hold = t > 0 and cells[t] == cells[t - 1]
-            out.append(WaypointCommand(aid, t * cell_duration, pos, hold))
-    out.sort(key=lambda c: (c.timestamp, c.agent_id))
+    for t in range(max((len(cells) for _, cells in paths), default=0)):
+        timestamp = t * cell_duration
+        for aid, cells in paths:
+            if t < len(cells):  # a path that has ended emits nothing more
+                i, j, k = cells[t]
+                pos = (
+                    ox + (i + 0.5) * resolution,
+                    oy + (j + 0.5) * resolution,
+                    oz + (k + 0.5) * resolution,
+                )
+                out.append(WaypointCommand(aid, timestamp, pos, t > 0 and cells[t] == cells[t - 1]))
     return tuple(out)
 
 
@@ -319,32 +320,27 @@ _WAYPOINT_HEADER = "agent_id,timestamp_s,x,y,z,hold"
 
 def waypoints_to_bytes(commands) -> bytes:
     lines = [_WAYPOINT_HEADER]
-    for c in commands:
-        x, y, z = c.position
-        lines.append(f"{c.agent_id},{c.timestamp!r},{x!r},{y!r},{z!r},{'true' if c.hold else 'false'}")
+    for aid, timestamp, (x, y, z), hold in commands:
+        lines.append(f"{aid},{timestamp!r},{x!r},{y!r},{z!r},{'true' if hold else 'false'}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def waypoints_from_bytes(data: bytes) -> tuple:
-    text = data.decode("ascii")
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or ",".join(rows[0]) != _WAYPOINT_HEADER:
+    lines = data.splitlines()  # LF or CRLF line ends
+    if not lines or lines[0] != _WAYPOINT_HEADER.encode("ascii"):
         raise ParseError(f"waypoint CSV must start with header {_WAYPOINT_HEADER!r}")
     out = []
-    for n, row in enumerate(rows[1:], start=2):
+    for n, line in enumerate(lines[1:], start=2):
+        row = line.split(b",")
         if len(row) != 6:
             raise ParseError(f"waypoint row {n} has {len(row)} columns, expected 6")
-        if row[5] not in ("true", "false"):
+        aid, timestamp, x, y, z, hold = row
+        if hold not in (b"true", b"false"):
             raise ParseError(f"waypoint row {n} hold flag must be true or false")
-        out.append(
-            WaypointCommand(
-                agent_id=int(row[0]),
-                timestamp=float(row[1]),
-                position=(float(row[2]), float(row[3]), float(row[4])),
-                hold=row[5] == "true",
-            )
-        )
+        try:  # int() and float() read bytes as ASCII only, so a non-ASCII byte fails here too
+            out.append(WaypointCommand(int(aid), float(timestamp), (float(x), float(y), float(z)), hold == b"true"))
+        except ValueError as exc:
+            raise ParseError(f"waypoint row {n}: {exc}") from None
     return tuple(out)
 
 

@@ -174,6 +174,16 @@ def test_solve_non_finite_time_limit_exits_2(warehouse_files, capsys, value):
     assert "time_limit must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sim_non_finite_cell_duration_exits_2(warehouse_files, tmp_path, capsys, value):
+    scenario_path, _ = warehouse_files
+    wp = tmp_path / "wp.csv"
+    argv = ["sim", "--scenario", str(scenario_path), "--online", "greedy-shielded", "--waypoints", str(wp)]
+    assert main(argv + ["--cell-duration", value]) == 2
+    assert "cell_duration must be positive and finite" in capsys.readouterr().err
+    assert not wp.exists()
+
+
 def test_solve_online_exits_2(warehouse_files, capsys):
     scenario_path, _ = warehouse_files
     assert main(["solve", "--scenario", str(scenario_path), "--alg", "online"]) == 2

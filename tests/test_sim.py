@@ -9,6 +9,7 @@ from skyrover import (
     UAV,
     Agent,
     InvariantViolation,
+    ParseError,
     ResourceLimitError,
     Scenario,
     ScenarioError,
@@ -223,7 +224,8 @@ def test_online_warehouse_run_is_pinned(monkeypatch):
 
     The figures and the trajectory digest were recorded with the shield that
     rescanned every pair after each downgrade; the pairwise reference shield
-    must reproduce every state.
+    must reproduce every state. The waypoint digest was recorded when
+    ``execute_plan`` still sorted its rows.
     """
     grid, agents = generate_warehouse((40, 30, 6), 6, "8uav+24agv", seed=7)
 
@@ -239,6 +241,11 @@ def test_online_warehouse_run_is_pinned(monkeypatch):
     trajectories = [[a.id, [s.cells[a.id] for s in record.states]] for a in record.agents]
     digest = hashlib.sha256(json.dumps(trajectories).encode()).hexdigest()
     assert digest == "37a2bf8df2c5e2fec18eb9a0068483e32a01fe68758e74a58827dba1ea745b4c"
+    paths = {aid: tuple(cells) for aid, cells in trajectories}
+    commands = execute_plan(make_solution(paths), 1.0, grid.resolution, grid.origin)
+    assert len(commands) == 9376
+    waypoints = hashlib.sha256(waypoints_to_bytes(commands)).hexdigest()
+    assert waypoints == "d2466f102661a20889d9e49c7309286f97ecec097683a82d3d0a44621958c483"
     monkeypatch.setattr(skyrover.policy, "shield_moves", pairwise_shield)
     assert run().states == record.states
 
@@ -306,23 +313,24 @@ def test_metrics_recompute_conflicts_from_the_log():
     assert collect_metrics(record).success_rate == 0.0
 
 
-def test_internal_conflict_raises_invariant_fault():
+def test_internal_conflict_raises_invariant_fault(monkeypatch):
     grid = empty_grid((4, 1, 1))
-    agents = (Agent(0, AGV, (0, 0, 0), (1, 0, 0)), Agent(1, AGV, (3, 0, 0), (2, 0, 0)))
+    agents = (Agent(0, AGV, (0, 0, 0), (3, 0, 0)), Agent(1, AGV, (3, 0, 0), (0, 0, 0)))
     sim = Simulator()
-    sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="cbs"))
-    # corrupt the stored plan so both agents meet in (2,0,0) at t=2
-    sim._solution = make_solution(
-        {0: ((0, 0, 0), (1, 0, 0), (2, 0, 0)), 1: ((3, 0, 0), (2, 0, 0), (2, 0, 0))}
-    )
+    sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+
+    def scripted(*joint_moves):
+        moves = iter(joint_moves)
+        monkeypatch.setattr(skyrover.sim, "online_policy_step", lambda policy, view: next(moves))
+
+    # a policy that lets both agents meet in (2,0,0) at t=2
+    scripted({0: (1, 0, 0), 1: (2, 0, 0)}, {0: (2, 0, 0), 1: (2, 0, 0)})
     sim.step()
     with pytest.raises(InvariantViolation, match="collide at tick 2"):
         sim.step()
-    # and so that they swap (1,0,0) <-> (2,0,0) at t=2
+    # and one that lets them swap (1,0,0) <-> (2,0,0) at t=2
     sim.reset()
-    sim._solution = make_solution(
-        {0: ((0, 0, 0), (1, 0, 0), (2, 0, 0)), 1: ((3, 0, 0), (2, 0, 0), (1, 0, 0))}
-    )
+    scripted({0: (1, 0, 0), 1: (2, 0, 0)}, {0: (2, 0, 0), 1: (1, 0, 0)})
     sim.step()
     with pytest.raises(InvariantViolation, match=r"agents 0 and 1 collide at tick 2"):
         sim.step()
@@ -368,10 +376,29 @@ def test_command_count_and_monotone_timestamps():
     assert merged == sorted(merged)
 
 
-def test_nonpositive_cell_duration_rejected():
+@pytest.mark.parametrize("cell_duration", [0.0, -1.0, float("nan"), float("inf")])
+def test_nonpositive_cell_duration_rejected(cell_duration):
     sol = make_solution({0: ((0, 0, 0),)})
-    with pytest.raises(ValueError, match="positive"):
-        execute_plan(sol, 0.0, 1.0, (0, 0, 0))
+    with pytest.raises(ValueError, match="positive and finite"):
+        execute_plan(sol, cell_duration, 1.0, (0, 0, 0))
+
+
+def test_ragged_plan_stream_is_pinned():
+    """A CBS plan whose paths end at different ticks; digest recorded when the rows were sorted."""
+    grid, agents = generate_warehouse((40, 30, 6), 6, "4uav+10agv", seed=7)
+    sol = solve(grid, agents, SolverConfig(algorithm="cbs")).solution
+    assert len({len(p) for p in sol.paths.values()}) > 1
+    cmds = execute_plan(sol, 0.1, 0.25, (-1.0, 2.0, 0.5))
+    assert len(cmds) == 373
+    digest = hashlib.sha256(waypoints_to_bytes(cmds)).hexdigest()
+    assert digest == "548267e9dcbc206ba8fe8461af404acf51380499ff1fda51357dfaf07b09d820"
+
+
+def test_empty_plan_gives_an_empty_stream():
+    cmds = execute_plan(make_solution({}), 1.0, 1.0, (0.0, 0.0, 0.0))
+    assert cmds == ()
+    assert waypoints_to_bytes(cmds) == b"agent_id,timestamp_s,x,y,z,hold\n"
+    assert waypoints_from_bytes(waypoints_to_bytes(cmds)) == ()
 
 
 # -- file round trips ---------------------------------------------------------
@@ -396,3 +423,25 @@ def test_waypoint_bytes_roundtrip():
     data = waypoints_to_bytes(cmds)
     assert waypoints_from_bytes(data) == cmds
     assert waypoints_to_bytes(waypoints_from_bytes(data)) == data
+    assert waypoints_from_bytes(data.replace(b"\n", b"\r\n")) == cmds
+    assert cmds[1].hold and cmds[1] == (0, 1.5, (-0.75, 0.25, 2.25), True)
+
+
+GOOD_WAYPOINTS = b"agent_id,timestamp_s,x,y,z,hold\n0,0.0,0.5,0.5,0.5,false\n0,1.0,0.5,0.5,0.5,true\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, row",
+    [
+        (b"0,0.0,", b"x,0.0,", 2),
+        (b"1.0,0.5,0.5,0.5,true", b"1.0,zero,0.5,0.5,true", 3),
+        (b"1.0,0.5,", b"1.0,0.\xff,", 3),
+        (b"false\n", b"false\n\n", 3),
+    ],
+    ids=["non-integer-id", "non-numeric-coordinate", "non-ascii-byte", "blank-line"],
+)
+def test_malformed_waypoint_row_is_a_parse_error(old, new, row):
+    data = GOOD_WAYPOINTS.replace(old, new, 1)
+    assert data != GOOD_WAYPOINTS
+    with pytest.raises(ParseError, match=rf"^waypoint row {row}\b"):
+        waypoints_from_bytes(data)
