@@ -32,6 +32,7 @@ from .scenario import Scenario, load_scenario, save_scenario
 from .sim import (
     DEFAULT_CELL_DURATION,
     Simulator,
+    check_cell_duration,
     collect_metrics,
     execute_plan,
     read_plan,
@@ -123,6 +124,7 @@ def cmd_solve(args) -> int:
 def cmd_sim(args) -> int:
     if bool(args.plan) == bool(args.online):
         raise ValueError("pass exactly one of --plan or --online")
+    check_cell_duration(args.cell_duration)
     scenario = _load_scenario(args)
     sim = Simulator()
     if args.plan:
@@ -138,6 +140,9 @@ def cmd_sim(args) -> int:
     metrics = collect_metrics(record)
     comp_time = plan.computation_time_s if args.plan else metrics.computation_time
 
+    if args.waypoints:  # lowered before any file is written, so an overflowing timestamp leaves none
+        paths = {a.id: tuple(s.cells[a.id] for s in record.states) for a in record.agents}
+        commands = execute_plan(make_solution(paths), args.cell_duration, sim.grid.resolution, sim.grid.origin)
     if args.ticks:
         with open(args.ticks, "w", encoding="ascii") as fh:
             for s in record.states:
@@ -149,8 +154,6 @@ def cmd_sim(args) -> int:
                     + "\n"
                 )
     if args.waypoints:
-        paths = {a.id: tuple(s.cells[a.id] for s in record.states) for a in record.agents}
-        commands = execute_plan(make_solution(paths), args.cell_duration, sim.grid.resolution, sim.grid.origin)
         with open(args.waypoints, "wb") as fh:
             fh.write(waypoints_to_bytes(commands))
     print(

@@ -288,20 +288,28 @@ class WaypointCommand(NamedTuple):
     hold: bool
 
 
+def check_cell_duration(cell_duration: float) -> None:
+    if not 0 < cell_duration < math.inf:
+        raise ValueError("cell_duration must be positive and finite")
+
+
 def execute_plan(solution: Solution, cell_duration: float, resolution: float, origin) -> tuple:
     """Lower a discrete solution to a merged, timestamped waypoint stream.
 
     One command per agent per path index: timestamp = index * cell_duration,
     position at the cell center, hold set when the cell repeats the previous
     one. Emitted timestep by timestep, agents in id order, so the stream is in
-    (timestamp, agent id) order; ``cell_duration`` must be positive and finite.
+    (timestamp, agent id) order. ``cell_duration`` must be positive and
+    finite, and so must the last timestamp.
     """
-    if not 0 < cell_duration < math.inf:
-        raise ValueError("cell_duration must be positive and finite")
+    check_cell_duration(cell_duration)
     ox, oy, oz = (float(v) for v in origin)
     paths = sorted(solution.paths.items())
+    steps = max((len(cells) for _, cells in paths), default=0)
+    if not math.isfinite((steps - 1) * cell_duration):
+        raise ValueError(f"cell_duration {cell_duration!r} makes the last timestamp, at step {steps - 1}, overflow")
     out = []
-    for t in range(max((len(cells) for _, cells in paths), default=0)):
+    for t in range(steps):
         timestamp = t * cell_duration
         for aid, cells in paths:
             if t < len(cells):  # a path that has ended emits nothing more

@@ -109,8 +109,10 @@ class OccupancyGrid3D:
         dims = tuple(int(v) for v in self.dims)
         if len(origin) != 3 or len(dims) != 3:
             raise ValueError("origin and dims must have three components")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError("resolution must be positive and finite")
+        if not all(math.isfinite(v) for v in origin):
+            raise ValueError("origin must be finite")
         if any(d < 1 for d in dims):
             raise ValueError("dims must each be >= 1")
         cells = np.ascontiguousarray(self.cells, dtype=np.uint8).reshape(-1)
@@ -133,11 +135,6 @@ class OccupancyGrid3D:
 
     def is_occupied(self, i: int, j: int, k: int) -> bool:
         return bool(self.occ_bytes[self.index(i, j, k)])
-
-    def as_array(self) -> np.ndarray:
-        """View with shape (nx, ny, nz), indexable as arr[i, j, k]."""
-        nx, ny, nz = self.dims
-        return self.cells.reshape(nz, ny, nx).transpose(2, 1, 0)
 
     @cached_property
     def occ_bytes(self) -> bytes:
@@ -243,29 +240,60 @@ def extrude_ground(ground: GroundMap2D, nz: int, walls: bool = False) -> Occupan
 
 # --- SKYGRID1 serialization -------------------------------------------------
 
-def _write_uvarint(out: bytearray, n: int) -> None:
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
+# The codec works in numpy blocks: the writer BLOCK_SIZE cells at a time, the
+# reader BLOCK_SIZE payload bytes. Either way a block holds at most BLOCK_SIZE
+# runs, which bounds every temporary, so peak memory stays that of the cells
+# and the file bytes.
+BLOCK_SIZE = 2**15
+_FAST_VARINT_BYTES = 9  # 63 bits: the longest varint decoded in int64
+_INT64_MAX = 2**63 - 1
 
 
-def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise ParseError("payload truncated inside a varint", offset=pos)
-        b = data[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, pos
-        shift += 7
+def _encode_uvarints(values: np.ndarray) -> bytes:
+    """LEB128 bytes of the non-negative int64 ``values``, back to back."""
+    sizes = np.ones(len(values), dtype=np.int64)
+    rest = values >> 7
+    while rest.any():
+        sizes += rest > 0
+        rest >>= 7
+    ends = np.cumsum(sizes)
+    out = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint8)
+    at, rest, left = ends - sizes, values, sizes
+    while len(at):  # byte p of every varint still longer than p bytes
+        more = left > 1
+        out[at] = (rest & 0x7F) | (0x80 * more)
+        at, rest, left = at[more] + 1, rest[more] >> 7, left[more] - 1
+    return out.tobytes()
+
+
+def _decode_uvarints(block: np.ndarray, term: np.ndarray):
+    """Values and block offsets of the varints that end at ``term`` in ``block``.
+
+    The varints sit back to back from ``block[0]``. Values past int64 (only a
+    non-canonical varint of 10 or more bytes can get there) read as the
+    int64 maximum.
+    """
+    starts = np.empty_like(term)
+    starts[0] = 0
+    starts[1:] = term[:-1] + 1
+    sizes = term - starts + 1
+    values = (block[starts] & 0x7F).astype(np.int64)
+    live = np.flatnonzero(sizes > 1)
+    for p in range(1, _FAST_VARINT_BYTES):
+        if not len(live):
+            break
+        values[live] |= (block[starts[live] + p] & 0x7F).astype(np.int64) << (7 * p)
+        live = live[sizes[live] > p + 1]
+    for v in np.flatnonzero(sizes > _FAST_VARINT_BYTES):  # within int64 only if the rest is zero padding
+        if (block[starts[v] + _FAST_VARINT_BYTES : term[v] + 1] & 0x7F).any():
+            values[v] = _INT64_MAX
+    return values, starts
+
+
+def _uvarint_value(varint: np.ndarray) -> int:
+    """The exact value of one varint of any length."""
+    groups = np.unpackbits((varint & 0x7F)[:, None], axis=1, bitorder="little")[:, :7]
+    return int.from_bytes(np.packbits(groups.reshape(-1), bitorder="little").tobytes(), "little")
 
 
 def grid_to_bytes(grid: OccupancyGrid3D) -> bytes:
@@ -285,14 +313,29 @@ def grid_to_bytes(grid: OccupancyGrid3D) -> bytes:
         f"\n"
     ).encode("ascii")
     flat = grid.cells
-    payload = bytearray()
-    breaks = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [len(flat)]))
-    for s, e in zip(starts, ends):
-        _write_uvarint(payload, int(e - s))
-        _write_uvarint(payload, int(flat[s]))
-    return header + bytes(payload)
+    chunks = [header]
+    run_start = 0
+    for first in range(0, len(flat), BLOCK_SIZE):
+        run_start, payload = _write_block(flat, first, run_start)
+        chunks.append(payload)
+    return b"".join(chunks)
+
+
+def _write_block(flat: np.ndarray, first: int, run_start: int) -> tuple[int, bytes]:
+    """The varint pairs of the runs from ``run_start`` that end in cells ``first + 1`` to ``first + BLOCK_SIZE``.
+
+    Returns the start of the next run and the bytes.
+    """
+    seg = flat[first : first + BLOCK_SIZE + 1]
+    ends = np.flatnonzero(seg[1:] != seg[:-1])
+    ends += first + 1
+    if first + BLOCK_SIZE >= len(flat):  # the last block also ends the last run
+        ends = np.append(ends, len(flat))
+    edges = np.concatenate(([run_start], ends))
+    pairs = np.empty(2 * len(ends), dtype=np.int64)
+    pairs[0::2] = np.diff(edges)
+    pairs[1::2] = flat[edges[:-1]]
+    return int(edges[-1]), _encode_uvarints(pairs)
 
 
 def grid_from_bytes(data: bytes) -> OccupancyGrid3D:
@@ -329,25 +372,73 @@ def grid_from_bytes(data: bytes) -> OccupancyGrid3D:
         raise ParseError(f"bad header value: {exc}", offset=sep) from None
     if len(origin) != 3 or len(dims) != 3:
         raise ParseError("origin and dims must each have three values", offset=sep)
-
+    if min(dims) < 1:
+        raise ParseError(f"dims must each be >= 1, got {fields['dims']!r}", offset=sep)
+    if not all(math.isfinite(v) for v in origin):
+        raise ParseError(f"origin must be finite, got {fields['origin']!r}", offset=sep)
+    if not 0 < resolution < math.inf:
+        raise ParseError(f"resolution must be positive and finite, got {fields['resolution']!r}", offset=sep)
     n_cells = dims[0] * dims[1] * dims[2]
+    if n_cells > DEFAULT_CELL_CAP:
+        raise CapacityError(f"grid would hold {n_cells} cells, above the cap of {DEFAULT_CELL_CAP}")
+
     cells = np.zeros(n_cells, dtype=np.uint8)
     pos = sep + 2  # absolute, so an error names the file offset of the offending varint
-    filled = 0
+    filled = last_bit = 0
+    span = BLOCK_SIZE  # payload bytes per block; a pair takes two or more
     while pos < len(data):
-        count, bit_at = _read_uvarint(data, pos)
-        bit, end = _read_uvarint(data, bit_at)
-        if bit not in (0, 1):
-            raise ParseError(f"run bit must be 0 or 1, got {bit}", offset=bit_at)
-        if filled + count > n_cells:
-            raise ParseError(f"payload describes more than the {n_cells} cells in the header", offset=pos)
-        if bit:
-            cells[filled : filled + count] = 1
-        filled += count
-        pos = end
+        step = _read_block(data, pos, span, cells, filled, last_bit)
+        if step:
+            (pos, filled, last_bit), span = step, BLOCK_SIZE
+        elif pos + span >= len(data):  # no whole pair left
+            raise ParseError("payload truncated inside a varint", offset=len(data))
+        else:  # a pair longer than the block
+            span *= 2
     if filled != n_cells:
         raise ParseError(f"payload covers {filled} cells, header declares {n_cells}", offset=len(data))
+    np.bitwise_xor.accumulate(cells, out=cells)
     return OccupancyGrid3D(origin, resolution, dims, cells)
+
+
+def _read_block(data, pos: int, span: int, cells: np.ndarray, filled: int, last_bit: int):
+    """Decode and check the whole (count, bit) pairs in ``data[pos : pos + span]``, at most BLOCK_SIZE / 2.
+
+    Runs are not written out: the first cell of every run whose bit differs
+    from the run before is set to 1, and one xor prefix over ``cells`` at the
+    end fills them in. Returns the next (pos, filled, last_bit), or None when
+    the span holds no whole pair. A function of its own, so that a block's
+    temporaries are freed before the next block allocates.
+    """
+    n_cells = len(cells)
+    block = np.frombuffer(data, dtype=np.uint8, count=min(span, len(data) - pos), offset=pos)
+    term = np.flatnonzero(block < 0x80)[: BLOCK_SIZE]  # the last byte of each varint
+    if len(term) < 2:
+        return None
+    term = term[: len(term) // 2 * 2]
+    values, starts = _decode_uvarints(block, term)
+    counts, bits = values[0::2], values[1::2]
+    covered = np.cumsum(np.minimum(counts, n_cells + 1))
+    covered += filled
+    bad_bit = bits > 1
+    bad = np.flatnonzero(bad_bit | (covered > n_cells))
+    if len(bad):  # the first bad pair in stream order; a pair's bit is checked before its count
+        i = int(bad[0])
+        if bad_bit[i]:
+            at = int(starts[2 * i + 1])
+            bit = _uvarint_value(block[at : term[2 * i + 1] + 1])
+            try:
+                shown = str(bit)
+            except ValueError:  # past Python's limit on digits in an int's text
+                shown = f"a {bit.bit_length()}-bit number"
+            raise ParseError(f"run bit must be 0 or 1, got {shown}", offset=pos + at)
+        raise ParseError(
+            f"payload describes more than the {n_cells} cells in the header", offset=pos + int(starts[2 * i])
+        )
+    live = counts > 0
+    run_bits = bits[live]
+    changed = run_bits != np.concatenate(([last_bit], run_bits[:-1]))
+    cells[(covered - counts)[live][changed]] = 1
+    return pos + int(term[-1]) + 1, int(covered[-1]), int(run_bits[-1]) if len(run_bits) else last_bit
 
 
 def write_grid(grid: OccupancyGrid3D, path) -> None:

@@ -184,6 +184,36 @@ def test_sim_non_finite_cell_duration_exits_2(warehouse_files, tmp_path, capsys,
     assert not wp.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_sim_bad_cell_duration_exits_2_before_simulating(warehouse_files, tmp_path, capsys, value):
+    scenario_path, _ = warehouse_files
+    ticks = tmp_path / "ticks.jsonl"
+    argv = ["sim", "--scenario", str(scenario_path), "--online", "greedy-shielded", "--ticks", str(ticks)]
+    assert main(argv + ["--cell-duration", value]) == 2
+    captured = capsys.readouterr()
+    assert "cell_duration must be positive and finite" in captured.err
+    assert captured.out == ""  # no simulation ran
+    assert not ticks.exists()
+
+
+def test_sim_cell_duration_whose_timestamps_overflow_exits_2(warehouse_files, tmp_path, capsys):
+    scenario_path, _ = warehouse_files
+    ticks, wp = tmp_path / "ticks.jsonl", tmp_path / "wp.csv"
+    argv = ["sim", "--scenario", str(scenario_path), "--online", "greedy-shielded"]
+    assert main(argv + ["--ticks", str(ticks), "--waypoints", str(wp), "--cell-duration", "1e308"]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not ticks.exists() and not wp.exists()
+
+
+def test_solve_on_a_grid_declaring_too_many_cells_exits_3(tmp_path, capsys):
+    header = "SKYGRID1\norigin 0.0 0.0 0.0\nresolution 1.0\ndims 100000 100000 100000\nencoding rle\n\n"
+    (tmp_path / "huge.grid").write_bytes(header.encode("ascii") + b"\x01\x00")
+    scenario = {"grid": "huge.grid", "agents": [{"id": 0, "kind": "agv", "start": [0, 0, 0], "goal": [1, 0, 0]}]}
+    (tmp_path / "huge.json").write_text(json.dumps(scenario))
+    assert main(["solve", "--scenario", str(tmp_path / "huge.json")]) == 3
+    assert "above the cap" in capsys.readouterr().err
+
+
 def test_solve_online_exits_2(warehouse_files, capsys):
     scenario_path, _ = warehouse_files
     assert main(["solve", "--scenario", str(scenario_path), "--alg", "online"]) == 2

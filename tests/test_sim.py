@@ -383,6 +383,15 @@ def test_nonpositive_cell_duration_rejected(cell_duration):
         execute_plan(sol, cell_duration, 1.0, (0, 0, 0))
 
 
+def test_cell_duration_whose_last_timestamp_overflows_is_rejected():
+    one_step = make_solution({0: ((0, 0, 0),)})
+    assert execute_plan(one_step, 1e308, 1.0, (0, 0, 0))[0].timestamp == 0.0
+    three_steps = make_solution({0: ((0, 0, 0), (1, 0, 0), (2, 0, 0))})
+    assert execute_plan(three_steps, 8e307, 1.0, (0, 0, 0))[-1].timestamp == 1.6e308
+    with pytest.raises(ValueError, match="last timestamp, at step 2, overflow"):
+        execute_plan(three_steps, 1e308, 1.0, (0, 0, 0))
+
+
 def test_ragged_plan_stream_is_pinned():
     """A CBS plan whose paths end at different ticks; digest recorded when the rows were sorted."""
     grid, agents = generate_warehouse((40, 30, 6), 6, "4uav+10agv", seed=7)

@@ -1,9 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from skyrover import (
@@ -19,6 +20,7 @@ from skyrover import (
     grid_to_bytes,
     rasterize,
 )
+from skyrover.voxelgrid import BLOCK_SIZE
 
 
 def _witness_check(cloud, grid):
@@ -241,6 +243,223 @@ def test_payload_errors_give_the_absolute_offset(payload, offset, message):
     assert info.value.offset == offset
 
 
+def _grid_file(origin="0.0 0.0 0.0", resolution="1.0", dims="2 1 1", payload=b"\x02\x00"):
+    header = f"SKYGRID1\norigin {origin}\nresolution {resolution}\ndims {dims}\nencoding rle\n\n"
+    return header.encode("ascii") + payload
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"dims": "0 0 0"}, "dims must each be >= 1"),
+        ({"dims": "-1 2 3"}, "dims must each be >= 1"),
+        ({"resolution": "nan"}, "resolution must be positive and finite"),
+        ({"resolution": "inf"}, "resolution must be positive and finite"),
+        ({"resolution": "0"}, "resolution must be positive and finite"),
+        ({"origin": "nan 0 inf"}, "origin must be finite"),
+    ],
+    ids=["zero-dims", "negative-dim", "nan-resolution", "inf-resolution", "zero-resolution", "non-finite-origin"],
+)
+def test_bad_header_values_are_parse_errors_at_the_header_end(field, message):
+    data = _grid_file(**field)
+    with pytest.raises(ParseError, match=message) as info:
+        grid_from_bytes(data)
+    assert info.value.offset == data.find(b"\n\n")
+
+
+@pytest.mark.parametrize("dims", ["100000 100000 100000", f"{2**14} {2**14} 2"], ids=["909TiB", "cap+1"])
+def test_declared_cells_over_the_cap_fail_before_allocating(dims):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="above the cap"):
+            grid_from_bytes(_grid_file(dims=dims))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# -- the codec against the scalar one it replaced ------------------------------
+
+
+def _ref_write_uvarint(out, n):
+    while True:
+        b = n & 0x7F
+        n >>= 7
+        if n:
+            out.append(b | 0x80)
+        else:
+            out.append(b)
+            return
+
+
+def _ref_read_uvarint(data, pos):
+    result = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise ParseError("payload truncated inside a varint", offset=pos)
+        b = data[pos]
+        pos += 1
+        result |= (b & 0x7F) << shift
+        if not b & 0x80:
+            return result, pos
+        shift += 7
+
+
+def _ref_payload(cells):
+    """The byte-at-a-time run-length encoder that grid_to_bytes replaced."""
+    payload = bytearray()
+    breaks = np.flatnonzero(np.diff(cells)) + 1
+    for s, e in zip(np.concatenate(([0], breaks)), np.concatenate((breaks, [len(cells)]))):
+        _ref_write_uvarint(payload, int(e - s))
+        _ref_write_uvarint(payload, int(cells[s]))
+    return bytes(payload)
+
+
+def _ref_cells(data, pos, n_cells):
+    """The byte-at-a-time decoder that grid_from_bytes replaced, from ``pos`` on."""
+    cells = np.zeros(n_cells, dtype=np.uint8)
+    filled = 0
+    while pos < len(data):
+        count, bit_at = _ref_read_uvarint(data, pos)
+        bit, end = _ref_read_uvarint(data, bit_at)
+        if bit not in (0, 1):
+            raise ParseError(f"run bit must be 0 or 1, got {bit}", offset=bit_at)
+        if filled + count > n_cells:
+            raise ParseError(f"payload describes more than the {n_cells} cells in the header", offset=pos)
+        if bit:
+            cells[filled : filled + count] = 1
+        filled += count
+        pos = end
+    if filled != n_cells:
+        raise ParseError(f"payload covers {filled} cells, header declares {n_cells}", offset=len(data))
+    return cells
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def _assert_same_decoding(data, n_cells):
+    pos = data.find(b"\n\n") + 2
+    got = _outcome(lambda: grid_from_bytes(data).cells.tobytes())
+    want = _outcome(lambda: _ref_cells(data, pos, n_cells).tobytes())
+    assert got == want
+
+
+# a run length: 1-byte varints mostly, and some of 3 and 4 bytes (>= 2**14, >= 2**21 cells)
+_run_lengths = st.one_of(
+    st.integers(1, 300), st.integers(1, 300), st.integers(2**14, 2**14 + 99), st.integers(2**21, 2**21 + 99)
+)
+_mutations = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "delete", "insert", "splice", "cut"]),
+        st.floats(0, 1, exclude_max=True),  # where in the payload
+        st.integers(0, 255),
+        st.integers(1, 30),  # splice: the number of 0x80 bytes before the 0x00
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _grids(draw):
+    if draw(st.booleans()):  # short runs over two to three codec blocks
+        n = draw(st.integers(BLOCK_SIZE, 3 * BLOCK_SIZE))
+        cells = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, 2, n, dtype=np.uint8)
+        cells[: draw(st.integers(0, 500))] = 0  # a first run of up to 2 varint bytes shifts every boundary
+        return cells
+    runs = draw(st.lists(_run_lengths, min_size=1, max_size=6))
+    return np.concatenate([np.full(r, (i + draw(st.integers(0, 1))) % 2, dtype=np.uint8) for i, r in enumerate(runs)])
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(cells=_grids(), mutations=_mutations)
+def test_codec_matches_the_scalar_reference(cells, mutations):
+    grid = OccupancyGrid3D((0.0, -1.5, 2.0), 0.25, (len(cells), 1, 1), cells)
+    data = grid_to_bytes(grid)
+    pos = data.find(b"\n\n") + 2
+    assert data[pos:] == _ref_payload(cells)
+    assert grid_from_bytes(data) == grid
+    payload = bytearray(data[pos:])
+    for kind, where, byte, zeros in mutations:
+        i = int(where * (len(payload) + 1))
+        if kind == "flip" and i < len(payload):
+            payload[i] ^= 1 << (byte % 8)
+        elif kind == "delete":
+            del payload[i : i + 1]
+        elif kind == "insert":
+            payload[i:i] = bytes([byte])
+        elif kind == "splice":  # a non-canonical varint, long past int64 from 10 bytes on
+            payload[i:i] = b"\x80" * zeros + bytes([byte % 2])
+        elif kind == "cut":
+            del payload[i:]
+    _assert_same_decoding(data[:pos] + bytes(payload), len(cells))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"\xc8\x81" + b"\x80" * 10 + b"\x00" + b"\x00",  # 200 in 13 bytes: one free run
+        b"\xc8\x01" + b"\x80" * 9 + b"\x00",  # the bit 0 in 10 bytes
+        b"\x64\x00\x00\x01\x00\x00\x64\x00",  # empty runs between two runs of 100
+        b"\x64\x01\x00\x00\x64\x01",  # an empty free run between two occupied ones
+        b"\x80" * 8 + b"\x40\x00",  # a count of 2**62: the largest 9-byte varint range
+        b"\x80" * 9 + b"\x01\x00",  # a count of 2**63, past int64
+        b"\xc8\x01" + b"\x80" * 9 + b"\x01",  # a bit of 2**63
+    ],
+    ids=["long-count", "long-bit", "empty-runs", "empty-free-run", "count-2^62", "count-2^63", "bit-2^63"],
+)
+def test_unusual_pairs_decode_like_the_reference(payload):
+    _assert_same_decoding(grid_to_bytes(empty_grid((200, 1, 1)))[:70] + payload, 200)
+
+
+@pytest.mark.parametrize("lead_runs", [0, 1, 2])
+@pytest.mark.parametrize(
+    "splice", [b"", b"\x80" * 12 + b"\x00", b"\x80" * (2 * BLOCK_SIZE) + b"\x00"], ids=["none", "13-byte", "2-block"]
+)
+def test_block_boundaries_inside_a_varint(lead_runs, splice):
+    """Three-byte pairs after ``lead_runs`` two-byte ones put the first block's end
+    after a count, at a pair's start, or inside a count; a non-canonical varint,
+    once longer than a block, is spliced in 7 bytes before that end."""
+    cells = np.concatenate(
+        [np.arange(lead_runs, dtype=np.uint8) % 2, np.repeat(np.arange(BLOCK_SIZE // 3 + 10) % 2, 200) ^ lead_runs % 2]
+    ).astype(np.uint8)
+    data = grid_to_bytes(OccupancyGrid3D((0, 0, 0), 1.0, (len(cells), 1, 1), cells))
+    pos = data.find(b"\n\n") + 2
+    assert data[pos:] == _ref_payload(cells)
+    assert grid_from_bytes(data).cells.tobytes() == cells.tobytes()
+    at = pos + BLOCK_SIZE - 7
+    _assert_same_decoding(data[:at] + splice + data[at:], len(cells))
+
+
+def test_a_bit_too_long_to_print_is_still_a_parse_error():
+    # 5 cells, then a bit of 2**21000: its 6322 digits are past Python's int-to-text limit
+    data = grid_to_bytes(empty_grid((200, 1, 1)))[:70] + b"\x05" + b"\x80" * 3000 + b"\x01"
+    with pytest.raises(ParseError, match="run bit must be 0 or 1, got a 21001-bit number") as info:
+        grid_from_bytes(data)
+    assert info.value.offset == 71
+
+
+@pytest.mark.parametrize(
+    "origin, resolution, message",
+    [
+        ((0.0, math.nan, 0.0), 1.0, "origin must be finite"),
+        ((0.0, 0.0, 0.0), math.inf, "resolution must be positive and finite"),
+        ((0.0, 0.0, 0.0), math.nan, "resolution must be positive and finite"),
+    ],
+    ids=["nan-origin", "inf-resolution", "nan-resolution"],
+)
+def test_a_grid_the_reader_would_reject_cannot_be_built(origin, resolution, message):
+    with pytest.raises(ValueError, match=message):
+        OccupancyGrid3D(origin, resolution, (2, 1, 1), np.zeros(2, dtype=np.uint8))
+
+
 def test_bad_magic():
     with pytest.raises(ParseError, match="bad magic"):
         grid_from_bytes(b"NOTAGRID\n\nxx")
@@ -261,5 +480,5 @@ def test_linearization_is_documented_order():
     arr[g.index(2, 1, 1)] = 1
     g2 = OccupancyGrid3D((0, 0, 0), 1.0, (3, 2, 2), arr)
     assert g2.is_occupied(2, 1, 1)
-    assert g2.as_array()[2, 1, 1] == 1
+    assert g2.cells.reshape(2, 2, 3)[1, 1, 2] == 1  # (k, j, i): i varies fastest
     assert g2.occupied_count == 1
