@@ -84,6 +84,8 @@ class ReservationTable:
     space-time occupancy index and moves it from node to node path by path.
     Entries are keyed by the state and cell ids of the module docstring, which
     depend on the grid's dims, so a table serves only grids of those dims.
+    ``max_time`` is an upper bound on the entries' times, not their maximum:
+    releasing a path leaves it as it was. A* is exact under any such bound.
     """
 
     def __init__(self, grid):
@@ -125,7 +127,6 @@ class ReservationTable:
             self._terminal[goal] = min(rest)
         else:
             del self._terminal[goal]
-        self.max_time = max((s & _TIME for s in self._ends), default=0)
 
     def forbid(self, constraint) -> None:
         """Block one CBS constraint: its cell at its time, or its move u -> v."""

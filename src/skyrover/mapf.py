@@ -195,18 +195,18 @@ def step_conflicts(prev: dict, cur: dict, t: int = 0) -> list[Conflict]:
     return out
 
 
-def detect_conflicts(paths: dict, horizon: int | None = None) -> list[Conflict]:
+def detect_conflicts(paths: dict) -> list[Conflict]:
     """Every vertex and edge conflict among the paths, canonically ordered.
 
     Paths are a mapping agent id -> cell sequence. Agents whose path has
     ended are treated as parked on their final cell. The scan runs through
-    the longest path (or ``horizon`` when given); output is sorted by
-    (time, lower agent id, vertex before edge).
+    the longest path; output is sorted by (time, lower agent id, vertex
+    before edge).
     """
     ids = sorted(paths)
     if len(ids) < 2:
         return []
-    t_end = max(len(paths[a]) - 1 for a in ids) if horizon is None else horizon
+    t_end = max(len(paths[a]) - 1 for a in ids)
     out = []
     prev = {a: paths[a][0] for a in ids}
     for t in range(t_end + 1):

@@ -219,7 +219,12 @@ class Simulator:
         return self.init(scenario, config=config or self._config)
 
     def run(self, max_ticks: int | None = None) -> RunRecord:
-        """Step to completion (precomputed) or until the tick budget runs out."""
+        """Step to completion (precomputed) or until the tick budget runs out.
+
+        ``max_ticks`` must be ``None`` (the mode's default budget) or >= 0.
+        """
+        if max_ticks is not None and max_ticks < 0:
+            raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
         if self.state.mode == PRECOMPUTED_MODE:
             budget = self._solution.makespan if max_ticks is None else max_ticks
         else:

@@ -1,11 +1,11 @@
 """UAV-AGV interaction tasks compiled into chained planning episodes.
 
 Both built-in tasks stage a rendezvous: the ground vehicle drives to a
-meeting point while the UAV parks a fixed number of cells straight above it,
-both holding for a few ticks. Afterwards the cargo either continues on the
-ground (inventory scan) or flies off to an elevated drop point (aerial
-transfer). Episodes are independent planning problems solved in order, each
-starting from the previous final configuration.
+meeting point while the UAV parks a fixed number of cells straight above it.
+Afterwards the cargo either continues on the ground (inventory scan) or flies
+off to an elevated drop point (aerial transfer). Episodes are independent
+planning problems solved in order, each starting from the previous final
+configuration.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class TaskScript:
     point_a: tuple[int, int, int]
     point_b: tuple[int, int, int]
     hover_offset: int = DEFAULT_HOVER_OFFSET
-    hold_steps: int = DEFAULT_HOLD_STEPS
+    hold_steps: int = DEFAULT_HOLD_STEPS  # checked and stored, but changes no run
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -55,11 +55,10 @@ class TaskScript:
 
 @dataclass(frozen=True)
 class Episode:
-    """Start/goal assignment for every agent plus end-of-episode holds."""
+    """Start/goal assignment for every agent."""
 
     starts: dict
     goals: dict
-    holds: tuple  # (agent_id, cell, duration)
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,8 @@ def compile_task(grid, script: TaskScript, agents) -> list[Episode]:
         e2_goals[agv.id] = agv.goal
 
     episodes = [
-        Episode(
-            starts={a.id: a.start for a in roster},
-            goals=e1_goals,
-            holds=((agv.id, script.point_a, script.hold_steps), (uav.id, hover, script.hold_steps)),
-        ),
-        Episode(starts=dict(e1_goals), goals=e2_goals, holds=()),
+        Episode(starts={a.id: a.start for a in roster}, goals=e1_goals),
+        Episode(starts=dict(e1_goals), goals=e2_goals),
     ]
     for n, ep in enumerate(episodes, start=1):
         instance = [replace(a, start=ep.starts[a.id], goal=ep.goals[a.id]) for a in roster]
@@ -136,27 +131,15 @@ def compile_task(grid, script: TaskScript, agents) -> list[Episode]:
     return episodes
 
 
-def hover_streak(states, uav_id: int, agv_id: int, hover_offset: int) -> int:
-    """Consecutive ticks at the end of a log with the UAV right above the AGV."""
-    streak = 0
-    for state in reversed(states):
-        u = state.cells[uav_id]
-        g = state.cells[agv_id]
-        if u == (g[0], g[1], g[2] + hover_offset):
-            streak += 1
-        else:
-            break
-    return streak
-
-
 def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
-    """Solve and simulate the task's episodes in order, then verify the rendezvous.
+    """Solve and simulate the task's episodes in order, checking the rendezvous after episode 1.
 
     Every episode starts through ``Simulator.init`` as the scenario with that
     episode's roster, so ``config`` falls back to ``scenario.solver`` as there.
-    The rendezvous predicate is checked from the recorded tick logs, not
-    from solver output. Episode 1's log is extended by hold_steps parked
-    ticks before episode 2 begins.
+    The rendezvous is read from the recorded tick log, not from solver
+    output: on episode 1's last tick the UAV must sit ``hover_offset`` cells
+    straight above the AGV. The pair stays parked there until episode 2
+    starts from that tick. ``hold_steps`` changes no run.
     """
     script = scenario.task
     if script is None:
@@ -167,7 +150,6 @@ def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
     roster = sorted(scenario.agents, key=lambda a: a.id)
     cells = {a.id: a.start for a in roster}
     metrics: list[RunMetrics] = []
-    rendezvous_ok = False
 
     for n, ep in enumerate(episodes, start=1):
         if cells != ep.starts:
@@ -195,21 +177,15 @@ def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
                 failed_episode=n,
                 reason=f"episode {n}: only {m.success_rate:.3f} of agents reached their goals",
             )
-        states = list(record.states)
-        hold = max((d for _, _, d in ep.holds), default=0)
-        final = states[-1]
-        for extra in range(1, hold + 1):
-            states.append(replace(final, tick=final.tick + extra))
-        if n == 1:
-            rendezvous_ok = (
-                hover_streak(states, script.uav_id, script.agv_id, script.hover_offset)
-                >= script.hold_steps
+        cells = dict(record.states[-1].cells)
+        agv = cells[script.agv_id]
+        if n == 1 and cells[script.uav_id] != (agv[0], agv[1], agv[2] + script.hover_offset):
+            return TaskReport(
+                episodes=tuple(metrics),
+                rendezvous_ok=False,
+                status=NO_SOLUTION,
+                failed_episode=n,
+                reason="rendezvous hold was never observed in the tick log",
             )
-        cells = dict(states[-1].cells)
 
-    return TaskReport(
-        episodes=tuple(metrics),
-        rendezvous_ok=rendezvous_ok,
-        status=SOLVED if rendezvous_ok else NO_SOLUTION,
-        reason="" if rendezvous_ok else "rendezvous hold was never observed in the tick log",
-    )
+    return TaskReport(episodes=tuple(metrics), rendezvous_ok=True, status=SOLVED)

@@ -160,7 +160,7 @@ class OccupancyGrid3D:
             self.origin == other.origin
             and self.resolution == other.resolution
             and self.dims == other.dims
-            and self.occ_bytes == other.occ_bytes
+            and np.array_equal(self.cells, other.cells)
         )
 
 

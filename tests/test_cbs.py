@@ -170,7 +170,9 @@ def test_incremental_conflicts_and_index_match_full_rescans():
         index = _table(paths.values())
         for aid in paths:
             index.release_path(paths[aid])
-            assert _entries(index) == _entries(_table(q for b, q in paths.items() if b != aid))
+            rebuilt = _table(q for b, q in paths.items() if b != aid)
+            assert _entries(index) == _entries(rebuilt)
+            assert index.max_time >= rebuilt.max_time
             for cells in random_walk_paths(rng, (3, 3, 2), 3, 12).values():
                 child = dict(paths)
                 child[aid] = cells

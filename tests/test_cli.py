@@ -1,6 +1,8 @@
 import json
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from skyrover import (
@@ -10,6 +12,7 @@ from skyrover import (
     read_plan,
     validate_solution,
     waypoints_from_bytes,
+    write_grid,
 )
 from skyrover.bench import report_from_bytes, run_cell
 from skyrover.cli import main
@@ -103,6 +106,23 @@ def test_solve_prints_the_search_effort_of_solve(tmp_path, capsys):
     assert out.rstrip().endswith(f" expansions={stats.ll_expansions} ct_nodes={stats.ct_expanded}")
 
 
+def test_grid_flag_overrides_the_scenario_grid(warehouse_files, tmp_path, capsys):
+    scenario_path, grid_path = warehouse_files
+    argv = ["solve", "--scenario", str(scenario_path), "--alg", "astar"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.split(" comp_time_s=")[0]
+    moved = tmp_path / "moved.grid"
+    grid_path.rename(moved)
+    assert main(argv) == 2  # the scenario's own reference is gone
+    capsys.readouterr()
+    assert main(argv + ["--grid", str(moved)]) == 0
+    assert capsys.readouterr().out.split(" comp_time_s=")[0] == expected
+    grid = read_grid(moved)
+    write_grid(replace(grid, cells=np.ones_like(grid.cells)), tmp_path / "solid.grid")
+    assert main(argv + ["--grid", str(tmp_path / "solid.grid")]) == 2
+    assert "inside an obstacle" in capsys.readouterr().err
+
+
 def test_solve_prioritized_also_succeeds(warehouse_files, tmp_path):
     scenario_path, _ = warehouse_files
     rc = main(["solve", "--scenario", str(scenario_path), "--alg", "astar", "-o", str(tmp_path / "p.json")])
@@ -194,6 +214,20 @@ def test_sim_bad_cell_duration_exits_2_before_simulating(warehouse_files, tmp_pa
     assert "cell_duration must be positive and finite" in captured.err
     assert captured.out == ""  # no simulation ran
     assert not ticks.exists()
+
+
+def test_sim_negative_max_ticks_exits_2_before_simulating(warehouse_files, tmp_path, capsys):
+    scenario_path, _ = warehouse_files
+    ticks = tmp_path / "ticks.jsonl"
+    argv = ["sim", "--scenario", str(scenario_path), "--online", "greedy-shielded", "--ticks", str(ticks)]
+    assert main(argv + ["--max-ticks", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "max_ticks must be >= 0" in captured.err
+    assert captured.out == ""  # no simulation ran
+    assert not ticks.exists()
+    assert main(argv + ["--max-ticks", "0"]) == 0
+    assert capsys.readouterr().out.startswith("simulated 0 ticks ")
+    assert len(ticks.read_text().splitlines()) == 1
 
 
 def test_sim_cell_duration_whose_timestamps_overflow_exits_2(warehouse_files, tmp_path, capsys):

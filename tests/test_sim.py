@@ -26,6 +26,7 @@ from skyrover import (
     solve,
     waypoints_from_bytes,
     waypoints_to_bytes,
+    write_grid,
 )
 import skyrover.policy
 import skyrover.sim
@@ -189,6 +190,42 @@ def test_reset_reuses_the_loaded_grid():
     assert sim.grid is grid
     sim.reset(sc)  # a scenario passed in is loaded afresh
     assert sim.grid is not grid
+
+
+def test_reset_with_a_config_plans_again_on_the_loaded_grid(tmp_path, monkeypatch):
+    grid, agents = generate_warehouse((24, 20, 6), 3, "2uav+4agv", seed=9)
+    write_grid(grid, tmp_path / "wh.grid")
+    sc = Scenario(grid="wh.grid", agents=agents, base_dir=str(tmp_path))
+    calls = []
+
+    def recording_solve(grid, agents, config):
+        calls.append((grid, config.algorithm))
+        return solve(grid, agents, config)
+
+    monkeypatch.setattr(skyrover.sim, "solve", recording_solve)
+    sim = Simulator()
+    sim.init(sc, SolverConfig(algorithm="cbs"))
+    loaded = sim.grid
+    (tmp_path / "wh.grid").unlink()  # a re-read of the file would now fail
+    state = sim.reset(config=SolverConfig(algorithm="astar"))
+    assert state.tick == 0
+    assert sim.grid is loaded
+    assert [(g is loaded, alg) for g, alg in calls] == [(True, "cbs"), (True, "astar_prioritized")]
+    assert sim.solution == solve(loaded, agents, SolverConfig(algorithm="astar")).solution
+    assert collect_metrics(sim.run()).success_rate == 1.0
+
+
+def test_run_rejects_a_negative_tick_budget():
+    sc = _scenario((4, 4, 1), [Agent(0, AGV, (0, 0, 0), (3, 3, 0))])
+    for config in (SolverConfig(algorithm="cbs"), SolverConfig(algorithm="online")):
+        sim = Simulator()
+        start = sim.init(sc, config)
+        with pytest.raises(ValueError, match="max_ticks must be >= 0"):
+            sim.run(max_ticks=-5)
+        assert sim.state == start  # nothing was stepped
+        record = sim.run(max_ticks=0)  # a zero budget is legal: the run is tick 0 alone
+        assert [s.tick for s in record.states] == [0]
+        assert collect_metrics(record).success_rate == 0.0
 
 
 def test_agv_goal_above_ground_is_a_validation_error():

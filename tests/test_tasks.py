@@ -14,7 +14,8 @@ from skyrover import (
     empty_grid,
     run_task,
 )
-from skyrover.tasks import hover_streak
+from skyrover import tasks
+from skyrover.sim import RunMetrics, Simulator
 
 
 def _roster():
@@ -26,6 +27,15 @@ def _roster():
 
 def _grid():
     return empty_grid((10, 10, 6))
+
+
+def _sealed_grid():
+    arr = np.zeros((6, 10, 10), dtype=np.uint8)  # [k, j, i]
+    for j in range(2, 6):
+        for i in range(2, 6):
+            if i in (2, 5) or j in (2, 5):
+                arr[:, j, i] = 1  # a full-height wall around point A
+    return OccupancyGrid3D((0, 0, 0), 1.0, (10, 10, 6), arr.reshape(-1))
 
 
 def test_inventory_scan_compiles_to_rendezvous_then_ground_leg():
@@ -90,21 +100,8 @@ def test_aerial_transfer_runs_to_success():
     assert report.success and report.rendezvous_ok
 
 
-def test_weaker_hold_requirement_still_succeeds():
-    script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0), hold_steps=1)
-    report = run_task(Scenario(grid=_grid(), agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
-    assert report.success
-
-
 def test_sealed_room_fails_naming_the_episode():
-    arr = np.zeros((6, 10, 10), dtype=np.uint8)  # [k, j, i]
-    # wall off a 3x3 room around point A, full height
-    for j in range(2, 6):
-        for i in range(2, 6):
-            on_wall = i in (2, 5) or j in (2, 5)
-            if on_wall:
-                arr[:, j, i] = 1
-    grid = OccupancyGrid3D((0, 0, 0), 1.0, (10, 10, 6), arr.reshape(-1))
+    grid = _sealed_grid()
     script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
     report = run_task(Scenario(grid=grid, agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
     assert not report.success
@@ -126,14 +123,54 @@ def test_run_task_needs_a_task_block():
         run_task(Scenario(grid=_grid(), agents=_roster()))
 
 
-def test_hover_streak_reads_the_tick_log():
-    from skyrover.sim import SimState
+_SCAN, _TRANSFER = ((1.0, 11, 17), (1.0, 10, 14)), ((1.0, 11, 17), (1.0, 12, 22))
+_UNREACHABLE = "episode 1: cbs: agent 0: goal is not reachable from its start"
+_SPENT = "episode 1: cbs: expansion limit hit after 4 nodes"
+_B = {"inventory_scan": (7, 3, 0), "aerial_transfer": (7, 7, 4)}
 
-    mk = lambda t, u, g: SimState(t, {0: g, 1: u}, {0: "at-goal", 1: "at-goal"}, "precomputed-plan")
-    states = [
-        mk(0, (0, 0, 3), (5, 5, 0)),
-        mk(1, (5, 5, 2), (5, 5, 0)),
-        mk(2, (5, 5, 2), (5, 5, 0)),
-    ]
-    assert hover_streak(states, uav_id=1, agv_id=0, hover_offset=2) == 2
-    assert hover_streak(states, uav_id=1, agv_id=0, hover_offset=3) == 0
+
+@pytest.mark.parametrize(
+    "kind, hold_steps, sealed, limit, expected",
+    [
+        ("inventory_scan", 1, False, None, (_SCAN, True, "solved", None, "")),
+        ("inventory_scan", 3, False, None, (_SCAN, True, "solved", None, "")),
+        ("inventory_scan", 50, False, None, (_SCAN, True, "solved", None, "")),
+        ("inventory_scan", 3, True, None, ((), False, "no_solution", 1, _UNREACHABLE)),
+        ("inventory_scan", 3, False, 3, ((), False, "resource_limit", 1, _SPENT)),
+        ("aerial_transfer", 1, False, None, (_TRANSFER, True, "solved", None, "")),
+        ("aerial_transfer", 3, False, None, (_TRANSFER, True, "solved", None, "")),
+        ("aerial_transfer", 50, False, None, (_TRANSFER, True, "solved", None, "")),
+        ("aerial_transfer", 3, True, None, ((), False, "no_solution", 1, _UNREACHABLE)),
+        ("aerial_transfer", 3, False, 3, ((), False, "resource_limit", 1, _SPENT)),
+        (
+            "aerial_transfer", 3, False, 20,
+            (_TRANSFER[:1], False, "resource_limit", 2, "episode 2: cbs: expansion limit hit after 21 nodes"),
+        ),
+    ],
+    ids=[
+        "scan-hold1", "scan-hold3", "scan-hold50", "scan-sealed", "scan-spent",
+        "transfer-hold1", "transfer-hold3", "transfer-hold50", "transfer-sealed", "transfer-spent",
+        "transfer-spent-in-episode2",
+    ],
+)
+def test_task_reports_are_pinned(kind, hold_steps, sealed, limit, expected):
+    """Every report field but the wall times, for both kinds, any hold_steps, a sealed room and spent budgets."""
+    script = TaskScript(kind, agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=_B[kind], hold_steps=hold_steps)
+    grid = _sealed_grid() if sealed else _grid()
+    config = SolverConfig(algorithm="cbs", **({} if limit is None else {"node_expansion_limit": limit}))
+    report = run_task(Scenario(grid=grid, agents=_roster(), task=script), config)
+    episodes = tuple((m.success_rate, m.makespan, m.sum_of_costs) for m in report.episodes)
+    assert (episodes, report.rendezvous_ok, report.status, report.failed_episode, report.reason) == expected
+
+
+def test_rendezvous_guard_fails_a_log_that_ends_off_the_hover(monkeypatch):
+    """Episode 1 reports full success but its log stops at the starts: no hover on the last tick."""
+    run = Simulator.run
+    monkeypatch.setattr(Simulator, "run", lambda self, max_ticks=None: run(self, 0))
+    monkeypatch.setattr(tasks, "collect_metrics", lambda record: RunMetrics(0.0, 1.0, 0, 0))
+    script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
+    report = run_task(Scenario(grid=_grid(), agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
+    assert not report.rendezvous_ok
+    assert (report.status, report.failed_episode) == ("no_solution", 1)
+    assert report.reason == "rendezvous hold was never observed in the tick log"
+    assert len(report.episodes) == 1

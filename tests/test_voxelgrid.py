@@ -187,6 +187,19 @@ def test_warehouse_style_grid_roundtrip():
     assert grid_to_bytes(g2) == b
 
 
+def test_grid_equality_compares_cells_without_caching_a_copy():
+    from skyrover import warehouse_grid
+
+    a = warehouse_grid((40, 30, 6), shelf_rows=4)
+    b = grid_from_bytes(grid_to_bytes(a))
+    assert a == b
+    assert "occ_bytes" not in a.__dict__ and "occ_bytes" not in b.__dict__
+    flipped = a.cells.copy()
+    flipped[-1] ^= 1
+    assert a != OccupancyGrid3D(a.origin, a.resolution, a.dims, flipped)
+    assert a != OccupancyGrid3D((1.0, 0.0, 0.0), a.resolution, a.dims, a.cells)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     dims=st.tuples(st.integers(1, 32), st.integers(1, 32), st.integers(1, 32)),
