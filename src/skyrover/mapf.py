@@ -56,12 +56,17 @@ def components(grid, kind: str) -> np.ndarray:
     Two free cells share a label exactly when an agent of ``kind`` can move
     between them; obstacles, and for AGVs every cell above layer 0, get -1.
     Labels spread to free face neighbours and jump along the cells they name.
+    AGVs are labelled on the ground slice alone, whose flat indices are the
+    grid's own.
     """
     free = grid.cells.reshape(grid.dims[::-1]) == 0
     if kind == AGV:
-        free[1:] = False
-    labels = np.where(free, np.arange(free.size).reshape(free.shape), free.size)
-    flat = labels.reshape(-1)
+        free = free[:1]
+    out = np.arange(len(grid.cells))
+    out[free.size :] = -1
+    flat = out[: free.size]
+    labels = flat.reshape(free.shape)
+    labels[~free] = free.size
     while True:
         before = flat.copy()
         for axis in range(3):
@@ -71,7 +76,7 @@ def components(grid, kind: str) -> np.ndarray:
         labels[free] = flat[labels[free]]
         if np.array_equal(flat, before):
             labels[~free] = -1
-            return flat
+            return out
 
 
 def validate_agents(grid, agents) -> list[str]:

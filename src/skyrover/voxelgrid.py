@@ -69,8 +69,8 @@ class GroundMap2D:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("map dimensions must be positive")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError("resolution must be positive and finite")
         occ = np.ascontiguousarray(self.occupancy, dtype=np.uint8).reshape(-1)
         if len(occ) != self.width * self.height:
             raise ValueError("occupancy length does not match width * height")
@@ -184,18 +184,24 @@ def rasterize(
     face is kept; points strictly outside explicit bounds are ignored.
 
     When ``bounds`` is omitted they default to the cloud's axis-aligned
-    bounding box grown by ``padding`` cells on every face.
+    bounding box grown by ``padding`` cells on every face. Non-finite bounds,
+    or a box too many cells wide for a float, raise ``ValueError``.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise ValueError("resolution must be positive and finite")
     if padding < 0:
         raise ValueError("padding must be >= 0")
-    pts = cloud.points
+    cols = np.ascontiguousarray(cloud.points.T)  # one row per axis, so every pass below is contiguous
     if bounds is None:
         if cloud.count == 0:
             raise ValueError("empty cloud requires explicit bounds")
-        mins = pts.min(axis=0) - padding * resolution
-        maxs = pts.max(axis=0) + padding * resolution
+        try:
+            pad = padding * resolution
+        except OverflowError:  # an int padding past the largest float
+            pad = math.inf
+        # reduced row by row: with padding 0, the sign of a zero minimum reaches the header's origin
+        mins = cloud.points.min(axis=0) - pad
+        maxs = cols.max(axis=1) + pad  # the sign of a zero maximum never shows
     else:
         mins = np.asarray(bounds[0], dtype=np.float64)
         maxs = np.asarray(bounds[1], dtype=np.float64)
@@ -203,22 +209,27 @@ def rasterize(
             raise ValueError("bounds must be ((x,y,z), (x,y,z))")
         if not (maxs > mins).all():
             raise ValueError("bounds max must exceed min on every axis")
+    if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
+        raise ValueError(f"bounds must be finite, got {mins.tolist()} to {maxs.tolist()}")
+    extent = [(hi - lo) / resolution for lo, hi in zip(mins.tolist(), maxs.tolist())]  # floats overflow to inf
+    if not all(map(math.isfinite, extent)):
+        raise ValueError(f"grid extent must be finite, got {extent} cells at resolution {resolution!r}")
 
-    dims = tuple(max(1, math.ceil((maxs[a] - mins[a]) / resolution)) for a in range(3))
+    dims = tuple(max(1, math.ceil(e)) for e in extent)
     n_cells = dims[0] * dims[1] * dims[2]
     if n_cells > cell_cap:
         raise CapacityError(f"grid would hold {n_cells} cells, above the cap of {cell_cap}")
 
+    lin = np.zeros(cloud.count, dtype=np.int64)
+    inside = np.ones(cloud.count, dtype=bool)
+    for a in (2, 1, 0):  # lin = i + nx * (j + ny * k), built from k inwards
+        idx = np.floor((cols[a] - mins[a]) / resolution).astype(np.int64)
+        idx[cols[a] == maxs[a]] = dims[a] - 1
+        inside &= (idx >= 0) & (idx < dims[a])
+        lin *= dims[a]
+        lin += idx
     cells = np.zeros(n_cells, dtype=np.uint8)
-    if cloud.count:
-        idx = np.floor((pts - mins) / resolution).astype(np.int64)
-        dims_arr = np.asarray(dims, dtype=np.int64)
-        for a in range(3):
-            idx[pts[:, a] == maxs[a], a] = dims_arr[a] - 1
-        inside = ((idx >= 0) & (idx < dims_arr)).all(axis=1)
-        idx = idx[inside]
-        lin = idx[:, 0] + dims[0] * (idx[:, 1] + dims[1] * idx[:, 2])
-        cells[np.unique(lin)] = 1
+    cells[lin[inside]] = 1  # repeated indices write the same 1
     return OccupancyGrid3D(tuple(float(v) for v in mins), float(resolution), dims, cells)
 
 
@@ -231,6 +242,8 @@ def extrude_ground(ground: GroundMap2D, nz: int, walls: bool = False) -> Occupan
     if nz < 1:
         raise ValueError("nz must be >= 1")
     nx, ny = ground.width, ground.height
+    if nx * ny * nz > DEFAULT_CELL_CAP:
+        raise CapacityError(f"grid would hold {nx * ny * nz} cells, above the cap of {DEFAULT_CELL_CAP}")
     layers = nz if walls else 1
     cells = np.zeros(nx * ny * nz, dtype=np.uint8)
     for k in range(layers):

@@ -75,11 +75,12 @@ def sample_agents(grid: OccupancyGrid3D, roster, seed: int, max_attempts: int = 
     """Seeded roster placement: free, mutually distinct, reachable start/goal."""
     rng = random.Random(seed)
     labels = {kind: components(grid, kind) for kind in (UAV, AGV)}
-    pools = {}
-    for kind, comp in labels.items():
-        # reachable cells in sorted (i, j, k) order
-        i, j, k = np.nonzero((comp.reshape(grid.dims[::-1]) >= 0).transpose(2, 1, 0))
-        pools[kind] = list(zip(i.tolist(), j.tolist(), k.tolist()))
+    # reachable cells as rows of an (n, 3) index array, in sorted (i, j, k) order;
+    # only a drawn row becomes a tuple
+    pools = {
+        kind: np.argwhere((comp.reshape(grid.dims[::-1]) >= 0).transpose(2, 1, 0))
+        for kind, comp in labels.items()
+    }
     used = set()
     agents = []
     for count, kind in roster:
@@ -91,10 +92,10 @@ def sample_agents(grid: OccupancyGrid3D, roster, seed: int, max_attempts: int = 
                     f"grid has too few free {kind} cells for {sum(c for c, _ in roster)} agents"
                 )
             for _ in range(max_attempts):
-                start = pool[rng.randrange(len(pool))]
+                start = tuple(pool[rng.randrange(len(pool))].tolist())
                 if start in used:
                     continue
-                goal = pool[rng.randrange(len(pool))]
+                goal = tuple(pool[rng.randrange(len(pool))].tolist())
                 if goal in used or goal == start or comp[grid.index(*start)] != comp[grid.index(*goal)]:
                     continue
                 break

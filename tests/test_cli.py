@@ -76,6 +76,46 @@ def test_gridgen_capacity_exit_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("nan", "resolution must be positive and finite"),
+        ("inf", "resolution must be positive and finite"),
+        ("0", "resolution must be positive and finite"),
+        ("1e308", "grid extent must be finite"),
+    ],
+)
+def test_gridgen_pcd_hostile_resolution_exits_2(tmp_path, capsys, value, message):
+    pcd = tmp_path / "tiny.pcd"
+    pcd.write_bytes(pcd_ascii_bytes([(0.5, 0.5, 0.5), (2.5, 1.5, 0.5)]))
+    out = tmp_path / "x.grid"
+    rc = main(["gridgen", "--pcd", str(pcd), "--resolution", value, "-o", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_gridgen_pgm_hostile_resolution_exits_2(tmp_path, capsys, value):
+    pgm = tmp_path / "map.pgm"
+    pgm.write_bytes(pgm_p2_bytes([[0, 255], [255, 255]]))
+    out = tmp_path / "x.grid"
+    rc = main(["gridgen", "--pgm", str(pgm), "--resolution", value, "-o", str(out)])
+    assert rc == 2
+    assert "resolution must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gridgen_pgm_extrusion_over_the_cap_exits_3(tmp_path, capsys):
+    pgm = tmp_path / "map.pgm"
+    pgm.write_bytes(pgm_p2_bytes([[0, 255], [255, 255]]))
+    out = tmp_path / "x.grid"
+    rc = main(["gridgen", "--pgm", str(pgm), "--extrude", str(10**12), "-o", str(out)])
+    assert rc == 3
+    assert "above the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gridgen_requires_exactly_one_input(tmp_path, capsys):
     rc = main(["gridgen", "-o", str(tmp_path / "x.grid")])
     assert rc == 2

@@ -255,6 +255,20 @@ def test_components_agree_with_static_bfs_on_random_grids():
     assert checked > 5000
 
 
+def test_agv_components_are_the_ground_slice_labels():
+    rng = random.Random(8)
+    for _ in range(120):
+        dims = (rng.randint(1, 9), rng.randint(1, 9), rng.randint(2, 5))
+        grid = random_grid(rng, dims, rng.choice((0.2, 0.35, 0.5)))
+        nx, ny, nz = dims
+        ground = OccupancyGrid3D((0.0, 0.0, 0.0), 1.0, (nx, ny, 1), grid.cells[: nx * ny])
+        labels = components(grid, AGV)
+        # in one layer a UAV moves like an AGV, so the full 3D labelling checks the slice
+        for kind in (AGV, UAV):
+            assert labels[: nx * ny].tolist() == components(ground, kind).tolist()
+        assert (labels[nx * ny :] == -1).all() and len(labels) == nx * ny * nz
+
+
 def _serpentine(n, cut=None):
     """n x n one-cell corridor winding row by row; ``cut`` blocks one of its cells."""
     arr = np.ones((n, n), dtype=np.uint8)  # [j, i]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -18,9 +19,12 @@ from skyrover import (
     extrude_ground,
     grid_from_bytes,
     grid_to_bytes,
+    parse_pcd,
     rasterize,
 )
 from skyrover.voxelgrid import BLOCK_SIZE
+
+from oracles import pcd_binary_bytes
 
 
 def _witness_check(cloud, grid):
@@ -99,6 +103,35 @@ def test_empty_cloud_without_bounds_rejected():
         rasterize(PointCloud(np.empty((0, 3))), 1.0)
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+def test_rasterize_rejects_a_resolution_the_grid_would_reject(resolution):
+    with pytest.raises(ValueError, match="resolution must be positive and finite"):
+        rasterize(PointCloud(np.array([[0.5, 0.5, 0.5]])), resolution)
+
+
+@pytest.mark.parametrize(
+    "resolution, bounds, padding",
+    [
+        (0.5, ((0, 0, 0), (math.inf, 1, 1)), 1),
+        (0.5, ((-math.inf, 0, 0), (1, 1, 1)), 1),
+        (1e308, None, 1),  # the padded box is 2e308 wide
+        (1e300, None, 10**9),  # the padding alone is past the largest float
+        (1.0, None, 10**400),  # so is this padding, before it meets the resolution
+        (1e-310, ((0, 0, 0), (1, 1, 1)), 1),  # 1e310 cells along each axis
+    ],
+    ids=["inf-max", "inf-min", "padded-overflow", "padding-overflow", "padding-past-float", "subnormal-resolution"],
+)
+def test_non_finite_bounds_or_extent_are_value_errors(resolution, bounds, padding):
+    with pytest.raises(ValueError, match="must be finite"):
+        rasterize(PointCloud(np.array([[0.5, 0.5, 0.5]])), resolution, bounds=bounds, padding=padding)
+
+
+@pytest.mark.parametrize("resolution", [0.0, math.nan, math.inf])
+def test_ground_map_rejects_a_resolution_the_grid_would_reject(resolution):
+    with pytest.raises(ValueError, match="resolution must be positive and finite"):
+        GroundMap2D(2, 2, resolution, np.zeros(4, dtype=np.uint8))
+
+
 def test_capacity_cap():
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]]))
     with pytest.raises(CapacityError, match="cap"):
@@ -135,6 +168,45 @@ def test_membership_invariant_random_clouds(data):
     assert expected == actual
 
 
+@pytest.mark.parametrize("copies", [2, 5])
+def test_repeated_points_rasterize_like_the_distinct_ones(copies):
+    rng = random.Random(copies)
+    pts = [(rng.uniform(0, 4), rng.uniform(0, 3), rng.uniform(0, 2)) for _ in range(150)]
+    pts += [(4.0, 1.5, 1.0), (2.0, 3.0, 0.5), (1.0, 1.0, 2.0), (4.0, 3.0, 2.0)]  # on the max faces
+    repeated = [p for p in pts for _ in range(copies)]
+    rng.shuffle(repeated)
+    bounds = ((0, 0, 0), (4, 3, 2))
+    once = rasterize(PointCloud(np.array(pts)), 0.5, bounds=bounds)
+    assert grid_to_bytes(rasterize(PointCloud(np.array(repeated)), 0.5, bounds=bounds)) == grid_to_bytes(once)
+    assert once.is_occupied(7, 5, 3)  # the corner point, clamped into the last cell
+
+
+def test_rasterized_noisy_capture_is_pinned():
+    rng = random.Random(13)
+    pts = []
+    for n in range(6000):
+        if n % 97 == 0:
+            pts.append((math.nan, 1.0, 1.0) if n % 2 else (2.0, math.inf, 0.5))
+        elif n % 3 == 0:  # a wall at x = 0, else the floor at z = 0, both with sensor noise
+            pts.append((rng.gauss(0, 0.02), rng.uniform(0, 5), rng.uniform(0, 2.5)))
+        else:
+            pts.append((rng.uniform(0, 6), rng.uniform(0, 5), rng.gauss(0, 0.03)))
+    cloud = parse_pcd(pcd_binary_bytes(pts))
+    assert cloud.dropped == 62
+    data = grid_to_bytes(rasterize(cloud, 0.1))
+    assert hashlib.sha256(data).hexdigest() == "b79e00f075ece7d61bdfd70a805be8cee534140648ad17b9400b1cce92af9886"
+
+
+def test_signed_zero_origins_are_pinned():
+    # with padding 0 a cloud whose minimum is a zero of either sign writes that sign into the header
+    digest = hashlib.sha256()
+    for case in range(60):
+        rng = random.Random(case)
+        pts = [[rng.choice((0.0, -0.0, 0.5, rng.uniform(0, 2))) for _ in range(3)] for _ in range(rng.randint(1, 40))]
+        digest.update(grid_to_bytes(rasterize(PointCloud(np.array(pts)), 0.5, padding=rng.choice((0, 1)))))
+    assert digest.hexdigest() == "28f66322fd1ea8b0cea49589bfbb254072a2e5019663f66df789d11cbaa31eca"
+
+
 # -- extrusion ---------------------------------------------------------------
 
 
@@ -167,6 +239,17 @@ def test_extrude_counts_by_mode():
     tall = extrude_ground(ground, 4, walls=True)
     assert flat.occupied_count == ground.occupied_count
     assert tall.occupied_count == ground.occupied_count * 4
+
+
+def test_extrusion_over_the_cell_cap_fails_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="above the cap"):
+            extrude_ground(_map_2x2(), 10**12, walls=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- SKYGRID1 round trips ------------------------------------------------------

@@ -1,13 +1,18 @@
 import hashlib
+import random
 
+import numpy as np
 import pytest
 
 from skyrover import (
     AGV,
     UAV,
+    GroundMap2D,
     PlacementError,
+    extrude_ground,
     generate_warehouse,
     parse_roster,
+    sample_agents,
     validate_agents,
     warehouse_grid,
 )
@@ -73,3 +78,27 @@ def test_rosters_are_pinned():
             rosters.append(repr(generate_warehouse((80, 60, 10), 12, roster, seed)[1]))
     digest = hashlib.sha256("".join(rosters).encode()).hexdigest()
     assert digest == "4e7c74c71e89b8d5bde8dde2211ee24046db2cce3a9a69bee846da016478cbe5"
+
+
+def _walled_floor(seed, width=60, height=45, layers=4):
+    """A scanned floor plan with rack blocks, extruded so its walls block every layer."""
+    rng = random.Random(seed)
+    occ = np.zeros((height, width), dtype=np.uint8)  # [y, x]
+    occ[[0, -1], :] = occ[:, [0, -1]] = 1
+    for _ in range(25):
+        x, y = rng.randrange(2, width - 8), rng.randrange(2, height - 5)
+        occ[y : y + rng.randint(1, 3), x : x + rng.randint(2, 6)] = 1
+    return extrude_ground(GroundMap2D(width, height, 0.5, occ.reshape(-1)), layers, walls=True)
+
+
+def test_rosters_on_walled_floor_maps_are_pinned():
+    rosters = []
+    for map_seed in (1, 2):
+        grid = _walled_floor(map_seed)
+        for roster in ("4uav+12agv", "10uav+6agv"):
+            for seed in (1, 2, 3):
+                agents = sample_agents(grid, parse_roster(roster), seed)
+                assert validate_agents(grid, agents) == []
+                rosters.append(repr(agents))
+    digest = hashlib.sha256("".join(rosters).encode()).hexdigest()
+    assert digest == "4de7f0889073e0e137a2d07cd9986cd16c30c191901e9ead58dfbe2bc6c36833"
