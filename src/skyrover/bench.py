@@ -64,6 +64,8 @@ def load_suite(path) -> list[str]:
 
 def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None = None) -> BenchRow:
     """One (scenario, algorithm) measurement; times are the median of repeats."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     algorithm = normalize_algorithm(algorithm)
     scenario = load_scenario(scenario_path)
     base = scenario.solver or SolverConfig()
@@ -73,7 +75,7 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
 
     times = []
     metrics = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         sim = Simulator()
         try:
             sim.init(scenario, config=config)
@@ -122,34 +124,37 @@ def report_to_bytes(report: BenchmarkReport) -> bytes:
 
 
 def report_from_bytes(data: bytes) -> BenchmarkReport:
-    lines = data.decode("ascii").splitlines()
     environment = ""
     seed = 0
     rows = []
     saw_header = False
-    for line in lines:
-        if line.startswith("# environment: "):
-            environment = line[len("# environment: ") :]
-        elif line.startswith("# seed: "):
-            seed = int(line[len("# seed: ") :])
-        elif line == CSV_HEADER:
-            saw_header = True
-        elif line.strip():
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ParseError(f"report row has {len(parts)} columns, expected 8")
-            rows.append(
-                BenchRow(
-                    scenario=parts[0],
-                    algorithm=parts[1],
-                    seed=int(parts[2]),
-                    agents=int(parts[3]),
-                    comp_time_s=float(parts[4]),
-                    success_rate=float(parts[5]),
-                    makespan=int(parts[6]),
-                    sum_of_costs=int(parts[7]),
+    for n, raw in enumerate(data.splitlines(), start=1):
+        try:  # a non-ASCII byte and a bad number both land here as ValueError
+            line = raw.decode("ascii")
+            if line.startswith("# environment: "):
+                environment = line[len("# environment: ") :]
+            elif line.startswith("# seed: "):
+                seed = int(line[len("# seed: ") :])
+            elif line == CSV_HEADER:
+                saw_header = True
+            elif line.strip():
+                parts = line.split(",")
+                if len(parts) != 8:
+                    raise ParseError(f"report line {n} has {len(parts)} columns, expected 8")
+                rows.append(
+                    BenchRow(
+                        scenario=parts[0],
+                        algorithm=parts[1],
+                        seed=int(parts[2]),
+                        agents=int(parts[3]),
+                        comp_time_s=float(parts[4]),
+                        success_rate=float(parts[5]),
+                        makespan=int(parts[6]),
+                        sum_of_costs=int(parts[7]),
+                    )
                 )
-            )
+        except ValueError as exc:
+            raise ParseError(f"report line {n}: {exc}") from None
     if not saw_header:
         raise ParseError(f"report is missing the header line {CSV_HEADER!r}")
     return BenchmarkReport(rows=tuple(rows), seed=seed, environment=environment)

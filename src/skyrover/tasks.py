@@ -65,8 +65,10 @@ class Episode:
 class TaskReport:
     """How a task run ended.
 
-    ``status`` is ``solved``, ``resource_limit`` when an episode's solver ran
-    out of budget, or ``no_solution`` for every other failure.
+    ``rendezvous_ok``: episode 1 ran and its last recorded tick has the UAV
+    ``hover_offset`` cells straight above the AGV; later episodes never change
+    it. ``status`` is ``solved``, ``resource_limit`` when an episode's solver
+    ran out of budget, or ``no_solution`` for every other failure.
     """
 
     episodes: tuple  # RunMetrics per episode, in order
@@ -136,9 +138,9 @@ def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
 
     Every episode starts through ``Simulator.init`` as the scenario with that
     episode's roster, so ``config`` falls back to ``scenario.solver`` as there.
-    The rendezvous is read from the recorded tick log, not from solver
-    output: on episode 1's last tick the UAV must sit ``hover_offset`` cells
-    straight above the AGV. The pair stays parked there until episode 2
+    The rendezvous is read once, from episode 1's recorded tick log rather
+    than solver output: on its last tick the UAV must sit ``hover_offset``
+    cells straight above the AGV. The pair stays parked there until episode 2
     starts from that tick. ``hold_steps`` changes no run.
     """
     script = scenario.task
@@ -150,6 +152,7 @@ def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
     roster = sorted(scenario.agents, key=lambda a: a.id)
     cells = {a.id: a.start for a in roster}
     metrics: list[RunMetrics] = []
+    rendezvous_ok = False
 
     for n, ep in enumerate(episodes, start=1):
         if cells != ep.starts:
@@ -159,33 +162,22 @@ def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
         try:
             sim.init(replace(scenario, agents=instance), config)
         except (NoSolutionError, ResourceLimitError) as exc:
-            return TaskReport(
-                episodes=tuple(metrics),
-                rendezvous_ok=False,
-                status=RESOURCE_LIMIT if isinstance(exc, ResourceLimitError) else NO_SOLUTION,
-                failed_episode=n,
-                reason=f"episode {n}: {exc}",
-            )
+            status = RESOURCE_LIMIT if isinstance(exc, ResourceLimitError) else NO_SOLUTION
+            reason = f"episode {n}: {exc}"
+            break
         record = sim.run()
         m = collect_metrics(record)
         metrics.append(m)
-        if m.success_rate < 1.0:
-            return TaskReport(
-                episodes=tuple(metrics),
-                rendezvous_ok=False,
-                status=NO_SOLUTION,
-                failed_episode=n,
-                reason=f"episode {n}: only {m.success_rate:.3f} of agents reached their goals",
-            )
         cells = dict(record.states[-1].cells)
-        agv = cells[script.agv_id]
-        if n == 1 and cells[script.uav_id] != (agv[0], agv[1], agv[2] + script.hover_offset):
-            return TaskReport(
-                episodes=tuple(metrics),
-                rendezvous_ok=False,
-                status=NO_SOLUTION,
-                failed_episode=n,
-                reason="rendezvous hold was never observed in the tick log",
-            )
-
-    return TaskReport(episodes=tuple(metrics), rendezvous_ok=True, status=SOLVED)
+        if n == 1:
+            agv = cells[script.agv_id]
+            rendezvous_ok = cells[script.uav_id] == (agv[0], agv[1], agv[2] + script.hover_offset)
+        if m.success_rate < 1.0:
+            status, reason = NO_SOLUTION, f"episode {n}: only {m.success_rate:.3f} of agents reached their goals"
+            break
+        if not rendezvous_ok:  # fixed after episode 1, so this stops only there
+            status, reason = NO_SOLUTION, "rendezvous hold was never observed in the tick log"
+            break
+    else:
+        return TaskReport(tuple(metrics), rendezvous_ok, SOLVED)
+    return TaskReport(tuple(metrics), rendezvous_ok, status, failed_episode=n, reason=reason)

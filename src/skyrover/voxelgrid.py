@@ -174,7 +174,6 @@ def rasterize(
     resolution: float,
     bounds=None,
     padding: int = 1,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> OccupancyGrid3D:
     """Rasterize a point cloud into an occupancy grid.
 
@@ -217,8 +216,8 @@ def rasterize(
 
     dims = tuple(max(1, math.ceil(e)) for e in extent)
     n_cells = dims[0] * dims[1] * dims[2]
-    if n_cells > cell_cap:
-        raise CapacityError(f"grid would hold {n_cells} cells, above the cap of {cell_cap}")
+    if n_cells > DEFAULT_CELL_CAP:
+        raise CapacityError(f"grid would hold {n_cells} cells, above the cap of {DEFAULT_CELL_CAP}")
 
     lin = np.zeros(cloud.count, dtype=np.int64)
     inside = np.ones(cloud.count, dtype=bool)

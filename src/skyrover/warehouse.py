@@ -21,6 +21,7 @@ DEFAULT_DIMS = (80, 60, 10)
 DEFAULT_SHELF_ROWS = 12
 DEFAULT_SHELF_HEIGHT = 4
 DEFAULT_ROSTER = "6uav+16agv"
+MAX_PLACEMENT_ATTEMPTS = 2000  # random draws per agent before its placement is given up
 
 # Dense shelving with aisles about two cells wide: narrow corridors keep the
 # set of equal-cost ground routes small, which optimal conflict resolution
@@ -71,7 +72,7 @@ def parse_roster(spec: str) -> list[tuple[int, str]]:
     return groups
 
 
-def sample_agents(grid: OccupancyGrid3D, roster, seed: int, max_attempts: int = 2000):
+def sample_agents(grid: OccupancyGrid3D, roster, seed: int):
     """Seeded roster placement: free, mutually distinct, reachable start/goal."""
     rng = random.Random(seed)
     labels = {kind: components(grid, kind) for kind in (UAV, AGV)}
@@ -82,16 +83,15 @@ def sample_agents(grid: OccupancyGrid3D, roster, seed: int, max_attempts: int = 
         for kind, comp in labels.items()
     }
     used = set()
+    taken = dict.fromkeys(labels, 0)  # used cells that lie in each kind's pool
     agents = []
     for count, kind in roster:
         pool = pools[kind]
         comp = labels[kind]
         for _ in range(count):
-            if len(pool) - len(used) < 2:
-                raise PlacementError(
-                    f"grid has too few free {kind} cells for {sum(c for c, _ in roster)} agents"
-                )
-            for _ in range(max_attempts):
+            if len(pool) - taken[kind] < 2:
+                raise PlacementError(f"grid has too few free {kind} cells for {sum(c for c, _ in roster)} agents")
+            for _ in range(MAX_PLACEMENT_ATTEMPTS):
                 start = tuple(pool[rng.randrange(len(pool))].tolist())
                 if start in used:
                     continue
@@ -100,8 +100,10 @@ def sample_agents(grid: OccupancyGrid3D, roster, seed: int, max_attempts: int = 
                     continue
                 break
             else:
-                raise PlacementError(f"could not place agent {len(agents)} after {max_attempts} attempts")
+                raise PlacementError(f"could not place agent {len(agents)} after {MAX_PLACEMENT_ATTEMPTS} attempts")
             used.update((start, goal))
+            for pool_kind, pool_comp in labels.items():  # UAV cells on the ground are in both pools
+                taken[pool_kind] += int(pool_comp[grid.index(*start)] >= 0) + int(pool_comp[grid.index(*goal)] >= 0)
             agents.append(Agent(len(agents), kind, start, goal))
     return tuple(agents)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skyrover import (
+    ParseError,
     grid_from_bytes,
     load_scenario,
     read_grid,
@@ -14,7 +15,7 @@ from skyrover import (
     waypoints_from_bytes,
     write_grid,
 )
-from skyrover.bench import report_from_bytes, run_cell
+from skyrover.bench import CSV_HEADER, report_from_bytes, run_cell, run_suite
 from skyrover.cli import main
 
 from oracles import pcd_ascii_bytes, pgm_p2_bytes
@@ -461,6 +462,23 @@ def test_task_budget_exhausted_exits_5(tmp_path, capsys):
     assert "expansion limit" in capsys.readouterr().err
 
 
+def test_task_spent_after_the_rendezvous_reports_it_and_exits_5(tmp_path, capsys):
+    from skyrover import AGV, UAV, Agent, Scenario, TaskScript, save_scenario
+
+    sc = Scenario(
+        grid={"kind": "empty", "dims": [10, 10, 6]},
+        agents=(Agent(0, AGV, (0, 0, 0), (9, 9, 0)), Agent(1, UAV, (9, 0, 0), (0, 9, 3))),
+        task=TaskScript("aerial_transfer", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 7, 4)),
+    )
+    save_scenario(sc, tmp_path / "task.json")
+    rc = main(["task", "--scenario", str(tmp_path / "task.json"), "--alg", "cbs", "--expansion-limit", "20"])
+    out, err = capsys.readouterr()
+    assert rc == 5
+    assert "episode 1: success_rate=100.0%" in out and "episode 2" not in out
+    assert out.splitlines()[-1] == "rendezvous_ok=True overall_success=False"
+    assert "episode 2: cbs: expansion limit hit after 21 nodes" in err
+
+
 def test_task_without_block_exits_2(warehouse_files):
     scenario_path, _ = warehouse_files
     assert main(["task", "--scenario", str(scenario_path)]) == 2
@@ -510,6 +528,35 @@ def test_bench_non_string_scenario_exits_2(tmp_path):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"scenarios": [5]}))
     assert main(["bench", "--suite", str(suite)]) == 2
+
+
+@pytest.mark.parametrize("repeats", [0, -3])
+def test_bench_repeats_below_one_is_refused_before_any_scenario_loads(tmp_path, capsys, repeats):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        run_suite([missing], ["astar"], repeats=repeats)
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        run_cell(missing, "astar", repeats=repeats)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"scenarios": ["missing.json"]}))
+    assert main(["bench", "--suite", str(suite), "--repeats", str(repeats)]) == 2
+    assert "repeats must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"# seed: abc\n" + CSV_HEADER.encode(), 1),
+        (CSV_HEADER.encode() + b"\nwh,astar,x,5,0.1,1.0,3,9\n", 2),
+        (CSV_HEADER.encode() + b"\nwh,astar,1,5,fast,1.0,3,9\n", 2),
+        (b"# environment: caf\xc3\xa9\n" + CSV_HEADER.encode(), 1),
+        (CSV_HEADER.encode() + b"\nwh,astar,1,5\n", 2),
+    ],
+    ids=["non-integer-seed", "non-integer-row-seed", "non-numeric-time", "non-ascii-byte", "short-row"],
+)
+def test_bench_report_reader_names_the_bad_line(data, line):
+    with pytest.raises(ParseError, match=f"report line {line}"):
+        report_from_bytes(data)
 
 
 def test_bench_rejects_unknown_algorithm(warehouse_files, tmp_path):

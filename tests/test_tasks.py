@@ -144,7 +144,7 @@ _B = {"inventory_scan": (7, 3, 0), "aerial_transfer": (7, 7, 4)}
         ("aerial_transfer", 3, False, 3, ((), False, "resource_limit", 1, _SPENT)),
         (
             "aerial_transfer", 3, False, 20,
-            (_TRANSFER[:1], False, "resource_limit", 2, "episode 2: cbs: expansion limit hit after 21 nodes"),
+            (_TRANSFER[:1], True, "resource_limit", 2, "episode 2: cbs: expansion limit hit after 21 nodes"),
         ),
     ],
     ids=[
@@ -173,4 +173,15 @@ def test_rendezvous_guard_fails_a_log_that_ends_off_the_hover(monkeypatch):
     assert not report.rendezvous_ok
     assert (report.status, report.failed_episode) == ("no_solution", 1)
     assert report.reason == "rendezvous hold was never observed in the tick log"
+    assert len(report.episodes) == 1
+
+
+def test_rendezvous_is_judged_on_the_hover_even_when_episode1_fails_for_another_agent(monkeypatch):
+    """Episode 1 ends on the hover but reports a partial success: the failure stops the task, the rendezvous holds."""
+    monkeypatch.setattr(tasks, "collect_metrics", lambda record: RunMetrics(0.0, 0.5, 0, 0))
+    script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
+    report = run_task(Scenario(grid=_grid(), agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
+    assert report.rendezvous_ok
+    assert (report.status, report.failed_episode) == ("no_solution", 1)
+    assert report.reason == "episode 1: only 0.500 of agents reached their goals"
     assert len(report.episodes) == 1

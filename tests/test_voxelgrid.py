@@ -133,9 +133,9 @@ def test_ground_map_rejects_a_resolution_the_grid_would_reject(resolution):
 
 
 def test_capacity_cap():
-    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]]))
-    with pytest.raises(CapacityError, match="cap"):
-        rasterize(cloud, 0.5, cell_cap=1000)
+    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1000.0, 1000.0, 1000.0]]))
+    with pytest.raises(CapacityError, match="above the cap of 268435456"):  # ~8e9 cells, raised before allocating
+        rasterize(cloud, 0.5)
 
 
 def test_permutation_invariance():

@@ -9,6 +9,7 @@ from skyrover import (
     UAV,
     GroundMap2D,
     PlacementError,
+    empty_grid,
     extrude_ground,
     generate_warehouse,
     parse_roster,
@@ -57,6 +58,20 @@ def test_layout_leaves_perimeter_and_sky_free():
 def test_dims_too_small_for_roster_is_placement_failure():
     with pytest.raises(PlacementError):
         generate_warehouse(dims=(8, 8, 2), shelf_rows=1, roster="40agv", seed=1)
+
+
+@pytest.mark.parametrize("roster", ["20uav+2agv", "2agv+20uav"])
+def test_uav_cells_do_not_count_against_the_agv_ground_pool(roster):
+    grid = empty_grid((4, 4, 10))
+    agents = sample_agents(grid, parse_roster(roster), 1)
+    assert len(agents) == 22 and validate_agents(grid, agents) == []
+    cells = [a.start for a in agents] + [a.goal for a in agents]
+    assert len(set(cells)) == len(cells)
+
+
+def test_roster_larger_than_its_ground_pool_is_placement_failure():
+    with pytest.raises(PlacementError, match="^grid has too few free agv cells for 29 agents$"):
+        sample_agents(empty_grid((4, 4, 10)), parse_roster("20uav+9agv"), 1)
 
 
 def test_too_many_shelf_rows_is_placement_failure():
