@@ -9,11 +9,21 @@ time, so identical inputs always return the identical path.
 The search and the reservation table work on plain ints. A cell's id is
 ``(i * ny + j) * nz + k``, so ids sort exactly like (i, j, k) cells (the
 grid's own ``index`` order, i fastest, would not), and a state's id is
-``cell_id * 2**32 + t``, so state ids sort like (cell, t). Each cell's free,
-in-bounds neighbours per agent kind, in ``MOVES`` order, are listed the first
-time a search expands the cell and kept on the grid
-(``OccupancyGrid3D.neighbour_lists``) for every later search on it. Paths go
-in and come out as tuples of (i, j, k) cells.
+``t * cells + cell_id`` for a grid of ``cells`` cells. The heap breaks ties
+on (f, collisions, h) by state id, and states tied on those share t = f - h,
+so that tie-break is cell order. State ids stay small ints (below 2**30 on
+an 80x60x10 grid up to t = 22000). Each cell's free, in-bounds neighbours per
+agent kind, in ``MOVES`` order, are listed the first time a search expands
+the cell and kept on the grid (``OccupancyGrid3D.neighbour_lists``) for
+every later search on it. Paths go in and come out as tuples of (i, j, k)
+cells.
+
+The search keeps no closed set. Every step costs 1 and the heuristic is
+consistent, so pops come in nondecreasing (f, collisions) order: a state is
+never reached with fewer collisions once it has been expanded, and a popped
+entry whose count is above its state's best is a stale duplicate. A
+neighbour already reached with no more collisions is skipped before any
+table is probed.
 """
 
 from __future__ import annotations
@@ -25,8 +35,6 @@ from heapq import heappop, heappush
 from .errors import SearchLimitExceeded
 from .mapf import AGV, MOVES, VERTEX
 
-_SHIFT = 32  # state id = cell id << _SHIFT | t
-_TIME = (1 << _SHIFT) - 1
 _UNLIMITED = 1 << 62
 
 
@@ -90,9 +98,9 @@ class ReservationTable:
 
     def __init__(self, grid):
         self.dims = nx, ny, nz = grid.dims
-        self._span = nx * ny * nz  # edge key = arrival state id * _span + cell id left
+        self._span = nx * ny * nz  # state id = t * _span + cell id
         self._vertex = Counter()  # state id -> entries
-        self._edge = Counter()  # key of u -> v arriving at t -> entries; it blocks v -> u
+        self._edge = Counter()  # (state of v) * _span + u, for u -> v -> entries; it blocks v -> u
         self._terminal = {}  # cell id -> time from which it is parked forever
         self._ends = Counter()  # state id -> reserved paths ending there
         self.max_time = 0
@@ -100,8 +108,8 @@ class ReservationTable:
     def _path_keys(self, cells):
         """Cell ids, vertex keys and edge keys of a path."""
         ids = _cell_ids(self.dims, cells)
-        states = [c << _SHIFT | t for t, c in enumerate(ids)]
         span = self._span
+        states = [t * span + c for t, c in enumerate(ids)]
         return ids, states, [s * span + u for s, u in zip(states[1:], ids)]
 
     def reserve_path(self, cells) -> None:
@@ -122,7 +130,8 @@ class ReservationTable:
         _drop(self._edge, edges)
         _drop(self._ends, states[-1:])
         goal = ids[-1]
-        rest = [s & _TIME for s in self._ends if s >> _SHIFT == goal]
+        span = self._span
+        rest = [s // span for s in self._ends if s % span == goal]
         if rest:
             self._terminal[goal] = min(rest)
         else:
@@ -132,11 +141,12 @@ class ReservationTable:
         """Block one CBS constraint: its cell at its time, or its move u -> v."""
         t = constraint.time
         ids = _cell_ids(self.dims, constraint.cells)
+        span = self._span
         if constraint.kind == VERTEX:
-            self._vertex[ids[0] << _SHIFT | t] += 1
+            self._vertex[t * span + ids[0]] += 1
         else:
             u, v = ids
-            self._edge[(u << _SHIFT | t) * self._span + v] += 1  # as if a path moved v -> u
+            self._edge[(t * span + u) * span + v] += 1  # as if a path moved v -> u
         self.max_time = max(self.max_time, t)
 
     def touches(self, cells, t_end: int) -> list[int]:
@@ -150,9 +160,9 @@ class ReservationTable:
         for t in range(t_end + 1):
             v = ids[t] if t < n else ids[-1]
             if (
-                (v << _SHIFT | t) in vertex
+                t * span + v in vertex
                 or terminal.get(v, t) < t
-                or (u != v and (u << _SHIFT | t) * span + v in edge)
+                or (u != v and (t * span + u) * span + v in edge)
             ):
                 out.append(t)
             u = v
@@ -269,10 +279,10 @@ def spacetime_astar(
     horizon = grid.free_cell_count + 1
     if blocked is not None:
         vertex, edge, terminal = blocked._vertex, blocked._edge, blocked._terminal
-        if goal_id in terminal or start_id << _SHIFT in vertex:
+        if goal_id in terminal or start_id in vertex:
             return None  # someone parks on the goal forever, or holds the start at t=0
         # one step past the goal's last blocked timestep
-        min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if goal_id << _SHIFT | t in vertex), 0)
+        min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if t * span + goal_id in vertex), 0)
         horizon += blocked.max_time
     if avoid is not None:
         soft_vertex, soft_edge, soft_terminal = avoid._vertex, avoid._edge, avoid._terminal
@@ -282,26 +292,23 @@ def spacetime_astar(
     h0 = hx[start[0]] + hy[start[1]] + hz[start[2]]
     # every step costs 1, so a state's g equals its elapsed time t = f - h;
     # only the soft-collision count can differ between two visits of a state
-    s0 = start_id << _SHIFT
-    heap = [(h0, 0, h0, s0)]
-    coll_best = {s0: 0}
+    heap = [(h0, 0, h0, start_id)]  # the start state: t = 0
+    coll_best = {start_id: 0}
     parent = {}
-    closed = set()
     counted = 0  # expansions not yet charged to the budget
     due = budget.headroom()
 
     while heap:
         f, coll, h, state = heappop(heap)
-        if state in closed:
-            continue
-        closed.add(state)
+        if coll != coll_best[state]:
+            continue  # stale: the state was pushed again with fewer collisions, and expanded then
         counted += 1
         if counted == due:
             budget.charge(counted)
             counted = 0
             due = budget.headroom()
-        cid = state >> _SHIFT
         t = f - h
+        cid = state - t * span
         if cid == goal_id and t >= min_arrival:
             if counted:
                 budget.charge(counted)
@@ -309,13 +316,17 @@ def spacetime_astar(
             while state in parent:
                 state = parent[state]
                 states.append(state)
-            return tuple(_cell(dims, s >> _SHIFT) for s in reversed(states))
+            return tuple(_cell(dims, s % span) for s in reversed(states))
         if t >= horizon:
             continue
         t1 = t + 1
-        back = (state + 1) * span  # + v: the key of a move v -> cid arriving at t1
+        base = t1 * span  # + v: the state of v at t1
+        back = (base + cid) * span  # + v: the key of a move v -> cid arriving at t1
         for ncid, ci, cj, ck in nbrs[cid]:
-            nstate = ncid << _SHIFT | t1
+            nstate = base + ncid
+            best = coll_best.get(nstate)
+            if best is not None and best <= coll:
+                continue  # reached before with no more collisions
             if blocked is not None and (
                 nstate in vertex
                 or back + ncid in edge
@@ -329,8 +340,8 @@ def spacetime_astar(
                 or (ncid in soft_terminal and soft_terminal[ncid] <= t1)
             ):
                 ncoll += 1
-            if nstate in coll_best and coll_best[nstate] <= ncoll:
-                continue
+                if best is not None and best <= ncoll:
+                    continue
             coll_best[nstate] = ncoll
             parent[nstate] = state
             nh = hx[ci] + hy[cj] + hz[ck]

@@ -75,26 +75,29 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
     input already collides, which raises.
 
     One full ``step_conflicts`` scan per call fills a heap of conflicting
-    pairs; each popped pair is re-checked on its own and dropped when an
-    earlier downgrade has resolved it. A move only ever turns into a wait,
-    so downgrading agent x can only make x collide with the agents that
-    enter ``cells[x]`` (a waiter cannot swap): those few are all that is
-    scanned again. Every resolved round turns one mover into a waiter, so
-    the loop ends within one round per agent; no convergence guard is
-    needed, since a conflict left among waiters raises.
+    pairs, each stamped with the round that found it. A pair's conflict
+    depends on the two agents' moves alone, so it holds until one of them is
+    downgraded; from then on the entry is stale and dropped when popped.
+    A move only ever turns into a wait, so downgrading agent x can only make
+    x collide with the agents that enter ``cells[x]`` (a waiter cannot
+    swap): those few are all that is scanned again, and their pairs with x
+    are queued with the next round's stamp (a swap that became a vertex
+    conflict among them). Every resolved round turns one mover into a
+    waiter, so the loop ends within one round per agent; no convergence
+    guard is needed, since a conflict left among waiters raises.
     """
     moves = dict(proposals)
     entering = {}  # cell -> the agents whose move ends there
     for a, cell in moves.items():
         entering.setdefault(cell, []).append(a)
-    heap = [c.agents for c in step_conflicts(cells, moves)]
+    heap = [(*c.agents, 0, c.kind) for c in step_conflicts(cells, moves)]
     heapify(heap)
+    downgraded = {}  # agent -> the round it was turned into a waiter
     while heap:
-        a, b = heappop(heap)
-        found = step_conflicts(cells, {a: moves[a], b: moves[b]})
-        if not found:
-            continue  # stale: an earlier downgrade resolved it
-        if found[0].kind == EDGE:
+        a, b, stamp, kind = heappop(heap)
+        if downgraded.get(a, -1) >= stamp or downgraded.get(b, -1) >= stamp:
+            continue  # stale: a or b was downgraded since the scan that found it
+        if kind == EDGE:
             offender = b
         else:
             a_waits = moves[a] == cells[a]
@@ -105,24 +108,31 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
         here = cells[offender]
         entering[moves[offender]].remove(offender)
         moves[offender] = here
+        downgraded[offender] = rnd = len(downgraded)
         group = entering.setdefault(here, [])
         group.append(offender)
         if len(group) > 1:
             for c in step_conflicts(cells, {x: moves[x] for x in group}):
                 if offender in c.agents:  # pairs without it are already queued
-                    heappush(heap, c.agents)
+                    heappush(heap, (*c.agents, rnd + 1, c.kind))
     return moves
 
 
 def online_policy_step(policy, view: WorldView) -> dict:
-    """One shielded joint move; every agent's move is legal for its kind."""
+    """One shielded joint move; every agent's move is legal for its kind.
+
+    A proposal equal to one of the cells ``next_cells`` lists moves the
+    agent to that listed cell; anything else (an illegal cell, a value that
+    is not a cell) degrades to a wait.
+    """
     proposals = policy.propose(view)
     grid = view.grid
     legal = {}
     for agent in view.agents:
         cell = view.cells[agent.id]
-        nxt = tuple(proposals.get(agent.id, cell))
-        if nxt not in next_cells(grid, agent.kind, cell):
-            nxt = cell  # illegal proposal degrades to wait
-        legal[agent.id] = nxt
+        options = next_cells(grid, agent.kind, cell)
+        try:
+            legal[agent.id] = options[options.index(tuple(proposals.get(agent.id, cell)))]
+        except (TypeError, ValueError):  # not a cell, or not a legal one
+            legal[agent.id] = cell
     return shield_moves(view.cells, legal)

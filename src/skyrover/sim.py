@@ -304,8 +304,9 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
     One command per agent per path index: timestamp = index * cell_duration,
     position at the cell center, hold set when the cell repeats the previous
     one. Emitted timestep by timestep, agents in id order, so the stream is in
-    (timestamp, agent id) order. ``cell_duration`` must be positive and
-    finite, and so must the last timestamp.
+    (timestamp, agent id) order. Commands on one cell share one position
+    tuple. ``cell_duration`` must be positive and finite, and so must the
+    last timestamp.
     """
     check_cell_duration(cell_duration)
     ox, oy, oz = (float(v) for v in origin)
@@ -313,18 +314,22 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
     steps = max((len(cells) for _, cells in paths), default=0)
     if not math.isfinite((steps - 1) * cell_duration):
         raise ValueError(f"cell_duration {cell_duration!r} makes the last timestamp, at step {steps - 1}, overflow")
+    centres = {}  # cell -> its centre
     out = []
     for t in range(steps):
         timestamp = t * cell_duration
         for aid, cells in paths:
             if t < len(cells):  # a path that has ended emits nothing more
-                i, j, k = cells[t]
-                pos = (
-                    ox + (i + 0.5) * resolution,
-                    oy + (j + 0.5) * resolution,
-                    oz + (k + 0.5) * resolution,
-                )
-                out.append(WaypointCommand(aid, timestamp, pos, t > 0 and cells[t] == cells[t - 1]))
+                cell = cells[t]
+                pos = centres.get(cell)
+                if pos is None:
+                    i, j, k = cell
+                    centres[cell] = pos = (
+                        ox + (i + 0.5) * resolution,
+                        oy + (j + 0.5) * resolution,
+                        oz + (k + 0.5) * resolution,
+                    )
+                out.append(WaypointCommand(aid, timestamp, pos, t > 0 and cell == cells[t - 1]))
     return tuple(out)
 
 
@@ -332,9 +337,31 @@ _WAYPOINT_HEADER = "agent_id,timestamp_s,x,y,z,hold"
 
 
 def waypoints_to_bytes(commands) -> bytes:
+    """The waypoint CSV: a header, then one row per command, numbers as ``repr``.
+
+    Each distinct timestamp and position is formatted once per call. Only
+    floats and tuples of floats that hold no zero are looked up by value:
+    equal floats print alike except 0.0 and -0.0, while 1, 1.0 and True are
+    equal but print apart.
+    """
     lines = [_WAYPOINT_HEADER]
-    for aid, timestamp, (x, y, z), hold in commands:
-        lines.append(f"{aid},{timestamp!r},{x!r},{y!r},{z!r},{'true' if hold else 'false'}")
+    times = {}
+    places = {}
+    for aid, timestamp, pos, hold in commands:
+        if timestamp and type(timestamp) is float:
+            when = times.get(timestamp)
+            if when is None:
+                times[timestamp] = when = repr(timestamp)
+        else:
+            when = repr(timestamp)
+        x, y, z = pos
+        if x and y and z and type(x) is type(y) is type(z) is float and type(pos) is tuple:
+            where = places.get(pos)
+            if where is None:
+                places[pos] = where = f"{x!r},{y!r},{z!r}"
+        else:
+            where = f"{x!r},{y!r},{z!r}"
+        lines.append(f"{aid},{when},{where},{'true' if hold else 'false'}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -146,6 +146,11 @@ class OccupancyGrid3D:
         return {}
 
     @cached_property
+    def component_labels(self) -> dict:
+        """``solvers.solve``'s per-grid cache: agent kind -> its ``mapf.components`` labels."""
+        return {}
+
+    @cached_property
     def occupied_count(self) -> int:
         return int(self.cells.sum())
 

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -20,7 +22,7 @@ from skyrover import (
 from skyrover.astar import next_cells
 from skyrover.mapf import EDGE, MOVES, VERTEX, detect_conflicts
 
-from oracles import enumerate_best_constrained_cost, free_cells, random_grid, static_bfs_cost
+from oracles import enumerate_best_constrained_cost, free_cells, random_grid, random_walk_paths, static_bfs_cost
 
 
 def forbidden(grid, constraints):
@@ -281,3 +283,78 @@ def test_occupied_endpoint_is_contract_error():
     grid = OccupancyGrid3D((0, 0, 0), 1.0, (3, 1, 1), cells)
     with pytest.raises(ValueError, match="free cells"):
         spacetime_astar(grid, AGV, (0, 0, 0), (2, 0, 0))
+
+
+def _low_level_runs():
+    """``(path or outcome, budget.used)`` of space-time A* on seeded random grids.
+
+    The cases cover hard tables of reserved paths (with their terminal
+    entries) and of ``forbid`` vertex and edge constraints, soft avoid
+    tables, start == goal, searches that return None (a parked goal, a held
+    start, a goal cut off by walls and so by the horizon) and expansion
+    limits that trip at an exact count. Returns the runs and a tally of the
+    kinds of case they hit.
+    """
+    rng = random.Random(1515)
+    runs = []
+    seen = Counter()
+    for _ in range(600):
+        dims = rng.choice(((7, 6, 3), (9, 8, 2), (6, 6, 4), (10, 5, 1)))
+        grid = random_grid(rng, dims, density=rng.choice((0.1, 0.25, 0.4)))
+        kind = AGV if rng.random() < 0.4 else UAV
+        pool = free_cells(grid, kind)
+        if len(pool) < 2:
+            continue
+        start, goal = rng.sample(pool, 2)
+        if rng.random() < 0.08:
+            goal = start
+        blocked = avoid = None
+        table = rng.random()
+        if table < 0.35:
+            blocked = ReservationTable(grid)
+            for cells in random_walk_paths(rng, dims, rng.randrange(1, 5), 12).values():
+                blocked.reserve_path(cells)
+            seen["reserved"] += 1
+        elif table < 0.7:
+            # constraints on the unconstrained path's own states and moves, as CBS adds them
+            free_path = spacetime_astar(grid, kind, start, goal) or (start,)
+            blocked = ReservationTable(grid)
+            for _ in range(rng.randrange(1, 6)):
+                t = rng.randrange(len(free_path))
+                if t and rng.random() < 0.5:
+                    blocked.forbid(Constraint(0, EDGE, t, free_path[t - 1 : t + 1]))
+                else:
+                    blocked.forbid(Constraint(0, VERTEX, t, free_path[t : t + 1]))
+            seen["forbid"] += 1
+        if rng.random() < 0.5:
+            avoid = ReservationTable(grid)
+            for cells in random_walk_paths(rng, dims, rng.randrange(1, 6), 15).values():
+                avoid.reserve_path(cells)
+            seen["avoid"] += 1
+        limit = rng.choice((None, None, rng.randrange(1, 150)))
+        budget = Budget(limit, 1e6 if rng.random() < 0.3 else None)
+        try:
+            path = spacetime_astar(grid, kind, start, goal, blocked, budget, avoid)
+        except SearchLimitExceeded:
+            path = "limit"
+            assert budget.used == limit + 1
+        seen["start==goal"] += start == goal
+        seen["none"] += path is None
+        seen["limit"] += path == "limit"
+        seen["solved"] += isinstance(path, tuple)
+        runs.append((path, budget.used))
+    return runs, seen
+
+
+# recorded on the search with a closed set and (cell << 32 | t) state ids;
+# (runs, solved, None, limit tripped) and the sha256 of the runs' repr
+LOW_LEVEL_TALLY = (600, 404, 168, 28)
+LOW_LEVEL_DIGEST = "81c703af1e9dd000dde8787d93c4513dc02cfc3636611ce0410ce0427a1191ce"
+
+
+def test_low_level_answers_and_effort_are_pinned():
+    runs, seen = _low_level_runs()
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert all(seen[k] >= 20 for k in ("reserved", "forbid", "avoid", "start==goal", "none", "limit")), seen
+    assert (len(runs), seen["solved"], seen["none"], seen["limit"]) == LOW_LEVEL_TALLY
+    assert digest == LOW_LEVEL_DIGEST

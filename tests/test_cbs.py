@@ -18,8 +18,9 @@ from skyrover import (
     spacetime_astar,
     validate_solution,
 )
+import skyrover.solvers
 from skyrover.cbs import replan_conflicts
-from skyrover.mapf import EDGE, path_cost
+from skyrover.mapf import EDGE, components, path_cost
 
 from oracles import brute_force_conflicts, joint_optimal_cost, random_instance, random_walk_paths
 
@@ -74,6 +75,24 @@ def test_solve_reports_an_unreachable_goal_before_any_search(algorithm):
     assert res.status == "no_solution"
     assert res.reason == "agent 1: goal is not reachable from its start"
     assert (res.stats.ll_expansions, res.stats.ct_expanded, res.stats.best_cost) == (0, 0, None)
+
+
+def test_solves_on_one_grid_label_each_kind_once(monkeypatch):
+    grid, agents = generate_warehouse((40, 30, 6), 6, "4uav+10agv", 7)
+    copy = OccupancyGrid3D(grid.origin, grid.resolution, grid.dims, grid.cells)
+    want = [solve(copy, agents, SolverConfig(algorithm=alg)) for alg in ("astar", "cbs")]
+    labelled = []
+
+    def counted(g, kind):
+        labelled.append(kind)
+        return components(g, kind)
+
+    monkeypatch.setattr(skyrover.solvers, "components", counted)
+    got = [solve(grid, agents, SolverConfig(algorithm=alg)) for alg in ("astar", "cbs")]
+    assert sorted(labelled) == [AGV, UAV]
+    for g, w in zip(got, want):
+        assert g.solution == w.solution
+        assert (g.stats.ll_expansions, g.stats.ct_expanded) == (w.stats.ll_expansions, w.stats.ct_expanded)
 
 
 def test_solved_stats_report_the_optimal_cost_as_the_bound():

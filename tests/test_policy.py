@@ -1,8 +1,10 @@
+import json
 import random
 from collections import Counter
 from itertools import permutations
 
 import numpy as np
+import pytest
 
 from skyrover import (
     AGV,
@@ -229,8 +231,24 @@ def test_illegal_proposals_degrade_to_waits():
     assert moves == at | {4: (3, 0, 1)}
 
 
-def test_unknown_policy_rejected():
-    import pytest
+@pytest.mark.parametrize(
+    "proposal, move",
+    [((1.0, 0.0, 0.0), (1, 0, 0)), (None, (0, 0, 0)), (np.array([1, 0, 0]), (1, 0, 0))],
+    ids=["float-tuple", "none", "numpy-array"],
+)
+def test_foreign_proposals_are_stored_as_grid_cells(proposal, move):
+    """A proposal equal to a legal cell moves there as that int cell; anything else waits."""
+    grid = empty_grid((3, 3, 2))
+    agent = Agent(0, UAV, (0, 0, 0), (2, 2, 1))
+    moves = online_policy_step(_FixedPolicy({0: proposal}), WorldView(grid, (agent,), {0: agent.start}))
+    assert moves == {0: move}
+    assert all(type(v) is int for v in moves[0])
+    assert json.loads(json.dumps(moves)) == {"0": list(move)}  # the tick log can write it
+    # and the next tick starts from it
+    after = online_policy_step(GreedyShieldedPolicy(), WorldView(grid, (agent,), moves))
+    assert manhattan(after[0], agent.goal) == manhattan(move, agent.goal) - 1
 
+
+def test_unknown_policy_rejected():
     with pytest.raises(ValueError, match="unknown online policy"):
         get_policy("does-not-exist")

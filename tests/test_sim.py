@@ -15,6 +15,7 @@ from skyrover import (
     ScenarioError,
     Simulator,
     SolverConfig,
+    WaypointCommand,
     collect_metrics,
     empty_grid,
     execute_plan,
@@ -471,6 +472,38 @@ def test_waypoint_bytes_roundtrip():
     assert waypoints_to_bytes(waypoints_from_bytes(data)) == data
     assert waypoints_from_bytes(data.replace(b"\n", b"\r\n")) == cmds
     assert cmds[1].hold and cmds[1] == (0, 1.5, (-0.75, 0.25, 2.25), True)
+
+
+def _per_row_waypoint_bytes(commands):
+    """The waypoint CSV formatted row by row, with no text shared between rows."""
+    rows = ["agent_id,timestamp_s,x,y,z,hold"]
+    for aid, timestamp, (x, y, z), hold in commands:
+        rows.append(",".join([str(aid), repr(timestamp), repr(x), repr(y), repr(z), "true" if hold else "false"]))
+    return ("\n".join(rows) + "\n").encode("ascii")
+
+
+def test_waypoint_text_matches_a_per_row_formatter():
+    """Equal values that print differently (signed zeros, ints and floats) never share text."""
+    rng = random.Random(41)
+    values = [0.0, -0.0, 1.0, -1.0, 2.5, float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 5e-324, -5e-324]
+    places = [tuple(rng.choice(values) for _ in range(3)) for _ in range(30)]
+    places += [(0.0, 1.0, 2.5), (-0.0, 1.0, 2.5), (1.0, 0.0, 2.5), (1.0, -0.0, 2.5), (2.5, 1.0, -0.0), (2.5, 1.0, 0.0)]
+    places += [(1, 2.5, 1.0), (1.0, 2.5, 1.0), (True, 2.5, 1.0)]
+    stamps = values + [0, 1, 2, True, 2.0]
+    cmds = []
+    for _ in range(4000):
+        pos = rng.choice(places)
+        if rng.random() < 0.3:
+            pos = tuple(float(repr(v)) if type(v) is float else v for v in pos)  # equal, but a fresh object
+        cmds.append(WaypointCommand(rng.randrange(50), rng.choice(stamps), pos, rng.random() < 0.5))
+    data = waypoints_to_bytes(cmds)
+    assert data == _per_row_waypoint_bytes(cmds)
+    for text in (b",0.0,", b",-0.0,", b",1,", b",1.0,", b",True,", b",nan,", b",-inf,", b",5e-324,", b",1e+308,"):
+        assert text in data
+    floats = [c for c in cmds if all(type(v) is float for v in (c.timestamp, *c.position))]
+    back = waypoints_from_bytes(waypoints_to_bytes(floats))
+    assert [repr(c) for c in back] == [repr(c) for c in floats]  # repr: nan != nan, but its text is equal
+    assert waypoints_to_bytes(back) == waypoints_to_bytes(floats)
 
 
 GOOD_WAYPOINTS = b"agent_id,timestamp_s,x,y,z,hold\n0,0.0,0.5,0.5,0.5,false\n0,1.0,0.5,0.5,0.5,true\n"
