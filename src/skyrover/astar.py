@@ -24,6 +24,13 @@ never reached with fewer collisions once it has been expanded, and a popped
 entry whose count is above its state's best is a stale duplicate. A
 neighbour already reached with no more collisions is skipped before any
 table is probed.
+
+The search stops by dominance. From T, one past both tables' ``max_time``,
+no table changes, so a visit to a cell at t2 > t1 >= T is dominated by the
+visit at t1: that one can copy any continuation and arrive sooner. A cell's
+pops come in time order (h does not depend on t), so only its first pop at or
+after T is expanded; later ones are skipped uncounted, like stale pops. The
+states are thus finite, and an unreachable goal ends the search with None.
 """
 
 from __future__ import annotations
@@ -92,8 +99,8 @@ class ReservationTable:
     space-time occupancy index and moves it from node to node path by path.
     Entries are keyed by the state and cell ids of the module docstring, which
     depend on the grid's dims, so a table serves only grids of those dims.
-    ``max_time`` is an upper bound on the entries' times, not their maximum:
-    releasing a path leaves it as it was. A* is exact under any such bound.
+    ``max_time`` is an upper bound on the entries' times, not their maximum
+    (releasing a path leaves it as it was): exactly what A*'s dominance needs.
     """
 
     def __init__(self, grid):
@@ -247,9 +254,8 @@ def spacetime_astar(
     The returned tuple of cells is indexed by timestep from 0. ``blocked`` is
     the hard table: CBS fills it with the agent's constraints, prioritized
     planning with the earlier agents' paths. The search refuses to finish on
-    the goal while the table still blocks it at a later timestep, and is cut
-    off at an absolute horizon of free-cell-count + last-blocked-timestep + 1,
-    which guarantees termination.
+    the goal while the table still blocks it at a later timestep, and returns
+    None only when no path exists.
 
     ``avoid`` is a soft conflict-avoidance table: it never blocks a move and
     never changes the returned cost, but among equal-cost paths the one
@@ -276,16 +282,16 @@ def spacetime_astar(
     start_id, goal_id = _cell_ids(dims, (start, goal))
 
     min_arrival = 0
-    horizon = grid.free_cell_count + 1
     if blocked is not None:
         vertex, edge, terminal = blocked._vertex, blocked._edge, blocked._terminal
         if goal_id in terminal or start_id in vertex:
             return None  # someone parks on the goal forever, or holds the start at t=0
         # one step past the goal's last blocked timestep
         min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if t * span + goal_id in vertex), 0)
-        horizon += blocked.max_time
     if avoid is not None:
         soft_vertex, soft_edge, soft_terminal = avoid._vertex, avoid._edge, avoid._terminal
+    settle = max(blocked.max_time if blocked else 0, avoid.max_time if avoid else 0) + 1  # T
+    settled = {}  # cell id -> the t >= settle at which it was expanded, the earliest
 
     # the Manhattan heuristic, one table per axis
     hx, hy, hz = ([abs(c - g) for c in range(n)] for g, n in zip(goal, dims))
@@ -302,13 +308,15 @@ def spacetime_astar(
         f, coll, h, state = heappop(heap)
         if coll != coll_best[state]:
             continue  # stale: the state was pushed again with fewer collisions, and expanded then
+        t = f - h
+        cid = state - t * span
+        if t >= settle and settled.setdefault(cid, t) < t:
+            continue  # dominated by the cell's expansion at an earlier t >= settle
         counted += 1
         if counted == due:
             budget.charge(counted)
             counted = 0
             due = budget.headroom()
-        t = f - h
-        cid = state - t * span
         if cid == goal_id and t >= min_arrival:
             if counted:
                 budget.charge(counted)
@@ -317,8 +325,6 @@ def spacetime_astar(
                 state = parent[state]
                 states.append(state)
             return tuple(_cell(dims, s % span) for s in reversed(states))
-        if t >= horizon:
-            continue
         t1 = t + 1
         base = t1 * span  # + v: the state of v at t1
         back = (base + cid) * span  # + v: the key of a move v -> cid arriving at t1

@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import bench as bench_mod
 from .errors import (
@@ -75,14 +76,12 @@ def cmd_gridgen(args) -> int:
     if bool(args.pcd) == bool(args.pgm):
         raise ValueError("pass exactly one of --pcd or --pgm")
     if args.pcd:
-        with open(args.pcd, "rb") as fh:
-            cloud = parse_pcd(fh.read())
+        cloud = parse_pcd(Path(args.pcd).read_bytes())
         if cloud.dropped:
             log.info("dropped %d non-finite points", cloud.dropped)
         grid = rasterize(cloud, resolution=args.resolution, padding=args.padding)
     else:
-        with open(args.pgm, "rb") as fh:
-            ground = parse_pgm(fh.read(), resolution=args.resolution, occupied_threshold=args.threshold)
+        ground = parse_pgm(Path(args.pgm).read_bytes(), resolution=args.resolution, occupied_threshold=args.threshold)
         grid = extrude_ground(ground, nz=args.extrude, walls=args.walls)
     write_grid(grid, args.output)
     nx, ny, nz = grid.dims
@@ -154,8 +153,7 @@ def cmd_sim(args) -> int:
                     + "\n"
                 )
     if args.waypoints:
-        with open(args.waypoints, "wb") as fh:
-            fh.write(waypoints_to_bytes(commands))
+        Path(args.waypoints).write_bytes(waypoints_to_bytes(commands))
     print(
         f"simulated {record.states[-1].tick} ticks mode={record.mode} "
         f"success_rate={metrics.success_rate * 100:.1f}% makespan={metrics.makespan} "
@@ -184,9 +182,8 @@ def cmd_bench(args) -> int:
     if not algorithms:
         raise ValueError("--algs lists no algorithms")
     report = bench_mod.run_suite(paths, algorithms, repeats=args.repeats, seed=args.seed)
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(bench_mod.report_to_bytes(report))
+    if args.output:  # a refused report opens no file
+        Path(args.output).write_bytes(bench_mod.report_to_bytes(report))
     print(bench_mod.format_table(report))
     return EXIT_OK
 

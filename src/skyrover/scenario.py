@@ -11,6 +11,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from pathlib import Path
 
 from .errors import ScenarioError
 from .mapf import Agent
@@ -171,11 +172,8 @@ def scenario_from_bytes(data: bytes, base_dir: str | None = None) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "rb") as fh:
-        return scenario_from_bytes(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+    return scenario_from_bytes(Path(path).read_bytes(), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    data = scenario_to_bytes(scenario)  # before opening, so a refused scenario leaves no file
-    with open(path, "wb") as fh:
-        fh.write(data)
+    Path(path).write_bytes(scenario_to_bytes(scenario))  # a refused scenario opens no file

@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
@@ -402,6 +403,8 @@ class PlanFile:
 
 def plan_to_bytes(solution: Solution, agents, computation_time: float) -> bytes:
     kinds = {a.id: a.kind for a in agents}
+    if missing := set(solution.paths) - set(kinds):
+        raise ValueError(f"agent {min(missing)} of the plan has no kind: it is not among the agents")
     payload = {
         "agents": [
             {"id": aid, "kind": kinds[aid], "path": [list(c) for c in solution.paths[aid]]}
@@ -455,10 +458,8 @@ def plan_from_bytes(data: bytes) -> PlanFile:
 
 
 def write_plan(path, solution: Solution, agents, computation_time: float) -> None:
-    with open(path, "wb") as fh:
-        fh.write(plan_to_bytes(solution, agents, computation_time))
+    Path(path).write_bytes(plan_to_bytes(solution, agents, computation_time))  # a refused plan opens no file
 
 
 def read_plan(path) -> PlanFile:
-    with open(path, "rb") as fh:
-        return plan_from_bytes(fh.read())
+    return plan_from_bytes(Path(path).read_bytes())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -153,10 +154,6 @@ class OccupancyGrid3D:
     @cached_property
     def occupied_count(self) -> int:
         return int(self.cells.sum())
-
-    @cached_property
-    def free_cell_count(self) -> int:
-        return len(self.cells) - self.occupied_count
 
     def __eq__(self, other):
         if not isinstance(other, OccupancyGrid3D):
@@ -459,10 +456,8 @@ def _read_block(data, pos: int, span: int, cells: np.ndarray, filled: int, last_
 
 
 def write_grid(grid: OccupancyGrid3D, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(grid_to_bytes(grid))
+    Path(path).write_bytes(grid_to_bytes(grid))  # a refused grid opens no file
 
 
 def read_grid(path) -> OccupancyGrid3D:
-    with open(path, "rb") as fh:
-        return grid_from_bytes(fh.read())
+    return grid_from_bytes(Path(path).read_bytes())

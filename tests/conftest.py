@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `oracles` importable
 
-from skyrover import empty_grid
+import numpy as np
+
+from skyrover import AGV, Agent, OccupancyGrid3D, empty_grid
 
 
 @pytest.fixture
@@ -17,3 +19,19 @@ def corridor_grid():
 @pytest.fixture
 def open_grid():
     return empty_grid((5, 5, 2))
+
+
+@pytest.fixture
+def gap_floor():
+    """n x n x 1 floor walled at i = n/2 but for a gap at j = n/2. Agent 0
+    parks on the gap, so agent 1 cannot cross from (0, 0) to (n-1, n-1)."""
+
+    def build(n):
+        cells = np.zeros((1, n, n), dtype=np.uint8)  # [k, j, i]
+        cells[0, :, n // 2] = 1
+        cells[0, n // 2, n // 2] = 0
+        grid = OccupancyGrid3D((0, 0, 0), 1.0, (n, n, 1), cells.reshape(-1))
+        gap = (n // 2, n // 2, 0)
+        return grid, (Agent(0, AGV, (n // 2 - 1, n // 2, 0), gap), Agent(1, AGV, (0, 0, 0), (n - 1, n - 1, 0)))
+
+    return build

@@ -54,6 +54,13 @@ def check_compliance(path, constraints=(), reserved=(), grid=None, kind=None):
         assert all(c[2] == 0 for c in path)
 
 
+def _legal_cells(grid, kind, cell):
+    """The in-bounds, free cells that ``kind``'s moves reach from ``cell``, in ``MOVES`` order."""
+    i, j, k = cell
+    out = [(i + dx, j + dy, k + dz) for dx, dy, dz in MOVES[kind]]
+    return [c for c in out if grid.in_bounds(*c) and not grid.is_occupied(*c)]
+
+
 def test_start_equals_goal():
     grid = empty_grid((3, 3, 1))
     path = spacetime_astar(grid, AGV, (1, 1, 0), (1, 1, 0))
@@ -199,9 +206,7 @@ def test_neighbour_lists_are_kept_on_the_grid_without_keeping_it_alive():
     assert lists
     _, ny, nz = grid.dims
     for cid, entries in lists.items():
-        i, j, k = cid // (ny * nz), cid // nz % ny, cid % nz
-        free = [(i + dx, j + dy, k + dz) for dx, dy, dz in MOVES[UAV]]
-        free = [c for c in free if grid.in_bounds(*c) and not grid.is_occupied(*c)]
+        free = _legal_cells(grid, UAV, (cid // (ny * nz), cid // nz % ny, cid % nz))
         assert entries == tuple(((a * ny + b) * nz + c, a, b, c) for a, b, c in free)
     ref = weakref.ref(grid)
     del grid, lists
@@ -213,14 +218,11 @@ def test_next_cells_are_the_legal_moves_in_move_order():
     grid = random_grid(rng, (5, 4, 3), density=0.3)
     for kind in (UAV, AGV):
         for cell in free_cells(grid, kind):
-            i, j, k = cell
-            legal = [(i + dx, j + dy, k + dz) for dx, dy, dz in MOVES[kind]]
-            legal = [c for c in legal if grid.in_bounds(*c) and not grid.is_occupied(*c)]
-            assert next_cells(grid, kind, cell) == tuple(legal)
+            assert next_cells(grid, kind, cell) == tuple(_legal_cells(grid, kind, cell))
             assert next_cells(grid, kind, cell) is next_cells(grid, kind, cell)  # kept, not rebuilt
 
 
-def test_unreachable_goal_terminates_via_horizon():
+def test_unreachable_goal_terminates_via_dominance():
     import numpy as np
 
     from skyrover import OccupancyGrid3D
@@ -228,7 +230,93 @@ def test_unreachable_goal_terminates_via_horizon():
     cells = np.zeros(5, dtype=np.uint8)
     cells[2] = 1  # wall splits the corridor
     grid = OccupancyGrid3D((0, 0, 0), 1.0, (5, 1, 1), cells)
-    assert spacetime_astar(grid, AGV, (0, 0, 0), (4, 0, 0)) is None
+    budget = Budget()
+    assert spacetime_astar(grid, AGV, (0, 0, 0), (4, 0, 0), budget=budget) is None
+    # the start at t=0, then each of the two reachable cells once from t=1 on
+    assert budget.used == 3
+
+
+def _bfs_arrival(grid, kind, start, goal, vertex, moves, parked, max_time):
+    """Earliest arrival by a plain BFS over (cell, t) states, or None.
+
+    ``vertex`` holds taken (cell, t) states, ``moves`` forbidden (u, v, t)
+    steps into t and ``parked`` cell -> the time from which it is taken for
+    good. States are searched up to t = free cells + ``max_time`` + 1.
+    """
+
+    def taken(cell, t):
+        return (cell, t) in vertex or parked.get(cell, t + 1) <= t
+
+    goal_free = max((t for c, t in vertex if c == goal), default=-1) + 1
+    layer = set() if taken(start, 0) else {start}
+    for t in range(len(free_cells(grid)) + max_time + 2):
+        if goal in layer and t >= goal_free and goal not in parked:
+            return t
+        layer = {
+            v
+            for u in layer
+            for v in _legal_cells(grid, kind, u)
+            if not taken(v, t + 1) and (u, v, t + 1) not in moves
+        }
+    return None
+
+
+def test_none_means_no_path_on_tiny_grids():
+    """spacetime_astar against the BFS on grids of at most 12 free cells,
+    under reserved paths (some released again, so that ``max_time`` is only
+    an upper bound), ``forbid`` constraints and soft avoid tables."""
+    rng = random.Random(1616)
+    seen = Counter()
+    for _ in range(500):
+        dims = rng.choice(((4, 3, 1), (3, 3, 1), (6, 2, 1), (2, 3, 2), (3, 2, 2)))
+        grid = random_grid(rng, dims, density=rng.choice((0.0, 0.2, 0.35)))
+        kind = AGV if dims[2] == 1 or rng.random() < 0.3 else UAV
+        pool = free_cells(grid, kind)
+        if len(pool) < 2:
+            continue
+        start, goal = rng.sample(pool, 2)
+        table = ReservationTable(grid)
+        vertex, moves, parked = set(), set(), {}
+        constraints, kept = [], []
+        if rng.random() < 0.5:
+            for cells in random_walk_paths(rng, dims, rng.randrange(1, 4), 10).values():
+                table.reserve_path(cells)
+                kept.append(cells)
+            for cells in [p for p in kept if rng.random() < 0.4]:
+                table.release_path(cells)
+                kept.remove(cells)
+            for cells in kept:
+                vertex.update((c, t) for t, c in enumerate(cells))
+                moves.update((cells[t], cells[t - 1], t) for t in range(1, len(cells)))
+                parked[cells[-1]] = min(parked.get(cells[-1], len(cells)), len(cells) - 1)
+            seen["released"] += table.max_time > max((len(p) - 1 for p in kept), default=0)
+        else:
+            for _ in range(rng.randrange(1, 8)):
+                t, u = rng.randrange(10), rng.choice(pool)
+                steps = [v for v in _legal_cells(grid, kind, u) if v != u]
+                if t and steps and rng.random() < 0.4:
+                    constraints.append(Constraint(0, EDGE, t, (u, rng.choice(steps))))
+                    moves.add((*constraints[-1].cells, t))
+                else:
+                    constraints.append(Constraint(0, VERTEX, t, (u,)))
+                    vertex.add((u, t))
+                table.forbid(constraints[-1])
+        avoid = None
+        if rng.random() < 0.5:
+            avoid = ReservationTable(grid)
+            for cells in random_walk_paths(rng, dims, rng.randrange(1, 4), 12).values():
+                avoid.reserve_path(cells)
+        expected = _bfs_arrival(grid, kind, start, goal, vertex, moves, parked, table.max_time)
+        path = spacetime_astar(grid, kind, start, goal, table, avoid=avoid)
+        if expected is None:
+            assert path is None
+            seen["none"] += 1
+            seen["cut off by the table"] += static_bfs_cost(grid, kind, start, goal) is not None
+        else:
+            assert path is not None and path_cost(path) == expected
+            check_compliance(path, constraints, kept, grid, kind)
+            seen["solved"] += 1
+    assert all(seen[k] >= 40 for k in ("released", "none", "cut off by the table", "solved")), seen
 
 
 def test_expansion_limit_is_distinguishable():
@@ -291,9 +379,9 @@ def _low_level_runs():
     The cases cover hard tables of reserved paths (with their terminal
     entries) and of ``forbid`` vertex and edge constraints, soft avoid
     tables, start == goal, searches that return None (a parked goal, a held
-    start, a goal cut off by walls and so by the horizon) and expansion
-    limits that trip at an exact count. Returns the runs and a tally of the
-    kinds of case they hit.
+    start, a goal cut off by walls or by a table, ended by dominance) and
+    expansion limits that trip at an exact count, also on paths that exist.
+    Returns the runs and a tally of the kinds of case they hit.
     """
     rng = random.Random(1515)
     runs = []
@@ -343,13 +431,32 @@ def _low_level_runs():
         seen["limit"] += path == "limit"
         seen["solved"] += isinstance(path, tuple)
         runs.append((path, budget.used))
+    for _ in range(6):
+        # budgets below the length of a path that exists, so they must trip
+        dims = rng.choice(((7, 6, 3), (9, 8, 2), (10, 5, 1)))
+        grid = random_grid(rng, dims, density=0.2)
+        kind = rng.choice((AGV, UAV))
+        start, goal = rng.sample(free_cells(grid, kind), 2)
+        cost = static_bfs_cost(grid, kind, start, goal)
+        if not cost:
+            continue
+        avoid = ReservationTable(grid)
+        for cells in random_walk_paths(rng, dims, 3, 15).values():
+            avoid.reserve_path(cells)
+        limit = rng.randrange(1, cost + 1)
+        budget = Budget(limit, 1e6)
+        with pytest.raises(SearchLimitExceeded):
+            spacetime_astar(grid, kind, start, goal, budget=budget, avoid=avoid)
+        assert budget.used == limit + 1
+        seen["limit"] += 1
+        runs.append(("limit", budget.used))
     return runs, seen
 
 
-# recorded on the search with a closed set and (cell << 32 | t) state ids;
-# (runs, solved, None, limit tripped) and the sha256 of the runs' repr
-LOW_LEVEL_TALLY = (600, 404, 168, 28)
-LOW_LEVEL_DIGEST = "81c703af1e9dd000dde8787d93c4513dc02cfc3636611ce0410ce0427a1191ce"
+# recorded on the search that stops by dominance; (runs, solved, None, limit
+# tripped) and the sha256 of the runs' repr
+LOW_LEVEL_TALLY = (605, 406, 177, 22)
+LOW_LEVEL_DIGEST = "844179831b15be5c48fba58cb490bb12935251e012989a3a4366f53b5d7caa90"
 
 
 def test_low_level_answers_and_effort_are_pinned():

@@ -210,6 +210,20 @@ def _shared_start_scenario(tmp_path):
     return str(tmp_path / "s.json")
 
 
+def test_solve_goal_cut_off_by_a_parked_agent_exits_4(tmp_path, capsys, gap_floor):
+    from skyrover import Scenario, save_scenario
+
+    grid, agents = gap_floor(80)
+    write_grid(grid, tmp_path / "gap.grid")
+    save_scenario(Scenario(grid="gap.grid", agents=agents), tmp_path / "gap.json")
+    argv = ["solve", "--scenario", str(tmp_path / "gap.json"), "--alg", "astar"]
+    assert main(argv) == 4
+    assert "no solution" in capsys.readouterr().err
+    # within test_prioritized's pinned 3206 expansions, and not within one fewer
+    assert main(argv + ["--expansion-limit", "3206"]) == 4
+    assert main(argv + ["--expansion-limit", "3205"]) == 5
+
+
 def test_solve_invalid_instance_exits_2(tmp_path, capsys):
     rc = main(["solve", "--scenario", _shared_start_scenario(tmp_path), "--alg", "cbs"])
     assert rc == 2
@@ -506,6 +520,21 @@ def test_bench_produces_report(warehouse_files, tmp_path, capsys):
     assert by_alg["astar_prioritized"].success_rate == 1.0
     assert by_alg["cbs"].success_rate == 1.0
     assert 0.0 <= by_alg["online"].success_rate <= 1.0
+
+
+def test_bench_refused_report_exits_2_and_writes_no_file(warehouse_files, tmp_path, monkeypatch):
+    import skyrover.bench
+
+    def refuse(report):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(skyrover.bench, "report_to_bytes", refuse)
+    scenario_path, _ = warehouse_files
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"scenarios": [scenario_path.name]}))
+    report_path = tmp_path / "report.csv"
+    assert main(["bench", "--suite", str(suite), "--algs", "astar", "-o", str(report_path)]) == 2
+    assert not report_path.exists()
 
 
 def test_bench_failed_cell_reports_the_time_it_spent(warehouse_files):

@@ -83,6 +83,19 @@ def test_resource_limit():
     assert res.status == "resource_limit"
 
 
+# n -> ll_expansions: past the last reserved timestep each cell is expanded
+# once, so the search for agent 1 ends when the cells west of the wall are spent
+GAP_FLOOR_EXPANSIONS = {20: 206, 40: 806, 80: 3206}
+
+
+@pytest.mark.parametrize("n", list(GAP_FLOOR_EXPANSIONS))
+def test_goal_cut_off_by_a_parked_agent_is_no_solution(gap_floor, n):
+    res = solve(*gap_floor(n), PRIORITIZED)
+    assert res.status == "no_solution"
+    assert "agent 1" in res.reason
+    assert res.stats.ll_expansions == GAP_FLOOR_EXPANSIONS[n]
+
+
 # (dims, shelf rows, roster, seed) -> ((sum_of_costs, ll_expansions), sha256 of
 # the sorted paths), on the same worlds as test_cbs.PINNED_CBS
 PINNED_PRIORITIZED = {

@@ -464,6 +464,18 @@ def test_plan_bytes_roundtrip():
     assert plan_to_bytes(plan.solution, agents, plan.computation_time_s) == data
 
 
+def test_plan_of_an_agent_without_a_kind_is_refused_and_writes_no_file(tmp_path):
+    from skyrover import write_plan
+
+    sol = make_solution({0: ((0, 0, 0), (1, 0, 0)), 3: ((2, 0, 0),)})
+    path = tmp_path / "plan.json"
+    with pytest.raises(ValueError, match="agent 0 of the plan has no kind"):
+        write_plan(path, sol, [], 0.1)
+    with pytest.raises(ValueError, match="agent 3 of the plan has no kind"):
+        write_plan(path, sol, [Agent(0, AGV, (0, 0, 0), (1, 0, 0))], 0.1)
+    assert not path.exists()
+
+
 def test_waypoint_bytes_roundtrip():
     sol = make_solution({0: ((0, 0, 0), (0, 0, 0), (0, 1, 0))})
     cmds = execute_plan(sol, 1.5, 0.5, (-1.0, 0.0, 2.0))

@@ -27,6 +27,20 @@ from skyrover.voxelgrid import BLOCK_SIZE
 from oracles import pcd_binary_bytes
 
 
+def test_refused_grid_writes_no_file(tmp_path, monkeypatch):
+    import skyrover.voxelgrid
+    from skyrover import write_grid
+
+    def refuse(grid):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(skyrover.voxelgrid, "grid_to_bytes", refuse)
+    path = tmp_path / "g.grid"
+    with pytest.raises(ValueError, match="refused"):
+        write_grid(empty_grid((2, 2, 1)), path)
+    assert not path.exists()
+
+
 def _witness_check(cloud, grid):
     """Independent per-point pass for the membership invariant, both ways."""
     nx, ny, nz = grid.dims
