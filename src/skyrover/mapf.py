@@ -30,6 +30,20 @@ MOVES = {
 _LEGAL_DELTAS = frozenset(MOVES[UAV])
 
 
+def json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer; a float, a string or a bool is a ValueError naming ``what``."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_cell(value, what: str) -> tuple[int, int, int]:
+    """``value`` as a cell when it is a list of three JSON integers; otherwise a ValueError naming ``what``."""
+    if type(value) is not list or len(value) != 3 or not all(type(v) is int for v in value):
+        raise ValueError(f"{what} must be an [i, j, k] triple of integers, got {value!r}")
+    return tuple(value)
+
+
 def manhattan(a, b) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2])
 

@@ -12,7 +12,7 @@ from .errors import ParseError, UnsupportedFormatError
 from .voxelgrid import PointCloud
 
 _REQUIRED = ("FIELDS", "POINTS", "DATA")
-_TYPE_CODES = {"F": "f", "I": "i", "U": "u"}
+_TYPE_CODES = ("F", "I", "U")
 
 
 def _scan_header(data: bytes):
@@ -43,8 +43,10 @@ def parse_pcd(data: bytes) -> PointCloud:
     counted in ``cloud.dropped``.
 
     Raises:
-        ParseError: missing or inconsistent header keys, or a truncated body.
-        UnsupportedFormatError: DATA binary_compressed or an unknown DATA mode.
+        ParseError: missing, inconsistent or out-of-range header values (SIZE
+            and COUNT below 1, POINTS, WIDTH or HEIGHT below 0), an unknown
+            TYPE code or DATA mode, or a body that does not match the header.
+        UnsupportedFormatError: DATA binary_compressed or a VERSION other than 0.7.
     """
     header, body_offset = _scan_header(data)
     for key in _REQUIRED:
@@ -67,9 +69,22 @@ def parse_pcd(data: bytes) -> PointCloud:
         if len(tokens) != n_fields:
             raise ParseError(f"{key} lists {len(tokens)} entries for {n_fields} fields", offset=off)
         try:
-            return [int(t) for t in tokens], off
+            values = [int(t) for t in tokens]
         except ValueError:
             raise ParseError(f"non-integer value in {key}", offset=off) from None
+        if min(values, default=1) < 1:
+            raise ParseError(f"{key} values must be >= 1, got {' '.join(tokens)}", offset=off)
+        return values, off
+
+    def _count(key):
+        tokens, off = header[key]
+        try:
+            value = int(tokens[0])
+        except (IndexError, ValueError):
+            raise ParseError(f"{key} value is not an integer", offset=off) from None
+        if value < 0:
+            raise ParseError(f"{key} must be >= 0, got {value}", offset=off)
+        return value
 
     sizes, _ = _int_list("SIZE")
     counts, _ = _int_list("COUNT", default=1)
@@ -78,17 +93,13 @@ def parse_pcd(data: bytes) -> PointCloud:
     types, types_offset = header["TYPE"]
     if len(types) != n_fields:
         raise ParseError(f"TYPE lists {len(types)} entries for {n_fields} fields", offset=types_offset)
+    for t in types:
+        if t not in _TYPE_CODES:
+            raise ParseError(f"unknown TYPE code {t!r}", offset=types_offset)
 
-    try:
-        n_points = int(header["POINTS"][0][0])
-    except (IndexError, ValueError):
-        raise ParseError("POINTS value is not an integer", offset=header["POINTS"][1]) from None
+    n_points = _count("POINTS")
     if "WIDTH" in header and "HEIGHT" in header:
-        try:
-            w = int(header["WIDTH"][0][0])
-            h = int(header["HEIGHT"][0][0])
-        except (IndexError, ValueError):
-            raise ParseError("WIDTH/HEIGHT values are not integers", offset=header["WIDTH"][1]) from None
+        w, h = _count("WIDTH"), _count("HEIGHT")
         if w * h != n_points:
             raise ParseError(
                 f"WIDTH*HEIGHT = {w * h} disagrees with POINTS = {n_points}",
@@ -159,8 +170,6 @@ def _parse_binary_body(body: bytes, base: int, types, sizes, counts, xyz_idx, n_
     offsets = {}
     stride = 0
     for f in range(len(types)):
-        if types[f] not in _TYPE_CODES:
-            raise ParseError(f"unknown TYPE code {types[f]!r}", offset=base)
         for axis, idx in xyz_idx.items():
             if idx == f:
                 offsets[axis] = stride

@@ -48,7 +48,8 @@ def parse_pgm(
 
     Raises:
         UnsupportedFormatError: magic number is neither P2 nor P5.
-        ParseError: bad dimensions or maxval, or a short/overlong raster.
+        ParseError: bad dimensions or maxval, a short/overlong raster, or a
+            sample outside 0..maxval.
     """
     tokens, body_pos = _header_tokens(data, 4)
     magic = tokens[0][0]
@@ -83,8 +84,8 @@ def parse_pgm(
             raise ParseError(f"{len(body) - n_pixels} trailing bytes after the raster", offset=body_pos + 1 + n_pixels)
         pixels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
 
-    if (pixels > maxval).any():
-        raise ParseError(f"sample exceeds maxval {maxval}", offset=body_pos)
+    if pixels.min() < 0 or pixels.max() > maxval:  # reductions: no temporary the size of the image
+        raise ParseError(f"sample is negative or exceeds maxval {maxval}", offset=body_pos)
 
     image = pixels.reshape(height, width)  # row 0 = top of the picture
     occupancy = (image < occupied_threshold).astype(np.uint8)[::-1].reshape(-1)

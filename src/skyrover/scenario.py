@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ScenarioError
-from .mapf import Agent
+from .mapf import Agent, json_cell, json_int
 from .solvers import SolverConfig
 from .tasks import TaskScript
 from .voxelgrid import OccupancyGrid3D, empty_grid, read_grid
@@ -79,12 +79,6 @@ def _require_keys(obj: dict, allowed: set, required: set, what: str) -> None:
         raise ScenarioError(f"{what} is missing fields: {sorted(missing)}")
 
 
-def _cell(value, what: str):
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValueError(f"{what} must be an [i, j, k] triple")
-    return value
-
-
 def _parse_grid_field(value):
     if isinstance(value, str):
         return value
@@ -95,8 +89,8 @@ def _parse_grid_field(value):
         raise ScenarioError(f"inline grid spec kind must be one of {sorted(_GRID_SPEC_KEYS)}")
     _require_keys(value, _GRID_SPEC_KEYS[kind], {"kind", "dims"}, "grid spec")
     with _fields_of("grid spec"):
-        spec = {k: int(v) for k, v in value.items() if k not in ("kind", "dims")}
-        return {"kind": kind, "dims": [int(v) for v in _cell(value["dims"], "dims")], **spec}
+        spec = {k: json_int(v, k) for k, v in value.items() if k not in ("kind", "dims")}
+        return {"kind": kind, "dims": list(json_cell(value["dims"], "dims")), **spec}
 
 
 def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
@@ -111,24 +105,26 @@ def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
         with _fields_of(f"agent #{n}"):
             agents.append(
                 Agent(
-                    id=int(entry["id"]),
+                    id=json_int(entry["id"], "id"),
                     kind=entry["kind"],
-                    start=_cell(entry["start"], "start"),
-                    goal=_cell(entry["goal"], "goal"),
+                    start=json_cell(entry["start"], "start"),
+                    goal=json_cell(entry["goal"], "goal"),
                 )
             )
 
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("seed must be an integer")
+    with _fields_of("scenario"):
+        seed = json_int(payload.get("seed", 0), "seed")
 
     task = None
     if "task" in payload:
         t = payload["task"]
         _require_keys(t, _TASK_KEYS, _TASK_REQUIRED, "task")
         with _fields_of("task block"):
+            for name in ("agv_id", "uav_id", "hover_offset", "hold_steps"):
+                if name in t:
+                    json_int(t[name], name)
             for name in ("point_a", "point_b"):
-                _cell(t[name], name)
+                json_cell(t[name], name)
             task = TaskScript(**t)
 
     solver = None
@@ -136,6 +132,8 @@ def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
         s = payload["solver"]
         _require_keys(s, _SOLVER_KEYS, set(), "solver")
         with _fields_of("solver block"):
+            if "node_expansion_limit" in s:
+                json_int(s["node_expansion_limit"], "node_expansion_limit")
             solver = SolverConfig(**{k: v for k, v in s.items() if k != "rng_seed"})
 
     return Scenario(grid=grid, agents=tuple(agents), seed=seed, task=task, solver=solver, base_dir=base_dir)

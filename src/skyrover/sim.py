@@ -26,6 +26,8 @@ from .mapf import (
     Solution,
     cell_at,
     detect_conflicts,
+    json_cell,
+    json_int,
     make_solution,
     path_cost,
     step_conflicts,
@@ -431,9 +433,9 @@ def plan_from_bytes(data: bytes) -> PlanFile:
         for n, entry in enumerate(payload["agents"]):
             if not isinstance(entry, dict) or set(entry) != {"id", "kind", "path"}:
                 raise ParseError("plan agent entries must have exactly id, kind, path")
-            aid = int(entry["id"])
-            path = tuple(tuple(int(v) for v in c) for c in entry["path"])
-            if not path or any(len(c) != 3 for c in path):
+            aid = json_int(entry["id"], "id")
+            path = tuple(json_cell(c, "path cell") for c in entry["path"])
+            if not path:
                 raise ParseError(f"plan agent #{n}: path must be a non-empty list of [i, j, k] cells")
             if aid in paths:
                 raise ParseError(f"plan lists agent {aid} twice")
@@ -442,8 +444,8 @@ def plan_from_bytes(data: bytes) -> PlanFile:
         plan = PlanFile(
             paths=paths,
             kinds=kinds,
-            sum_of_costs=int(payload["sum_of_costs"]),
-            makespan=int(payload["makespan"]),
+            sum_of_costs=json_int(payload["sum_of_costs"], "sum_of_costs"),
+            makespan=json_int(payload["makespan"], "makespan"),
             computation_time_s=float(payload["computation_time_s"]),
         )
     except (TypeError, ValueError) as exc:

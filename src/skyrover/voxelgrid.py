@@ -22,6 +22,30 @@ GRID_MAGIC = b"SKYGRID1"
 DEFAULT_CELL_CAP = 2**28
 
 
+def cell_count(dims) -> int:
+    """The number of cells in a grid of ``dims``, checked before anything is allocated.
+
+    Raises ValueError when an axis is below 1 and CapacityError when the
+    count is above ``DEFAULT_CELL_CAP``. Every grid producer calls it.
+    """
+    nx, ny, nz = dims
+    if min(nx, ny, nz) < 1:
+        raise ValueError("dims must each be >= 1")
+    n_cells = nx * ny * nz
+    if n_cells > DEFAULT_CELL_CAP:
+        raise CapacityError(f"grid would hold {n_cells} cells, above the cap of {DEFAULT_CELL_CAP}")
+    return n_cells
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """Copy ``values`` once into a ``bytes`` object and return a flat read-only view of it.
+
+    The view's ``.base`` is those bytes. numpy refuses ``setflags(write=True)``
+    on an array over ``bytes``, so the copy cannot change once made.
+    """
+    return np.frombuffer(values.tobytes(), dtype=values.dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Finite (x, y, z) samples in meters.
@@ -37,13 +61,14 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if not np.isfinite(pts).all():
             raise ValueError("point cloud contains non-finite coordinates")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen(pts).reshape(-1, 3))
 
     @property
     def count(self) -> int:
         return len(self.points)
+
+    def __reduce__(self):  # a copied or unpickled cloud is built anew, read-only again
+        return PointCloud, (self.points, self.dropped)
 
     def __eq__(self, other):
         if not isinstance(other, PointCloud):
@@ -72,12 +97,10 @@ class GroundMap2D:
             raise ValueError("map dimensions must be positive")
         if not 0 < self.resolution < math.inf:
             raise ValueError("resolution must be positive and finite")
-        occ = np.ascontiguousarray(self.occupancy, dtype=np.uint8).reshape(-1)
-        if len(occ) != self.width * self.height:
+        occ = np.asarray(self.occupancy, dtype=np.uint8)
+        if occ.size != self.width * self.height:
             raise ValueError("occupancy length does not match width * height")
-        occ = occ.copy()
-        occ.setflags(write=False)
-        object.__setattr__(self, "occupancy", occ)
+        object.__setattr__(self, "occupancy", _frozen(occ))
 
     def occupied(self, x: int, y: int) -> bool:
         return bool(self.occupancy[x + self.width * y])
@@ -85,6 +108,9 @@ class GroundMap2D:
     @property
     def occupied_count(self) -> int:
         return int(self.occupancy.sum())
+
+    def __reduce__(self):  # a copied or unpickled map is built anew, read-only again
+        return GroundMap2D, (self.width, self.height, self.resolution, self.occupancy)
 
     def __eq__(self, other):
         if not isinstance(other, GroundMap2D):
@@ -98,7 +124,10 @@ class GroundMap2D:
 
 @dataclass(frozen=True, eq=False)
 class OccupancyGrid3D:
-    """Dense 0/1 voxel world used by every planner and simulator component."""
+    """Dense 0/1 voxel world used by every planner and simulator component.
+
+    ``cells`` is a read-only view of the one ``bytes`` object ``occ_bytes``.
+    """
 
     origin: tuple[float, float, float]
     resolution: float
@@ -114,17 +143,15 @@ class OccupancyGrid3D:
             raise ValueError("resolution must be positive and finite")
         if not all(math.isfinite(v) for v in origin):
             raise ValueError("origin must be finite")
-        if any(d < 1 for d in dims):
-            raise ValueError("dims must each be >= 1")
-        cells = np.ascontiguousarray(self.cells, dtype=np.uint8).reshape(-1)
-        if len(cells) != dims[0] * dims[1] * dims[2]:
+        cells = np.asarray(self.cells, dtype=np.uint8)
+        if cells.size != cell_count(dims):
             raise ValueError("cell count does not match dims")
-        cells = cells.copy()
-        cells.setflags(write=False)
+        cells = _frozen(cells)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "resolution", float(self.resolution))
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_occ", cells.base)  # read by is_occupied without a property call
 
     def index(self, i: int, j: int, k: int) -> int:
         nx, ny, _ = self.dims
@@ -135,11 +162,12 @@ class OccupancyGrid3D:
         return 0 <= i < nx and 0 <= j < ny and 0 <= k < nz
 
     def is_occupied(self, i: int, j: int, k: int) -> bool:
-        return bool(self.occ_bytes[self.index(i, j, k)])
+        return bool(self._occ[self.index(i, j, k)])
 
-    @cached_property
+    @property
     def occ_bytes(self) -> bytes:
-        return self.cells.tobytes()
+        """The cells, one byte each: the ``bytes`` object that ``cells`` views."""
+        return self._occ
 
     @cached_property
     def neighbour_lists(self) -> dict:
@@ -155,6 +183,9 @@ class OccupancyGrid3D:
     def occupied_count(self) -> int:
         return int(self.cells.sum())
 
+    def __reduce__(self):  # a copied or unpickled grid is built anew: one read-only copy again, no caches
+        return OccupancyGrid3D, (self.origin, self.resolution, self.dims, self.cells)
+
     def __eq__(self, other):
         if not isinstance(other, OccupancyGrid3D):
             return NotImplemented
@@ -167,8 +198,7 @@ class OccupancyGrid3D:
 
 
 def empty_grid(dims, origin=(0.0, 0.0, 0.0), resolution=1.0) -> OccupancyGrid3D:
-    nx, ny, nz = dims
-    return OccupancyGrid3D(origin, resolution, tuple(dims), np.zeros(nx * ny * nz, dtype=np.uint8))
+    return OccupancyGrid3D(origin, resolution, tuple(dims), np.zeros(cell_count(dims), dtype=np.uint8))
 
 
 def rasterize(
@@ -217,9 +247,7 @@ def rasterize(
         raise ValueError(f"grid extent must be finite, got {extent} cells at resolution {resolution!r}")
 
     dims = tuple(max(1, math.ceil(e)) for e in extent)
-    n_cells = dims[0] * dims[1] * dims[2]
-    if n_cells > DEFAULT_CELL_CAP:
-        raise CapacityError(f"grid would hold {n_cells} cells, above the cap of {DEFAULT_CELL_CAP}")
+    n_cells = cell_count(dims)
 
     lin = np.zeros(cloud.count, dtype=np.int64)
     inside = np.ones(cloud.count, dtype=bool)
@@ -243,10 +271,8 @@ def extrude_ground(ground: GroundMap2D, nz: int, walls: bool = False) -> Occupan
     if nz < 1:
         raise ValueError("nz must be >= 1")
     nx, ny = ground.width, ground.height
-    if nx * ny * nz > DEFAULT_CELL_CAP:
-        raise CapacityError(f"grid would hold {nx * ny * nz} cells, above the cap of {DEFAULT_CELL_CAP}")
     layers = nz if walls else 1
-    cells = np.zeros(nx * ny * nz, dtype=np.uint8)
+    cells = np.zeros(cell_count((nx, ny, nz)), dtype=np.uint8)
     for k in range(layers):
         cells[k * nx * ny : (k + 1) * nx * ny] = ground.occupancy
     return OccupancyGrid3D((0.0, 0.0, 0.0), ground.resolution, (nx, ny, nz), cells)
@@ -392,10 +418,7 @@ def grid_from_bytes(data: bytes) -> OccupancyGrid3D:
         raise ParseError(f"origin must be finite, got {fields['origin']!r}", offset=sep)
     if not 0 < resolution < math.inf:
         raise ParseError(f"resolution must be positive and finite, got {fields['resolution']!r}", offset=sep)
-    n_cells = dims[0] * dims[1] * dims[2]
-    if n_cells > DEFAULT_CELL_CAP:
-        raise CapacityError(f"grid would hold {n_cells} cells, above the cap of {DEFAULT_CELL_CAP}")
-
+    n_cells = cell_count(dims)
     cells = np.zeros(n_cells, dtype=np.uint8)
     pos = sep + 2  # absolute, so an error names the file offset of the offending varint
     filled = last_bit = 0

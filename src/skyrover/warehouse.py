@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PlacementError
 from .mapf import AGV, UAV, Agent, components
-from .voxelgrid import OccupancyGrid3D
+from .voxelgrid import OccupancyGrid3D, cell_count
 
 DEFAULT_DIMS = (80, 60, 10)
 DEFAULT_SHELF_ROWS = 12
@@ -41,13 +41,16 @@ def warehouse_grid(
     nx, ny, nz = (int(v) for v in dims)
     if min(nx, ny) < 2 * _MARGIN + _SHELF_DEPTH + 2 or nz < 1:
         raise PlacementError(f"dims {dims} are too small for a warehouse layout")
+    cell_count((nx, ny, nz))  # the cell cap, before the layout is allocated
     if shelf_rows < 1:
         raise PlacementError("shelf_rows must be >= 1")
+    if shelf_height < 1:
+        raise PlacementError("shelf_height must be >= 1")
     region = ny - 2 * _MARGIN
     pitch = region // shelf_rows
     if pitch < _SHELF_DEPTH + 2:
         raise PlacementError(f"{shelf_rows} shelf rows do not fit {ny} cells of depth")
-    height = max(1, min(shelf_height, nz))
+    height = min(shelf_height, nz)
 
     arr = np.zeros((nz, ny, nx), dtype=np.uint8)  # arr[k, j, i]
     for r in range(shelf_rows):

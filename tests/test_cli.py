@@ -303,6 +303,16 @@ def test_solve_on_a_grid_declaring_too_many_cells_exits_3(tmp_path, capsys):
     assert "above the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec", [{"kind": "empty", "dims": [100000, 100000, 100000]}, {"kind": "warehouse", "dims": [2000, 2000, 100]}]
+)
+def test_solve_on_an_inline_spec_over_the_cap_exits_3(tmp_path, capsys, spec):
+    scenario = {"grid": spec, "agents": [{"id": 0, "kind": "agv", "start": [0, 0, 0], "goal": [1, 0, 0]}]}
+    (tmp_path / "huge.json").write_text(json.dumps(scenario))
+    assert main(["solve", "--scenario", str(tmp_path / "huge.json")]) == 3
+    assert "above the cap" in capsys.readouterr().err
+
+
 def test_solve_online_exits_2(warehouse_files, capsys):
     scenario_path, _ = warehouse_files
     assert main(["solve", "--scenario", str(scenario_path), "--alg", "online"]) == 2
@@ -328,6 +338,11 @@ def test_sim_plan_is_replayed_when_the_scenario_says_online(warehouse_files, tmp
     assert "mode=precomputed-plan" in out and "success_rate=100.0%" in out
 
 
+def _retype_first_cell(plan, retype):
+    path = plan["agents"][0]["path"]
+    path[0] = [retype(v) for v in path[0]]
+
+
 BAD_PLANS = {
     "agents-not-a-list": lambda plan: plan.update(agents=5),
     "id-not-an-int": lambda plan: plan["agents"][0].update(id=[0]),
@@ -338,6 +353,13 @@ BAD_PLANS = {
     "kind-not-the-scenario's": lambda plan: plan["agents"][0].update(kind="boat"),
     "sum-of-costs-not-the-paths'": lambda plan: plan.update(sum_of_costs=1),
     "makespan-not-the-paths'": lambda plan: plan.update(makespan=plan["makespan"] + 1),
+    # integer fields take JSON integers only, even when the value would truncate or parse to the right one
+    "id-a-float": lambda plan: plan["agents"][0].update(id=plan["agents"][0]["id"] + 0.5),
+    "id-a-string": lambda plan: plan["agents"][0].update(id=str(plan["agents"][0]["id"])),
+    "cell-a-float": lambda plan: _retype_first_cell(plan, float),
+    "cell-a-string": lambda plan: _retype_first_cell(plan, str),
+    "sum-of-costs-a-float": lambda plan: plan.update(sum_of_costs=float(plan["sum_of_costs"])),
+    "makespan-a-string": lambda plan: plan.update(makespan=str(plan["makespan"])),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -119,3 +120,63 @@ def test_roundtrip_random_clouds_ascii_and_binary():
         assert np.array_equal(
             via_ascii.points.astype(np.float32), via_binary.points.astype(np.float32)
         )
+
+
+def _pcd(mode, body, **lines):
+    """A PCD file of x, y, z floats with some header lines replaced; a line set to None is left out."""
+    header = {"VERSION": "0.7", "FIELDS": "x y z", "SIZE": "4 4 4", "TYPE": "F F F", "COUNT": "1 1 1"}
+    header.update(WIDTH="1", HEIGHT="1", POINTS="1", DATA=mode)
+    header.update(lines)
+    return "".join(f"{k} {v}\n" for k, v in header.items() if v is not None).encode("ascii") + body
+
+
+_ONE_BINARY_POINT = struct.pack("<fff", 1.0, 2.0, 3.0)
+_FOUR_FIELDS = {"FIELDS": "x y z q", "SIZE": "4 4 4 4", "COUNT": "1 1 1 1"}
+
+
+# each case: the file, the error, the message, and where the error points: a
+# header line by its key, or a byte offset counted from the start of the body
+@pytest.mark.parametrize(
+    "data, error, message, at",
+    [
+        (_pcd("ascii", b"1 2\n", COUNT="-1 1 1"), ParseError, "COUNT values must be >= 1", "COUNT"),
+        (_pcd("ascii", b"2 3\n", COUNT="1 0 1"), ParseError, "COUNT values must be >= 1", "COUNT"),
+        (_pcd("binary", _ONE_BINARY_POINT, SIZE="4 4 -4"), ParseError, "SIZE values must be >= 1", "SIZE"),
+        (
+            _pcd("binary", _ONE_BINARY_POINT * 2, POINTS="-1", WIDTH=None, HEIGHT=None),
+            ParseError,
+            "POINTS must be >= 0",
+            "POINTS",
+        ),
+        (_pcd("ascii", b"1 2 3\n", WIDTH="-1", HEIGHT="-1"), ParseError, "WIDTH must be >= 0", "WIDTH"),
+        (_pcd("ascii", b"1 2 3\n", HEIGHT="-1"), ParseError, "HEIGHT must be >= 0", "HEIGHT"),
+        (_pcd("ascii", b"1 2 3\n", POINTS="one"), ParseError, "POINTS value is not an integer", "POINTS"),
+        (_pcd("ascii", b"1 2 3\n", HEIGHT="1.0"), ParseError, "HEIGHT value is not an integer", "HEIGHT"),
+        (_pcd("ascii", b"1 2 3\n", VERSION="0.6"), UnsupportedFormatError, "unsupported PCD version", "VERSION"),
+        (_pcd("ascii", b"1 2 3\n", SIZE="4 4"), ParseError, "SIZE lists 2 entries for 3 fields", "SIZE"),
+        (_pcd("ascii", b"1 2 3\n", COUNT="1 1 1 1"), ParseError, "COUNT lists 4 entries for 3 fields", "COUNT"),
+        (_pcd("ascii", b"1 2 3\n", TYPE="F F"), ParseError, "TYPE lists 2 entries for 3 fields", "TYPE"),
+        (_pcd("ascii", b"1 2 3\n", SIZE="4 four 4"), ParseError, "non-integer value in SIZE", "SIZE"),
+        (_pcd("ascii", b"1 2 3\n", COUNT="1 1 1.0"), ParseError, "non-integer value in COUNT", "COUNT"),
+        (_pcd("ascii", b"1 2 3\n", FIELDS="x y w"), ParseError, "FIELDS does not include z", "FIELDS"),
+        (_pcd("text", b"1 2 3\n"), ParseError, "unknown DATA mode 'text'", "DATA"),
+        (_pcd("ascii", b"1 2 3 4\n", TYPE="F F F X", **_FOUR_FIELDS), ParseError, "unknown TYPE code 'X'", "TYPE"),
+        (_pcd("binary", _ONE_BINARY_POINT * 2, TYPE="F F F X", **_FOUR_FIELDS), ParseError, "unknown TYPE code 'X'", "TYPE"),
+        (_pcd("ascii", b"1 2\n"), ParseError, "point 0 has 2 values, expected 3", 0),
+        (_pcd("ascii", b"1 two 3\n"), ParseError, "point 0 has a non-numeric coordinate", 0),
+        (_pcd("binary", _ONE_BINARY_POINT + b"\0\0\0\0"), ParseError, "4 trailing bytes after the last point", 12),
+    ],
+    ids=[
+        "negative-count", "zero-count", "negative-size", "negative-points", "negative-width", "negative-height",
+        "points-not-an-int", "height-not-an-int", "version", "size-length", "count-length", "type-length",
+        "size-not-an-int", "count-not-an-int", "missing-axis", "data-mode", "ascii-type-code", "binary-type-code",
+        "ascii-value-count", "ascii-non-numeric", "binary-trailing-bytes",
+    ],
+)
+def test_bad_header_and_body_values_are_errors_at_their_offset(data, error, message, at):
+    with pytest.raises(error, match=message) as info:
+        parse_pcd(data)
+    if isinstance(at, str):
+        assert info.value.offset == data.index(f"{at} ".encode("ascii"))
+    else:
+        assert info.value.offset == data.index(b"\n", data.index(b"DATA ")) + 1 + at

@@ -76,5 +76,10 @@ def test_sample_above_maxval_rejected():
         parse_pgm(pgm_p2_bytes([[200]], maxval=100))
 
 
+def test_negative_p2_sample_rejected():
+    with pytest.raises(ParseError, match="negative"):
+        parse_pgm(b"P2 2 1 255\n-5 200")
+
+
 def test_resolution_attached():
     assert parse_pgm(pgm_p5_bytes([[0]]), resolution=0.25).resolution == 0.25

@@ -210,6 +210,25 @@ def _typed_payload():
         (("solver", "time_limit"), float("inf")),
         (("solver", "node_expansion_limit"), float("inf")),
         (("solver", "node_expansion_limit"), float("nan")),
+        # integer fields take JSON integers only: no truncation, no strings, no bools
+        (("grid", "dims"), [30.9, 24, 6]),
+        (("grid", "dims"), [30, "24", 6]),
+        (("grid", "shelf_rows"), 2.0),
+        (("grid", "shelf_height"), True),
+        (("agents", 0, "id"), 0.5),
+        (("agents", 0, "id"), "0"),
+        (("agents", 0, "id"), False),
+        (("agents", 0, "start"), [1.7, 0, 0]),
+        (("agents", 1, "goal"), [3, 0, True]),
+        (("task", "agv_id"), 0.0),
+        (("task", "uav_id"), "1"),
+        (("task", "hover_offset"), 2.5),
+        (("task", "hold_steps"), True),
+        (("task", "point_b"), [5, 5.5, 0]),
+        (("seed",), "10"),
+        (("seed",), True),
+        (("solver", "node_expansion_limit"), 1000.0),
+        (("solver", "node_expansion_limit"), "10"),
     ],
 )
 def test_wrongly_typed_field_is_a_scenario_error(tmp_path, path, value):

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -14,6 +16,7 @@ from skyrover import (
     OccupancyGrid3D,
     ParseError,
     PointCloud,
+    Scenario,
     UnsupportedFormatError,
     empty_grid,
     extrude_ground,
@@ -21,6 +24,7 @@ from skyrover import (
     grid_to_bytes,
     parse_pcd,
     rasterize,
+    warehouse_grid,
 )
 from skyrover.voxelgrid import BLOCK_SIZE
 
@@ -295,6 +299,61 @@ def test_grid_equality_compares_cells_without_caching_a_copy():
     flipped[-1] ^= 1
     assert a != OccupancyGrid3D(a.origin, a.resolution, a.dims, flipped)
     assert a != OccupancyGrid3D((1.0, 0.0, 0.0), a.resolution, a.dims, a.cells)
+
+
+def test_grid_cells_are_a_view_of_occ_bytes():
+    g = OccupancyGrid3D((0, 0, 0), 1.0, (3, 2, 1), [0, 1, 0, 0, 0, 1])
+    assert type(g.occ_bytes) is bytes and g.occ_bytes is g.cells.base
+    assert g.occ_bytes == bytes([0, 1, 0, 0, 0, 1])
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin.occ_bytes is twin.cells.base
+
+
+def test_cells_points_and_occupancy_cannot_be_made_writeable():
+    grid = empty_grid((2, 2, 1))
+    cloud = PointCloud(np.array([[0.5, 0.5, 0.5]]))
+    ground = GroundMap2D(2, 1, 1.0, np.array([0, 1], dtype=np.uint8))
+    for value, name in ((grid, "cells"), (cloud, "points"), (ground, "occupancy")):
+        for twin in (value, copy.deepcopy(value), pickle.loads(pickle.dumps(value))):  # copies are built anew
+            assert twin == value
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                getattr(twin, name).setflags(write=True)
+
+
+def test_first_cell_lookup_on_a_read_grid_copies_nothing():
+    data = grid_to_bytes(warehouse_grid((128, 128, 64), shelf_rows=8))  # 1 MiB of cells
+    grid = grid_from_bytes(data)
+    tracemalloc.start()
+    try:
+        occ = grid.occ_bytes
+        occupied = grid.is_occupied(0, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(occ) == 2**20 and not occupied
+    assert peak < 2**10
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: empty_grid((100000, 100000, 100000)),
+        lambda: empty_grid((2**14, 2**14, 2)),
+        lambda: warehouse_grid((2000, 2000, 100)),
+        lambda: Scenario(grid={"kind": "empty", "dims": [2**14, 2**14, 2]}, agents=()).materialize_grid(),
+        lambda: Scenario(grid={"kind": "warehouse", "dims": [2000, 2000, 100]}, agents=()).materialize_grid(),
+    ],
+    ids=["empty-909TiB", "empty-cap+1", "warehouse-400MB", "inline-empty", "inline-warehouse"],
+)
+def test_every_grid_producer_refuses_cells_over_the_cap_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="above the cap"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(max_examples=100, deadline=None)

@@ -79,6 +79,12 @@ def test_too_many_shelf_rows_is_placement_failure():
         warehouse_grid((20, 16, 5), shelf_rows=10)
 
 
+@pytest.mark.parametrize("shelf_height", [0, -5])
+def test_shelf_height_below_one_is_placement_failure(shelf_height):
+    with pytest.raises(PlacementError, match="shelf_height must be >= 1"):
+        warehouse_grid((24, 20, 6), shelf_rows=3, shelf_height=shelf_height)
+
+
 def test_roster_parsing():
     assert parse_roster("6uav+16agv") == [(6, "uav"), (16, "agv")]
     assert parse_roster("1agv") == [(1, "agv")]
