@@ -15,8 +15,10 @@ so that tie-break is cell order. State ids stay small ints (below 2**30 on
 an 80x60x10 grid up to t = 22000). Each cell's free, in-bounds neighbours per
 agent kind, in ``MOVES`` order, are listed the first time a search expands
 the cell and kept on the grid (``OccupancyGrid3D.neighbour_lists``) for
-every later search on it. Paths go in and come out as tuples of (i, j, k)
-cells.
+every later search on it. The online path reads the same lists as (i, j, k)
+tuples from a second table per kind (``legal_moves``), keyed by the
+(i, j, k) cell itself, so a tick costs one dict subscript per agent. Paths
+go in and come out as tuples of (i, j, k) cells.
 
 The search keeps no closed set. Every step costs 1 and the heuristic is
 consistent, so pops come in nondecreasing (f, collisions) order: a state is
@@ -38,6 +40,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from heapq import heappop, heappush
+from operator import index
 
 from .errors import SearchLimitExceeded
 from .mapf import AGV, MOVES, VERTEX
@@ -198,7 +201,6 @@ class _Neighbours(dict):
         self.occ = grid.occ_bytes  # not the grid itself: the grid holds this dict
         self.moves = MOVES[kind]
         self.entries = {}
-        self.cells = {}  # cell id -> the same list as (i, j, k) tuples, filled by next_cells
 
     def __missing__(self, cid: int):
         nx, ny, nz = self.dims
@@ -216,6 +218,29 @@ class _Neighbours(dict):
         return out
 
 
+class _LegalMoves(dict):
+    """(i, j, k) cell -> the cells an agent of one kind may occupy one tick later.
+
+    Filled on first use from the same grid's ``_Neighbours`` list, so it
+    holds the grid's occupancy bytes (through that list), not the grid. A
+    cell outside the grid raises ``ValueError`` on every lookup and is never
+    stored, so an in-bounds lookup is a plain dict subscript. Coordinates
+    must be integers (numpy's included); they are stored as Python ints.
+    """
+
+    def __init__(self, nbrs: _Neighbours):
+        super().__init__()
+        self.nbrs = nbrs
+
+    def __missing__(self, cell):
+        nx, ny, nz = dims = self.nbrs.dims
+        i, j, k = key = tuple(map(index, cell))  # numpy ints are stored, and looked up, as ints
+        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+            raise ValueError(f"cell {key} is outside the grid's dims {dims}")
+        self[key] = out = tuple(entry[1:] for entry in self.nbrs[(i * ny + j) * nz + k])
+        return out
+
+
 def _neighbours(grid, kind: str) -> _Neighbours:
     lists = grid.neighbour_lists
     if kind not in lists:
@@ -223,21 +248,25 @@ def _neighbours(grid, kind: str) -> _Neighbours:
     return lists[kind]
 
 
+def legal_moves(grid, kind: str) -> _LegalMoves:
+    """The grid's table of ``next_cells`` for agents of ``kind``: subscript it with an (i, j, k) tuple.
+
+    One table per grid and kind, kept on the grid (``OccupancyGrid3D.move_tables``)."""
+    tables = grid.move_tables
+    if kind not in tables:
+        tables[kind] = _LegalMoves(_neighbours(grid, kind))
+    return tables[kind]
+
+
 def next_cells(grid, kind: str, cell) -> tuple:
     """The cells an agent of ``kind`` on ``cell`` may occupy one tick later.
 
     They are the free, in-bounds cells of its ``MOVES``, in that order and
     the wait included: the grid's cached neighbour list of ``cell``, as
-    (i, j, k) tuples.
+    (i, j, k) tuples. ``cell`` may be any (i, j, k) sequence; one outside
+    the grid raises ``ValueError``.
     """
-    nbrs = _neighbours(grid, kind)
-    _, ny, nz = grid.dims
-    i, j, k = cell
-    cid = (i * ny + j) * nz + k
-    out = nbrs.cells.get(cid)
-    if out is None:
-        nbrs.cells[cid] = out = tuple(entry[1:] for entry in nbrs[cid])
-    return out
+    return legal_moves(grid, kind)[tuple(cell)]
 
 
 def spacetime_astar(

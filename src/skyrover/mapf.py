@@ -303,7 +303,7 @@ class Solution:
 
 
 def make_solution(paths: dict) -> Solution:
-    paths = {aid: tuple(tuple(c) for c in cells) for aid, cells in paths.items()}
+    paths = {aid: tuple(map(tuple, cells)) for aid, cells in paths.items()}
     costs = {aid: path_cost(cells) for aid, cells in paths.items()}
     return Solution(
         paths=paths,

@@ -143,7 +143,8 @@ def _parse_ascii_body(body: bytes, base: int, names, counts, xyz_idx, n_points) 
         at += counts[f]
     tokens_per_row = at
 
-    rows = [r for r in body.decode("ascii", errors="replace").splitlines() if r.strip()]
+    text = body.decode("ascii", errors="replace")  # one character per byte
+    rows = [r for r in text.splitlines() if r.strip()]
     if len(rows) != n_points:
         raise ParseError(
             f"body holds {len(rows)} points but header declares {n_points}",
@@ -155,15 +156,26 @@ def _parse_ascii_body(body: bytes, base: int, names, counts, xyz_idx, n_points) 
         if len(tokens) != tokens_per_row:
             raise ParseError(
                 f"point {r} has {len(tokens)} values, expected {tokens_per_row}",
-                offset=base,
+                offset=base + _row_start(text, r),
             )
         try:
             pts[r, 0] = float(tokens[token_pos["x"]])
             pts[r, 1] = float(tokens[token_pos["y"]])
             pts[r, 2] = float(tokens[token_pos["z"]])
         except ValueError:
-            raise ParseError(f"point {r} has a non-numeric coordinate", offset=base) from None
+            raise ParseError(f"point {r} has a non-numeric coordinate", offset=base + _row_start(text, r)) from None
     return pts
+
+
+def _row_start(text: str, r: int) -> int:
+    """Where the ``r``-th non-blank line of ``text`` starts: only errors need it."""
+    starts = []
+    at = 0
+    for line in text.splitlines(keepends=True):
+        if line.strip():
+            starts.append(at)
+        at += len(line)
+    return starts[r]
 
 
 def _parse_binary_body(body: bytes, base: int, types, sizes, counts, xyz_idx, n_points) -> np.ndarray:

@@ -7,12 +7,16 @@ returned map uses a y-up convention.
 
 from __future__ import annotations
 
+import re
+from itertools import islice
+
 import numpy as np
 
 from .errors import ParseError, UnsupportedFormatError
 from .voxelgrid import GroundMap2D
 
 DEFAULT_OCCUPIED_THRESHOLD = 128
+_SAMPLE = re.compile(rb"\S+")  # a P2 sample: the same ASCII whitespace splits them as bytes.split()
 
 
 def _header_tokens(data: bytes, n_tokens: int):
@@ -35,6 +39,19 @@ def _header_tokens(data: bytes, n_tokens: int):
             tokens.append((data[pos:end], pos))
             pos = end
     return tokens, pos
+
+
+def _is_int(token: bytes) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _sample_start(data: bytes, pos: int, n: int) -> int:
+    """Where the ``n``-th whitespace-separated sample from ``pos`` starts: only errors need it."""
+    return next(islice(_SAMPLE.finditer(data, pos), n, None)).start()
 
 
 def parse_pgm(
@@ -74,7 +91,8 @@ def parse_pgm(
         try:
             pixels = np.array([int(t) for t in raw], dtype=np.int64)
         except ValueError:
-            raise ParseError("non-integer sample in raster", offset=body_pos) from None
+            n = next(n for n, t in enumerate(raw) if not _is_int(t))
+            raise ParseError("non-integer sample in raster", offset=_sample_start(data, body_pos, n)) from None
     else:
         # exactly one whitespace byte separates maxval from the raster
         body = data[body_pos + 1 :]
@@ -85,7 +103,9 @@ def parse_pgm(
         pixels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
 
     if pixels.min() < 0 or pixels.max() > maxval:  # reductions: no temporary the size of the image
-        raise ParseError(f"sample is negative or exceeds maxval {maxval}", offset=body_pos)
+        n = int(np.argmax((pixels < 0) | (pixels > maxval)))  # the first bad sample
+        at = _sample_start(data, body_pos, n) if magic == b"P2" else body_pos + 1 + n
+        raise ParseError(f"sample is negative or exceeds maxval {maxval}", offset=at)
 
     image = pixels.reshape(height, width)  # row 0 = top of the picture
     occupancy = (image < occupied_threshold).astype(np.uint8)[::-1].reshape(-1)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .astar import next_cells
+from .astar import legal_moves, next_cells
 from .errors import InvariantViolation
-from .mapf import EDGE, step_conflicts
+from .mapf import EDGE, KINDS, step_conflicts
 
 
 @dataclass(frozen=True)
@@ -31,27 +31,55 @@ class GreedyShieldedPolicy:
 
     Agents already at their goal propose wait. Ties between equally good
     moves break on the canonical move order, so steps are deterministic.
+
+    A step depends only on the agent's kind, goal and cell and on the grid,
+    so each instance keeps the steps it has proposed, keyed by (kind, goal,
+    cell), for as long as it is shown the same grid object; a view of any
+    other grid starts the cache afresh. A cell given as a list gets the step
+    of its tuple.
     """
 
     name = "greedy-shielded"
 
+    def __init__(self):
+        # the grid and its (kind, goal, cell) -> step dict, swapped as one so
+        # that a call never fills one grid's dict with another grid's steps
+        self._cache = (None, {})
+
     def propose(self, view: WorldView) -> dict:
         grid = view.grid
+        cached, steps = self._cache
+        if cached is not grid:
+            steps = {}
+            self._cache = (grid, steps)
+        cells = view.cells
         out = {}
         for agent in view.agents:
-            cell = view.cells[agent.id]
-            best_cell = cell
-            if cell != agent.goal:
-                gi, gj, gk = agent.goal
-                best = None
-                for option in next_cells(grid, agent.kind, cell):
-                    i, j, k = option
-                    d = abs(i - gi) + abs(j - gj) + abs(k - gk)
-                    if best is None or d < best:  # the first minimum in move order
-                        best = d
-                        best_cell = option
-            out[agent.id] = best_cell
+            key = (agent.kind, agent.goal, cells[agent.id])
+            try:
+                out[agent.id] = steps[key]
+            except KeyError:
+                out[agent.id] = steps[key] = _greedy_step(grid, *key)
+            except TypeError:  # an unhashable (i, j, k) list: the step of its tuple, not kept
+                out[agent.id] = _greedy_step(grid, agent.kind, agent.goal, tuple(key[2]))
         return out
+
+
+def _greedy_step(grid, kind: str, goal, cell):
+    """The legal next cell of ``cell`` nearest ``goal`` by Manhattan distance,
+    the first such in ``MOVES`` order; ``cell`` itself at the goal or with no legal move."""
+    if cell == goal:
+        return cell
+    gi, gj, gk = goal
+    best = None
+    best_cell = cell
+    for option in next_cells(grid, kind, cell):
+        i, j, k = option
+        d = abs(i - gi) + abs(j - gj) + abs(k - gk)
+        if best is None or d < best:  # the first minimum in move order
+            best = d
+            best_cell = option
+    return best_cell
 
 
 POLICIES = {GreedyShieldedPolicy.name: GreedyShieldedPolicy}
@@ -123,16 +151,29 @@ def online_policy_step(policy, view: WorldView) -> dict:
 
     A proposal equal to one of the cells ``next_cells`` lists moves the
     agent to that listed cell; anything else (an illegal cell, a value that
-    is not a cell) degrades to a wait.
+    is not a cell) degrades to a wait. Each kind's ``legal_moves`` table is
+    fetched once per call and subscripted per agent. A current cell given as an (i, j, k) list is
+    read, and shielded, as its tuple; one outside the grid raises
+    ``ValueError``.
     """
     proposals = policy.propose(view)
     grid = view.grid
+    cells = view.cells
+    tables = {kind: legal_moves(grid, kind) for kind in KINDS}
     legal = {}
     for agent in view.agents:
-        cell = view.cells[agent.id]
-        options = next_cells(grid, agent.kind, cell)
+        aid = agent.id
+        cell = cells[aid]
+        moves = tables[agent.kind]
         try:
-            legal[agent.id] = options[options.index(tuple(proposals.get(agent.id, cell)))]
+            options = moves[cell]
+        except TypeError:  # an unhashable (i, j, k) list
+            if cells is view.cells:
+                cells = dict(cells)
+            cells[aid] = cell = tuple(cell)
+            options = moves[cell]
+        try:
+            legal[aid] = options[options.index(tuple(proposals.get(aid, cell)))]
         except (TypeError, ValueError):  # not a cell, or not a legal one
-            legal[agent.id] = cell
-    return shield_moves(view.cells, legal)
+            legal[aid] = cell
+    return shield_moves(cells, legal)

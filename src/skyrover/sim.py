@@ -308,8 +308,10 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
     position at the cell center, hold set when the cell repeats the previous
     one. Emitted timestep by timestep, agents in id order, so the stream is in
     (timestamp, agent id) order. Commands on one cell share one position
-    tuple. ``cell_duration`` must be positive and finite, and so must the
-    last timestamp.
+    tuple. Rows are built as namedtuple's own ``_make`` builds them
+    (``tuple.__new__`` on the class), without a Python frame per row.
+    ``cell_duration`` must be positive and finite, and so must the last
+    timestamp.
     """
     check_cell_duration(cell_duration)
     ox, oy, oz = (float(v) for v in origin)
@@ -319,6 +321,7 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
         raise ValueError(f"cell_duration {cell_duration!r} makes the last timestamp, at step {steps - 1}, overflow")
     centres = {}  # cell -> its centre
     out = []
+    row = tuple.__new__
     for t in range(steps):
         timestamp = t * cell_duration
         for aid, cells in paths:
@@ -332,7 +335,7 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
                         oy + (j + 0.5) * resolution,
                         oz + (k + 0.5) * resolution,
                     )
-                out.append(WaypointCommand(aid, timestamp, pos, t > 0 and cell == cells[t - 1]))
+                out.append(row(WaypointCommand, (aid, timestamp, pos, t > 0 and cell == cells[t - 1])))
     return tuple(out)
 
 

@@ -175,6 +175,11 @@ class OccupancyGrid3D:
         return {}
 
     @cached_property
+    def move_tables(self) -> dict:
+        """The online path's per-grid cache: agent kind -> (i, j, k) cell -> its legal next cells, filled by ``astar``."""
+        return {}
+
+    @cached_property
     def component_labels(self) -> dict:
         """``solvers.solve``'s per-grid cache: agent kind -> its ``mapf.components`` labels."""
         return {}

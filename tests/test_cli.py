@@ -70,6 +70,23 @@ def test_gridgen_malformed_pcd_exits_2_with_offset(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+_ASCII_HEADER = b"VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\nWIDTH 3\nHEIGHT 1\nPOINTS 3\nDATA ascii\n"
+
+
+@pytest.mark.parametrize(
+    "flag, data, offset",
+    [("--pcd", _ASCII_HEADER + b"1 2 3\n7 x 9\n4 5 6\n", 102), ("--pgm", b"P2 3 1 255\n1 2 300", 15)],
+    ids=["pcd-ascii-row", "pgm-p2-sample"],
+)
+def test_gridgen_bad_row_or_sample_exits_2_at_its_offset(tmp_path, capsys, flag, data, offset):
+    capture = tmp_path / "bad.capture"
+    capture.write_bytes(data)
+    out = tmp_path / "bad.grid"
+    assert main(["gridgen", flag, str(capture), "-o", str(out)]) == 2
+    assert f"(byte offset {offset})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gridgen_capacity_exit_3(tmp_path):
     pcd = tmp_path / "big.pcd"
     pcd.write_bytes(pcd_ascii_bytes([(0, 0, 0), (4000.0, 4000.0, 4000.0)]))

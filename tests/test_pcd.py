@@ -164,13 +164,16 @@ _FOUR_FIELDS = {"FIELDS": "x y z q", "SIZE": "4 4 4 4", "COUNT": "1 1 1 1"}
         (_pcd("binary", _ONE_BINARY_POINT * 2, TYPE="F F F X", **_FOUR_FIELDS), ParseError, "unknown TYPE code 'X'", "TYPE"),
         (_pcd("ascii", b"1 2\n"), ParseError, "point 0 has 2 values, expected 3", 0),
         (_pcd("ascii", b"1 two 3\n"), ParseError, "point 0 has a non-numeric coordinate", 0),
+        (_pcd("ascii", b"1 2 3\n7 x 9\n4 5 6\n", WIDTH="3", POINTS="3"), ParseError, "point 1 has a non-numeric", 6),
+        (_pcd("ascii", b"1 2 3\r\n\r\n 7 9\r\n", WIDTH="2", POINTS="2"), ParseError, "point 1 has 2 values", 9),
         (_pcd("binary", _ONE_BINARY_POINT + b"\0\0\0\0"), ParseError, "4 trailing bytes after the last point", 12),
     ],
     ids=[
         "negative-count", "zero-count", "negative-size", "negative-points", "negative-width", "negative-height",
         "points-not-an-int", "height-not-an-int", "version", "size-length", "count-length", "type-length",
         "size-not-an-int", "count-not-an-int", "missing-axis", "data-mode", "ascii-type-code", "binary-type-code",
-        "ascii-value-count", "ascii-non-numeric", "binary-trailing-bytes",
+        "ascii-value-count", "ascii-non-numeric", "ascii-non-numeric-row-2", "ascii-value-count-after-blank-line",
+        "binary-trailing-bytes",
     ],
 )
 def test_bad_header_and_body_values_are_errors_at_their_offset(data, error, message, at):
@@ -180,3 +183,10 @@ def test_bad_header_and_body_values_are_errors_at_their_offset(data, error, mess
         assert info.value.offset == data.index(f"{at} ".encode("ascii"))
     else:
         assert info.value.offset == data.index(b"\n", data.index(b"DATA ")) + 1 + at
+
+
+def test_bad_ascii_row_is_reported_at_its_first_byte():
+    header = b"VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\nWIDTH 3\nHEIGHT 1\nPOINTS 3\nDATA ascii\n"
+    assert len(header) == 96
+    with pytest.raises(ParseError, match=r"point 1 has a non-numeric coordinate \(byte offset 102\)"):
+        parse_pcd(header + b"1 2 3\n7 x 9\n4 5 6\n")

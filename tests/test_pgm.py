@@ -81,5 +81,22 @@ def test_negative_p2_sample_rejected():
         parse_pgm(b"P2 2 1 255\n-5 200")
 
 
+@pytest.mark.parametrize(
+    "data, message, offset",
+    [
+        (b"P2 3 1 255\n1 2 300", "exceeds maxval 255", 15),
+        (b"P2 3 1 255\n1 -2 -3", "negative", 13),
+        (b"P2 3 1 255\n1\r\n\t 2.5 x", "non-integer sample", 16),
+        (b"P2 2 2 9\n0 9\n9 10\n", "exceeds maxval 9", 15),
+        (b"P5 3 1 100\n\x01\x65\xff", "exceeds maxval 100", 12),
+    ],
+    ids=["p2-over-maxval", "p2-negative", "p2-non-integer", "p2-second-row", "p5-over-maxval"],
+)
+def test_bad_sample_is_reported_at_its_first_byte(data, message, offset):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_pgm(data)
+    assert info.value.offset == offset
+
+
 def test_resolution_attached():
     assert parse_pgm(pgm_p5_bytes([[0]]), resolution=0.25).resolution == 0.25

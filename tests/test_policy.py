@@ -21,7 +21,10 @@ from skyrover import (
     shield_moves,
 )
 
-from oracles import pairwise_shield, random_instance
+from skyrover.mapf import MOVES
+from skyrover.warehouse import warehouse_grid
+
+from oracles import free_cells, pairwise_shield, random_grid, random_instance
 
 
 def _step(grid, agents, cells):
@@ -247,6 +250,85 @@ def test_foreign_proposals_are_stored_as_grid_cells(proposal, move):
     # and the next tick starts from it
     after = online_policy_step(GreedyShieldedPolicy(), WorldView(grid, (agent,), moves))
     assert manhattan(after[0], agent.goal) == manhattan(move, agent.goal) - 1
+
+
+def test_cells_given_as_lists_step_like_their_tuples():
+    rng = random.Random(41)
+    for _ in range(50):
+        grid, agents = random_instance(rng, (6, 6, 3), 5, density=0.2)
+        at = {a.id: a.start for a in agents}
+        as_lists = {aid: list(cell) for aid, cell in at.items()}
+        for policy in (GreedyShieldedPolicy(), _FixedPolicy({a.id: rng.choice(free_cells(grid)) for a in agents})):
+            want = online_policy_step(policy, WorldView(grid, agents, at))
+            got = online_policy_step(policy, WorldView(grid, agents, dict(as_lists)))
+            assert got == want
+            assert all(type(cell) is tuple for cell in got.values())
+        assert GreedyShieldedPolicy().propose(WorldView(grid, agents, as_lists)) == GreedyShieldedPolicy().propose(
+            WorldView(grid, agents, at)
+        )
+
+
+def test_a_current_cell_outside_the_grid_raises():
+    grid = empty_grid((4, 3, 2))
+    agent = Agent(0, UAV, (0, 0, 0), (3, 2, 1))
+    for cell in ((0, 3, 0), [0, 0, -1]):
+        view = WorldView(grid, (agent,), {0: cell})
+        for policy in (GreedyShieldedPolicy(), _FixedPolicy({})):
+            with pytest.raises(ValueError, match="outside the grid"):
+                online_policy_step(policy, view)
+
+
+def _legal(grid, kind, cell):
+    i, j, k = cell
+    options = [(i + dx, j + dy, k + dz) for dx, dy, dz in MOVES[kind]]
+    return [c for c in options if grid.in_bounds(*c) and not grid.is_occupied(*c)]
+
+
+def _greedy_reference(grid, agent, cell):
+    """The uncached rule: wait at the goal, else the first legal move in ``MOVES`` order nearest the goal."""
+    if cell == agent.goal:
+        return cell
+    options = _legal(grid, agent.kind, cell)
+    return min(options, key=lambda c: manhattan(c, agent.goal), default=cell)  # min keeps the first minimum
+
+
+def test_cached_greedy_steps_equal_the_uncached_rule():
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(40):
+        grid = random_grid(rng, (6, 5, 3), density=rng.choice((0.2, 0.5, 0.7)))
+        policy = GreedyShieldedPolicy()  # one instance per grid: later views hit its cache
+        for _ in range(10):
+            agents, cells = [], {}
+            for aid in range(8):
+                kind = rng.choice((UAV, AGV))
+                spots = free_cells(grid, kind)
+                if not spots:
+                    continue
+                goal = rng.choice(spots)
+                agents.append(Agent(aid, kind, rng.choice(spots), goal))
+                cells[aid] = goal if rng.random() < 0.2 else rng.choice(spots)
+            want = {a.id: _greedy_reference(grid, a, cells[a.id]) for a in agents}
+            assert policy.propose(WorldView(grid, tuple(agents), cells)) == want
+            for a in agents:
+                seen["at goal"] += cells[a.id] == a.goal
+                seen["boxed in"] += cells[a.id] != a.goal and _legal(grid, a.kind, cells[a.id]) == [cells[a.id]]
+    assert seen["at goal"] >= 100 and seen["boxed in"] >= 100, seen  # obstacles leave them only the wait
+
+
+def test_greedy_policy_reused_on_another_grid_proposes_like_a_fresh_one():
+    shelved = [warehouse_grid((24, 30, 4), shelf_rows=rows) for rows in (2, 4)]
+    assert shelved[0].dims == shelved[1].dims and shelved[0].occ_bytes != shelved[1].occ_bytes
+    spots = sorted(set(free_cells(shelved[0], AGV)) & set(free_cells(shelved[1], AGV)))
+    rng = random.Random(3)
+    agents = tuple(Agent(aid, AGV, cell, rng.choice(spots)) for aid, cell in enumerate(rng.sample(spots, 40)))
+    cells = {a.id: a.start for a in agents}
+    views = [WorldView(grid, agents, cells) for grid in shelved]
+    fresh = [GreedyShieldedPolicy().propose(view) for view in views]
+    assert fresh[0] != fresh[1]  # the shelves change some steps
+    reused = GreedyShieldedPolicy()
+    for view, want in zip(views + views, fresh + fresh):
+        assert reused.propose(view) == want
 
 
 def test_unknown_policy_rejected():

@@ -441,6 +441,21 @@ def test_ragged_plan_stream_is_pinned():
     assert digest == "548267e9dcbc206ba8fe8461af404acf51380499ff1fda51357dfaf07b09d820"
 
 
+def test_rows_are_waypoint_commands_on_paths_of_unequal_length():
+    sol = make_solution({1: [[2, 2, 0]], 0: [[0, 0, 0], [1, 0, 0], [1, 0, 0]]})
+    assert sol.paths == {0: ((0, 0, 0), (1, 0, 0), (1, 0, 0)), 1: ((2, 2, 0),)}
+    cmds = execute_plan(sol, 1.0, 1.0, (0.0, 0.0, 0.0))
+    assert all(type(c) is WaypointCommand for c in cmds)
+    assert [c._asdict() for c in cmds] == [
+        {"agent_id": 0, "timestamp": 0.0, "position": (0.5, 0.5, 0.5), "hold": False},
+        {"agent_id": 1, "timestamp": 0.0, "position": (2.5, 2.5, 0.5), "hold": False},
+        {"agent_id": 0, "timestamp": 1.0, "position": (1.5, 0.5, 0.5), "hold": False},
+        {"agent_id": 0, "timestamp": 2.0, "position": (1.5, 0.5, 0.5), "hold": True},
+    ]
+    assert cmds[3].position is cmds[2].position
+    assert cmds == tuple(WaypointCommand(*c) for c in cmds)
+
+
 def test_empty_plan_gives_an_empty_stream():
     cmds = execute_plan(make_solution({}), 1.0, 1.0, (0.0, 0.0, 0.0))
     assert cmds == ()
