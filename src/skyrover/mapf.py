@@ -220,16 +220,18 @@ def detect_conflicts(paths: dict) -> list[Conflict]:
     Paths are a mapping agent id -> cell sequence. Agents whose path has
     ended are treated as parked on their final cell. The scan runs through
     the longest path; output is sorted by (time, lower agent id, vertex
-    before edge).
+    before edge). Each path is padded to that length once, so a timestep's
+    joint position is one row of the zipped paths.
     """
     ids = sorted(paths)
     if len(ids) < 2:
         return []
-    t_end = max(len(paths[a]) - 1 for a in ids)
+    horizon = max(len(paths[a]) for a in ids)
     out = []
     prev = {a: paths[a][0] for a in ids}
-    for t in range(t_end + 1):
-        cur = {a: cell_at(paths[a], t) for a in ids}
+    padded = [list(cells) + [cells[-1]] * (horizon - len(cells)) for cells in (paths[a] for a in ids)]
+    for t, row in enumerate(zip(*padded)):
+        cur = dict(zip(ids, row))
         out.extend(step_conflicts(prev, cur, t))
         prev = cur
     out.sort(key=lambda c: c.sort_key)

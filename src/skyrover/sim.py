@@ -94,6 +94,7 @@ class Simulator:
         self._config = None
         self._agents = ()
         self._solution = None
+        self._arrivals = None
         self._stats = None
         self._policy = None
         self._computation_time = 0.0
@@ -122,6 +123,7 @@ class Simulator:
         self._config = config
         self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
         self._solution = None
+        self._arrivals = None
         self._stats = None
         self._policy = None
         self._computation_time = 0.0
@@ -148,6 +150,7 @@ class Simulator:
                     raise ScenarioError(f"supplied plan fails validation: {detail}")
                 raise InvariantViolation(f"solver produced an invalid solution: {detail}")
             self._solution = solution
+            self._arrivals = {aid: path_cost(cells) for aid, cells in solution.paths.items()}
             mode = PRECOMPUTED_MODE
         return self._rewind(mode)
 
@@ -158,14 +161,11 @@ class Simulator:
         return self.state
 
     def _statuses(self, cells, tick, mode) -> dict:
-        status = {}
-        for a in self._agents:
-            if mode == PRECOMPUTED_MODE:
-                arrived = tick >= path_cost(self._solution.paths[a.id])
-            else:
-                arrived = cells[a.id] == a.goal
-            status[a.id] = AT_GOAL if arrived else EN_ROUTE
-        return status
+        """At goal from a replayed path's arrival tick (worked out once, in init); online, while on the goal."""
+        if mode == PRECOMPUTED_MODE:
+            arrivals = self._arrivals
+            return {a.id: AT_GOAL if tick >= arrivals[a.id] else EN_ROUTE for a in self._agents}
+        return {a.id: AT_GOAL if cells[a.id] == a.goal else EN_ROUTE for a in self._agents}
 
     @property
     def state(self) -> SimState:

@@ -18,7 +18,7 @@ from skyrover import (
     validate_agents,
     validate_solution,
 )
-from skyrover.mapf import components
+from skyrover.mapf import cell_at, components
 
 from oracles import brute_force_conflicts, free_cells, random_grid, random_walk_paths, static_bfs_cost
 
@@ -95,6 +95,37 @@ def test_brute_force_agreement_property(seed, n):
     rng = random.Random(seed)
     paths = random_walk_paths(rng, (4, 4, 2), n, 9)
     assert _normalize(detect_conflicts(paths)) == brute_force_conflicts(paths)
+
+
+def _detect_conflicts_per_tick(paths):
+    """The scan as a lookup per agent per tick: ``cell_at`` builds each timestep's joint position."""
+    ids = sorted(paths)
+    if len(ids) < 2:
+        return []
+    out = []
+    prev = {a: paths[a][0] for a in ids}
+    for t in range(max(len(paths[a]) for a in ids)):
+        cur = {a: cell_at(paths[a], t) for a in ids}
+        out.extend(step_conflicts(prev, cur, t))
+        prev = cur
+    out.sort(key=lambda c: c.sort_key)
+    return out
+
+
+def test_padded_scan_equals_the_per_tick_lookup_with_ended_agents():
+    rng = random.Random(5)
+    seen = {"vertex": 0, "edge": 0, "ended": 0}
+    for _ in range(300):
+        # up to eight walkers of unequal length on a 2x3 floor, sparse ids, tuple or list paths
+        walks = random_walk_paths(rng, (2, 3, 1), rng.randrange(1, 9), 12)
+        ids = rng.sample(range(50), len(walks))
+        paths = {aid: (list(p) if rng.random() < 0.3 else p) for aid, p in zip(ids, walks.values())}
+        want = _detect_conflicts_per_tick(paths)
+        assert detect_conflicts(paths) == want, paths
+        for c in want:
+            seen[c.kind] += 1
+            seen["ended"] += any(c.time >= len(paths[a]) for a in c.agents)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_step_conflicts_matches_brute_force_on_crowded_steps():

@@ -1,11 +1,14 @@
 import json
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import skyrover.policy
 from skyrover import (
     AGV,
     UAV,
@@ -13,8 +16,12 @@ from skyrover import (
     GreedyShieldedPolicy,
     InvariantViolation,
     OccupancyGrid3D,
+    Scenario,
+    Simulator,
+    SolverConfig,
     WorldView,
     empty_grid,
+    generate_warehouse,
     get_policy,
     manhattan,
     online_policy_step,
@@ -201,6 +208,136 @@ def test_shield_matches_pairwise_reference_at_fleet_density():
         else:
             seen["downgrades"] += sum(1 for a in proposals if want[a] != proposals[a])
     assert seen["downgrades"] >= 5000 and seen["raised"] >= 20, seen
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts the conflict scans ``shield_moves`` makes: a call it answers from its memo makes none."""
+    count = [0]
+    scan = skyrover.policy.step_conflicts
+
+    def counted(*args):
+        count[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(skyrover.policy, "step_conflicts", counted)
+    return count
+
+
+def _downgrading_move():
+    """A joint move the shield changes: 0 and 1 contend for (1, 0, 0), 2 swaps with 3."""
+    cells = {0: (0, 0, 0), 1: (2, 0, 0), 2: (0, 2, 0), 3: (1, 2, 0), 4: (2, 2, 0)}
+    proposals = {0: (1, 0, 0), 1: (1, 0, 0), 2: (1, 2, 0), 3: (0, 2, 0), 4: (2, 1, 0)}
+    return cells, proposals
+
+
+def test_stalled_online_runs_equal_a_shield_without_memo(monkeypatch, scans):
+    hits = 0
+    memoized = skyrover.policy.shield_moves
+
+    def shield(cells, proposals):
+        nonlocal hits
+        before = scans[0]
+        out = memoized(cells, proposals)
+        hits += scans[0] == before
+        return out
+
+    def run(grid, agents):
+        sim = Simulator()
+        sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+        return sim.run().states
+
+    stalls = 0
+    for seed in (1, 2, 3):
+        grid, agents = generate_warehouse((24, 20, 4), 3, "4uav+12agv", seed=seed)
+        monkeypatch.setattr(skyrover.policy, "shield_moves", shield)
+        got = run(grid, agents)
+        monkeypatch.setattr(skyrover.policy, "shield_moves", pairwise_shield)
+        assert got == run(grid, agents)
+        stalls += sum(a.cells == b.cells for a, b in zip(got, got[1:]))
+    assert stalls >= 300 and hits >= 300, (stalls, hits)  # most ticks of these runs stall
+
+
+def test_a_repeated_shield_call_returns_a_new_equal_dict(scans):
+    cells, proposals = _downgrading_move()
+    first = shield_moves(cells, proposals)
+    assert first == pairwise_shield(cells, proposals) != proposals
+    before = scans[0]
+    again = shield_moves(dict(cells), dict(proposals))
+    assert scans[0] == before  # answered from the memo
+    assert again == first and again is not first
+    again[0] = again[1] = (9, 9, 9)
+    assert shield_moves(cells, proposals) == first  # a caller's edit does not reach the next answer
+    proposals[1] = (2, 1, 0)  # now 1 enters and 4 waits; the memo holds copies, so it sees the change
+    assert shield_moves(cells, proposals) == pairwise_shield(cells, proposals) != first
+
+
+def test_a_repeated_shield_call_keeps_the_callers_key_order(scans):
+    cells, proposals = _downgrading_move()
+    shield_moves(cells, proposals)
+    before = scans[0]
+    reordered = dict(reversed(proposals.items()))
+    got = shield_moves(cells, reordered)
+    assert scans[0] == before
+    assert list(got) == list(reordered) and got == pairwise_shield(cells, proposals)
+
+
+def test_a_colliding_move_raises_on_every_repeat(scans):
+    cells = {0: (0, 0, 0), 1: (0, 0, 0), 2: (1, 0, 0)}
+    proposals = {0: (0, 0, 0), 1: (0, 0, 0), 2: (2, 0, 0)}
+    for _ in range(3):
+        before = scans[0]
+        with pytest.raises(InvariantViolation, match="already share cell"):
+            shield_moves(cells, proposals)
+        assert scans[0] > before  # computed each time
+
+
+def test_alternating_shield_calls_are_each_answered():
+    rng = random.Random(19)
+    pairs = []
+    while len(pairs) < 2:
+        cells, proposals = _dense_joint_move(rng)
+        want = _outcome(pairwise_shield, cells, proposals)
+        if not isinstance(want, tuple) and want != proposals:
+            pairs.append((cells, proposals, want))
+    for _ in range(5):
+        for cells, proposals, want in pairs:
+            assert shield_moves(cells, proposals) == want
+
+
+def test_threads_sharing_the_memo_each_get_their_own_answers():
+    """Six threads, switching every microsecond, interleave two inputs with different answers through one memo."""
+    cells, proposals = _downgrading_move()
+    other = proposals | {1: (2, 1, 0)}  # 1 enters and 4 waits instead
+    inputs = [(cells, p, pairwise_shield(cells, p)) for p in (proposals, other)]
+    assert inputs[0][2] != inputs[1][2]
+    wrong = []
+
+    def drive(offset):
+        for n in range(offset, offset + 3000):
+            cells, proposals, want = inputs[n // 50 % 2]  # runs of hits, with the other threads' misses between
+            if shield_moves(cells, proposals) != want:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=drive, args=(offset,)) for offset in range(0, 60, 10)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def test_an_unhashable_proposal_fails_as_without_the_memo():
+    cells, proposals = _downgrading_move()
+    shield_moves(cells, proposals)
+    with pytest.raises(TypeError, match="unhashable"):  # == on an array cannot say, so it is computed
+        shield_moves(cells, proposals | {0: np.array([1, 0, 0])})
 
 
 class _FixedPolicy:

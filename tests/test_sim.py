@@ -63,6 +63,19 @@ def test_init_keeps_the_solver_stats():
     assert sim.computation_time == sim.stats.wall_time > 0
 
 
+def test_replayed_status_follows_each_paths_arrival_tick():
+    """An agent that passes its goal and comes back is at goal only from its arrival tick."""
+    sc = _scenario((3, 2, 1), [Agent(0, AGV, (0, 0, 0), (1, 0, 0)), Agent(1, AGV, (2, 1, 0), (2, 1, 0))])
+    sim = Simulator()
+    detour = make_solution({0: ((0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 0, 0)), 1: ((2, 1, 0),)})
+    sim.init(sc, solution=detour)
+    record = sim.run()
+    assert [s.status[0] for s in record.states] == ["en-route", "en-route", "en-route", AT_GOAL]
+    assert all(s.status[1] == AT_GOAL for s in record.states)
+    sim.init(sc, solution=make_solution({0: ((0, 0, 0), (1, 0, 0)), 1: ((2, 1, 0),)}))
+    assert sim.step().status == {0: AT_GOAL, 1: AT_GOAL}  # a new plan's arrivals, not the last one's
+
+
 def test_init_trivial_start_equals_goal():
     sc = _scenario((3, 3, 1), [Agent(0, AGV, (1, 1, 0), (1, 1, 0))])
     sim = Simulator()
