@@ -68,29 +68,50 @@ def components(grid, kind: str) -> np.ndarray:
     """Static reachability: a label per flat cell index of the grid.
 
     Two free cells share a label exactly when an agent of ``kind`` can move
-    between them; obstacles, and for AGVs every cell above layer 0, get -1.
-    Labels spread to free face neighbours and jump along the cells they name.
-    AGVs are labelled on the ground slice alone, whose flat indices are the
-    grid's own.
+    between them, and the label is the smallest flat index in their component;
+    obstacles, and for AGVs every cell above layer 0, get -1 (dtype int64).
+    Free cells form runs along i; runs that overlap across a j row or a k
+    layer are joined by min-hooking and pointer jumping, so each run takes the
+    first cell of its component's lowest run. AGVs are labelled on the ground
+    slice alone, whose flat indices are the grid's own.
     """
     free = grid.cells.reshape(grid.dims[::-1]) == 0
     if kind == AGV:
         free = free[:1]
-    out = np.arange(len(grid.cells))
-    out[free.size :] = -1
-    flat = out[: free.size]
-    labels = flat.reshape(free.shape)
-    labels[~free] = free.size
-    while True:
-        before = flat.copy()
-        for axis in range(3):
-            v, m = np.swapaxes(labels, 0, axis), np.swapaxes(free, 0, axis)
-            np.minimum(v[1:], v[:-1], out=v[1:], where=m[1:])
-            np.minimum(v[:-1], v[1:], out=v[:-1], where=m[:-1])
-        labels[free] = flat[labels[free]]
-        if np.array_equal(flat, before):
-            labels[~free] = -1
-            return out
+    out = np.full(len(grid.cells), -1)
+    run = out[: free.size]  # per free cell: its run's number, in flat order
+    first = _run_firsts(free)
+    np.cumsum(first, out=run)
+    run -= 1
+    starts = np.flatnonzero(first)
+    ny, nx = free.shape[1:]
+    edges = []
+    for axis, step in ((1, nx), (0, nx * ny)):  # an edge per overlap segment of neighbouring rows, then layers
+        lo, hi = (slice(None),) * axis + (slice(-1),), (slice(None),) * axis + (slice(1, None),)
+        both = np.zeros_like(free)
+        both[lo] = free[lo] & free[hi]
+        seg = np.flatnonzero(_run_firsts(both))
+        edges.append(run[np.stack((seg, seg + step))])
+    a, b = np.concatenate(edges, axis=1)
+    root = np.arange(len(starts))
+    while len(a):
+        np.minimum.at(root, a, b)
+        np.minimum.at(root, b, a)
+        while not np.array_equal(up := root[root], root):
+            root = up
+        a, b = root[a], root[b]
+        a, b = a[a != b], b[a != b]
+    mask = free.ravel()
+    run[mask] = starts[root[run[mask]]]
+    run[~mask] = -1
+    return out
+
+
+def _run_firsts(mask) -> np.ndarray:
+    """The cells of ``mask`` whose i-predecessor is not in it: the first cell of each run along i."""
+    first = mask.copy()
+    first[..., 1:] &= ~mask[..., :-1]
+    return first
 
 
 def validate_agents(grid, agents) -> list[str]:

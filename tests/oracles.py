@@ -42,6 +42,31 @@ def static_bfs_cost(grid, kind, start, goal):
     return None
 
 
+def flood_fill_labels(grid, kind):
+    """Reachability labels by BFS flood fill: a component's smallest flat index, -1 elsewhere.
+
+    Cells are seeded in flat order, so each fill starts from the smallest flat
+    index of its component; cells an agent of ``kind`` cannot stand on get -1.
+    """
+    nx, ny, nz = grid.dims
+    moves = [m for m in MOVES[kind] if m != (0, 0, 0)]
+    labels = [-1] * (nx * ny * nz)
+    for seed in free_cells(grid, kind):
+        label = grid.index(*seed)
+        if labels[label] != -1:
+            continue
+        labels[label] = label
+        queue = deque([seed])
+        while queue:
+            i, j, k = queue.popleft()
+            for dx, dy, dz in moves:
+                n = (i + dx, j + dy, k + dz)
+                if grid.in_bounds(*n) and not grid.is_occupied(*n) and labels[grid.index(*n)] == -1:
+                    labels[grid.index(*n)] = label
+                    queue.append(n)
+    return labels
+
+
 def brute_force_conflicts(paths, horizon=None):
     """All vertex/edge conflicts by pairwise scan; canonical tuples.
 

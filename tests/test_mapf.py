@@ -20,7 +20,14 @@ from skyrover import (
 )
 from skyrover.mapf import cell_at, components
 
-from oracles import brute_force_conflicts, free_cells, random_grid, random_walk_paths, static_bfs_cost
+from oracles import (
+    brute_force_conflicts,
+    flood_fill_labels,
+    free_cells,
+    random_grid,
+    random_walk_paths,
+    static_bfs_cost,
+)
 
 
 def _normalize(conflicts):
@@ -323,3 +330,76 @@ def test_components_follow_a_serpentine_corridor(kind):
     labels = components(cut, kind)
     assert len(set(labels[labels >= 0].tolist())) == 2
     _assert_components_match_bfs(cut, kind, [ends, ((0, 0, 0), (n // 2 - 1, n // 2, 0))])
+
+
+def _assert_labels_are_the_flood_fill(grid, kind):
+    labels = components(grid, kind)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == flood_fill_labels(grid, kind), (grid.dims, kind)
+    return len(set(labels[labels >= 0].tolist()))
+
+
+def test_components_equal_the_flood_fill_labels_on_random_grids():
+    rng = random.Random(21)
+    grids = []
+    for n in range(240):
+        dims = [rng.randint(1, 11) for _ in range(3)]
+        if n % 3 == 0:
+            dims[rng.randrange(3)] = 1
+        grids.append(random_grid(rng, tuple(dims), rng.uniform(0.0, 0.7)))
+    for dims in ((1, 1, 1), (11, 1, 1), (1, 11, 1), (1, 1, 11), (7, 5, 3)):
+        grids.append(random_grid(rng, dims, 0.0))
+        grids.append(random_grid(rng, dims, 1.0))
+    for grid in grids:
+        for kind in (UAV, AGV):
+            _assert_labels_are_the_flood_fill(grid, kind)
+
+
+def _spiral(n, cut=None):
+    """n x n one-cell corridor spiralling inwards from the corner; ``cut`` blocks one of its cells."""
+    arr = np.ones((n, n), dtype=np.uint8)  # [j, i]
+    i = j = 0
+    di, dj = 1, 0
+    arr[0, 0] = 0
+    while True:
+        for di, dj in ((di, dj), (-dj, di)):  # straight on, else turn clockwise
+            if 0 <= i + 2 * di < n and 0 <= j + 2 * dj < n and arr[j + 2 * dj, i + 2 * di]:
+                break
+        else:
+            break
+        arr[j + dj, i + di] = arr[j + 2 * dj, i + 2 * di] = 0
+        i, j = i + 2 * di, j + 2 * dj
+    if cut is not None:
+        arr[cut[1], cut[0]] = 1
+    return OccupancyGrid3D((0, 0, 0), 1.0, (n, n, 1), arr.reshape(-1))
+
+
+def _shaft_world(nx=9, ny=7, nz=7):
+    """Free rooms on even layers, solid slabs between them, one shaft through each slab.
+
+    A wall splits the ground room in two and the lowest shaft rises from one
+    half only, so the other half is a component of its own for both kinds.
+    """
+    arr = np.zeros((nz, ny, nx), dtype=np.uint8)  # [k, j, i]
+    arr[1::2] = 1
+    for k in range(1, nz, 2):
+        arr[k, (ny - 1) * (k // 2 % 2), (nx - 1) * (k // 2 % 2)] = 0
+    arr[0, :, nx // 2] = 1
+    return OccupancyGrid3D((0, 0, 0), 1.0, (nx, ny, nz), arr.reshape(-1))
+
+
+def _along_j(grid):
+    """A one-layer square ``grid`` mirrored across its diagonal, so corridors along i run along j."""
+    n = grid.dims[0]
+    return OccupancyGrid3D((0, 0, 0), 1.0, grid.dims, grid.cells.reshape(n, n).T.reshape(-1))
+
+
+@pytest.mark.parametrize("kind", [UAV, AGV])
+def test_components_are_exact_on_adversarial_shapes(kind):
+    n = 61
+    # every run along i of the mirrored serpentine is a single cell
+    assert _assert_labels_are_the_flood_fill(_along_j(_serpentine(n)), kind) == 1
+    assert _assert_labels_are_the_flood_fill(_along_j(_serpentine(n, cut=(n // 2, n // 2, 0))), kind) == 2
+    assert _assert_labels_are_the_flood_fill(_spiral(n), kind) == 1
+    assert _assert_labels_are_the_flood_fill(_spiral(n, cut=(n // 2, 0, 0)), kind) == 2
+    assert _assert_labels_are_the_flood_fill(_shaft_world(), kind) == 2
