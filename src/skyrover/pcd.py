@@ -130,8 +130,8 @@ def parse_pcd(data: bytes) -> PointCloud:
     else:
         pts = _parse_binary_body(data[body_offset:], body_offset, types, sizes, counts, xyz_idx, n_points)
 
-    finite = np.isfinite(pts).all(axis=1)
-    return PointCloud(points=pts[finite], dropped=int(len(pts) - finite.sum()))
+    finite = np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1]) & np.isfinite(pts[:, 2])  # not a reduction over rows of 3
+    return PointCloud(pts if finite.all() else pts.compress(finite, axis=0), dropped=int(len(pts) - finite.sum()))
 
 
 def _parse_ascii_body(body: bytes, base: int, names, counts, xyz_idx, n_points) -> np.ndarray:

@@ -221,7 +221,8 @@ def rasterize(
 
     When ``bounds`` is omitted they default to the cloud's axis-aligned
     bounding box grown by ``padding`` cells on every face. Non-finite bounds,
-    or a box too many cells wide for a float, raise ``ValueError``.
+    or a box too many cells wide for a float, raise ``ValueError``. A zero minimum takes the
+    sign of its axis's last zero in point order, which the header's origin shows at ``padding=0``.
     """
     if not 0 < resolution < math.inf:
         raise ValueError("resolution must be positive and finite")
@@ -235,8 +236,10 @@ def rasterize(
             pad = padding * resolution
         except OverflowError:  # an int padding past the largest float
             pad = math.inf
-        # reduced row by row: with padding 0, the sign of a zero minimum reaches the header's origin
-        mins = cloud.points.min(axis=0) - pad
+        mins = cols.min(axis=1)
+        for a in np.flatnonzero(mins == 0):  # with padding 0, the sign of a zero minimum reaches the header
+            mins[a] = cols[a][cols[a] == 0][-1]
+        mins -= pad
         maxs = cols.max(axis=1) + pad  # the sign of a zero maximum never shows
     else:
         mins = np.asarray(bounds[0], dtype=np.float64)
@@ -285,29 +288,29 @@ def extrude_ground(ground: GroundMap2D, nz: int, walls: bool = False) -> Occupan
 
 # --- SKYGRID1 serialization -------------------------------------------------
 
-# The codec works in numpy blocks: the writer BLOCK_SIZE cells at a time, the
-# reader BLOCK_SIZE payload bytes. Either way a block holds at most BLOCK_SIZE
-# runs, which bounds every temporary, so peak memory stays that of the cells
-# and the file bytes.
+# The codec works in numpy blocks: the writer BLOCK_SIZE cells at a time, the reader BLOCK_SIZE
+# payload bytes. A block holds at most BLOCK_SIZE runs, and the reader's run fill at most the
+# cells they cover, so peak memory stays the cells, the file bytes and one copy of the cells.
 BLOCK_SIZE = 2**15
 _FAST_VARINT_BYTES = 9  # 63 bits: the longest varint decoded in int64
 _INT64_MAX = 2**63 - 1
+_VARINT_FLOORS = 1 << 7 * np.arange(1, _FAST_VARINT_BYTES, dtype=np.int64)  # the least value of 2, 3, ... 9 bytes
 
 
 def _encode_uvarints(values: np.ndarray) -> bytes:
     """LEB128 bytes of the non-negative int64 ``values``, back to back."""
-    sizes = np.ones(len(values), dtype=np.int64)
-    rest = values >> 7
-    while rest.any():
-        sizes += rest > 0
-        rest >>= 7
-    ends = np.cumsum(sizes)
-    out = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint8)
-    at, rest, left = ends - sizes, values, sizes
-    while len(at):  # byte p of every varint still longer than p bytes
-        more = left > 1
-        out[at] = (rest & 0x7F) | (0x80 * more)
-        at, rest, left = at[more] + 1, rest[more] >> 7, left[more] - 1
+    multi = np.flatnonzero(values > 0x7F)  # the varints with bytes past their first
+    tails = np.searchsorted(_VARINT_FLOORS, values[multi], side="right")  # how many bytes past the first
+    heads = multi + np.cumsum(tails) - tails  # where each one's first byte lands
+    p = np.arange(1, tails.max(initial=0) + 1)
+    within = p <= tails[:, None]
+    at = (heads[:, None] + p)[within]  # where each one's byte p lands
+    out = np.empty(len(values) + len(at), dtype=np.uint8)
+    out[at] = ((values[multi, None] >> 7 * p) & 0x7F | 0x80 * (p < tails[:, None]))[within]
+    first = np.ones(len(out), dtype=bool)  # every byte outside a tail is a first byte
+    first[at] = False
+    out[first] = values.astype(np.uint8) & 0x7F
+    out[heads] |= 0x80
     return out.tobytes()
 
 
@@ -384,7 +387,10 @@ def _write_block(flat: np.ndarray, first: int, run_start: int) -> tuple[int, byt
 
 
 def grid_from_bytes(data: bytes) -> OccupancyGrid3D:
-    """Parse a SKYGRID1 file. Inverse of :func:`grid_to_bytes`, bit for bit."""
+    """Parse a SKYGRID1 file. Inverse of :func:`grid_to_bytes`, bit for bit.
+
+    Each payload block's runs fill their cells by one ``np.repeat``, a temporary no larger than those cells.
+    """
     sep = data.find(b"\n\n")
     if sep < 0:
         raise ParseError("missing blank line between header and payload", offset=len(data))
@@ -426,30 +432,27 @@ def grid_from_bytes(data: bytes) -> OccupancyGrid3D:
     n_cells = cell_count(dims)
     cells = np.zeros(n_cells, dtype=np.uint8)
     pos = sep + 2  # absolute, so an error names the file offset of the offending varint
-    filled = last_bit = 0
+    filled = 0
     span = BLOCK_SIZE  # payload bytes per block; a pair takes two or more
     while pos < len(data):
-        step = _read_block(data, pos, span, cells, filled, last_bit)
+        step = _read_block(data, pos, span, cells, filled)
         if step:
-            (pos, filled, last_bit), span = step, BLOCK_SIZE
+            (pos, filled), span = step, BLOCK_SIZE
         elif pos + span >= len(data):  # no whole pair left
             raise ParseError("payload truncated inside a varint", offset=len(data))
         else:  # a pair longer than the block
             span *= 2
     if filled != n_cells:
         raise ParseError(f"payload covers {filled} cells, header declares {n_cells}", offset=len(data))
-    np.bitwise_xor.accumulate(cells, out=cells)
     return OccupancyGrid3D(origin, resolution, dims, cells)
 
 
-def _read_block(data, pos: int, span: int, cells: np.ndarray, filled: int, last_bit: int):
+def _read_block(data, pos: int, span: int, cells: np.ndarray, filled: int):
     """Decode and check the whole (count, bit) pairs in ``data[pos : pos + span]``, at most BLOCK_SIZE / 2.
 
-    Runs are not written out: the first cell of every run whose bit differs
-    from the run before is set to 1, and one xor prefix over ``cells`` at the
-    end fills them in. Returns the next (pos, filled, last_bit), or None when
-    the span holds no whole pair. A function of its own, so that a block's
-    temporaries are freed before the next block allocates.
+    Once every pair has passed its checks, the runs fill ``cells[filled:]`` by one ``np.repeat`` of
+    their bits. Returns the next (pos, filled), or None when the span holds no whole pair. A function
+    of its own, so that a block's temporaries are freed before the next block allocates.
     """
     n_cells = len(cells)
     block = np.frombuffer(data, dtype=np.uint8, count=min(span, len(data) - pos), offset=pos)
@@ -476,11 +479,8 @@ def _read_block(data, pos: int, span: int, cells: np.ndarray, filled: int, last_
         raise ParseError(
             f"payload describes more than the {n_cells} cells in the header", offset=pos + int(starts[2 * i])
         )
-    live = counts > 0
-    run_bits = bits[live]
-    changed = run_bits != np.concatenate(([last_bit], run_bits[:-1]))
-    cells[(covered - counts)[live][changed]] = 1
-    return pos + int(term[-1]) + 1, int(covered[-1]), int(run_bits[-1]) if len(run_bits) else last_bit
+    cells[filled : int(covered[-1])] = np.repeat(bits.astype(np.uint8), counts)
+    return pos + int(term[-1]) + 1, int(covered[-1])
 
 
 def write_grid(grid: OccupancyGrid3D, path) -> None:

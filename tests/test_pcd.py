@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 
 import numpy as np
@@ -52,6 +53,40 @@ def test_binary_nonfinite_dropped():
     data = pcd_binary_bytes([(0, 0, 0), (math.nan, 1, 1)])
     cloud = parse_pcd(data)
     assert cloud.count == 1 and cloud.dropped == 1
+
+
+_COORDS = (0.0, -0.0, 1.5, -2.25, math.nan, math.inf, -math.inf)
+
+
+def _finite_rows_reference(points, as_float32):
+    """The rows a parse keeps and the count it drops, one row at a time with ``math.isfinite``."""
+    rows = [[float(np.float32(v)) if as_float32 else float(v) for v in p] for p in points]
+    kept = [r for r in rows if all(map(math.isfinite, r))]
+    return np.array(kept, dtype=np.float64).reshape(-1, 3), len(rows) - len(kept)
+
+
+def _clouds_with_non_finite_values():
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(1, 80)
+        yield [tuple(rng.choice(_COORDS + (rng.uniform(-9, 9),) * 4) for _ in range(3)) for _ in range(n)]
+    rng = random.Random(40)
+    yield [(rng.uniform(-9, 9), -0.0, rng.choice((0.0, -0.0))) for _ in range(50)]  # every point finite
+    yield [tuple(bad if a == axis else 1.0 for a in range(3)) for bad in _COORDS[4:] for axis in range(3)]  # all dropped
+    yield []
+
+
+@pytest.mark.parametrize(
+    "encode, as_float32", [(pcd_ascii_bytes, False), (pcd_binary_bytes, True)], ids=["ascii", "binary"]
+)
+def test_finite_filter_matches_a_per_row_reference(encode, as_float32):
+    for points in _clouds_with_non_finite_values():
+        cloud = parse_pcd(encode(points))
+        want, dropped = _finite_rows_reference(points, as_float32)
+        assert cloud.dropped == dropped
+        assert cloud.points.shape == want.shape
+        assert np.array_equal(np.signbit(cloud.points), np.signbit(want))
+        assert cloud.points.tobytes() == want.tobytes()
 
 
 def test_binary_truncated_body():

@@ -225,6 +225,32 @@ def test_signed_zero_origins_are_pinned():
     assert digest.hexdigest() == "28f66322fd1ea8b0cea49589bfbb254072a2e5019663f66df789d11cbaa31eca"
 
 
+def _zero_signed_origin(points):
+    """Each axis's minimum, where a zero minimum takes the sign of the axis's last zero in point order."""
+    origin = []
+    for a in range(3):
+        low = min(p[a] for p in points)
+        if low == 0:
+            low = [p[a] for p in points if p[a] == 0][-1]
+        origin.append(low)
+    return tuple(origin)
+
+
+def test_zero_minima_take_the_sign_of_the_last_zero():
+    for case in range(150):
+        rng = random.Random(case)
+        pts = [[rng.choice((0.0, -0.0, 0.5, rng.uniform(0, 3))) for _ in range(3)] for _ in range(rng.randint(1, 300))]
+        cloud = PointCloud(np.array(pts))
+        grid = rasterize(cloud, 0.5, padding=0)
+        origin = _zero_signed_origin(pts)
+        assert [math.copysign(1, v) for v in grid.origin] == [math.copysign(1, v) for v in origin]
+        assert grid_to_bytes(grid).split(b"\n")[1] == ("origin %r %r %r" % origin).encode("ascii")
+        highs = [max(p[a] for p in pts) for a in range(3)]
+        assert grid.dims == tuple(max(1, math.ceil((hi - lo) / 0.5)) for lo, hi in zip(origin, highs))
+        expected, actual = _witness_check(cloud, grid)
+        assert expected == actual
+
+
 # -- extrusion ---------------------------------------------------------------
 
 
