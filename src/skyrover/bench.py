@@ -14,6 +14,7 @@ import statistics
 from dataclasses import dataclass, replace
 
 from .errors import NoSolutionError, ParseError, ResourceLimitError, ScenarioError
+from .mapf import as_int
 from .scenario import load_scenario
 from .sim import Simulator, collect_metrics
 from .solvers import SolverConfig, normalize_algorithm
@@ -64,7 +65,7 @@ def load_suite(path) -> list[str]:
 
 def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None = None) -> BenchRow:
     """One (scenario, algorithm) measurement; times are the median of repeats."""
-    if repeats < 1:
+    if as_int(repeats, "repeats") < 1:
         raise ValueError("repeats must be >= 1")
     algorithm = normalize_algorithm(algorithm)
     scenario = load_scenario(scenario_path)

@@ -26,14 +26,13 @@ from .errors import (
     SkyroverError,
     TaskError,
 )
-from .mapf import make_solution
+from .mapf import as_positive, make_solution
 from .pcd import parse_pcd
 from .pgm import parse_pgm
 from .scenario import Scenario, load_scenario, save_scenario
 from .sim import (
     DEFAULT_CELL_DURATION,
     Simulator,
-    check_cell_duration,
     collect_metrics,
     execute_plan,
     read_plan,
@@ -123,7 +122,7 @@ def cmd_solve(args) -> int:
 def cmd_sim(args) -> int:
     if bool(args.plan) == bool(args.online):
         raise ValueError("pass exactly one of --plan or --online")
-    check_cell_duration(args.cell_duration)
+    as_positive(args.cell_duration, "cell_duration")
     scenario = _load_scenario(args)
     sim = Simulator()
     if args.plan:

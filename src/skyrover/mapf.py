@@ -8,6 +8,9 @@ timestep; once a path ends the agent keeps occupying its final cell forever
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -30,18 +33,38 @@ MOVES = {
 _LEGAL_DELTAS = frozenset(MOVES[UAV])
 
 
-def json_int(value, what: str) -> int:
-    """``value`` when it is a JSON integer; a float, a string or a bool is a ValueError naming ``what``."""
-    if type(value) is not int:  # bool is a subclass of int
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+def as_int(value, what: str) -> int:
+    """``value`` as a Python int when it is an int or a numpy integer; a bool, a float or a string is a ValueError naming ``what``."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def json_cell(value, what: str) -> tuple[int, int, int]:
-    """``value`` as a cell when it is a list of three JSON integers; otherwise a ValueError naming ``what``."""
-    if type(value) is not list or len(value) != 3 or not all(type(v) is int for v in value):
-        raise ValueError(f"{what} must be an [i, j, k] triple of integers, got {value!r}")
-    return tuple(value)
+def as_cell(value, what: str) -> tuple[int, int, int]:
+    """``value`` as an (i, j, k) tuple of Python ints when it is a sequence of three integers; otherwise a ValueError naming ``what``."""
+    try:
+        if len(value) == 3:
+            return (as_int(value[0], what), as_int(value[1], what), as_int(value[2], what))
+    except (TypeError, ValueError, LookupError):
+        pass
+    raise ValueError(f"{what} must be an [i, j, k] triple of integers, got {value!r}")
+
+
+def as_positive(value, what: str) -> float:
+    """``value`` as a float when it is a real number (numpy's too, not a bool) with 0 < value < inf; otherwise a ValueError naming ``what``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int past the largest float
+            real = math.inf
+        if 0 < real < math.inf:  # also false for NaN
+            return real
+    raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
 def manhattan(a, b) -> int:
@@ -58,10 +81,9 @@ class Agent:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown agent kind {self.kind!r}")
-        object.__setattr__(self, "start", tuple(int(v) for v in self.start))
-        object.__setattr__(self, "goal", tuple(int(v) for v in self.goal))
-        if len(self.start) != 3 or len(self.goal) != 3:
-            raise ValueError("start and goal must be (i, j, k) cells")
+        object.__setattr__(self, "id", as_int(self.id, "id"))
+        object.__setattr__(self, "start", as_cell(self.start, "start"))
+        object.__setattr__(self, "goal", as_cell(self.goal, "goal"))
 
 
 def components(grid, kind: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ScenarioError
-from .mapf import Agent, json_cell, json_int
+from .mapf import Agent, as_cell, as_int
 from .solvers import SolverConfig
 from .tasks import TaskScript
 from .voxelgrid import OccupancyGrid3D, empty_grid, read_grid
@@ -61,7 +61,7 @@ class Scenario:
 
 @contextmanager
 def _fields_of(what: str):
-    """Turn a coercion or range error raised while building ``what`` into a ScenarioError."""
+    """Turn a type or range error raised while building ``what`` into a ScenarioError."""
     try:
         yield
     except (TypeError, ValueError) as exc:
@@ -89,8 +89,8 @@ def _parse_grid_field(value):
         raise ScenarioError(f"inline grid spec kind must be one of {sorted(_GRID_SPEC_KEYS)}")
     _require_keys(value, _GRID_SPEC_KEYS[kind], {"kind", "dims"}, "grid spec")
     with _fields_of("grid spec"):
-        spec = {k: json_int(v, k) for k, v in value.items() if k not in ("kind", "dims")}
-        return {"kind": kind, "dims": list(json_cell(value["dims"], "dims")), **spec}
+        spec = {k: as_int(v, k) for k, v in value.items() if k not in ("kind", "dims")}
+        return {"kind": kind, "dims": list(as_cell(value["dims"], "dims")), **spec}
 
 
 def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
@@ -103,28 +103,16 @@ def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
     for n, entry in enumerate(payload["agents"]):
         _require_keys(entry, _AGENT_KEYS, _AGENT_KEYS, f"agent #{n}")
         with _fields_of(f"agent #{n}"):
-            agents.append(
-                Agent(
-                    id=json_int(entry["id"], "id"),
-                    kind=entry["kind"],
-                    start=json_cell(entry["start"], "start"),
-                    goal=json_cell(entry["goal"], "goal"),
-                )
-            )
+            agents.append(Agent(**entry))
 
     with _fields_of("scenario"):
-        seed = json_int(payload.get("seed", 0), "seed")
+        seed = as_int(payload.get("seed", 0), "seed")
 
     task = None
     if "task" in payload:
         t = payload["task"]
         _require_keys(t, _TASK_KEYS, _TASK_REQUIRED, "task")
         with _fields_of("task block"):
-            for name in ("agv_id", "uav_id", "hover_offset", "hold_steps"):
-                if name in t:
-                    json_int(t[name], name)
-            for name in ("point_a", "point_b"):
-                json_cell(t[name], name)
             task = TaskScript(**t)
 
     solver = None
@@ -132,8 +120,6 @@ def scenario_from_json(payload: dict, base_dir: str | None = None) -> Scenario:
         s = payload["solver"]
         _require_keys(s, _SOLVER_KEYS, set(), "solver")
         with _fields_of("solver block"):
-            if "node_expansion_limit" in s:
-                json_int(s["node_expansion_limit"], "node_expansion_limit")
             solver = SolverConfig(**{k: v for k, v in s.items() if k != "rng_seed"})
 
     return Scenario(grid=grid, agents=tuple(agents), seed=seed, task=task, solver=solver, base_dir=base_dir)

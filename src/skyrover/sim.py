@@ -24,10 +24,11 @@ from .errors import (
 )
 from .mapf import (
     Solution,
+    as_cell,
+    as_int,
+    as_positive,
     cell_at,
     detect_conflicts,
-    json_cell,
-    json_int,
     make_solution,
     path_cost,
     step_conflicts,
@@ -224,14 +225,12 @@ class Simulator:
     def run(self, max_ticks: int | None = None) -> RunRecord:
         """Step to completion (precomputed) or until the tick budget runs out.
 
-        ``max_ticks`` must be ``None`` (the mode's default budget) or >= 0.
+        ``max_ticks`` must be ``None`` (the mode's default budget) or an integer >= 0.
         """
-        if max_ticks is not None and max_ticks < 0:
+        if max_ticks is None:
+            budget = self._solution.makespan if self.state.mode == PRECOMPUTED_MODE else 4 * grid_diameter(self._grid)
+        elif (budget := as_int(max_ticks, "max_ticks")) < 0:
             raise ValueError(f"max_ticks must be >= 0, got {max_ticks}")
-        if self.state.mode == PRECOMPUTED_MODE:
-            budget = self._solution.makespan if max_ticks is None else max_ticks
-        else:
-            budget = (4 * grid_diameter(self._grid)) if max_ticks is None else max_ticks
         while not self.state.all_at_goal and self.state.tick < budget:
             self.step()
         if not self.state.all_at_goal:
@@ -296,11 +295,6 @@ class WaypointCommand(NamedTuple):
     hold: bool
 
 
-def check_cell_duration(cell_duration: float) -> None:
-    if not 0 < cell_duration < math.inf:
-        raise ValueError("cell_duration must be positive and finite")
-
-
 def execute_plan(solution: Solution, cell_duration: float, resolution: float, origin) -> tuple:
     """Lower a discrete solution to a merged, timestamped waypoint stream.
 
@@ -313,7 +307,7 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
     ``cell_duration`` must be positive and finite, and so must the last
     timestamp.
     """
-    check_cell_duration(cell_duration)
+    as_positive(cell_duration, "cell_duration")
     ox, oy, oz = (float(v) for v in origin)
     paths = sorted(solution.paths.items())
     steps = max((len(cells) for _, cells in paths), default=0)
@@ -436,8 +430,8 @@ def plan_from_bytes(data: bytes) -> PlanFile:
         for n, entry in enumerate(payload["agents"]):
             if not isinstance(entry, dict) or set(entry) != {"id", "kind", "path"}:
                 raise ParseError("plan agent entries must have exactly id, kind, path")
-            aid = json_int(entry["id"], "id")
-            path = tuple(json_cell(c, "path cell") for c in entry["path"])
+            aid = as_int(entry["id"], "id")
+            path = tuple(as_cell(c, "path cell") for c in entry["path"])
             if not path:
                 raise ParseError(f"plan agent #{n}: path must be a non-empty list of [i, j, k] cells")
             if aid in paths:
@@ -447,8 +441,8 @@ def plan_from_bytes(data: bytes) -> PlanFile:
         plan = PlanFile(
             paths=paths,
             kinds=kinds,
-            sum_of_costs=json_int(payload["sum_of_costs"], "sum_of_costs"),
-            makespan=json_int(payload["makespan"], "makespan"),
+            sum_of_costs=as_int(payload["sum_of_costs"], "sum_of_costs"),
+            makespan=as_int(payload["makespan"], "makespan"),
             computation_time_s=float(payload["computation_time_s"]),
         )
     except (TypeError, ValueError) as exc:

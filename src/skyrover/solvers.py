@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from time import perf_counter
 
 from . import cbs, prioritized
 from .astar import Budget
 from .errors import SearchLimitExceeded
-from .mapf import components, make_solution
+from .mapf import as_int, as_positive, components, make_solution
 
 ASTAR_PRIORITIZED = "astar_prioritized"
 CBS = "cbs"
@@ -42,17 +41,12 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
-        try:
-            object.__setattr__(self, "node_expansion_limit", int(self.node_expansion_limit))
-        except OverflowError:
-            raise ValueError("node_expansion_limit must be finite") from None
-        object.__setattr__(self, "time_limit", float(self.time_limit))
+        object.__setattr__(self, "node_expansion_limit", as_int(self.node_expansion_limit, "node_expansion_limit"))
+        object.__setattr__(self, "time_limit", as_positive(self.time_limit, "time_limit"))
         if not isinstance(self.online_policy, str):
             raise TypeError("online_policy must be a policy name")
         if self.node_expansion_limit <= 0:
             raise ValueError("node_expansion_limit must be positive")
-        if not 0 < self.time_limit < math.inf:  # also false for NaN
-            raise ValueError("time_limit must be positive and finite")
 
 
 @dataclass(frozen=True)

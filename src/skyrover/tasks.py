@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InvariantViolation, NoSolutionError, ResourceLimitError, TaskError
-from .mapf import AGV, UAV, validate_agents
+from .mapf import AGV, UAV, as_cell, as_int, validate_agents
 from .sim import RunMetrics, Simulator, collect_metrics
 from .solvers import NO_SOLUTION, RESOURCE_LIMIT, SOLVED, SolverConfig
 
@@ -39,9 +39,9 @@ class TaskScript:
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
         for name in ("agv_id", "uav_id", "hover_offset", "hold_steps"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "point_a", tuple(int(v) for v in self.point_a))
-        object.__setattr__(self, "point_b", tuple(int(v) for v in self.point_b))
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name in ("point_a", "point_b"):
+            object.__setattr__(self, name, as_cell(getattr(self, name), name))
         if self.hover_offset < 1:
             raise ValueError("hover_offset must be >= 1")
         if self.hold_steps < 1:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, ParseError, UnsupportedFormatError
+from .mapf import as_cell, as_int, as_positive
 
 GRID_MAGIC = b"SKYGRID1"
 DEFAULT_CELL_CAP = 2**28
@@ -93,10 +94,11 @@ class GroundMap2D:
     occupancy: np.ndarray  # uint8, length width * height
 
     def __post_init__(self):
+        object.__setattr__(self, "width", as_int(self.width, "width"))
+        object.__setattr__(self, "height", as_int(self.height, "height"))
+        object.__setattr__(self, "resolution", as_positive(self.resolution, "resolution"))
         if self.width < 1 or self.height < 1:
             raise ValueError("map dimensions must be positive")
-        if not 0 < self.resolution < math.inf:
-            raise ValueError("resolution must be positive and finite")
         occ = np.asarray(self.occupancy, dtype=np.uint8)
         if occ.size != self.width * self.height:
             raise ValueError("occupancy length does not match width * height")
@@ -136,20 +138,17 @@ class OccupancyGrid3D:
 
     def __post_init__(self):
         origin = tuple(float(v) for v in self.origin)
-        dims = tuple(int(v) for v in self.dims)
-        if len(origin) != 3 or len(dims) != 3:
-            raise ValueError("origin and dims must have three components")
-        if not 0 < self.resolution < math.inf:
-            raise ValueError("resolution must be positive and finite")
+        object.__setattr__(self, "dims", as_cell(self.dims, "dims"))
+        object.__setattr__(self, "resolution", as_positive(self.resolution, "resolution"))
+        if len(origin) != 3:
+            raise ValueError("origin must have three components")
         if not all(math.isfinite(v) for v in origin):
             raise ValueError("origin must be finite")
         cells = np.asarray(self.cells, dtype=np.uint8)
-        if cells.size != cell_count(dims):
+        if cells.size != cell_count(self.dims):
             raise ValueError("cell count does not match dims")
         cells = _frozen(cells)
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "resolution", float(self.resolution))
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "_occ", cells.base)  # read by is_occupied without a property call
 
@@ -224,8 +223,7 @@ def rasterize(
     or a box too many cells wide for a float, raise ``ValueError``. A zero minimum takes the
     sign of its axis's last zero in point order, which the header's origin shows at ``padding=0``.
     """
-    if not 0 < resolution < math.inf:
-        raise ValueError("resolution must be positive and finite")
+    resolution = as_positive(resolution, "resolution")
     if padding < 0:
         raise ValueError("padding must be >= 0")
     cols = np.ascontiguousarray(cloud.points.T)  # one row per axis, so every pass below is contiguous
@@ -267,7 +265,7 @@ def rasterize(
         lin += idx
     cells = np.zeros(n_cells, dtype=np.uint8)
     cells[lin[inside]] = 1  # repeated indices write the same 1
-    return OccupancyGrid3D(tuple(float(v) for v in mins), float(resolution), dims, cells)
+    return OccupancyGrid3D(tuple(float(v) for v in mins), resolution, dims, cells)
 
 
 def extrude_ground(ground: GroundMap2D, nz: int, walls: bool = False) -> OccupancyGrid3D:
@@ -276,6 +274,7 @@ def extrude_ground(ground: GroundMap2D, nz: int, walls: bool = False) -> Occupan
     Layer k = 0 copies the 2D occupancy. Higher layers stay free unless
     ``walls`` is set, in which case occupied columns run through all layers.
     """
+    nz = as_int(nz, "nz")
     if nz < 1:
         raise ValueError("nz must be >= 1")
     nx, ny = ground.width, ground.height

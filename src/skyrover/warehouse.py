@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .errors import PlacementError
-from .mapf import AGV, UAV, Agent, components
+from .mapf import AGV, UAV, Agent, as_cell, as_int, components
 from .voxelgrid import OccupancyGrid3D, cell_count
 
 DEFAULT_DIMS = (80, 60, 10)
@@ -38,7 +38,9 @@ def warehouse_grid(
     shelf_height: int = DEFAULT_SHELF_HEIGHT,
 ) -> OccupancyGrid3D:
     """Deterministic shelf layout; the seed only affects agent sampling."""
-    nx, ny, nz = (int(v) for v in dims)
+    nx, ny, nz = as_cell(dims, "dims")
+    shelf_rows = as_int(shelf_rows, "shelf_rows")
+    shelf_height = as_int(shelf_height, "shelf_height")
     if min(nx, ny) < 2 * _MARGIN + _SHELF_DEPTH + 2 or nz < 1:
         raise PlacementError(f"dims {dims} are too small for a warehouse layout")
     cell_count((nx, ny, nz))  # the cell cap, before the layout is allocated

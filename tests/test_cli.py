@@ -611,6 +611,14 @@ def test_bench_repeats_below_one_is_refused_before_any_scenario_loads(tmp_path, 
     assert "repeats must be >= 1" in capsys.readouterr().err
 
 
+def test_bench_fractional_repeats_are_refused_before_any_scenario_loads(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(ValueError, match="repeats must be an integer, got 2.5"):
+        run_suite([missing], ["astar"], repeats=2.5)
+    with pytest.raises(ValueError, match="repeats must be an integer, got 2.5"):
+        run_cell(missing, "astar", repeats=2.5)
+
+
 @pytest.mark.parametrize(
     "data, line",
     [

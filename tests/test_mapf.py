@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,15 +10,27 @@ from skyrover import (
     AGV,
     UAV,
     Agent,
+    GroundMap2D,
     OccupancyGrid3D,
+    PointCloud,
+    Scenario,
+    Simulator,
+    SolverConfig,
+    TaskScript,
     detect_conflicts,
     empty_grid,
+    execute_plan,
+    extrude_ground,
     make_solution,
     path_cost,
+    rasterize,
+    save_scenario,
     step_conflicts,
     validate_agents,
     validate_solution,
+    warehouse_grid,
 )
+from skyrover.bench import run_cell
 from skyrover.mapf import cell_at, components
 
 from oracles import (
@@ -403,3 +416,115 @@ def test_components_are_exact_on_adversarial_shapes(kind):
     assert _assert_labels_are_the_flood_fill(_spiral(n), kind) == 1
     assert _assert_labels_are_the_flood_fill(_spiral(n, cut=(n // 2, 0, 0)), kind) == 2
     assert _assert_labels_are_the_flood_fill(_shaft_world(), kind) == 2
+
+
+
+# The one input rule for integers, cells and positive reals, at every entry point
+# that takes one from outside code. Each value is accepted or refused alike everywhere.
+_CELL = (8, 9, 3)  # big enough for a warehouse layout
+_VALUES = {
+    "int": [(7, True), (np.int64(7), True), (7.0, False), (7.9, False), (True, False), ("7", False), (None, False)],
+    "cell": [(_CELL, True), (list(_CELL), True), (np.array(_CELL), True), ([8.7, 9, 3], False), ([8, 9], False), ("893", False)],
+    "real": [
+        (2, True),
+        (2.5, True),
+        (np.float32(2.5), True),
+        (0, False),
+        (-1, False),
+        (math.nan, False),
+        (math.inf, False),
+        (True, False),
+        ("2.5", False),
+    ],
+}
+_LINE = {"grid": {"kind": "empty", "dims": [4, 1, 1]}, "agents": (Agent(0, AGV, (0, 0, 0), (3, 0, 0)),)}
+
+
+def _task(**fields):
+    return TaskScript(**{"kind": "inventory_scan", "agv_id": 0, "uav_id": 1, "point_a": (1, 1, 0), "point_b": (2, 2, 0), **fields})
+
+
+def _stores_nothing(call):
+    def build(value, tmp_path):
+        call(value, tmp_path)
+
+    return build
+
+
+def _run_budget(max_ticks, _):
+    sim = Simulator()
+    sim.init(Scenario(**_LINE), SolverConfig(algorithm="cbs"))
+    return sim.run(max_ticks=max_ticks).budget
+
+
+def _run_cell(repeats, tmp_path):
+    save_scenario(Scenario(**_LINE), tmp_path / "line.json")
+    run_cell(tmp_path / "line.json", "astar", repeats=repeats)
+
+
+# entry point -> (the field its error names, its kind of value, (value, tmp_path) -> what it stored)
+_ENTRY_POINTS = {
+    "Agent.id": ("id", "int", lambda v, _: Agent(v, UAV, (0, 0, 0), (1, 0, 0)).id),
+    "Agent.start": ("start", "cell", lambda v, _: Agent(0, UAV, v, (0, 0, 0)).start),
+    "Agent.goal": ("goal", "cell", lambda v, _: Agent(0, UAV, (0, 0, 0), v).goal),
+    **{
+        f"TaskScript.{name}": (name, kind, lambda v, _, name=name: getattr(_task(**{name: v}), name))
+        for name, kind in [
+            ("agv_id", "int"),
+            ("uav_id", "int"),
+            ("hover_offset", "int"),
+            ("hold_steps", "int"),
+            ("point_a", "cell"),
+            ("point_b", "cell"),
+        ]
+    },
+    "SolverConfig.node_expansion_limit": (
+        "node_expansion_limit",
+        "int",
+        lambda v, _: SolverConfig(node_expansion_limit=v).node_expansion_limit,
+    ),
+    "SolverConfig.time_limit": ("time_limit", "real", lambda v, _: SolverConfig(time_limit=v).time_limit),
+    "OccupancyGrid3D.dims": ("dims", "cell", lambda v, _: OccupancyGrid3D((0, 0, 0), 1.0, v, np.zeros(216)).dims),
+    "OccupancyGrid3D.resolution": (
+        "resolution",
+        "real",
+        lambda v, _: OccupancyGrid3D((0, 0, 0), v, (2, 1, 1), np.zeros(2)).resolution,
+    ),
+    "GroundMap2D.width": ("width", "int", lambda v, _: GroundMap2D(v, 3, 1.0, np.zeros(21)).width),
+    "GroundMap2D.height": ("height", "int", lambda v, _: GroundMap2D(3, v, 1.0, np.zeros(21)).height),
+    "GroundMap2D.resolution": ("resolution", "real", lambda v, _: GroundMap2D(2, 1, v, np.zeros(2)).resolution),
+    "warehouse_grid.dims": ("dims", "cell", lambda v, _: warehouse_grid(v, 1, 1).dims),
+    "warehouse_grid.shelf_rows": ("shelf_rows", "int", _stores_nothing(lambda v, _: warehouse_grid((40, 40, 2), v, 1))),
+    "warehouse_grid.shelf_height": ("shelf_height", "int", _stores_nothing(lambda v, _: warehouse_grid(_CELL, 1, v))),
+    "extrude_ground.nz": ("nz", "int", lambda v, _: extrude_ground(GroundMap2D(2, 1, 1.0, np.zeros(2)), v).dims[2]),
+    "rasterize.resolution": (
+        "resolution",
+        "real",
+        lambda v, _: rasterize(PointCloud(np.array([[0.5, 0.5, 0.5]])), v).resolution,
+    ),
+    "execute_plan.cell_duration": (
+        "cell_duration",
+        "real",
+        _stores_nothing(lambda v, _: execute_plan(make_solution({0: ((0, 0, 0), (1, 0, 0))}), v, 1.0, (0, 0, 0))),
+    ),
+    "Simulator.run.max_ticks": ("max_ticks", "int", _run_budget),
+    "run_cell.repeats": ("repeats", "int", _stores_nothing(_run_cell)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_every_entry_point_keeps_one_rule_for_integers_cells_and_positive_reals(tmp_path, entry):
+    field, kind, build = _ENTRY_POINTS[entry]
+    for value, accepted in _VALUES[kind]:
+        if value is None and field == "max_ticks":
+            continue  # None asks for the mode's default budget
+        if not accepted:
+            with pytest.raises(ValueError, match=f"^{field} must be "):
+                build(value, tmp_path)
+            continue
+        stored = build(value, tmp_path)
+        if stored is None:
+            continue
+        expected = {"int": 7, "cell": _CELL}.get(kind) or float(value)
+        assert stored == expected and type(stored) is type(expected), (value, stored)
+        assert kind != "cell" or all(type(v) is int for v in stored), (value, stored)

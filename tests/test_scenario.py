@@ -229,6 +229,9 @@ def _typed_payload():
         (("seed",), True),
         (("solver", "node_expansion_limit"), 1000.0),
         (("solver", "node_expansion_limit"), "10"),
+        # real fields take JSON numbers only
+        (("solver", "time_limit"), "5"),
+        (("solver", "time_limit"), True),
     ],
 )
 def test_wrongly_typed_field_is_a_scenario_error(tmp_path, path, value):

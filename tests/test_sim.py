@@ -236,6 +236,9 @@ def test_run_rejects_a_negative_tick_budget():
         start = sim.init(sc, config)
         with pytest.raises(ValueError, match="max_ticks must be >= 0"):
             sim.run(max_ticks=-5)
+        for budget in (2.5, True):
+            with pytest.raises(ValueError, match="max_ticks must be an integer"):
+                sim.run(max_ticks=budget)
         assert sim.state == start  # nothing was stepped
         record = sim.run(max_ticks=0)  # a zero budget is legal: the run is tick 0 alone
         assert [s.tick for s in record.states] == [0]
