@@ -14,11 +14,11 @@ on (f, collisions, h) by state id, and states tied on those share t = f - h,
 so that tie-break is cell order. State ids stay small ints (below 2**30 on
 an 80x60x10 grid up to t = 22000). Each cell's free, in-bounds neighbours per
 agent kind, in ``MOVES`` order, are listed the first time a search expands
-the cell and kept on the grid (``OccupancyGrid3D.neighbour_lists``) for
-every later search on it. The online path reads the same lists as (i, j, k)
-tuples from a second table per kind (``legal_moves``), keyed by the
-(i, j, k) cell itself, so a tick costs one dict subscript per agent. Paths
-go in and come out as tuples of (i, j, k) cells.
+the cell and kept on the grid (``mapf.per_grid``) for every later search
+on it. The online path reads the same lists as (i, j, k) tuples from a
+second table per kind (``legal_moves``), keyed by the (i, j, k) cell
+itself, so a tick costs one dict subscript per agent. Paths go in and come
+out as tuples of (i, j, k) cells.
 
 The search keeps no closed set. Every step costs 1 and the heuristic is
 consistent, so pops come in nondecreasing (f, collisions) order: a state is
@@ -43,7 +43,7 @@ from heapq import heappop, heappush
 from operator import index
 
 from .errors import SearchLimitExceeded
-from .mapf import AGV, MOVES, VERTEX
+from .mapf import AGV, MOVES, VERTEX, per_grid
 
 _UNLIMITED = 1 << 62
 
@@ -228,9 +228,9 @@ class _LegalMoves(dict):
     must be integers (numpy's included); they are stored as Python ints.
     """
 
-    def __init__(self, nbrs: _Neighbours):
+    def __init__(self, grid, kind: str):
         super().__init__()
-        self.nbrs = nbrs
+        self.nbrs = per_grid(grid, _Neighbours, kind)
 
     def __missing__(self, cell):
         nx, ny, nz = dims = self.nbrs.dims
@@ -241,21 +241,9 @@ class _LegalMoves(dict):
         return out
 
 
-def _neighbours(grid, kind: str) -> _Neighbours:
-    lists = grid.neighbour_lists
-    if kind not in lists:
-        lists[kind] = _Neighbours(grid, kind)
-    return lists[kind]
-
-
 def legal_moves(grid, kind: str) -> _LegalMoves:
-    """The grid's table of ``next_cells`` for agents of ``kind``: subscript it with an (i, j, k) tuple.
-
-    One table per grid and kind, kept on the grid (``OccupancyGrid3D.move_tables``)."""
-    tables = grid.move_tables
-    if kind not in tables:
-        tables[kind] = _LegalMoves(_neighbours(grid, kind))
-    return tables[kind]
+    """The grid's table of ``next_cells`` for agents of ``kind``, kept on it: subscript it with an (i, j, k) tuple."""
+    return per_grid(grid, _LegalMoves, kind)
 
 
 def next_cells(grid, kind: str, cell) -> tuple:
@@ -306,7 +294,7 @@ def spacetime_astar(
         raise ValueError("ground agents must start and end on layer 0")
     if budget is None:
         budget = Budget()
-    nbrs = _neighbours(grid, kind)
+    nbrs = per_grid(grid, _Neighbours, kind)
     span = dims[0] * dims[1] * dims[2]
     start_id, goal_id = _cell_ids(dims, (start, goal))
 

@@ -63,16 +63,24 @@ def load_suite(path) -> list[str]:
     return [p if os.path.isabs(p) else os.path.join(base, p) for p in paths]
 
 
+def scenario_name(path) -> str:
+    """A scenario's name in the report, its file name without the extension; ValueError if the CSV cannot hold it."""
+    name = os.path.splitext(os.path.basename(str(path)))[0]
+    if not name.isascii() or any(c in name for c in ",\r\n") or name.startswith("#"):  # "#" opens a comment line
+        raise ValueError(f"scenario name {name!r} cannot be a report CSV field")
+    return name
+
+
 def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None = None) -> BenchRow:
     """One (scenario, algorithm) measurement; times are the median of repeats."""
     if as_int(repeats, "repeats") < 1:
         raise ValueError("repeats must be >= 1")
     algorithm = normalize_algorithm(algorithm)
+    name = scenario_name(scenario_path)
     scenario = load_scenario(scenario_path)
     base = scenario.solver or SolverConfig()
     row_seed = scenario.seed if seed is None else seed
     config = replace(base, algorithm=algorithm)
-    name = os.path.splitext(os.path.basename(str(scenario_path)))[0]
 
     times = []
     metrics = None
@@ -101,6 +109,7 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
 def run_suite(scenario_paths, algorithms, repeats: int = 1, seed: int | None = None) -> BenchmarkReport:
     if not scenario_paths:
         raise ScenarioError("benchmark suite is empty")
+    list(map(scenario_name, scenario_paths))  # every name is checked before any cell runs
     rows = [
         run_cell(path, alg, repeats=repeats, seed=seed)
         for path in scenario_paths

@@ -256,10 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, ScenarioError, TaskError, ValueError) as exc:
+    except (FileNotFoundError, ParseError, ScenarioError, TaskError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CapacityError, PlacementError) as exc:

@@ -55,16 +55,20 @@ def as_cell(value, what: str) -> tuple[int, int, int]:
     raise ValueError(f"{what} must be an [i, j, k] triple of integers, got {value!r}")
 
 
-def as_positive(value, what: str) -> float:
-    """``value`` as a float when it is a real number (numpy's too, not a bool) with 0 < value < inf; otherwise a ValueError naming ``what``."""
+def as_finite(value, what: str, positive: bool = False) -> float:
+    """``value`` as a float when it is a finite real number (numpy's too, not a bool), above 0 if ``positive``; otherwise a ValueError naming ``what``."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             real = float(value)
         except OverflowError:  # an int past the largest float
             real = math.inf
-        if 0 < real < math.inf:  # also false for NaN
+        if math.isfinite(real) and (real > 0 or not positive):
             return real
-    raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    raise ValueError(f"{what} must be {'positive and finite' if positive else 'finite and real'}, got {value!r}")
+
+
+def as_positive(value, what: str) -> float:
+    return as_finite(value, what, positive=True)
 
 
 def manhattan(a, b) -> int:
@@ -86,17 +90,29 @@ class Agent:
         object.__setattr__(self, "goal", as_cell(self.goal, "goal"))
 
 
+def per_grid(grid, build, *key):
+    """``build(grid, *key)``, built once per grid and kept in ``grid.derived``; it must not refer to the grid, which then frees at once."""
+    entry = (build, *key)
+    if entry not in grid.derived:
+        grid.derived[entry] = build(grid, *key)
+    return grid.derived[entry]
+
+
 def components(grid, kind: str) -> np.ndarray:
-    """Static reachability: a label per flat cell index of the grid.
+    """Static reachability, labelled once per grid: a read-only label per flat cell index of the grid.
 
     Two free cells share a label exactly when an agent of ``kind`` can move
     between them, and the label is the smallest flat index in their component;
     obstacles, and for AGVs every cell above layer 0, get -1 (dtype int64).
-    Free cells form runs along i; runs that overlap across a j row or a k
-    layer are joined by min-hooking and pointer jumping, so each run takes the
-    first cell of its component's lowest run. AGVs are labelled on the ground
-    slice alone, whose flat indices are the grid's own.
     """
+    return per_grid(grid, _label_components, kind)
+
+
+def _label_components(grid, kind: str) -> np.ndarray:
+    """The labels of ``components``, built anew. Free cells form runs along i; runs
+    that overlap across a j row or a k layer are joined by min-hooking and pointer
+    jumping, so each run takes the first cell of its component's lowest run. AGVs
+    are labelled on the ground slice alone, whose flat indices are the grid's own."""
     free = grid.cells.reshape(grid.dims[::-1]) == 0
     if kind == AGV:
         free = free[:1]
@@ -126,6 +142,7 @@ def components(grid, kind: str) -> np.ndarray:
     mask = free.ravel()
     run[mask] = starts[root[run[mask]]]
     run[~mask] = -1
+    out.flags.writeable = False  # shared by every caller on the grid
     return out
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import index
 
-from .astar import legal_moves, next_cells
+from .astar import legal_moves
 from .errors import InvariantViolation
-from .mapf import EDGE, KINDS, step_conflicts
+from .mapf import EDGE, KINDS, per_grid, step_conflicts
 
 
 @dataclass(frozen=True)
@@ -31,55 +32,46 @@ class GreedyShieldedPolicy:
 
     Agents already at their goal propose wait. Ties between equally good
     moves break on the canonical move order, so steps are deterministic.
-
-    A step depends only on the agent's kind, goal and cell and on the grid,
-    so each instance keeps the steps it has proposed, keyed by (kind, goal,
-    cell), for as long as it is shown the same grid object; a view of any
-    other grid starts the cache afresh. A cell given as a list gets the step
-    of its tuple.
+    Steps are kept per grid (``_GreedySteps``) and shared by every
+    instance. A cell given as a list gets the step of its tuple.
     """
 
     name = "greedy-shielded"
 
-    def __init__(self):
-        # the grid and its (kind, goal, cell) -> step dict, swapped as one so
-        # that a call never fills one grid's dict with another grid's steps
-        self._cache = (None, {})
-
     def propose(self, view: WorldView) -> dict:
-        grid = view.grid
-        cached, steps = self._cache
-        if cached is not grid:
-            steps = {}
-            self._cache = (grid, steps)
+        steps = per_grid(view.grid, _GreedySteps)
         cells = view.cells
         out = {}
         for agent in view.agents:
-            key = (agent.kind, agent.goal, cells[agent.id])
             try:
-                out[agent.id] = steps[key]
-            except KeyError:
-                out[agent.id] = steps[key] = _greedy_step(grid, *key)
-            except TypeError:  # an unhashable (i, j, k) list: the step of its tuple, not kept
-                out[agent.id] = _greedy_step(grid, agent.kind, agent.goal, tuple(key[2]))
+                out[agent.id] = steps[agent.kind, agent.goal, cells[agent.id]]
+            except TypeError:  # an unhashable (i, j, k) list
+                out[agent.id] = steps[agent.kind, agent.goal, tuple(cells[agent.id])]
         return out
 
 
-def _greedy_step(grid, kind: str, goal, cell):
-    """The legal next cell of ``cell`` nearest ``goal`` by Manhattan distance,
-    the first such in ``MOVES`` order; ``cell`` itself at the goal or with no legal move."""
-    if cell == goal:
-        return cell
-    gi, gj, gk = goal
-    best = None
-    best_cell = cell
-    for option in next_cells(grid, kind, cell):
-        i, j, k = option
-        d = abs(i - gi) + abs(j - gj) + abs(k - gk)
-        if best is None or d < best:  # the first minimum in move order
-            best = d
-            best_cell = option
-    return best_cell
+class _GreedySteps(dict):
+    """(kind, goal, cell) -> the legal next cell nearest the goal by Manhattan distance, the first in ``MOVES`` order
+    (``cell`` at the goal or with no legal move), filled on first use; it holds ``legal_moves`` tables, not the grid."""
+
+    def __init__(self, grid):
+        super().__init__()
+        self.moves = {kind: legal_moves(grid, kind) for kind in KINDS}
+
+    def __missing__(self, key):
+        kind, goal, cell = key
+        step = cell = tuple(map(index, cell))  # numpy ints are stored as ints
+        if cell != goal:
+            gi, gj, gk = goal
+            best = None
+            for option in self.moves[kind][cell]:  # a cell outside the grid raises ValueError
+                i, j, k = option
+                d = abs(i - gi) + abs(j - gj) + abs(k - gk)
+                if best is None or d < best:  # the first minimum in move order
+                    best = d
+                    step = option
+        self[kind, goal, cell] = step
+        return step
 
 
 POLICIES = {GreedyShieldedPolicy.name: GreedyShieldedPolicy}

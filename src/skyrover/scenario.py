@@ -144,7 +144,9 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def scenario_to_bytes(scenario: Scenario) -> bytes:
-    return (json.dumps(scenario_to_json(scenario), indent=2, sort_keys=True) + "\n").encode("ascii")
+    payload = scenario_to_json(scenario)
+    scenario_from_json(payload)  # the reader's rules: a scenario it would refuse raises ScenarioError, writes nothing
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 def scenario_from_bytes(data: bytes, base_dir: str | None = None) -> Scenario:

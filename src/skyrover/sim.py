@@ -25,6 +25,7 @@ from .errors import (
 from .mapf import (
     Solution,
     as_cell,
+    as_finite,
     as_int,
     as_positive,
     cell_at,
@@ -400,7 +401,14 @@ class PlanFile:
         return make_solution(self.paths)
 
 
+def _plan_time(value) -> float:
+    if (seconds := as_finite(value, "computation_time_s")) < 0:  # a finite real number >= 0
+        raise ValueError(f"computation_time_s must be >= 0, got {value!r}")
+    return seconds
+
+
 def plan_to_bytes(solution: Solution, agents, computation_time: float) -> bytes:
+    computation_time = _plan_time(computation_time)
     kinds = {a.id: a.kind for a in agents}
     if missing := set(solution.paths) - set(kinds):
         raise ValueError(f"agent {min(missing)} of the plan has no kind: it is not among the agents")
@@ -443,7 +451,7 @@ def plan_from_bytes(data: bytes) -> PlanFile:
             kinds=kinds,
             sum_of_costs=as_int(payload["sum_of_costs"], "sum_of_costs"),
             makespan=as_int(payload["makespan"], "makespan"),
-            computation_time_s=float(payload["computation_time_s"]),
+            computation_time_s=_plan_time(payload["computation_time_s"]),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad plan: {exc}") from None

@@ -73,9 +73,8 @@ def solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
     """Plan with the configured precomputing solver: the one public planner.
 
     The agents must pass ``mapf.validate_agents``. An agent whose goal lies
-    outside its start's component is no_solution before any search; each
-    kind's components are labelled once per grid and kept on it. Online mode
-    has no plan phase.
+    outside its start's component (``mapf.components``) is no_solution
+    before any search. Online mode has no plan phase.
     """
     config = config or SolverConfig()
     if config.algorithm == ONLINE:
@@ -83,9 +82,7 @@ def solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
     t0 = perf_counter()
     budget = Budget(config.node_expansion_limit, config.time_limit)
     roster = sorted(agents, key=lambda a: a.id)
-    labels = grid.component_labels
-    for kind in {a.kind for a in roster} - labels.keys():
-        labels[kind] = components(grid, kind)
+    labels = {kind: components(grid, kind) for kind in {a.kind for a in roster}}
     cut = [a.id for a in roster if labels[a.kind][grid.index(*a.start)] != labels[a.kind][grid.index(*a.goal)]]
     search = cbs.search if config.algorithm == CBS else prioritized.search
     try:

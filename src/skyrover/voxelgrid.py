@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, ParseError, UnsupportedFormatError
-from .mapf import as_cell, as_int, as_positive
+from .mapf import as_cell, as_finite, as_int, as_positive
 
 GRID_MAGIC = b"SKYGRID1"
 DEFAULT_CELL_CAP = 2**28
@@ -36,6 +36,18 @@ def cell_count(dims) -> int:
     if n_cells > DEFAULT_CELL_CAP:
         raise CapacityError(f"grid would hold {n_cells} cells, above the cap of {DEFAULT_CELL_CAP}")
     return n_cells
+
+
+def grid_frame(origin, resolution, dims):
+    """The checked (origin, resolution, dims) of a grid and its ``cell_count``: the rule of its constructor and the SKYGRID1 reader."""
+    try:
+        frame = tuple(as_finite(v, "origin") for v in origin)
+    except TypeError:  # not a sequence
+        frame = ()
+    if len(frame) != 3:
+        raise ValueError(f"origin must be three finite real numbers, got {origin!r}")
+    dims = as_cell(dims, "dims")
+    return frame, as_positive(resolution, "resolution"), dims, cell_count(dims)
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -137,18 +149,14 @@ class OccupancyGrid3D:
     cells: np.ndarray  # uint8, length nx * ny * nz, i fastest
 
     def __post_init__(self):
-        origin = tuple(float(v) for v in self.origin)
-        object.__setattr__(self, "dims", as_cell(self.dims, "dims"))
-        object.__setattr__(self, "resolution", as_positive(self.resolution, "resolution"))
-        if len(origin) != 3:
-            raise ValueError("origin must have three components")
-        if not all(math.isfinite(v) for v in origin):
-            raise ValueError("origin must be finite")
+        origin, resolution, dims, n_cells = grid_frame(self.origin, self.resolution, self.dims)
         cells = np.asarray(self.cells, dtype=np.uint8)
-        if cells.size != cell_count(self.dims):
+        if cells.size != n_cells:
             raise ValueError("cell count does not match dims")
         cells = _frozen(cells)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "_occ", cells.base)  # read by is_occupied without a property call
 
@@ -169,18 +177,8 @@ class OccupancyGrid3D:
         return self._occ
 
     @cached_property
-    def neighbour_lists(self) -> dict:
-        """The planners' per-grid cache: agent kind -> each cell's free neighbours, filled by ``astar``."""
-        return {}
-
-    @cached_property
-    def move_tables(self) -> dict:
-        """The online path's per-grid cache: agent kind -> (i, j, k) cell -> its legal next cells, filled by ``astar``."""
-        return {}
-
-    @cached_property
-    def component_labels(self) -> dict:
-        """``solvers.solve``'s per-grid cache: agent kind -> its ``mapf.components`` labels."""
+    def derived(self) -> dict:
+        """What is computed from the grid once and kept for its lifetime, filled only by ``mapf.per_grid``."""
         return {}
 
     @cached_property
@@ -415,20 +413,13 @@ def grid_from_bytes(data: bytes) -> OccupancyGrid3D:
     if fields["encoding"] != "rle":
         raise UnsupportedFormatError(f"unsupported encoding {fields['encoding']!r}", offset=sep)
     try:
-        origin = tuple(float(v) for v in fields["origin"].split())
-        resolution = float(fields["resolution"])
-        dims = tuple(int(v) for v in fields["dims"].split())
+        origin, resolution, dims, n_cells = grid_frame(
+            [float(v) for v in fields["origin"].split()],
+            float(fields["resolution"]),
+            [int(v) for v in fields["dims"].split()],
+        )
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}", offset=sep) from None
-    if len(origin) != 3 or len(dims) != 3:
-        raise ParseError("origin and dims must each have three values", offset=sep)
-    if min(dims) < 1:
-        raise ParseError(f"dims must each be >= 1, got {fields['dims']!r}", offset=sep)
-    if not all(math.isfinite(v) for v in origin):
-        raise ParseError(f"origin must be finite, got {fields['origin']!r}", offset=sep)
-    if not 0 < resolution < math.inf:
-        raise ParseError(f"resolution must be positive and finite, got {fields['resolution']!r}", offset=sep)
-    n_cells = cell_count(dims)
     cells = np.zeros(n_cells, dtype=np.uint8)
     pos = sep + 2  # absolute, so an error names the file offset of the offending varint
     filled = 0

@@ -55,12 +55,10 @@ def warehouse_grid(
     height = min(shelf_height, nz)
 
     arr = np.zeros((nz, ny, nx), dtype=np.uint8)  # arr[k, j, i]
+    shelf = np.arange(nx - 2 * _MARGIN) % (_SEGMENT + _GAP) < _SEGMENT  # one row along i: segments and gaps
     for r in range(shelf_rows):
         y0 = _MARGIN + r * pitch + (pitch - _SHELF_DEPTH) // 2
-        for j in range(y0, y0 + _SHELF_DEPTH):
-            for i in range(_MARGIN, nx - _MARGIN):
-                if (i - _MARGIN) % (_SEGMENT + _GAP) < _SEGMENT:
-                    arr[:height, j, i] = 1
+        arr[:height, y0 : y0 + _SHELF_DEPTH, _MARGIN : nx - _MARGIN] = shelf
     return OccupancyGrid3D((0.0, 0.0, 0.0), 1.0, (nx, ny, nz), arr.reshape(-1))
 
 

@@ -20,8 +20,8 @@ from skyrover import (
     solve,
     spacetime_astar,
 )
-from skyrover.astar import legal_moves, next_cells
-from skyrover.mapf import EDGE, MOVES, VERTEX, detect_conflicts
+from skyrover.astar import _Neighbours, legal_moves, next_cells
+from skyrover.mapf import EDGE, MOVES, VERTEX, detect_conflicts, per_grid
 
 from oracles import enumerate_best_constrained_cost, free_cells, random_grid, random_walk_paths, static_bfs_cost
 
@@ -203,8 +203,8 @@ def test_neighbour_lists_are_kept_on_the_grid_without_keeping_it_alive():
     grid = random_grid(rng, (6, 5, 3), density=0.3)
     start, goal = rng.sample(free_cells(grid), 2)
     spacetime_astar(grid, UAV, start, goal)
-    lists = grid.neighbour_lists[UAV]
-    assert lists
+    lists = per_grid(grid, _Neighbours, UAV)
+    assert lists  # filled by the search: the grid's cached lists, not a fresh build
     _, ny, nz = grid.dims
     for cid, entries in lists.items():
         free = _legal_cells(grid, UAV, (cid // (ny * nz), cid // nz % ny, cid % nz))
@@ -228,7 +228,7 @@ def test_next_cells_are_the_legal_moves_in_move_order():
             assert next_cells(fresh, kind, np.array(cell)) == next_cells(grid, kind, cell)
         for cell, options in legal_moves(fresh, kind).items():
             assert all(type(v) is int for c in (cell, *options) for v in c)
-        for cid, entries in fresh.neighbour_lists[kind].items():
+        for cid, entries in per_grid(fresh, _Neighbours, kind).items():
             assert all(type(v) is int for v in (cid, *(x for entry in entries for x in entry)))
 
 

@@ -18,9 +18,9 @@ from skyrover import (
     spacetime_astar,
     validate_solution,
 )
-import skyrover.solvers
+import skyrover.mapf
 from skyrover.cbs import replan_conflicts
-from skyrover.mapf import EDGE, components, path_cost
+from skyrover.mapf import EDGE, path_cost
 
 from oracles import brute_force_conflicts, joint_optimal_cost, random_instance, random_walk_paths
 
@@ -81,13 +81,15 @@ def test_solves_on_one_grid_label_each_kind_once(monkeypatch):
     grid, agents = generate_warehouse((40, 30, 6), 6, "4uav+10agv", 7)
     copy = OccupancyGrid3D(grid.origin, grid.resolution, grid.dims, grid.cells)
     want = [solve(copy, agents, SolverConfig(algorithm=alg)) for alg in ("astar", "cbs")]
+    grid = OccupancyGrid3D(grid.origin, grid.resolution, grid.dims, grid.cells)  # unlabelled: sampling labelled the first
     labelled = []
+    build = skyrover.mapf._label_components
 
     def counted(g, kind):
         labelled.append(kind)
-        return components(g, kind)
+        return build(g, kind)
 
-    monkeypatch.setattr(skyrover.solvers, "components", counted)
+    monkeypatch.setattr(skyrover.mapf, "_label_components", counted)
     got = [solve(grid, agents, SolverConfig(algorithm=alg)) for alg in ("astar", "cbs")]
     assert sorted(labelled) == [AGV, UAV]
     for g, w in zip(got, want):

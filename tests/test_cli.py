@@ -377,6 +377,16 @@ BAD_PLANS = {
     "cell-a-string": lambda plan: _retype_first_cell(plan, str),
     "sum-of-costs-a-float": lambda plan: plan.update(sum_of_costs=float(plan["sum_of_costs"])),
     "makespan-a-string": lambda plan: plan.update(makespan=str(plan["makespan"])),
+    # the plan time is a finite JSON number >= 0
+    "time-a-string": lambda plan: plan.update(computation_time_s="0.5"),
+    "time-a-bool": lambda plan: plan.update(computation_time_s=True),
+    "time-negative": lambda plan: plan.update(computation_time_s=-3),
+    "time-nan": lambda plan: plan.update(computation_time_s=float("nan")),
+    "time-infinite": lambda plan: plan.update(computation_time_s=float("inf")),
+    "extra-key": lambda plan: plan.update(solver="cbs"),
+    "missing-key": lambda plan: plan.pop("makespan"),
+    "agent-entry-missing-kind": lambda plan: plan["agents"][0].pop("kind"),
+    "agent-entry-not-an-object": lambda plan: plan["agents"].__setitem__(0, 5),
 }
 
 
@@ -576,6 +586,29 @@ def test_bench_refused_report_exits_2_and_writes_no_file(warehouse_files, tmp_pa
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize(
+    "name", ["a,b", "caf\u00e9", "two\nlines", "# environment: x"], ids=["comma", "non-ascii", "line-break", "comment-mark"]
+)
+def test_bench_scenario_name_the_report_cannot_hold_exits_2_before_any_cell_runs(
+    warehouse_files, tmp_path, monkeypatch, capsys, name
+):
+    import skyrover.bench
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    scenario_path, _ = warehouse_files
+    odd = tmp_path / f"{name}.json"
+    odd.write_bytes(scenario_path.read_bytes())
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"scenarios": [scenario_path.name, odd.name]}))
+    report_path = tmp_path / "report.csv"
+    monkeypatch.setattr(skyrover.bench, "Simulator", no_cell)
+    assert main(["bench", "--suite", str(suite), "--algs", "astar", "-o", str(report_path)]) == 2
+    assert "cannot be a report CSV field" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_bench_failed_cell_reports_the_time_it_spent(warehouse_files):
     scenario_path, _ = warehouse_files
     payload = json.loads(scenario_path.read_text())
@@ -590,6 +623,26 @@ def test_bench_empty_suite_exits_2(tmp_path):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"scenarios": []}))
     assert main(["bench", "--suite", str(suite)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"scenarios": [', "suite is not valid JSON"),
+        ('{"scenarios": ["wh.json"], "repeats": 2}', "exactly the key 'scenarios'"),
+        ('["wh.json"]', "exactly the key 'scenarios'"),
+    ],
+    ids=["invalid-json", "extra-key", "not-an-object"],
+)
+def test_bench_malformed_suite_is_a_parse_error_and_exits_2(tmp_path, capsys, text, message):
+    from skyrover.bench import load_suite
+
+    suite = tmp_path / "suite.json"
+    suite.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_suite(suite)
+    assert main(["bench", "--suite", str(suite)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bench_non_string_scenario_exits_2(tmp_path):

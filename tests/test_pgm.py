@@ -98,5 +98,22 @@ def test_bad_sample_is_reported_at_its_first_byte(data, message, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "data, message, offset",
+    [
+        (b"P2 3 1", "file ended inside the header", 6),
+        (b"P5 3 1 # no maxval\n", "file ended inside the header", 19),
+        (b"P2 0 1 255\n", "dimensions must be positive, got 0x1", 3),
+        (b"P5 2 1 255\n\x00\x01\x02", "1 trailing bytes after the raster", 13),
+    ],
+    ids=["header-ends-early", "header-ends-in-a-comment", "zero-dimensions", "p5-trailing-bytes"],
+)
+def test_bad_header_or_raster_length_is_reported_at_its_offset(data, message, offset):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_pgm(data)
+    assert type(info.value) is ParseError
+    assert info.value.offset == offset
+
+
 def test_resolution_attached():
     assert parse_pgm(pgm_p5_bytes([[0]]), resolution=0.25).resolution == 0.25

@@ -2,12 +2,14 @@ import json
 import random
 import sys
 import threading
+import weakref
 from collections import Counter
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import skyrover.mapf
 import skyrover.policy
 from skyrover import (
     AGV,
@@ -25,10 +27,13 @@ from skyrover import (
     get_policy,
     manhattan,
     online_policy_step,
+    parse_roster,
+    sample_agents,
     shield_moves,
+    solve,
 )
 
-from skyrover.mapf import MOVES
+from skyrover.mapf import KINDS, MOVES, components, per_grid
 from skyrover.warehouse import warehouse_grid
 
 from oracles import free_cells, pairwise_shield, random_grid, random_instance
@@ -434,7 +439,7 @@ def test_cached_greedy_steps_equal_the_uncached_rule():
     seen = Counter()
     for _ in range(40):
         grid = random_grid(rng, (6, 5, 3), density=rng.choice((0.2, 0.5, 0.7)))
-        policy = GreedyShieldedPolicy()  # one instance per grid: later views hit its cache
+        policy = GreedyShieldedPolicy()  # later views hit the grid's kept steps
         for _ in range(10):
             agents, cells = [], {}
             for aid in range(8):
@@ -466,6 +471,36 @@ def test_greedy_policy_reused_on_another_grid_proposes_like_a_fresh_one():
     reused = GreedyShieldedPolicy()
     for view, want in zip(views + views, fresh + fresh):
         assert reused.propose(view) == want
+
+
+def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
+    """Sampling and two solves label each kind once; two policies share the grid's one greedy-step table."""
+    labelled = []
+    build = skyrover.mapf._label_components
+
+    def counted(g, kind):
+        labelled.append(kind)
+        return build(g, kind)
+
+    monkeypatch.setattr(skyrover.mapf, "_label_components", counted)
+    grid = warehouse_grid((40, 30, 6), shelf_rows=6)
+    agents = sample_agents(grid, parse_roster("4uav+10agv"), 7)
+    for alg in ("astar", "cbs"):
+        assert solve(grid, agents, SolverConfig(algorithm=alg)).ok
+    assert sorted(labelled) == [AGV, UAV]
+    for kind in KINDS:
+        assert components(grid, kind) is components(grid, kind)
+        assert not components(grid, kind).flags.writeable  # shared, so nobody may change it
+    steps = per_grid(grid, skyrover.policy._GreedySteps)
+    view = WorldView(grid, agents, {a.id: a.start for a in agents})
+    want = GreedyShieldedPolicy().propose(view)
+    assert len(steps) == len(agents)  # the first instance filled the grid's table
+    assert GreedyShieldedPolicy().propose(view) == want
+    assert len(steps) == len(agents)  # the second built no step
+    assert sorted(labelled) == [AGV, UAV]
+    ref = weakref.ref(grid)
+    del grid, view
+    assert ref() is None  # freed at once: no cached table holds its grid
 
 
 def test_unknown_policy_rejected():

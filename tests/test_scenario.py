@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -68,6 +70,42 @@ def test_roundtrip_value_and_bytes_stability():
         back = scenario_from_bytes(data)
         assert back == sc
         assert scenario_to_bytes(back) == data
+
+
+_BAD_GRIDS = (
+    {"kind": "empty", "dims": [4.5, 1, 1]},
+    {"kind": "empty", "dims": [4, 1]},
+    {"kind": "empty", "dims": [4, True, 1]},
+    {"kind": "warehouse", "dims": [40, 30, 8], "shelf_rows": 3.0},
+    {"kind": "warehouse", "dims": [40, 30, 8], "aisle": 2},
+    {"kind": "maze", "dims": [8, 8, 3]},
+    {"dims": [8, 8, 3]},
+    7,
+)
+
+
+def test_a_saved_scenario_loads_back_equal_and_a_refused_one_writes_nothing(tmp_path):
+    """JSON-typed fields, some of them ones the reader refuses: every save that succeeds loads back equal."""
+    rng = random.Random(24)
+    outcomes = Counter()
+    for n in range(300):
+        sc = _random_scenario(rng)
+        if rng.random() < 0.3:
+            sc = replace(sc, grid=rng.choice(_BAD_GRIDS))
+        if rng.random() < 0.3:
+            sc = replace(sc, seed=rng.choice((2.5, True, "3", None, -4, 2**70)))
+        if rng.random() < 0.1:
+            sc = replace(sc, agents=())
+        path = tmp_path / f"{n}.json"
+        try:
+            save_scenario(sc, path)
+        except ScenarioError:
+            assert not path.exists()
+            outcomes["refused"] += 1
+            continue
+        assert load_scenario(path) == sc
+        outcomes["saved"] += 1
+    assert outcomes["refused"] >= 50 and outcomes["saved"] >= 100, outcomes
 
 
 def test_file_roundtrip(tmp_path):

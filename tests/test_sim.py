@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -495,6 +496,34 @@ def test_plan_bytes_roundtrip():
     assert plan_to_bytes(plan.solution, agents, plan.computation_time_s) == data
 
 
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, -0.5, "0.5", True, None])
+def test_plan_time_the_reader_would_refuse_writes_no_file(tmp_path, seconds):
+    from skyrover import write_plan
+
+    path = tmp_path / "plan.json"
+    with pytest.raises(ValueError, match="computation_time_s must be"):
+        write_plan(path, make_solution({0: ((0, 0, 0),)}), [Agent(0, AGV, (0, 0, 0), (0, 0, 0))], seconds)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"agents": [', "plan is not valid JSON"),
+        (b"[]", "plan must have exactly the keys"),
+        (b'{"agents": [], "sum_of_costs": 0, "makespan": 0}', "plan must have exactly the keys"),
+        (b'{"agents": [{"id": 0, "path": [[0, 0, 0]]}], "sum_of_costs": 0, "makespan": 0, "computation_time_s": 0}',
+         "plan agent entries must have exactly id, kind, path"),
+        (b'{"agents": [], "sum_of_costs": 0, "makespan": 0, "computation_time_s": -0.5}', "computation_time_s must be >= 0"),
+        (b'{"agents": [], "sum_of_costs": 0, "makespan": 0, "computation_time_s": 1e999}', "computation_time_s must be finite"),
+    ],
+    ids=["invalid-json", "not-an-object", "missing-key", "bad-agent-entry", "negative-time", "infinite-time"],
+)
+def test_malformed_plan_bytes_are_parse_errors(data, message):
+    with pytest.raises(ParseError, match=message):
+        plan_from_bytes(data)
+
+
 def test_plan_of_an_agent_without_a_kind_is_refused_and_writes_no_file(tmp_path):
     from skyrover import write_plan
 
@@ -559,11 +588,21 @@ GOOD_WAYPOINTS = b"agent_id,timestamp_s,x,y,z,hold\n0,0.0,0.5,0.5,0.5,false\n0,1
         (b"1.0,0.5,0.5,0.5,true", b"1.0,zero,0.5,0.5,true", 3),
         (b"1.0,0.5,", b"1.0,0.\xff,", 3),
         (b"false\n", b"false\n\n", 3),
+        (b",true", b",yes", 3),
     ],
-    ids=["non-integer-id", "non-numeric-coordinate", "non-ascii-byte", "blank-line"],
+    ids=["non-integer-id", "non-numeric-coordinate", "non-ascii-byte", "blank-line", "bad-hold-flag"],
 )
 def test_malformed_waypoint_row_is_a_parse_error(old, new, row):
     data = GOOD_WAYPOINTS.replace(old, new, 1)
     assert data != GOOD_WAYPOINTS
     with pytest.raises(ParseError, match=rf"^waypoint row {row}\b"):
+        waypoints_from_bytes(data)
+
+
+@pytest.mark.parametrize(
+    "data", [b"", b"agent,timestamp_s,x,y,z,hold\n", GOOD_WAYPOINTS.replace(b"hold", b"hold,extra", 1)],
+    ids=["empty", "renamed-column", "extra-column"],
+)
+def test_waypoint_csv_without_its_header_is_a_parse_error(data):
+    with pytest.raises(ParseError, match="waypoint CSV must start with header"):
         waypoints_from_bytes(data)

@@ -452,14 +452,41 @@ def _grid_file(origin="0.0 0.0 0.0", resolution="1.0", dims="2 1 1", payload=b"\
         ({"resolution": "inf"}, "resolution must be positive and finite"),
         ({"resolution": "0"}, "resolution must be positive and finite"),
         ({"origin": "nan 0 inf"}, "origin must be finite"),
+        ({"origin": "0 x 0"}, "bad header value"),
+        ({"dims": "2.0 1 1"}, "bad header value"),
+        ({"origin": "0 0"}, "origin must be three"),
+        ({"dims": "2 1"}, r"dims must be an \[i, j, k\] triple"),
     ],
-    ids=["zero-dims", "negative-dim", "nan-resolution", "inf-resolution", "zero-resolution", "non-finite-origin"],
+    ids=[
+        "zero-dims", "negative-dim", "nan-resolution", "inf-resolution", "zero-resolution", "non-finite-origin",
+        "non-numeric-origin", "fractional-dims", "two-origin-values", "two-dims-values",
+    ],
 )
 def test_bad_header_values_are_parse_errors_at_the_header_end(field, message):
     data = _grid_file(**field)
     with pytest.raises(ParseError, match=message) as info:
         grid_from_bytes(data)
     assert info.value.offset == data.find(b"\n\n")
+
+
+_HEADER = b"SKYGRID1\norigin 0.0 0.0 0.0\nresolution 1.0\ndims 2 1 1\nencoding rle\n"
+
+
+@pytest.mark.parametrize(
+    "data, error, message, offset",
+    [
+        (_HEADER, ParseError, "missing blank line", len(_HEADER)),
+        (_HEADER.replace(b"dims", b"dims 2 1 1\ndims") + b"\n\x02\x00", ParseError, "duplicate header key 'dims'", 54),
+        (_HEADER.replace(b"dims 2 1 1\n", b"") + b"\n\x02\x00", ParseError, "missing header key 'dims'", 55),
+        (_HEADER.replace(b"rle", b"zip") + b"\n\x02\x00", UnsupportedFormatError, "unsupported encoding 'zip'", 66),
+    ],
+    ids=["no-blank-line", "duplicate-key", "missing-key", "unsupported-encoding"],
+)
+def test_header_structure_errors_name_their_offset(data, error, message, offset):
+    with pytest.raises(ParseError, match=message) as info:
+        grid_from_bytes(data)
+    assert type(info.value) is error
+    assert info.value.offset == offset
 
 
 @pytest.mark.parametrize("dims", ["100000 100000 100000", f"{2**14} {2**14} 2"], ids=["909TiB", "cap+1"])
@@ -645,14 +672,25 @@ def test_a_bit_too_long_to_print_is_still_a_parse_error():
     "origin, resolution, message",
     [
         ((0.0, math.nan, 0.0), 1.0, "origin must be finite"),
+        (("1.5", 0.0, 0.0), 1.0, "origin must be finite"),
+        ((0.0, True, 0.0), 1.0, "origin must be finite"),
+        ((10**400, 0, 0), 1.0, "origin must be finite"),
+        ((0.0, 0.0), 1.0, "origin must be three"),
+        (None, 1.0, "origin must be three"),
         ((0.0, 0.0, 0.0), math.inf, "resolution must be positive and finite"),
         ((0.0, 0.0, 0.0), math.nan, "resolution must be positive and finite"),
     ],
-    ids=["nan-origin", "inf-resolution", "nan-resolution"],
+    ids=["nan-origin", "str-origin", "bool-origin", "huge-int-origin", "two-origin", "no-origin", "inf-resolution", "nan-resolution"],
 )
 def test_a_grid_the_reader_would_reject_cannot_be_built(origin, resolution, message):
     with pytest.raises(ValueError, match=message):
         OccupancyGrid3D(origin, resolution, (2, 1, 1), np.zeros(2, dtype=np.uint8))
+
+
+def test_grid_origin_takes_any_finite_real_number_as_a_float():
+    grid = OccupancyGrid3D((np.float32(1.5), np.int64(-2), 3), np.float64(0.5), (2, 1, 1), np.zeros(2))
+    assert grid.origin == (1.5, -2.0, 3.0) and all(type(v) is float for v in grid.origin)
+    assert grid_from_bytes(grid_to_bytes(grid)) == grid
 
 
 def test_bad_magic():
