@@ -61,7 +61,6 @@ from .sim import (
 from .solvers import SolveResult, SolverConfig, solve
 from .tasks import Episode, TaskReport, TaskScript, compile_task, run_task
 from .voxelgrid import (
-    GroundMap2D,
     OccupancyGrid3D,
     PointCloud,
     empty_grid,

@@ -75,6 +75,7 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
     """One (scenario, algorithm) measurement; times are the median of repeats."""
     if as_int(repeats, "repeats") < 1:
         raise ValueError("repeats must be >= 1")
+    seed = None if seed is None else as_int(seed, "seed")  # None: the scenario's own
     algorithm = normalize_algorithm(algorithm)
     name = scenario_name(scenario_path)
     scenario = load_scenario(scenario_path)
@@ -107,6 +108,7 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
 
 
 def run_suite(scenario_paths, algorithms, repeats: int = 1, seed: int | None = None) -> BenchmarkReport:
+    seed = None if seed is None else as_int(seed, "seed")  # the report writes it and reads it back as an int
     if not scenario_paths:
         raise ScenarioError("benchmark suite is empty")
     list(map(scenario_name, scenario_paths))  # every name is checked before any cell runs

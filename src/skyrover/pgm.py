@@ -1,8 +1,8 @@
 """Reader for PGM occupancy images (P2 ascii and P5 binary, maxval <= 255).
 
 Dark pixels are obstacles: a value below the threshold maps to occupancy 1.
-Image row 0 (the top of the picture) maps to the maximum-y map row, so the
-returned map uses a y-up convention.
+The result is a one-layer grid: pixel (x, y) is cell (x, y, 0). Image row 0
+(the top of the picture) maps to the maximum-y row, so the grid is y-up.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import ParseError, UnsupportedFormatError
-from .voxelgrid import GroundMap2D
+from .mapf import as_int, as_positive
+from .voxelgrid import OccupancyGrid3D, cell_count
 
 DEFAULT_OCCUPIED_THRESHOLD = 128
 _SAMPLE = re.compile(rb"\S+")  # a P2 sample: the same ASCII whitespace splits them as bytes.split()
@@ -58,16 +59,20 @@ def parse_pgm(
     data: bytes,
     resolution: float = 1.0,
     occupied_threshold: int = DEFAULT_OCCUPIED_THRESHOLD,
-) -> GroundMap2D:
-    """Parse PGM bytes into a :class:`GroundMap2D`.
+) -> OccupancyGrid3D:
+    """Parse PGM bytes into an :class:`OccupancyGrid3D` of dims (width, height, 1) at the origin.
 
     ``resolution`` is attached to the result (PGM itself carries no scale).
 
     Raises:
+        ValueError: ``resolution`` is not positive and finite, or ``occupied_threshold`` is not an integer.
         UnsupportedFormatError: magic number is neither P2 nor P5.
         ParseError: bad dimensions or maxval, a short/overlong raster, or a
             sample outside 0..maxval.
+        CapacityError: width * height is above the cell cap, checked before the raster is read.
     """
+    resolution = as_positive(resolution, "resolution")
+    occupied_threshold = as_int(occupied_threshold, "occupied_threshold")
     tokens, body_pos = _header_tokens(data, 4)
     magic = tokens[0][0]
     if magic not in (b"P2", b"P5"):
@@ -83,7 +88,7 @@ def parse_pgm(
     if not 0 < maxval <= 255:
         raise ParseError(f"maxval {maxval} outside the supported range 1..255", offset=tokens[3][1])
 
-    n_pixels = width * height
+    n_pixels = cell_count((width, height, 1))
     if magic == b"P2":
         raw = data[body_pos:].split()
         if len(raw) != n_pixels:
@@ -109,4 +114,4 @@ def parse_pgm(
 
     image = pixels.reshape(height, width)  # row 0 = top of the picture
     occupancy = (image < occupied_threshold).astype(np.uint8)[::-1].reshape(-1)
-    return GroundMap2D(width=width, height=height, resolution=resolution, occupancy=occupancy)
+    return OccupancyGrid3D((0.0, 0.0, 0.0), resolution, (width, height, 1), occupancy)

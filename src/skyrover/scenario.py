@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -43,6 +43,9 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
+        if isinstance(self.grid, dict):  # held as the reader returns it, so a saved spec loads back equal
+            with suppress(ScenarioError):  # a bad spec is kept as given and refused when saved
+                object.__setattr__(self, "grid", _parse_grid_field(self.grid))
 
     def materialize_grid(self) -> OccupancyGrid3D:
         """Load the referenced grid file or build the inline-spec world."""
@@ -85,7 +88,7 @@ def _parse_grid_field(value):
     if not isinstance(value, dict):
         raise ScenarioError("grid must be a file path or an inline generator spec")
     kind = value.get("kind")
-    if kind not in _GRID_SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _GRID_SPEC_KEYS:
         raise ScenarioError(f"inline grid spec kind must be one of {sorted(_GRID_SPEC_KEYS)}")
     _require_keys(value, _GRID_SPEC_KEYS[kind], {"kind", "dims"}, "grid spec")
     with _fields_of("grid spec"):

@@ -94,49 +94,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundMap2D:
-    """Single-layer occupancy map; (x=0, y=0) is the minimum-y corner.
-
-    ``occupancy`` is flat with index x + width * y.
-    """
-
-    width: int
-    height: int
-    resolution: float
-    occupancy: np.ndarray  # uint8, length width * height
-
-    def __post_init__(self):
-        object.__setattr__(self, "width", as_int(self.width, "width"))
-        object.__setattr__(self, "height", as_int(self.height, "height"))
-        object.__setattr__(self, "resolution", as_positive(self.resolution, "resolution"))
-        if self.width < 1 or self.height < 1:
-            raise ValueError("map dimensions must be positive")
-        occ = np.asarray(self.occupancy, dtype=np.uint8)
-        if occ.size != self.width * self.height:
-            raise ValueError("occupancy length does not match width * height")
-        object.__setattr__(self, "occupancy", _frozen(occ))
-
-    def occupied(self, x: int, y: int) -> bool:
-        return bool(self.occupancy[x + self.width * y])
-
-    @property
-    def occupied_count(self) -> int:
-        return int(self.occupancy.sum())
-
-    def __reduce__(self):  # a copied or unpickled map is built anew, read-only again
-        return GroundMap2D, (self.width, self.height, self.resolution, self.occupancy)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroundMap2D):
-            return NotImplemented
-        return (
-            (self.width, self.height, self.resolution)
-            == (other.width, other.height, other.resolution)
-            and self.occupancy.tobytes() == other.occupancy.tobytes()
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class OccupancyGrid3D:
     """Dense 0/1 voxel world used by every planner and simulator component.
 
@@ -222,6 +179,7 @@ def rasterize(
     sign of its axis's last zero in point order, which the header's origin shows at ``padding=0``.
     """
     resolution = as_positive(resolution, "resolution")
+    padding = as_int(padding, "padding")
     if padding < 0:
         raise ValueError("padding must be >= 0")
     cols = np.ascontiguousarray(cloud.points.T)  # one row per axis, so every pass below is contiguous
@@ -266,21 +224,22 @@ def rasterize(
     return OccupancyGrid3D(tuple(float(v) for v in mins), resolution, dims, cells)
 
 
-def extrude_ground(ground: GroundMap2D, nz: int, walls: bool = False) -> OccupancyGrid3D:
-    """Lift a 2D map into a 3D grid.
+def extrude_ground(ground: OccupancyGrid3D, nz: int, walls: bool = False) -> OccupancyGrid3D:
+    """Lift a one-layer grid (a 2D map) into ``nz`` layers, keeping its origin and resolution.
 
-    Layer k = 0 copies the 2D occupancy. Higher layers stay free unless
-    ``walls`` is set, in which case occupied columns run through all layers.
+    Layer k = 0 copies the map. Higher layers stay free unless ``walls`` is
+    set, in which case occupied columns run through all layers. A grid of
+    more than one layer is a ``ValueError``.
     """
     nz = as_int(nz, "nz")
     if nz < 1:
         raise ValueError("nz must be >= 1")
-    nx, ny = ground.width, ground.height
-    layers = nz if walls else 1
-    cells = np.zeros(cell_count((nx, ny, nz)), dtype=np.uint8)
-    for k in range(layers):
-        cells[k * nx * ny : (k + 1) * nx * ny] = ground.occupancy
-    return OccupancyGrid3D((0.0, 0.0, 0.0), ground.resolution, (nx, ny, nz), cells)
+    nx, ny, layers = ground.dims
+    if layers != 1:
+        raise ValueError(f"extrude_ground takes a one-layer grid, got {layers} layers")
+    n_cells = cell_count((nx, ny, nz))
+    cells = np.tile(ground.cells, nz) if walls else np.pad(ground.cells, (0, n_cells - nx * ny))
+    return OccupancyGrid3D(ground.origin, ground.resolution, (nx, ny, nz), cells)
 
 
 # --- SKYGRID1 serialization -------------------------------------------------

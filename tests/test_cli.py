@@ -134,6 +134,16 @@ def test_gridgen_pgm_extrusion_over_the_cap_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gridgen_pgm_header_over_the_cap_exits_3(tmp_path, capsys):
+    pgm = tmp_path / "map.pgm"
+    pgm.write_bytes(b"P5 20000 20000 255\n\x00")  # 4e8 pixels declared, one byte given
+    out = tmp_path / "x.grid"
+    rc = main(["gridgen", "--pgm", str(pgm), "-o", str(out)])
+    assert rc == 3
+    assert "grid would hold 400000000 cells, above the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gridgen_requires_exactly_one_input(tmp_path, capsys):
     rc = main(["gridgen", "-o", str(tmp_path / "x.grid")])
     assert rc == 2

@@ -10,7 +10,6 @@ from skyrover import (
     AGV,
     UAV,
     Agent,
-    GroundMap2D,
     OccupancyGrid3D,
     PointCloud,
     Scenario,
@@ -22,6 +21,7 @@ from skyrover import (
     execute_plan,
     extrude_ground,
     make_solution,
+    parse_pgm,
     path_cost,
     rasterize,
     save_scenario,
@@ -30,7 +30,7 @@ from skyrover import (
     validate_solution,
     warehouse_grid,
 )
-from skyrover.bench import run_cell
+from skyrover.bench import run_cell, run_suite
 from skyrover.mapf import cell_at, components
 
 from oracles import (
@@ -462,6 +462,14 @@ def _run_cell(repeats, tmp_path):
     run_cell(tmp_path / "line.json", "astar", repeats=repeats)
 
 
+def _run_suite_seed(seed, tmp_path):
+    save_scenario(Scenario(**_LINE), tmp_path / "line.json")
+    report = run_suite([tmp_path / "line.json"], ["astar"], seed=seed)
+    (row,) = report.rows
+    assert row.seed == report.seed and type(row.seed) is type(report.seed)
+    return report.seed
+
+
 # entry point -> (the field its error names, its kind of value, (value, tmp_path) -> what it stored)
 _ENTRY_POINTS = {
     "Agent.id": ("id", "int", lambda v, _: Agent(v, UAV, (0, 0, 0), (1, 0, 0)).id),
@@ -490,17 +498,25 @@ _ENTRY_POINTS = {
         "real",
         lambda v, _: OccupancyGrid3D((0, 0, 0), v, (2, 1, 1), np.zeros(2)).resolution,
     ),
-    "GroundMap2D.width": ("width", "int", lambda v, _: GroundMap2D(v, 3, 1.0, np.zeros(21)).width),
-    "GroundMap2D.height": ("height", "int", lambda v, _: GroundMap2D(3, v, 1.0, np.zeros(21)).height),
-    "GroundMap2D.resolution": ("resolution", "real", lambda v, _: GroundMap2D(2, 1, v, np.zeros(2)).resolution),
+    "parse_pgm.resolution": ("resolution", "real", lambda v, _: parse_pgm(b"P2 2 1 255 0 255", v).resolution),
+    "parse_pgm.occupied_threshold": (
+        "occupied_threshold",
+        "int",
+        _stores_nothing(lambda v, _: parse_pgm(b"P2 2 1 255 0 255", occupied_threshold=v)),
+    ),
     "warehouse_grid.dims": ("dims", "cell", lambda v, _: warehouse_grid(v, 1, 1).dims),
     "warehouse_grid.shelf_rows": ("shelf_rows", "int", _stores_nothing(lambda v, _: warehouse_grid((40, 40, 2), v, 1))),
     "warehouse_grid.shelf_height": ("shelf_height", "int", _stores_nothing(lambda v, _: warehouse_grid(_CELL, 1, v))),
-    "extrude_ground.nz": ("nz", "int", lambda v, _: extrude_ground(GroundMap2D(2, 1, 1.0, np.zeros(2)), v).dims[2]),
+    "extrude_ground.nz": ("nz", "int", lambda v, _: extrude_ground(empty_grid((2, 1, 1)), v).dims[2]),
     "rasterize.resolution": (
         "resolution",
         "real",
         lambda v, _: rasterize(PointCloud(np.array([[0.5, 0.5, 0.5]])), v).resolution,
+    ),
+    "rasterize.padding": (
+        "padding",
+        "int",
+        _stores_nothing(lambda v, _: rasterize(PointCloud(np.array([[0.5, 0.5, 0.5]])), 1.0, padding=v)),
     ),
     "execute_plan.cell_duration": (
         "cell_duration",
@@ -509,6 +525,7 @@ _ENTRY_POINTS = {
     ),
     "Simulator.run.max_ticks": ("max_ticks", "int", _run_budget),
     "run_cell.repeats": ("repeats", "int", _stores_nothing(_run_cell)),
+    "run_suite.seed": ("seed", "int", _run_suite_seed),
 }
 
 
@@ -516,8 +533,8 @@ _ENTRY_POINTS = {
 def test_every_entry_point_keeps_one_rule_for_integers_cells_and_positive_reals(tmp_path, entry):
     field, kind, build = _ENTRY_POINTS[entry]
     for value, accepted in _VALUES[kind]:
-        if value is None and field == "max_ticks":
-            continue  # None asks for the mode's default budget
+        if value is None and field in ("max_ticks", "seed"):
+            continue  # None asks for the mode's default budget, or each scenario's own seed
         if not accepted:
             with pytest.raises(ValueError, match=f"^{field} must be "):
                 build(value, tmp_path)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skyrover import ParseError, UnsupportedFormatError, parse_pgm
+from skyrover import OccupancyGrid3D, ParseError, UnsupportedFormatError, extrude_ground, parse_pgm
 
 from oracles import pgm_p2_bytes, pgm_p5_bytes
 
@@ -11,14 +11,14 @@ def test_2x2_threshold_and_flip():
     # picture rows top-down: [255, 0] over [0, 255]
     ground = parse_pgm(pgm_p2_bytes([[255, 0], [0, 255]]))
     # top picture row lands on the maximum-y map row
-    assert ground.occupied(0, 1) is False and ground.occupied(1, 1) is True
-    assert ground.occupied(0, 0) is True and ground.occupied(1, 0) is False
+    assert ground.is_occupied(0, 1, 0) is False and ground.is_occupied(1, 1, 0) is True
+    assert ground.is_occupied(0, 0, 0) is True and ground.is_occupied(1, 0, 0) is False
 
 
 def test_1x1_binary_zero_is_occupied():
     ground = parse_pgm(pgm_p5_bytes([[0]]))
-    assert ground.width == ground.height == 1
-    assert ground.occupied(0, 0) is True
+    assert ground.dims == (1, 1, 1)
+    assert ground.is_occupied(0, 0, 0) is True
 
 
 def test_p2_p5_equivalent_on_same_pattern():
@@ -29,20 +29,20 @@ def test_p2_p5_equivalent_on_same_pattern():
 
 def test_threshold_boundary_is_exclusive():
     ground = parse_pgm(pgm_p2_bytes([[127, 128]]))
-    assert ground.occupied(0, 0) is True  # below threshold: obstacle
-    assert ground.occupied(1, 0) is False  # at threshold: free
+    assert ground.is_occupied(0, 0, 0) is True  # below threshold: obstacle
+    assert ground.is_occupied(1, 0, 0) is False  # at threshold: free
 
 
 def test_threshold_parameter():
     ground = parse_pgm(pgm_p2_bytes([[10, 200]]), occupied_threshold=250)
-    assert ground.occupied(0, 0) and ground.occupied(1, 0)
+    assert ground.is_occupied(0, 0, 0) and ground.is_occupied(1, 0, 0)
 
 
 def test_comments_allowed_between_header_tokens():
     data = b"P2\n# c1\n2 # inline\n# c2\n1\n255\n7 200\n"
     ground = parse_pgm(data)
-    assert ground.width == 2 and ground.height == 1
-    assert ground.occupied(0, 0) and not ground.occupied(1, 0)
+    assert ground.dims == (2, 1, 1)
+    assert ground.is_occupied(0, 0, 0) and not ground.is_occupied(1, 0, 0)
 
 
 def test_bad_magic():
@@ -117,3 +117,19 @@ def test_bad_header_or_raster_length_is_reported_at_its_offset(data, message, of
 
 def test_resolution_attached():
     assert parse_pgm(pgm_p5_bytes([[0]]), resolution=0.25).resolution == 0.25
+
+
+@pytest.mark.parametrize("walls", [False, True])
+@pytest.mark.parametrize("nz", [1, 2, 3, 4])
+@pytest.mark.parametrize("encode", [pgm_p2_bytes, pgm_p5_bytes], ids=["p2", "p5"])
+def test_an_extruded_map_is_its_flipped_pixel_rows_stacked(encode, nz, walls):
+    """Seeded differential check against layers built straight from the picture rows."""
+    rng = random.Random(f"{encode.__name__}-{nz}-{walls}")
+    for _ in range(5):
+        width, height = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.randrange(256) for _ in range(width)] for _ in range(height)]
+        threshold = rng.randrange(1, 256)
+        grid = extrude_ground(parse_pgm(encode(rows), 0.5, threshold), nz, walls=walls)
+        layer = [int(v < threshold) for row in reversed(rows) for v in row]  # the bottom picture row is y = 0
+        upper = layer if walls else [0] * len(layer)
+        assert grid == OccupancyGrid3D((0.0, 0.0, 0.0), 0.5, (width, height, nz), layer + upper * (nz - 1))

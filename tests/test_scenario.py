@@ -56,7 +56,9 @@ def _random_scenario(rng: random.Random) -> Scenario:
         (
             "some/grid.grid",
             {"kind": "empty", "dims": [8, 8, 3]},
+            {"kind": "empty", "dims": (8, 8, 3)},
             {"kind": "warehouse", "dims": [40, 30, 8], "shelf_rows": 3},
+            {"kind": "warehouse", "dims": (40, 30, 8), "shelf_rows": 3},
         )
     )
     return Scenario(grid=grid, agents=tuple(agents), seed=rng.randrange(10**6), task=task, solver=solver)
@@ -285,6 +287,23 @@ def test_wrongly_typed_field_is_a_scenario_error(tmp_path, path, value):
         scenario_from_bytes(data)
     (tmp_path / "s.json").write_bytes(data)
     assert main(["solve", "--scenario", str(tmp_path / "s.json")]) == 2
+
+
+@pytest.mark.parametrize("kind", [["warehouse"], {"kind": "empty"}, 3, None])
+def test_a_grid_kind_that_is_no_known_name_is_a_scenario_error(tmp_path, kind):
+    from skyrover.cli import main
+
+    payload = _typed_payload()
+    payload["grid"]["kind"] = kind
+    data = json.dumps(payload).encode()
+    with pytest.raises(ScenarioError, match="kind must be one of"):
+        scenario_from_bytes(data)
+    (tmp_path / "s.json").write_bytes(data)
+    assert main(["solve", "--scenario", str(tmp_path / "s.json")]) == 2
+    sc = Scenario(grid=payload["grid"], agents=(Agent(0, AGV, (0, 0, 0), (1, 0, 0)),))  # built, refused when saved
+    with pytest.raises(ScenarioError, match="kind must be one of"):
+        save_scenario(sc, tmp_path / "saved.json")
+    assert not (tmp_path / "saved.json").exists()
 
 
 def test_scenario_holding_a_loaded_grid_is_not_saved(tmp_path):

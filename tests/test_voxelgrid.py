@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from skyrover import (
     CapacityError,
-    GroundMap2D,
     OccupancyGrid3D,
     ParseError,
     PointCloud,
@@ -23,12 +22,13 @@ from skyrover import (
     grid_from_bytes,
     grid_to_bytes,
     parse_pcd,
+    parse_pgm,
     rasterize,
     warehouse_grid,
 )
 from skyrover.voxelgrid import BLOCK_SIZE
 
-from oracles import pcd_binary_bytes
+from oracles import pcd_binary_bytes, pgm_p5_bytes
 
 
 def test_refused_grid_writes_no_file(tmp_path, monkeypatch):
@@ -147,7 +147,7 @@ def test_non_finite_bounds_or_extent_are_value_errors(resolution, bounds, paddin
 @pytest.mark.parametrize("resolution", [0.0, math.nan, math.inf])
 def test_ground_map_rejects_a_resolution_the_grid_would_reject(resolution):
     with pytest.raises(ValueError, match="resolution must be positive and finite"):
-        GroundMap2D(2, 2, resolution, np.zeros(4, dtype=np.uint8))
+        parse_pgm(pgm_p5_bytes([[255, 255], [255, 255]]), resolution)
 
 
 def test_capacity_cap():
@@ -255,8 +255,8 @@ def test_zero_minima_take_the_sign_of_the_last_zero():
 
 
 def _map_2x2():
-    # occupied only at (x=0, y=1)
-    return GroundMap2D(2, 2, 1.0, np.array([0, 0, 1, 0], dtype=np.uint8))
+    # occupied only at (x=0, y=1): the top-left pixel
+    return parse_pgm(pgm_p5_bytes([[0, 255], [255, 255]]))
 
 
 def test_extrude_default_single_layer():
@@ -277,12 +277,25 @@ def test_extrude_walls_mode():
 
 def test_extrude_counts_by_mode():
     rng = random.Random(11)
-    occ = np.array([rng.randrange(2) for _ in range(64)], dtype=np.uint8)
-    ground = GroundMap2D(8, 8, 1.0, occ)
+    ground = parse_pgm(pgm_p5_bytes([[255 * rng.randrange(2) for _ in range(8)] for _ in range(8)]))
     flat = extrude_ground(ground, 4)
     tall = extrude_ground(ground, 4, walls=True)
     assert flat.occupied_count == ground.occupied_count
     assert tall.occupied_count == ground.occupied_count * 4
+
+
+def test_extrusion_takes_a_one_layer_grid_only():
+    ground = _map_2x2()
+    assert extrude_ground(ground, 1) == ground
+    with pytest.raises(ValueError, match="one-layer grid, got 2 layers"):
+        extrude_ground(extrude_ground(ground, 2), 3)
+
+
+def test_extrusion_keeps_the_origin_and_resolution():
+    ground = OccupancyGrid3D((-1.5, 2.0, 0.25), 0.5, (2, 1, 1), [1, 0])
+    grid = extrude_ground(ground, 3, walls=True)
+    assert (grid.origin, grid.resolution, grid.dims) == ((-1.5, 2.0, 0.25), 0.5, (2, 1, 3))
+    assert grid.cells.tolist() == [1, 0] * 3
 
 
 def test_extrusion_over_the_cell_cap_fails_before_allocating():
@@ -338,8 +351,8 @@ def test_grid_cells_are_a_view_of_occ_bytes():
 def test_cells_points_and_occupancy_cannot_be_made_writeable():
     grid = empty_grid((2, 2, 1))
     cloud = PointCloud(np.array([[0.5, 0.5, 0.5]]))
-    ground = GroundMap2D(2, 1, 1.0, np.array([0, 1], dtype=np.uint8))
-    for value, name in ((grid, "cells"), (cloud, "points"), (ground, "occupancy")):
+    ground = parse_pgm(pgm_p5_bytes([[255, 0]]))
+    for value, name in ((grid, "cells"), (cloud, "points"), (ground, "cells")):
         for twin in (value, copy.deepcopy(value), pickle.loads(pickle.dumps(value))):  # copies are built anew
             assert twin == value
             with pytest.raises(ValueError, match="WRITEABLE"):
@@ -368,8 +381,10 @@ def test_first_cell_lookup_on_a_read_grid_copies_nothing():
         lambda: warehouse_grid((2000, 2000, 100)),
         lambda: Scenario(grid={"kind": "empty", "dims": [2**14, 2**14, 2]}, agents=()).materialize_grid(),
         lambda: Scenario(grid={"kind": "warehouse", "dims": [2000, 2000, 100]}, agents=()).materialize_grid(),
+        lambda: parse_pgm(b"P5 20000 20000 255\n\x00"),
+        lambda: parse_pgm(b"P2 20000 20000 255\n0"),
     ],
-    ids=["empty-909TiB", "empty-cap+1", "warehouse-400MB", "inline-empty", "inline-warehouse"],
+    ids=["empty-909TiB", "empty-cap+1", "warehouse-400MB", "inline-empty", "inline-warehouse", "pgm-p5", "pgm-p2"],
 )
 def test_every_grid_producer_refuses_cells_over_the_cap_before_allocating(build):
     tracemalloc.start()

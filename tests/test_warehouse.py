@@ -7,7 +7,7 @@ import pytest
 from skyrover import (
     AGV,
     UAV,
-    GroundMap2D,
+    OccupancyGrid3D,
     PlacementError,
     empty_grid,
     extrude_ground,
@@ -109,7 +109,7 @@ def _walled_floor(seed, width=60, height=45, layers=4):
     for _ in range(25):
         x, y = rng.randrange(2, width - 8), rng.randrange(2, height - 5)
         occ[y : y + rng.randint(1, 3), x : x + rng.randint(2, 6)] = 1
-    return extrude_ground(GroundMap2D(width, height, 0.5, occ.reshape(-1)), layers, walls=True)
+    return extrude_ground(OccupancyGrid3D((0, 0, 0), 0.5, (width, height, 1), occ.reshape(-1)), layers, walls=True)
 
 
 def test_rosters_on_walled_floor_maps_are_pinned():
