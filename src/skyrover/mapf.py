@@ -281,7 +281,10 @@ def detect_conflicts(paths: dict) -> list[Conflict]:
     ended are treated as parked on their final cell. The scan runs through
     the longest path; output is sorted by (time, lower agent id, vertex
     before edge). Each path is padded to that length once, so a timestep's
-    joint position is one row of the zipped paths.
+    joint position is one row of the zipped paths. A row equal to the one
+    before it is skipped when that one had no conflicts: nobody moved, so
+    it has none either. After a row with conflicts it is scanned, so agents
+    parked on one cell are reported at every timestep.
     """
     ids = sorted(paths)
     if len(ids) < 2:
@@ -290,10 +293,15 @@ def detect_conflicts(paths: dict) -> list[Conflict]:
     out = []
     prev = {a: paths[a][0] for a in ids}
     padded = [list(cells) + [cells[-1]] * (horizon - len(cells)) for cells in (paths[a] for a in ids)]
+    last = found = None
     for t, row in enumerate(zip(*padded)):
+        if not found and row == last:
+            continue
         cur = dict(zip(ids, row))
-        out.extend(step_conflicts(prev, cur, t))
+        found = step_conflicts(prev, cur, t)
+        out.extend(found)
         prev = cur
+        last = row
     out.sort(key=lambda c: c.sort_key)
     return out
 

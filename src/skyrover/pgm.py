@@ -100,18 +100,19 @@ def parse_pgm(
             raise ParseError("non-integer sample in raster", offset=_sample_start(data, body_pos, n)) from None
     else:
         # exactly one whitespace byte separates maxval from the raster
-        body = data[body_pos + 1 :]
+        body = memoryview(data)[body_pos + 1 :]  # a view: the samples stay the caller's bytes, as uint8
         if len(body) < n_pixels:
             raise ParseError(f"raster holds {len(body)} bytes, expected {n_pixels}", offset=len(data))
         if len(body) > n_pixels:
             raise ParseError(f"{len(body) - n_pixels} trailing bytes after the raster", offset=body_pos + 1 + n_pixels)
-        pixels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
+        pixels = np.frombuffer(body, dtype=np.uint8)
 
     if pixels.min() < 0 or pixels.max() > maxval:  # reductions: no temporary the size of the image
         n = int(np.argmax((pixels < 0) | (pixels > maxval)))  # the first bad sample
         at = _sample_start(data, body_pos, n) if magic == b"P2" else body_pos + 1 + n
         raise ParseError(f"sample is negative or exceeds maxval {maxval}", offset=at)
 
-    image = pixels.reshape(height, width)  # row 0 = top of the picture
-    occupancy = (image < occupied_threshold).astype(np.uint8)[::-1].reshape(-1)
+    image = pixels.reshape(height, width)[::-1]  # row 0 = top of the picture, so flip it to the grid's j order
+    threshold = min(max(occupied_threshold, 0), 256)  # below 0 nothing is occupied, above 255 everything is
+    occupancy = (image < threshold).reshape(-1).view(np.uint8)  # the one image-sized temporary: 0/1 bools read as bytes
     return OccupancyGrid3D((0.0, 0.0, 0.0), resolution, (width, height, 1), occupancy)

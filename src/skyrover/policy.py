@@ -5,6 +5,10 @@ moves to waits until the joint move is collision-free. Starting from a
 conflict-free configuration the shielded step always lands in another
 conflict-free configuration (everyone waiting reproduces the current one),
 though livelock is possible and left for the benchmark to measure.
+``online_policy_step`` asks the policy every tick and keeps its last
+answer: a tick with the last one's grid, agents, cells and proposals, as a
+stalled fleet's is, skips the legality check and the shield.
+``shield_moves`` keeps nothing.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import index
+from weakref import ref
 
 from .astar import legal_moves
 from .errors import InvariantViolation
@@ -32,45 +37,71 @@ class GreedyShieldedPolicy:
 
     Agents already at their goal propose wait. Ties between equally good
     moves break on the canonical move order, so steps are deterministic.
-    Steps are kept per grid (``_GreedySteps``) and shared by every
-    instance. A cell given as a list gets the step of its tuple.
+    Steps are kept per grid (``_GreedySteps``), one cell-keyed table per
+    (kind, goal), and shared by every instance. An instance keeps each
+    agent's table for the last grid and agents tuple it saw, so a tick
+    costs one lookup per agent. A cell given as a list gets the step of its
+    tuple.
     """
 
     name = "greedy-shielded"
 
+    def __init__(self):
+        self._rows = (None, None, ())  # (the grid's step tables, the agents tuple, each agent's id and table)
+
     def propose(self, view: WorldView) -> dict:
-        steps = per_grid(view.grid, _GreedySteps)
+        tables = per_grid(view.grid, _GreedySteps)
+        agents = view.agents
+        kept_tables, kept_agents, rows = self._rows
+        if kept_tables is not tables or kept_agents is not agents:
+            rows = [(agent.id, tables[agent.kind, agent.goal]) for agent in agents]
+            if type(agents) is tuple:  # a list could change in place
+                self._rows = (tables, agents, rows)
         cells = view.cells
         out = {}
-        for agent in view.agents:
+        for aid, steps in rows:
             try:
-                out[agent.id] = steps[agent.kind, agent.goal, cells[agent.id]]
+                out[aid] = steps[cells[aid]]
             except TypeError:  # an unhashable (i, j, k) list
-                out[agent.id] = steps[agent.kind, agent.goal, tuple(cells[agent.id])]
+                out[aid] = steps[tuple(cells[aid])]
         return out
 
 
 class _GreedySteps(dict):
-    """(kind, goal, cell) -> the legal next cell nearest the goal by Manhattan distance, the first in ``MOVES`` order
-    (``cell`` at the goal or with no legal move), filled on first use; it holds ``legal_moves`` tables, not the grid."""
+    """(kind, goal) -> that goal's ``_StepsToward`` table, made on first use; it holds ``legal_moves`` tables, not the grid."""
 
     def __init__(self, grid):
         super().__init__()
         self.moves = {kind: legal_moves(grid, kind) for kind in KINDS}
 
     def __missing__(self, key):
-        kind, goal, cell = key
+        kind, goal = key
+        self[key] = steps = _StepsToward(self.moves[kind], goal)
+        return steps
+
+
+class _StepsToward(dict):
+    """cell -> the legal next cell nearest ``goal`` by Manhattan distance, the first in ``MOVES`` order
+    (``cell`` at the goal or with no legal move), filled on first use."""
+
+    def __init__(self, moves, goal):
+        super().__init__()
+        self.moves = moves
+        self.goal = goal
+
+    def __missing__(self, cell):
         step = cell = tuple(map(index, cell))  # numpy ints are stored as ints
+        goal = self.goal
         if cell != goal:
             gi, gj, gk = goal
             best = None
-            for option in self.moves[kind][cell]:  # a cell outside the grid raises ValueError
+            for option in self.moves[cell]:  # a cell outside the grid raises ValueError
                 i, j, k = option
                 d = abs(i - gi) + abs(j - gj) + abs(k - gk)
                 if best is None or d < best:  # the first minimum in move order
                     best = d
                     step = option
-        self[kind, goal, cell] = step
+        self[cell] = step
         return step
 
 
@@ -104,26 +135,9 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
     are queued with the next round's stamp (a swap that became a vertex
     conflict among them). Every resolved round turns one mover into a
     waiter, so the loop ends within one round per agent; no convergence
-    guard is needed, since a conflict left among waiters raises.
-
-    The answer depends on the two dicts alone, and a stalled fleet asks the
-    same question tick after tick, so the last call that returned is kept:
-    copies of its ``cells`` and ``proposals`` and the agents it downgraded.
-    A call whose dicts equal those returns a new dict, in its own
-    ``proposals`` key order, built from its own dicts as a full run would
-    build it. A call that raised keeps nothing, so its repeat raises again,
-    and an input that cannot be compared with the kept one (a numpy array)
-    is computed, and fails, as before.
+    guard is needed, since a conflict left among waiters raises. The answer
+    depends on the two dicts alone; nothing is kept between calls.
     """
-    global _last
-    last = _last
-    try:
-        hit = last is not None and last[0] == cells and last[1] == proposals
-    except ValueError:  # numpy arrays refuse to be truth-tested: computed, and failing, as before
-        hit = False
-    if hit:
-        downgraded = last[2]
-        return {a: cells[a] if a in downgraded else p for a, p in proposals.items()}
     moves = dict(proposals)
     entering = {}  # cell -> the agents whose move ends there
     for a, cell in moves.items():
@@ -153,11 +167,7 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
             for c in step_conflicts(cells, {x: moves[x] for x in group}):
                 if offender in c.agents:  # pairs without it are already queued
                     heappush(heap, (*c.agents, rnd + 1, c.kind))
-    _last = (dict(cells), dict(proposals), downgraded)
     return moves
-
-
-_last = None  # shield_moves' last (cells, proposals, downgraded agents), replaced as one
 
 
 def online_policy_step(policy, view: WorldView) -> dict:
@@ -169,10 +179,37 @@ def online_policy_step(policy, view: WorldView) -> dict:
     fetched once per call and subscripted per agent. A current cell given as an (i, j, k) list is
     read, and shielded, as its tuple; one outside the grid raises
     ``ValueError``.
+
+    ``policy.propose`` runs on every call, so a policy that keeps state sees
+    every tick. The moves depend on the view's grid, agents and cells and on
+    the proposals alone, and a stalled fleet asks the same question tick
+    after tick, so the last call that returned is kept: its grid (weakly)
+    and agents, compared with ``is``, and copies of its cells, proposals and
+    moves, compared with ``==``. A call that matches returns a new dict of
+    those moves, in the same key order, without the legality check or the
+    shield. Only an agents tuple and proposals that are all tuples are kept,
+    and cells only as the tuples they were read as, so a list changed in
+    place cannot match stale moves. A call that raised keeps nothing, so its
+    repeat raises again, and a value that cannot be compared with the kept
+    one (a numpy array) is computed as before.
     """
+    global _last
     proposals = policy.propose(view)
     grid = view.grid
     cells = view.cells
+    last = _last
+    try:
+        hit = (
+            last is not None
+            and last[0]() is grid
+            and last[1] is view.agents
+            and last[2] == cells
+            and last[3] == proposals
+        )
+    except ValueError:  # numpy arrays refuse to be truth-tested: computed, as without the memo
+        hit = False
+    if hit:
+        return dict(last[4])
     tables = {kind: legal_moves(grid, kind) for kind in KINDS}
     legal = {}
     for agent in view.agents:
@@ -190,4 +227,10 @@ def online_policy_step(policy, view: WorldView) -> dict:
             legal[aid] = options[options.index(tuple(proposals.get(aid, cell)))]
         except (TypeError, ValueError):  # not a cell, or not a legal one
             legal[aid] = cell
-    return shield_moves(cells, legal)
+    moves = shield_moves(cells, legal)
+    if type(view.agents) is tuple and all(type(p) is tuple for p in proposals.values()):
+        _last = (ref(grid), view.agents, dict(cells), dict(proposals), dict(moves))
+    return moves
+
+
+_last = None  # online_policy_step's last (grid ref, agents, cells, proposals, moves), replaced as one

@@ -4,6 +4,9 @@ One Simulator instance drives one scenario, either replaying a precomputed
 solution or querying an online policy every tick. Steps preserve
 conflict-freedom by construction and re-check it defensively; a violation
 here means a solver or shield bug and raises instead of passing silently.
+A step that moves nobody is not re-checked: tick 0 passed
+``validate_agents``, and every later state was checked or repeats a
+checked one.
 """
 
 from __future__ import annotations
@@ -198,18 +201,25 @@ class Simulator:
         cur = self.state
         if cur.all_at_goal:
             return cur
+        tick = cur.tick + 1
         if cur.mode == PRECOMPUTED_MODE:
-            nxt = {a.id: cell_at(self._solution.paths[a.id], cur.tick + 1) for a in self._agents}
+            nxt = {a.id: cell_at(self._solution.paths[a.id], tick) for a in self._agents}
         else:
             view = WorldView(self._grid, self._agents, cur.cells)
             t0 = time.perf_counter()
             nxt = online_policy_step(self._policy, view)
             self._policy_time += time.perf_counter() - t0
-        conflicts = step_conflicts(cur.cells, nxt, cur.tick + 1)
-        if conflicts:
-            c = min(conflicts, key=lambda c: c.sort_key)
-            raise InvariantViolation(f"agents {c.agents[0]} and {c.agents[1]} collide at tick {c.time} on {c.cells}")
-        state = SimState(cur.tick + 1, nxt, self._statuses(nxt, cur.tick + 1, cur.mode), cur.mode)
+        if nxt != cur.cells:
+            conflicts = step_conflicts(cur.cells, nxt, tick)
+            if conflicts:
+                c = min(conflicts, key=lambda c: c.sort_key)
+                raise InvariantViolation(f"agents {c.agents[0]} and {c.agents[1]} collide at tick {c.time} on {c.cells}")
+            status = self._statuses(nxt, tick, cur.mode)
+        elif cur.mode == ONLINE_MODE and FAILED not in cur.status.values():
+            status = dict(cur.status)  # nobody moved, and online statuses depend on cells alone (not a run's FAILED marks)
+        else:
+            status = self._statuses(nxt, tick, cur.mode)
+        state = SimState(tick, nxt, status, cur.mode)
         self._states.append(state)
         return state
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -146,6 +147,51 @@ def test_padded_scan_equals_the_per_tick_lookup_with_ended_agents():
             seen[c.kind] += 1
             seen["ended"] += any(c.time >= len(paths[a]) for a in c.agents)
     assert min(seen.values()) >= 100, seen
+
+
+def _frozen_rows(rng):
+    """Up to eight agents on a 4x3 floor whose joint rows mostly repeat, cut into paths of unequal length.
+
+    A step either repeats the last row, swaps two agents, parks one agent on
+    another's cell or moves one agent anywhere; a long frozen tail follows.
+    Moves need not be adjacent: the collision rule does not ask.
+    """
+    n = rng.randrange(2, 9)
+    spots = [(i, j, 0) for i in range(4) for j in range(3)]
+    rows = [dict(zip(range(n), rng.sample(spots, n)))]
+    for _ in range(rng.randrange(5, 40)):
+        row = dict(rows[-1])
+        r = rng.random()
+        if r < 0.15:
+            a, b = rng.sample(range(n), 2)
+            row[a], row[b] = row[b], row[a]
+        elif r < 0.25:
+            a, b = rng.sample(range(n), 2)
+            row[a] = row[b]
+        elif r < 0.4:
+            row[rng.randrange(n)] = rng.choice(spots)
+        rows.append(row)
+        if r < 0.4:
+            rows.extend([row] * rng.randrange(0, 6))  # a frozen stretch after the change
+    rows.extend([rows[-1]] * rng.randrange(0, 30))
+    return {a: tuple(row[a] for row in rows[: rng.randrange(1, len(rows) + 1)]) for a in range(n)}
+
+
+def test_a_scan_that_skips_repeated_rows_equals_a_scan_of_every_row():
+    rng = random.Random(26)
+    seen = Counter()
+    for _ in range(400):
+        paths = _frozen_rows(rng)
+        want = _detect_conflicts_per_tick(paths)
+        assert detect_conflicts(paths) == want, paths
+        at = {(c.kind, c.agents, c.time) for c in want}
+        for c in want:
+            rows = [{a: cell_at(p, t) for a, p in paths.items()} for t in (c.time - 2, c.time - 1, c.time)]
+            if c.kind == "vertex" and rows[1] == rows[2] and ("vertex", c.agents, c.time - 1) in at:
+                seen["parked pair, repeated row"] += 1
+            if c.kind == "edge" and c.time >= 2 and rows[0] == rows[1]:
+                seen["swap after a frozen row"] += 1
+    assert seen["parked pair, repeated row"] >= 1000 and seen["swap after a frozen row"] >= 100, seen
 
 
 def test_step_conflicts_matches_brute_force_on_crowded_steps():

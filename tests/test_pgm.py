@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from skyrover import OccupancyGrid3D, ParseError, UnsupportedFormatError, extrude_ground, parse_pgm
@@ -36,6 +38,29 @@ def test_threshold_boundary_is_exclusive():
 def test_threshold_parameter():
     ground = parse_pgm(pgm_p2_bytes([[10, 200]]), occupied_threshold=250)
     assert ground.is_occupied(0, 0, 0) and ground.is_occupied(1, 0, 0)
+
+
+@pytest.mark.parametrize("threshold", [-(10**30), -1, 0, 1, 255, 256, 10**30])
+@pytest.mark.parametrize("encode", [pgm_p2_bytes, pgm_p5_bytes], ids=["p2", "p5"])
+def test_a_threshold_outside_the_samples_frees_or_fills_the_map(encode, threshold):
+    rows = [[0, 1, 254], [255, 128, 127]]
+    layer = [int(v < threshold) for row in reversed(rows) for v in row]
+    assert parse_pgm(encode(rows), occupied_threshold=threshold).cells.tolist() == layer
+
+
+def test_a_large_p5_map_peaks_at_a_few_rasters():
+    """A 1500x1500 P5 map is thresholded as uint8: the parse allocates at most four rasters' worth at its peak."""
+    width, height = 1500, 1500
+    pixels = np.random.default_rng(25).integers(0, 200, (height, width), dtype=np.uint8)
+    data = b"P5\n%d %d\n199\n" % (width, height) + pixels.tobytes()
+    tracemalloc.start()
+    try:
+        grid = parse_pgm(data, occupied_threshold=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * width * height, peak
+    assert np.array_equal(grid.cells, (pixels[::-1] < 100).reshape(-1))
 
 
 def test_comments_allowed_between_header_tokens():

@@ -4,6 +4,7 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -216,17 +217,37 @@ def test_shield_matches_pairwise_reference_at_fleet_density():
 
 
 @pytest.fixture
-def scans(monkeypatch):
-    """Counts the conflict scans ``shield_moves`` makes: a call it answers from its memo makes none."""
-    count = [0]
-    scan = skyrover.policy.step_conflicts
+def computed(monkeypatch):
+    """Counts the legality checks (``legal_moves`` fetches) and shields ``online_policy_step`` runs: a memo hit runs neither."""
+    count = Counter()
+    for name in ("legal_moves", "shield_moves"):
 
-    def counted(*args):
-        count[0] += 1
-        return scan(*args)
+        def counted(*args, _real=getattr(skyrover.policy, name), _name=name):
+            count[_name] += 1
+            return _real(*args)
 
-    monkeypatch.setattr(skyrover.policy, "step_conflicts", counted)
+        monkeypatch.setattr(skyrover.policy, name, counted)
     return count
+
+
+def _answered(computed, call):
+    """``call()`` and whether the memo answered it: no legality check and no shield ran."""
+    before = computed.total()
+    out = call()
+    return out, computed.total() == before
+
+
+def _unmemoized(policy, view):
+    skyrover.policy._last = None
+    return online_policy_step(policy, view)
+
+
+class _FixedPolicy:
+    def __init__(self, proposals):
+        self.proposals = proposals
+
+    def propose(self, view):
+        return self.proposals
 
 
 def _downgrading_move():
@@ -236,15 +257,22 @@ def _downgrading_move():
     return cells, proposals
 
 
-def test_stalled_online_runs_equal_a_shield_without_memo(monkeypatch, scans):
-    hits = 0
-    memoized = skyrover.policy.shield_moves
+def _downgrading_view():
+    """``_downgrading_move`` as AGVs on an open 3x3 floor, where every proposal is legal."""
+    cells, proposals = _downgrading_move()
+    agents = tuple(Agent(a, AGV, cell, cell) for a, cell in cells.items())
+    return WorldView(empty_grid((3, 3, 1)), agents, cells), proposals
 
-    def shield(cells, proposals):
+
+def test_stalled_online_runs_equal_a_shield_without_memo(monkeypatch, computed):
+    hits = 0
+    memoized = skyrover.sim.online_policy_step
+    counted_shield = skyrover.policy.shield_moves
+
+    def step(policy, view):
         nonlocal hits
-        before = scans[0]
-        out = memoized(cells, proposals)
-        hits += scans[0] == before
+        out, hit = _answered(computed, lambda: memoized(policy, view))
+        hits += hit
         return out
 
     def run(grid, agents):
@@ -255,46 +283,88 @@ def test_stalled_online_runs_equal_a_shield_without_memo(monkeypatch, scans):
     stalls = 0
     for seed in (1, 2, 3):
         grid, agents = generate_warehouse((24, 20, 4), 3, "4uav+12agv", seed=seed)
-        monkeypatch.setattr(skyrover.policy, "shield_moves", shield)
+        monkeypatch.setattr(skyrover.sim, "online_policy_step", step)
+        monkeypatch.setattr(skyrover.policy, "shield_moves", counted_shield)
         got = run(grid, agents)
+        monkeypatch.setattr(skyrover.sim, "online_policy_step", _unmemoized)
         monkeypatch.setattr(skyrover.policy, "shield_moves", pairwise_shield)
         assert got == run(grid, agents)
         stalls += sum(a.cells == b.cells for a, b in zip(got, got[1:]))
     assert stalls >= 300 and hits >= 300, (stalls, hits)  # most ticks of these runs stall
 
 
-def test_a_repeated_shield_call_returns_a_new_equal_dict(scans):
-    cells, proposals = _downgrading_move()
-    first = shield_moves(cells, proposals)
+def test_a_repeated_shield_call_returns_a_new_equal_dict(computed):
+    view, proposals = _downgrading_view()
+    cells = view.cells
+    first = online_policy_step(_FixedPolicy(proposals), view)
     assert first == pairwise_shield(cells, proposals) != proposals
-    before = scans[0]
-    again = shield_moves(dict(cells), dict(proposals))
-    assert scans[0] == before  # answered from the memo
+    again, hit = _answered(
+        computed, lambda: online_policy_step(_FixedPolicy(dict(proposals)), WorldView(view.grid, view.agents, dict(cells)))
+    )
+    assert hit
     assert again == first and again is not first
     again[0] = again[1] = (9, 9, 9)
-    assert shield_moves(cells, proposals) == first  # a caller's edit does not reach the next answer
+    assert online_policy_step(_FixedPolicy(proposals), view) == first  # a caller's edit does not reach the next answer
     proposals[1] = (2, 1, 0)  # now 1 enters and 4 waits; the memo holds copies, so it sees the change
-    assert shield_moves(cells, proposals) == pairwise_shield(cells, proposals) != first
+    changed, hit = _answered(computed, lambda: online_policy_step(_FixedPolicy(proposals), view))
+    assert not hit and changed == pairwise_shield(cells, proposals) != first
 
 
-def test_a_repeated_shield_call_keeps_the_callers_key_order(scans):
-    cells, proposals = _downgrading_move()
-    shield_moves(cells, proposals)
-    before = scans[0]
-    reordered = dict(reversed(proposals.items()))
-    got = shield_moves(cells, reordered)
-    assert scans[0] == before
-    assert list(got) == list(reordered) and got == pairwise_shield(cells, proposals)
+def test_a_repeated_shield_call_keeps_the_callers_key_order(computed):
+    view, proposals = _downgrading_view()
+    want = _unmemoized(_FixedPolicy(proposals), view)
+    reordered = WorldView(view.grid, view.agents, dict(reversed(view.cells.items())))
+    got, hit = _answered(computed, lambda: online_policy_step(_FixedPolicy(dict(reversed(proposals.items()))), reordered))
+    assert hit
+    assert list(got) == list(want) == [a.id for a in view.agents] and got == want  # agents order, as a full step gives
 
 
-def test_a_colliding_move_raises_on_every_repeat(scans):
+def test_a_changed_grid_agents_cell_or_proposal_misses_the_memo(computed):
+    view, proposals = _downgrading_view()
+    grid, agents, cells = view.grid, view.agents, view.cells
+    blocked = OccupancyGrid3D(grid.origin, grid.resolution, grid.dims, np.arange(9) == 1)  # (1, 0, 0), where 0 and 1 head
+    misses = {
+        "equal grid, another object": (empty_grid((3, 3, 1)), agents, cells, proposals),
+        "blocked grid": (blocked, agents, cells, proposals),
+        "equal agents, another tuple": (grid, tuple(list(agents)), cells, proposals),
+        "other kinds": (grid, tuple(replace(a, kind=UAV) for a in agents), cells, proposals),
+        "a cell": (grid, agents, cells | {4: (2, 1, 0)}, proposals),
+        "a proposal": (grid, agents, cells, proposals | {1: (2, 1, 0)}),
+    }
+    for what, (g, a, c, p) in misses.items():
+        online_policy_step(_FixedPolicy(proposals), view)  # the memo now holds the base step
+        got, hit = _answered(computed, lambda: online_policy_step(_FixedPolicy(p), WorldView(g, a, c)))
+        assert not hit, what
+        assert got == _unmemoized(_FixedPolicy(p), WorldView(g, a, c)), what
+
+
+def test_an_agents_list_changed_in_place_gets_fresh_moves_and_proposals():
+    """Only an agents tuple is kept, by the step's memo and by a greedy policy's per-agent tables."""
+    grid = empty_grid((2, 1, 2))
+    agents = [Agent(0, UAV, (0, 0, 0), (0, 0, 1))]
+    view = WorldView(grid, agents, {0: (0, 0, 0)})
+    climb = _FixedPolicy({0: (0, 0, 1)})
+    assert online_policy_step(climb, view) == {0: (0, 0, 1)}
+    agents[0] = replace(agents[0], kind=AGV)  # a ground agent cannot climb
+    assert online_policy_step(climb, view) == {0: (0, 0, 0)}
+    greedy = GreedyShieldedPolicy()
+    assert greedy.propose(view) == {0: (0, 0, 0)}  # no legal move nearer its goal
+    agents[0] = replace(agents[0], goal=(1, 0, 0))
+    assert greedy.propose(view) == {0: (1, 0, 0)}
+
+
+def test_a_colliding_move_raises_on_every_repeat(computed):
     cells = {0: (0, 0, 0), 1: (0, 0, 0), 2: (1, 0, 0)}
     proposals = {0: (0, 0, 0), 1: (0, 0, 0), 2: (2, 0, 0)}
+    agents = tuple(Agent(a, AGV, cell, (2, 0, 0)) for a, cell in cells.items())
+    view = WorldView(empty_grid((3, 1, 1)), agents, cells)
     for _ in range(3):
-        before = scans[0]
+        before = computed["shield_moves"]
+        with pytest.raises(InvariantViolation, match="already share cell"):
+            online_policy_step(_FixedPolicy(proposals), view)
+        assert computed["shield_moves"] == before + 1  # computed each time: a call that raised keeps nothing
         with pytest.raises(InvariantViolation, match="already share cell"):
             shield_moves(cells, proposals)
-        assert scans[0] > before  # computed each time
 
 
 def test_alternating_shield_calls_are_each_answered():
@@ -312,16 +382,16 @@ def test_alternating_shield_calls_are_each_answered():
 
 def test_threads_sharing_the_memo_each_get_their_own_answers():
     """Six threads, switching every microsecond, interleave two inputs with different answers through one memo."""
-    cells, proposals = _downgrading_move()
+    view, proposals = _downgrading_view()
     other = proposals | {1: (2, 1, 0)}  # 1 enters and 4 waits instead
-    inputs = [(cells, p, pairwise_shield(cells, p)) for p in (proposals, other)]
-    assert inputs[0][2] != inputs[1][2]
+    inputs = [(_FixedPolicy(p), pairwise_shield(view.cells, p)) for p in (proposals, other)]
+    assert inputs[0][1] != inputs[1][1]
     wrong = []
 
     def drive(offset):
         for n in range(offset, offset + 3000):
-            cells, proposals, want = inputs[n // 50 % 2]  # runs of hits, with the other threads' misses between
-            if shield_moves(cells, proposals) != want:
+            policy, want = inputs[n // 50 % 2]  # runs of hits, with the other threads' misses between
+            if online_policy_step(policy, view) != want:
                 wrong.append(n)
 
     interval = sys.getswitchinterval()
@@ -338,19 +408,19 @@ def test_threads_sharing_the_memo_each_get_their_own_answers():
     assert not wrong
 
 
-def test_an_unhashable_proposal_fails_as_without_the_memo():
-    cells, proposals = _downgrading_move()
-    shield_moves(cells, proposals)
-    with pytest.raises(TypeError, match="unhashable"):  # == on an array cannot say, so it is computed
-        shield_moves(cells, proposals | {0: np.array([1, 0, 0])})
-
-
-class _FixedPolicy:
-    def __init__(self, proposals):
-        self.proposals = proposals
-
-    def propose(self, view):
-        return self.proposals
+def test_an_unhashable_proposal_fails_as_without_the_memo(computed):
+    """The shield keeps nothing, so an array still fails there; the step's memo cannot compare one, so it computes."""
+    view, proposals = _downgrading_view()
+    with pytest.raises(TypeError, match="unhashable"):
+        shield_moves(view.cells, proposals | {0: np.array([1, 0, 0])})
+    want = online_policy_step(_FixedPolicy(proposals), view)
+    for foreign in (np.array([1, 0, 0]), [1, 0, 0]):  # equal to the kept (1, 0, 0), but never kept themselves
+        policy = _FixedPolicy(proposals | {0: foreign})
+        got, hit = _answered(computed, lambda: online_policy_step(policy, view))
+        assert not hit and got == want
+        foreign[0] = 0  # now 0 waits; an answer kept for the old value would be stale
+        got, hit = _answered(computed, lambda: online_policy_step(policy, view))
+        assert not hit and got == _unmemoized(policy, view) != want
 
 
 def test_illegal_proposals_degrade_to_waits():
@@ -491,12 +561,13 @@ def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
     for kind in KINDS:
         assert components(grid, kind) is components(grid, kind)
         assert not components(grid, kind).flags.writeable  # shared, so nobody may change it
-    steps = per_grid(grid, skyrover.policy._GreedySteps)
+    tables = per_grid(grid, skyrover.policy._GreedySteps)
     view = WorldView(grid, agents, {a.id: a.start for a in agents})
     want = GreedyShieldedPolicy().propose(view)
-    assert len(steps) == len(agents)  # the first instance filled the grid's table
+    assert len(tables) == len(agents)  # one step table per (kind, goal), and every goal differs
+    assert sum(map(len, tables.values())) == len(agents)  # the first instance filled them
     assert GreedyShieldedPolicy().propose(view) == want
-    assert len(steps) == len(agents)  # the second built no step
+    assert sum(map(len, tables.values())) == len(agents)  # the second built no step
     assert sorted(labelled) == [AGV, UAV]
     ref = weakref.ref(grid)
     del grid, view

@@ -32,7 +32,7 @@ from skyrover import (
 )
 import skyrover.policy
 import skyrover.sim
-from skyrover.sim import AT_GOAL, PRECOMPUTED_MODE, RunRecord, SimState
+from skyrover.sim import AT_GOAL, EN_ROUTE, FAILED, PRECOMPUTED_MODE, RunRecord, SimState
 
 from oracles import pairwise_shield
 
@@ -303,6 +303,35 @@ def test_online_warehouse_run_is_pinned(monkeypatch):
     assert waypoints == "d2466f102661a20889d9e49c7309286f97ecec097683a82d3d0a44621958c483"
     monkeypatch.setattr(skyrover.policy, "shield_moves", pairwise_shield)
     assert run().states == record.states
+
+
+def test_a_tick_that_moves_nobody_is_not_rechecked(monkeypatch):
+    """The pinned online run with ``step_conflicts`` counted: no repeated tick calls it, and the states stay pinned."""
+    grid, agents = generate_warehouse((40, 30, 6), 6, "8uav+24agv", seed=7)
+    checked = []
+    check = skyrover.sim.step_conflicts
+
+    def counted(prev, cur, t):
+        checked.append(t)
+        return check(prev, cur, t)
+
+    monkeypatch.setattr(skyrover.sim, "step_conflicts", counted)
+    sim = Simulator()
+    sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+    record = sim.run()
+    states = record.states
+    moved = [b.tick for a, b in zip(states, states[1:]) if a.cells != b.cells]
+    assert checked == moved and len(moved) < len(states) // 2  # most ticks repeat the last one
+    trajectories = [[a.id, [s.cells[a.id] for s in states]] for a in record.agents]
+    digest = hashlib.sha256(json.dumps(trajectories).encode()).hexdigest()
+    assert digest == "37a2bf8df2c5e2fec18eb9a0068483e32a01fe68758e74a58827dba1ea745b4c"  # as pinned above
+    for state in states[:-1]:  # the last one carries the run's FAILED marks
+        assert state.status == {a.id: AT_GOAL if state.cells[a.id] == a.goal else EN_ROUTE for a in agents}
+    sim.reset()
+    stalled = sim.run(max_ticks=moved[-1] + 5).states[-1]  # the budget ends inside the frozen tail
+    assert FAILED in stalled.status.values()
+    after = sim.step()
+    assert after.cells == stalled.cells and FAILED not in after.status.values()  # a run's marks are not carried on
 
 
 def test_determinism_of_trajectories_and_exports():
