@@ -37,7 +37,6 @@ class BenchRow:
 @dataclass(frozen=True)
 class BenchmarkReport:
     rows: tuple
-    seed: int
     environment: str
 
 
@@ -71,16 +70,14 @@ def scenario_name(path) -> str:
     return name
 
 
-def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None = None) -> BenchRow:
-    """One (scenario, algorithm) measurement; times are the median of repeats."""
+def run_cell(scenario_path, algorithm: str, repeats: int = 1) -> BenchRow:
+    """One (scenario, algorithm) measurement, labelled with the scenario's seed; times are the median of repeats."""
     if as_int(repeats, "repeats") < 1:
         raise ValueError("repeats must be >= 1")
-    seed = None if seed is None else as_int(seed, "seed")  # None: the scenario's own
     algorithm = normalize_algorithm(algorithm)
     name = scenario_name(scenario_path)
     scenario = load_scenario(scenario_path)
     base = scenario.solver or SolverConfig()
-    row_seed = scenario.seed if seed is None else seed
     config = replace(base, algorithm=algorithm)
 
     times = []
@@ -90,7 +87,7 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
         try:
             sim.init(scenario, config=config)
         except (NoSolutionError, ResourceLimitError):
-            return BenchRow(name, algorithm, row_seed, len(scenario.agents), sim.computation_time, 0.0, -1, -1)
+            return BenchRow(name, algorithm, scenario.seed, len(scenario.agents), sim.computation_time, 0.0, -1, -1)
         record = sim.run()
         times.append(record.computation_time)
         if metrics is None:
@@ -98,7 +95,7 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
     return BenchRow(
         scenario=name,
         algorithm=algorithm,
-        seed=row_seed,
+        seed=scenario.seed,
         agents=len(scenario.agents),
         comp_time_s=statistics.median(times),
         success_rate=metrics.success_rate,
@@ -107,24 +104,22 @@ def run_cell(scenario_path, algorithm: str, repeats: int = 1, seed: int | None =
     )
 
 
-def run_suite(scenario_paths, algorithms, repeats: int = 1, seed: int | None = None) -> BenchmarkReport:
-    seed = None if seed is None else as_int(seed, "seed")  # the report writes it and reads it back as an int
+def run_suite(scenario_paths, algorithms, repeats: int = 1) -> BenchmarkReport:
     if not scenario_paths:
         raise ScenarioError("benchmark suite is empty")
     list(map(scenario_name, scenario_paths))  # every name is checked before any cell runs
     rows = [
-        run_cell(path, alg, repeats=repeats, seed=seed)
+        run_cell(path, alg, repeats=repeats)
         for path in scenario_paths
         for alg in algorithms
     ]
     rows.sort(key=lambda r: (r.scenario, r.algorithm))
-    return BenchmarkReport(rows=tuple(rows), seed=seed if seed is not None else 0, environment=environment_note())
+    return BenchmarkReport(rows=tuple(rows), environment=environment_note())
 
 
 def report_to_bytes(report: BenchmarkReport) -> bytes:
     lines = [
         f"# environment: {report.environment}",
-        f"# seed: {report.seed}",
         CSV_HEADER,
     ]
     for r in report.rows:
@@ -137,7 +132,6 @@ def report_to_bytes(report: BenchmarkReport) -> bytes:
 
 def report_from_bytes(data: bytes) -> BenchmarkReport:
     environment = ""
-    seed = 0
     rows = []
     saw_header = False
     for n, raw in enumerate(data.splitlines(), start=1):
@@ -145,8 +139,8 @@ def report_from_bytes(data: bytes) -> BenchmarkReport:
             line = raw.decode("ascii")
             if line.startswith("# environment: "):
                 environment = line[len("# environment: ") :]
-            elif line.startswith("# seed: "):
-                seed = int(line[len("# seed: ") :])
+            elif line.startswith("# seed: "):  # written by older versions; checked, then dropped
+                int(line[len("# seed: ") :])
             elif line == CSV_HEADER:
                 saw_header = True
             elif line.strip():
@@ -169,7 +163,7 @@ def report_from_bytes(data: bytes) -> BenchmarkReport:
             raise ParseError(f"report line {n}: {exc}") from None
     if not saw_header:
         raise ParseError(f"report is missing the header line {CSV_HEADER!r}")
-    return BenchmarkReport(rows=tuple(rows), seed=seed, environment=environment)
+    return BenchmarkReport(rows=tuple(rows), environment=environment)
 
 
 def format_table(report: BenchmarkReport) -> str:
@@ -190,5 +184,5 @@ def format_table(report: BenchmarkReport) -> str:
         return "  ".join(v.ljust(widths[c]) for c, v in enumerate(row)).rstrip()
     lines = [fmt(headers), fmt(tuple("-" * w for w in widths))]
     lines.extend(fmt(row) for row in body)
-    lines.append(f"(seed {report.seed}; {report.environment})")
+    lines.append(f"({report.environment})")
     return "\n".join(lines)

@@ -180,7 +180,7 @@ def cmd_bench(args) -> int:
     algorithms = [normalize_algorithm(a) for a in args.algs.split(",") if a]
     if not algorithms:
         raise ValueError("--algs lists no algorithms")
-    report = bench_mod.run_suite(paths, algorithms, repeats=args.repeats, seed=args.seed)
+    report = bench_mod.run_suite(paths, algorithms, repeats=args.repeats)
     if args.output:  # a refused report opens no file
         Path(args.output).write_bytes(bench_mod.report_to_bytes(report))
     print(bench_mod.format_table(report))
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, help="JSON file {\"scenarios\": [paths]}")
     p.add_argument("--algs", default="astar,cbs,online")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", help="report CSV path")
     p.set_defaults(func=cmd_bench)
 

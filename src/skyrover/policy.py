@@ -5,10 +5,9 @@ moves to waits until the joint move is collision-free. Starting from a
 conflict-free configuration the shielded step always lands in another
 conflict-free configuration (everyone waiting reproduces the current one),
 though livelock is possible and left for the benchmark to measure.
-``online_policy_step`` asks the policy every tick and keeps its last
-answer: a tick with the last one's grid, agents, cells and proposals, as a
-stalled fleet's is, skips the legality check and the shield.
-``shield_moves`` keeps nothing.
+``online_policy_step`` and ``shield_moves`` keep nothing between calls,
+and no state lives at module level: a ``Simulator`` keeps what it needs to
+skip a stalled tick.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import index
-from weakref import ref
 
 from .astar import legal_moves
 from .errors import InvariantViolation
@@ -170,7 +168,7 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
     return moves
 
 
-def online_policy_step(policy, view: WorldView) -> dict:
+def online_policy_step(view: WorldView, proposals: dict) -> dict:
     """One shielded joint move; every agent's move is legal for its kind.
 
     A proposal equal to one of the cells ``next_cells`` lists moves the
@@ -178,39 +176,10 @@ def online_policy_step(policy, view: WorldView) -> dict:
     is not a cell) degrades to a wait. Each kind's ``legal_moves`` table is
     fetched once per call and subscripted per agent. A current cell given as an (i, j, k) list is
     read, and shielded, as its tuple; one outside the grid raises
-    ``ValueError``.
-
-    ``policy.propose`` runs on every call, so a policy that keeps state sees
-    every tick. The moves depend on the view's grid, agents and cells and on
-    the proposals alone, and a stalled fleet asks the same question tick
-    after tick, so the last call that returned is kept: its grid (weakly)
-    and agents, compared with ``is``, and copies of its cells, proposals and
-    moves, compared with ``==``. A call that matches returns a new dict of
-    those moves, in the same key order, without the legality check or the
-    shield. Only an agents tuple and proposals that are all tuples are kept,
-    and cells only as the tuples they were read as, so a list changed in
-    place cannot match stale moves. A call that raised keeps nothing, so its
-    repeat raises again, and a value that cannot be compared with the kept
-    one (a numpy array) is computed as before.
+    ``ValueError``. The moves depend on the view and the proposals alone.
     """
-    global _last
-    proposals = policy.propose(view)
-    grid = view.grid
     cells = view.cells
-    last = _last
-    try:
-        hit = (
-            last is not None
-            and last[0]() is grid
-            and last[1] is view.agents
-            and last[2] == cells
-            and last[3] == proposals
-        )
-    except ValueError:  # numpy arrays refuse to be truth-tested: computed, as without the memo
-        hit = False
-    if hit:
-        return dict(last[4])
-    tables = {kind: legal_moves(grid, kind) for kind in KINDS}
+    tables = {kind: legal_moves(view.grid, kind) for kind in KINDS}
     legal = {}
     for agent in view.agents:
         aid = agent.id
@@ -227,10 +196,4 @@ def online_policy_step(policy, view: WorldView) -> dict:
             legal[aid] = options[options.index(tuple(proposals.get(aid, cell)))]
         except (TypeError, ValueError):  # not a cell, or not a legal one
             legal[aid] = cell
-    moves = shield_moves(cells, legal)
-    if type(view.agents) is tuple and all(type(p) is tuple for p in proposals.values()):
-        _last = (ref(grid), view.agents, dict(cells), dict(proposals), dict(moves))
-    return moves
-
-
-_last = None  # online_policy_step's last (grid ref, agents, cells, proposals, moves), replaced as one
+    return shield_moves(cells, legal)

@@ -6,7 +6,10 @@ conflict-freedom by construction and re-check it defensively; a violation
 here means a solver or shield bug and raises instead of passing silently.
 A step that moves nobody is not re-checked: tick 0 passed
 ``validate_agents``, and every later state was checked or repeats a
-checked one.
+checked one. In online mode the policy is asked every tick; a Simulator
+keeps the proposals of its last tick when that tick moved nobody, and a
+tick that proposes the same again moves nobody either, without the
+legality check or the shield. The policy module keeps no state.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,8 +98,6 @@ class Simulator:
 
     def __init__(self):
         self._grid = None
-        self._scenario = None
-        self._config = None
         self._agents = ()
         self._solution = None
         self._arrivals = None
@@ -104,6 +105,7 @@ class Simulator:
         self._policy = None
         self._computation_time = 0.0
         self._policy_time = 0.0
+        self._stalled = None  # the last tick's proposals, when that tick moved nobody
         self._states = []
 
     # -- lifecycle ---------------------------------------------------------
@@ -124,8 +126,6 @@ class Simulator:
         if problems:
             raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
         self._grid = grid
-        self._scenario = scenario
-        self._config = config
         self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
         self._solution = None
         self._arrivals = None
@@ -161,6 +161,7 @@ class Simulator:
 
     def _rewind(self, mode) -> SimState:
         self._policy_time = 0.0
+        self._stalled = None
         cells = {a.id: a.start for a in self._agents}
         self._states = [SimState(0, cells, self._statuses(cells, 0, mode), mode)]
         return self.state
@@ -207,7 +208,17 @@ class Simulator:
         else:
             view = WorldView(self._grid, self._agents, cur.cells)
             t0 = time.perf_counter()
-            nxt = online_policy_step(self._policy, view)
+            proposals = self._policy.propose(view)
+            try:
+                stalled = proposals == self._stalled
+            except ValueError:  # numpy values refuse to be truth-tested: computed
+                stalled = False
+            if stalled:  # the same question as a tick that moved nobody, on the same cells
+                nxt = dict(cur.cells)
+            else:
+                nxt = online_policy_step(view, proposals)
+                kept = nxt == cur.cells and all(type(p) is tuple for p in proposals.values())
+                self._stalled = dict(proposals) if kept else None  # a copy: the policy may reuse its dict
             self._policy_time += time.perf_counter() - t0
         if nxt != cur.cells:
             conflicts = step_conflicts(cur.cells, nxt, tick)
@@ -223,15 +234,11 @@ class Simulator:
         self._states.append(state)
         return state
 
-    def reset(self, scenario=None, config: SolverConfig | None = None) -> SimState:
-        """Tick 0 with the same plan or policy; a new scenario or config goes through init."""
-        if scenario is None:
-            if self._scenario is None:
-                raise ScenarioError("reset before init: no scenario to rebuild from")
-            if config is None and self._states:  # a failed init has nothing to rewind to
-                return self._rewind(self.state.mode)
-            scenario = replace(self._scenario, grid=self._grid)
-        return self.init(scenario, config=config or self._config)
+    def reset(self) -> SimState:
+        """Tick 0 with the same plan or policy; a new scenario or config goes through ``init``."""
+        if not self._states:  # before init, or after a failed solve
+            raise ScenarioError("reset before init: no tick 0 to rewind to")
+        return self._rewind(self.state.mode)
 
     def run(self, max_ticks: int | None = None) -> RunRecord:
         """Step to completion (precomputed) or until the tick budget runs out.

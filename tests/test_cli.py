@@ -15,7 +15,7 @@ from skyrover import (
     waypoints_from_bytes,
     write_grid,
 )
-from skyrover.bench import CSV_HEADER, report_from_bytes, run_cell, run_suite
+from skyrover.bench import CSV_HEADER, report_from_bytes, report_to_bytes, run_cell, run_suite
 from skyrover.cli import main
 
 from oracles import pcd_ascii_bytes, pgm_p2_bytes
@@ -470,9 +470,9 @@ def test_sim_online_reports_the_time_its_policy_steps_took(tmp_path, capsys, mon
 
     real = skyrover.sim.online_policy_step
 
-    def slow_step(policy, view):
+    def slow_step(view, proposals):
         time.sleep(0.002)
-        return real(policy, view)
+        return real(view, proposals)
 
     monkeypatch.setattr(skyrover.sim, "online_policy_step", slow_step)
     sc = Scenario(grid={"kind": "empty", "dims": [8, 8, 1]}, agents=(Agent(0, AGV, (0, 0, 0), (7, 7, 0)),))
@@ -563,7 +563,7 @@ def test_bench_produces_report(warehouse_files, tmp_path, capsys):
     suite.write_text(json.dumps({"scenarios": [scenario_path.name]}))
     report_path = tmp_path / "report.csv"
     rc = main(
-        ["bench", "--suite", str(suite), "--algs", "astar,cbs,online", "--repeats", "2", "--seed", "3", "-o", str(report_path)]
+        ["bench", "--suite", str(suite), "--algs", "astar,cbs,online", "--repeats", "2", "-o", str(report_path)]
     )
     assert rc == 0
     table = capsys.readouterr().out
@@ -572,13 +572,26 @@ def test_bench_produces_report(warehouse_files, tmp_path, capsys):
     assert len(report.rows) == 3
     assert {r.algorithm for r in report.rows} == {"astar_prioritized", "cbs", "online"}
     assert all(r.agents == 5 for r in report.rows)
-    assert report.seed == 3
+    assert all(r.seed == 3 for r in report.rows)  # the scenario's own seed
     # success rates come from the validator; the complete solvers must hit 1.0,
     # the online baseline merely has to report a sane measured rate
     by_alg = {r.algorithm: r for r in report.rows}
     assert by_alg["astar_prioritized"].success_rate == 1.0
     assert by_alg["cbs"].success_rate == 1.0
     assert 0.0 <= by_alg["online"].success_rate <= 1.0
+
+
+def test_bench_has_no_seed_flag_and_reads_an_old_reports_seed_line(warehouse_files, tmp_path):
+    scenario_path, _ = warehouse_files
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"scenarios": [scenario_path.name]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", str(suite), "--seed", "3"])
+    assert exc.value.code == 2
+    old = b"# environment: test env\n# seed: 3\n" + CSV_HEADER.encode() + b"\nwh,cbs,3,5,0.1000,1.0000,30,90\n"
+    report = report_from_bytes(old)
+    assert report.environment == "test env" and [r.seed for r in report.rows] == [3]
+    assert report_to_bytes(report) == old.replace(b"# seed: 3\n", b"")
 
 
 def test_bench_refused_report_exits_2_and_writes_no_file(warehouse_files, tmp_path, monkeypatch):

@@ -31,7 +31,7 @@ from skyrover import (
     validate_solution,
     warehouse_grid,
 )
-from skyrover.bench import run_cell, run_suite
+from skyrover.bench import run_cell
 from skyrover.mapf import cell_at, components
 
 from oracles import (
@@ -508,14 +508,6 @@ def _run_cell(repeats, tmp_path):
     run_cell(tmp_path / "line.json", "astar", repeats=repeats)
 
 
-def _run_suite_seed(seed, tmp_path):
-    save_scenario(Scenario(**_LINE), tmp_path / "line.json")
-    report = run_suite([tmp_path / "line.json"], ["astar"], seed=seed)
-    (row,) = report.rows
-    assert row.seed == report.seed and type(row.seed) is type(report.seed)
-    return report.seed
-
-
 # entry point -> (the field its error names, its kind of value, (value, tmp_path) -> what it stored)
 _ENTRY_POINTS = {
     "Agent.id": ("id", "int", lambda v, _: Agent(v, UAV, (0, 0, 0), (1, 0, 0)).id),
@@ -571,7 +563,6 @@ _ENTRY_POINTS = {
     ),
     "Simulator.run.max_ticks": ("max_ticks", "int", _run_budget),
     "run_cell.repeats": ("repeats", "int", _stores_nothing(_run_cell)),
-    "run_suite.seed": ("seed", "int", _run_suite_seed),
 }
 
 
@@ -579,8 +570,8 @@ _ENTRY_POINTS = {
 def test_every_entry_point_keeps_one_rule_for_integers_cells_and_positive_reals(tmp_path, entry):
     field, kind, build = _ENTRY_POINTS[entry]
     for value, accepted in _VALUES[kind]:
-        if value is None and field in ("max_ticks", "seed"):
-            continue  # None asks for the mode's default budget, or each scenario's own seed
+        if value is None and field == "max_ticks":
+            continue  # None asks for the mode's default budget
         if not accepted:
             with pytest.raises(ValueError, match=f"^{field} must be "):
                 build(value, tmp_path)

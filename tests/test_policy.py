@@ -1,7 +1,5 @@
 import json
 import random
-import sys
-import threading
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -12,6 +10,7 @@ import pytest
 
 import skyrover.mapf
 import skyrover.policy
+import skyrover.sim
 from skyrover import (
     AGV,
     UAV,
@@ -35,14 +34,14 @@ from skyrover import (
 )
 
 from skyrover.mapf import KINDS, MOVES, components, per_grid
+from skyrover.sim import grid_diameter
 from skyrover.warehouse import warehouse_grid
 
 from oracles import free_cells, pairwise_shield, random_grid, random_instance
 
 
 def _step(grid, agents, cells):
-    view = WorldView(grid, tuple(agents), dict(cells))
-    return online_policy_step(GreedyShieldedPolicy(), view)
+    return _policy_step(GreedyShieldedPolicy(), WorldView(grid, tuple(agents), dict(cells)))
 
 
 def _config_ok(cells_before, cells_after):
@@ -218,7 +217,7 @@ def test_shield_matches_pairwise_reference_at_fleet_density():
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Counts the legality checks (``legal_moves`` fetches) and shields ``online_policy_step`` runs: a memo hit runs neither."""
+    """Counts the legality checks (``legal_moves`` fetches) and shields ``online_policy_step`` runs: a stalled tick runs neither."""
     count = Counter()
     for name in ("legal_moves", "shield_moves"):
 
@@ -231,15 +230,14 @@ def computed(monkeypatch):
 
 
 def _answered(computed, call):
-    """``call()`` and whether the memo answered it: no legality check and no shield ran."""
+    """``call()`` and whether it was answered without a legality check or a shield."""
     before = computed.total()
     out = call()
     return out, computed.total() == before
 
 
-def _unmemoized(policy, view):
-    skyrover.policy._last = None
-    return online_policy_step(policy, view)
+def _policy_step(policy, view):
+    return online_policy_step(view, policy.propose(view))
 
 
 class _FixedPolicy:
@@ -250,103 +248,114 @@ class _FixedPolicy:
         return self.proposals
 
 
-def _downgrading_move():
-    """A joint move the shield changes: 0 and 1 contend for (1, 0, 0), 2 swaps with 3."""
-    cells = {0: (0, 0, 0), 1: (2, 0, 0), 2: (0, 2, 0), 3: (1, 2, 0), 4: (2, 2, 0)}
-    proposals = {0: (1, 0, 0), 1: (1, 0, 0), 2: (1, 2, 0), 3: (0, 2, 0), 4: (2, 1, 0)}
-    return cells, proposals
+class _ScriptedPolicy:
+    """Proposes each of ``script`` in turn, one per tick."""
+
+    def __init__(self, *script):
+        self.script = iter(script)
+
+    def propose(self, view):
+        return next(self.script)
 
 
-def _downgrading_view():
-    """``_downgrading_move`` as AGVs on an open 3x3 floor, where every proposal is legal."""
-    cells, proposals = _downgrading_move()
-    agents = tuple(Agent(a, AGV, cell, cell) for a, cell in cells.items())
-    return WorldView(empty_grid((3, 3, 1)), agents, cells), proposals
+def _online(monkeypatch, policy, grid, agents):
+    """A Simulator in online mode whose policy is ``policy``."""
+    monkeypatch.setattr(skyrover.sim, "get_policy", lambda name: policy)
+    sim = Simulator()
+    sim.init(Scenario(grid=grid, agents=tuple(agents)), SolverConfig(algorithm="online"))
+    return sim
+
+
+def _stall():
+    """AGVs on an open 3x3 floor whose proposals the shield turns into waits for all.
+
+    0 walks into 1, which waits; 2 and 3 try to swap, so 3 waits and 2 then
+    yields to it; 4 waits. Returns the grid, agents, cells and proposals.
+    """
+    cells = {0: (0, 0, 0), 1: (1, 0, 0), 2: (0, 2, 0), 3: (1, 2, 0), 4: (2, 2, 0)}
+    proposals = {0: (1, 0, 0), 1: (1, 0, 0), 2: (1, 2, 0), 3: (0, 2, 0), 4: (2, 2, 0)}
+    goals = {0: (2, 0, 0), 1: (1, 1, 0), 2: (2, 1, 0), 3: (0, 1, 0), 4: (0, 0, 0)}
+    agents = tuple(Agent(a, AGV, cell, goals[a]) for a, cell in cells.items())
+    return empty_grid((3, 3, 1)), agents, cells, proposals
 
 
 def test_stalled_online_runs_equal_a_shield_without_memo(monkeypatch, computed):
-    hits = 0
-    memoized = skyrover.sim.online_policy_step
+    """Greedy runs stepped by a Simulator equal a loop that computes every tick with the pairwise shield."""
+    hits = stalls = 0
     counted_shield = skyrover.policy.shield_moves
-
-    def step(policy, view):
-        nonlocal hits
-        out, hit = _answered(computed, lambda: memoized(policy, view))
-        hits += hit
-        return out
-
-    def run(grid, agents):
-        sim = Simulator()
-        sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
-        return sim.run().states
-
-    stalls = 0
     for seed in (1, 2, 3):
         grid, agents = generate_warehouse((24, 20, 4), 3, "4uav+12agv", seed=seed)
-        monkeypatch.setattr(skyrover.sim, "online_policy_step", step)
         monkeypatch.setattr(skyrover.policy, "shield_moves", counted_shield)
-        got = run(grid, agents)
-        monkeypatch.setattr(skyrover.sim, "online_policy_step", _unmemoized)
+        sim = Simulator()
+        sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+        while not sim.state.all_at_goal and sim.state.tick < 4 * grid_diameter(grid):
+            _, hit = _answered(computed, sim.step)
+            hits += hit
+        got = [s.cells for s in sim.run().states]
         monkeypatch.setattr(skyrover.policy, "shield_moves", pairwise_shield)
-        assert got == run(grid, agents)
-        stalls += sum(a.cells == b.cells for a, b in zip(got, got[1:]))
+        policy = GreedyShieldedPolicy()
+        want = [got[0]]
+        for _ in got[1:]:
+            want.append(_policy_step(policy, WorldView(grid, tuple(agents), want[-1])))
+        assert got == want
+        stalls += sum(a == b for a, b in zip(got, got[1:]))
     assert stalls >= 300 and hits >= 300, (stalls, hits)  # most ticks of these runs stall
 
 
-def test_a_repeated_shield_call_returns_a_new_equal_dict(computed):
-    view, proposals = _downgrading_view()
-    cells = view.cells
-    first = online_policy_step(_FixedPolicy(proposals), view)
-    assert first == pairwise_shield(cells, proposals) != proposals
-    again, hit = _answered(
-        computed, lambda: online_policy_step(_FixedPolicy(dict(proposals)), WorldView(view.grid, view.agents, dict(cells)))
-    )
+def test_a_repeated_shield_call_returns_a_new_equal_dict(monkeypatch, computed):
+    """A stalled tick's cells are a new dict equal to the last; proposals the policy edits in place are seen."""
+    grid, agents, cells, proposals = _stall()
+    sim = _online(monkeypatch, _FixedPolicy(proposals), grid, agents)
+    first, hit = _answered(computed, sim.step)
+    assert not hit and first.cells == cells  # computed: the shield turned every move into a wait
+    again, hit = _answered(computed, sim.step)
     assert hit
-    assert again == first and again is not first
-    again[0] = again[1] = (9, 9, 9)
-    assert online_policy_step(_FixedPolicy(proposals), view) == first  # a caller's edit does not reach the next answer
-    proposals[1] = (2, 1, 0)  # now 1 enters and 4 waits; the memo holds copies, so it sees the change
-    changed, hit = _answered(computed, lambda: online_policy_step(_FixedPolicy(proposals), view))
-    assert not hit and changed == pairwise_shield(cells, proposals) != first
+    assert again.cells == first.cells and again.cells is not first.cells
+    proposals[1] = (1, 1, 0)  # the same dict, edited: 1 leaves, so 0 may enter its cell
+    moved, hit = _answered(computed, sim.step)
+    assert not hit
+    assert moved.cells == online_policy_step(WorldView(grid, agents, cells), proposals) != cells
 
 
-def test_a_repeated_shield_call_keeps_the_callers_key_order(computed):
-    view, proposals = _downgrading_view()
-    want = _unmemoized(_FixedPolicy(proposals), view)
-    reordered = WorldView(view.grid, view.agents, dict(reversed(view.cells.items())))
-    got, hit = _answered(computed, lambda: online_policy_step(_FixedPolicy(dict(reversed(proposals.items()))), reordered))
+def test_a_repeated_shield_call_keeps_the_callers_key_order(monkeypatch, computed):
+    grid, agents, cells, proposals = _stall()
+    sim = _online(monkeypatch, _FixedPolicy(dict(reversed(proposals.items()))), grid, reversed(agents))
+    first = sim.step()
+    again, hit = _answered(computed, sim.step)
     assert hit
-    assert list(got) == list(want) == [a.id for a in view.agents] and got == want  # agents order, as a full step gives
+    assert list(again.cells) == list(first.cells) == sorted(cells) and again.cells == first.cells  # agents order
 
 
-def test_a_changed_grid_agents_cell_or_proposal_misses_the_memo(computed):
-    view, proposals = _downgrading_view()
-    grid, agents, cells = view.grid, view.agents, view.cells
-    blocked = OccupancyGrid3D(grid.origin, grid.resolution, grid.dims, np.arange(9) == 1)  # (1, 0, 0), where 0 and 1 head
-    misses = {
-        "equal grid, another object": (empty_grid((3, 3, 1)), agents, cells, proposals),
-        "blocked grid": (blocked, agents, cells, proposals),
-        "equal agents, another tuple": (grid, tuple(list(agents)), cells, proposals),
-        "other kinds": (grid, tuple(replace(a, kind=UAV) for a in agents), cells, proposals),
-        "a cell": (grid, agents, cells | {4: (2, 1, 0)}, proposals),
-        "a proposal": (grid, agents, cells, proposals | {1: (2, 1, 0)}),
-    }
-    for what, (g, a, c, p) in misses.items():
-        online_policy_step(_FixedPolicy(proposals), view)  # the memo now holds the base step
-        got, hit = _answered(computed, lambda: online_policy_step(_FixedPolicy(p), WorldView(g, a, c)))
-        assert not hit, what
-        assert got == _unmemoized(_FixedPolicy(p), WorldView(g, a, c)), what
+def test_a_changed_cell_or_proposal_gets_computed_moves(monkeypatch, computed):
+    """Only a tick after one that moved nobody, proposing that tick's proposals again, skips the computation."""
+    grid, agents, cells, proposals = _stall()
+    changed = proposals | {4: (2, 1, 0)}  # 4 moves now
+    policy = _ScriptedPolicy(proposals, dict(proposals), changed, changed, changed, changed)
+    sim = _online(monkeypatch, policy, grid, agents)
+    answered = []
+    for _ in range(6):
+        state, hit = _answered(computed, sim.step)
+        answered.append((hit, state.cells == cells))
+    assert answered == [
+        (False, True),  # computed: everyone waits
+        (True, True),  # a new dict with the same proposals: nobody moves
+        (False, False),  # a stateful policy changed its proposals on a stalled tick: 4 moves
+        (False, False),  # the same proposals, but the last tick moved: computed, 4 waits on its new cell
+        (True, False),
+        (True, False),
+    ]
+    assert sim.state.cells == cells | {4: (2, 1, 0)}
 
 
 def test_an_agents_list_changed_in_place_gets_fresh_moves_and_proposals():
-    """Only an agents tuple is kept, by the step's memo and by a greedy policy's per-agent tables."""
+    """The step keeps nothing, and a greedy policy keeps its per-agent tables only for an agents tuple."""
     grid = empty_grid((2, 1, 2))
     agents = [Agent(0, UAV, (0, 0, 0), (0, 0, 1))]
     view = WorldView(grid, agents, {0: (0, 0, 0)})
-    climb = _FixedPolicy({0: (0, 0, 1)})
-    assert online_policy_step(climb, view) == {0: (0, 0, 1)}
+    climb = {0: (0, 0, 1)}
+    assert online_policy_step(view, climb) == {0: (0, 0, 1)}
     agents[0] = replace(agents[0], kind=AGV)  # a ground agent cannot climb
-    assert online_policy_step(climb, view) == {0: (0, 0, 0)}
+    assert online_policy_step(view, climb) == {0: (0, 0, 0)}
     greedy = GreedyShieldedPolicy()
     assert greedy.propose(view) == {0: (0, 0, 0)}  # no legal move nearer its goal
     agents[0] = replace(agents[0], goal=(1, 0, 0))
@@ -361,8 +370,8 @@ def test_a_colliding_move_raises_on_every_repeat(computed):
     for _ in range(3):
         before = computed["shield_moves"]
         with pytest.raises(InvariantViolation, match="already share cell"):
-            online_policy_step(_FixedPolicy(proposals), view)
-        assert computed["shield_moves"] == before + 1  # computed each time: a call that raised keeps nothing
+            online_policy_step(view, proposals)
+        assert computed["shield_moves"] == before + 1  # computed each time
         with pytest.raises(InvariantViolation, match="already share cell"):
             shield_moves(cells, proposals)
 
@@ -380,47 +389,62 @@ def test_alternating_shield_calls_are_each_answered():
             assert shield_moves(cells, proposals) == want
 
 
-def test_threads_sharing_the_memo_each_get_their_own_answers():
-    """Six threads, switching every microsecond, interleave two inputs with different answers through one memo."""
-    view, proposals = _downgrading_view()
-    other = proposals | {1: (2, 1, 0)}  # 1 enters and 4 waits instead
-    inputs = [(_FixedPolicy(p), pairwise_shield(view.cells, p)) for p in (proposals, other)]
-    assert inputs[0][1] != inputs[1][1]
-    wrong = []
+def test_two_simulators_stepped_in_turn_each_run_as_alone(computed):
+    """Each Simulator keeps its own stalled tick, so interleaving them costs no extra shield."""
+    grid, agents = generate_warehouse((24, 20, 4), 3, "4uav+12agv", seed=1)
+    budget = 4 * grid_diameter(grid)
 
-    def drive(offset):
-        for n in range(offset, offset + 3000):
-            policy, want = inputs[n // 50 % 2]  # runs of hits, with the other threads' misses between
-            if online_policy_step(policy, view) != want:
-                wrong.append(n)
+    def started():
+        sim = Simulator()
+        sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+        return sim
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=drive, args=(offset,)) for offset in range(0, 60, 10)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not wrong
+    alone = []
+    for _ in range(2):
+        sim = started()
+        alone.append(sim.run(max_ticks=budget).states)
+    solo_shields = computed["shield_moves"]
+    sims = [started(), started()]
+    for _ in range(budget):
+        for sim in sims:
+            sim.step()
+    assert [sim.run(max_ticks=budget).states for sim in sims] == alone
+    assert computed["shield_moves"] - solo_shields == solo_shields  # 72 on this world, where a shared memo cost 360
 
 
-def test_an_unhashable_proposal_fails_as_without_the_memo(computed):
-    """The shield keeps nothing, so an array still fails there; the step's memo cannot compare one, so it computes."""
-    view, proposals = _downgrading_view()
+def test_the_first_tick_after_reset_is_computed(monkeypatch, computed):
+    grid, agents, cells, proposals = _stall()
+    sim = _online(monkeypatch, _FixedPolicy(proposals), grid, agents)
+    hits = [_answered(computed, sim.step)[1] for _ in range(3)]
+    sim.reset()
+    hits += [_answered(computed, sim.step)[1] for _ in range(2)]
+    assert hits == [False, True, True, False, True]
+
+
+def test_an_unhashable_proposal_fails_as_without_the_memo(monkeypatch, computed):
+    """The shield still fails on an array; a stalled tick's proposals cannot be compared with one, so it is computed."""
+    grid, agents, cells, proposals = _stall()
     with pytest.raises(TypeError, match="unhashable"):
-        shield_moves(view.cells, proposals | {0: np.array([1, 0, 0])})
-    want = online_policy_step(_FixedPolicy(proposals), view)
-    for foreign in (np.array([1, 0, 0]), [1, 0, 0]):  # equal to the kept (1, 0, 0), but never kept themselves
-        policy = _FixedPolicy(proposals | {0: foreign})
-        got, hit = _answered(computed, lambda: online_policy_step(policy, view))
-        assert not hit and got == want
-        foreign[0] = 0  # now 0 waits; an answer kept for the old value would be stale
-        got, hit = _answered(computed, lambda: online_policy_step(policy, view))
-        assert not hit and got == _unmemoized(policy, view) != want
+        shield_moves(cells, proposals | {0: np.array([1, 0, 0])})
+    foreign = np.array([1, 0, 0])  # equal to the kept (1, 0, 0), but never kept itself
+    script = [
+        proposals,  # everyone waits, and these are kept
+        proposals | {0: foreign},  # cannot be compared with the kept tuple
+        proposals,  # nothing was kept after an array
+        proposals | {0: [1, 0, 0]},  # a list is not equal to a tuple
+        proposals | {0: foreign},  # edited below: now 0 steps aside
+    ]
+    sim = _online(monkeypatch, _ScriptedPolicy(*script), grid, agents)
+    hits = []
+    for proposed in script:
+        if proposed is script[-1]:
+            foreign[:] = (0, 1, 0)
+        before = sim.state.cells
+        state, hit = _answered(computed, sim.step)
+        hits.append(hit)
+        assert state.cells == online_policy_step(WorldView(grid, agents, before), proposed)
+    assert hits == [False] * len(script)
+    assert sim.state.cells == cells | {0: (0, 1, 0)}
 
 
 def test_illegal_proposals_degrade_to_waits():
@@ -442,7 +466,7 @@ def test_illegal_proposals_degrade_to_waits():
         3: (0, 2, 1),  # a ground agent leaving layer 0
         4: (3, 0, 1),  # legal
     }
-    moves = online_policy_step(_FixedPolicy(proposals), WorldView(grid, agents, dict(at)))
+    moves = online_policy_step(WorldView(grid, agents, dict(at)), proposals)
     assert moves == at | {4: (3, 0, 1)}
 
 
@@ -455,12 +479,12 @@ def test_foreign_proposals_are_stored_as_grid_cells(proposal, move):
     """A proposal equal to a legal cell moves there as that int cell; anything else waits."""
     grid = empty_grid((3, 3, 2))
     agent = Agent(0, UAV, (0, 0, 0), (2, 2, 1))
-    moves = online_policy_step(_FixedPolicy({0: proposal}), WorldView(grid, (agent,), {0: agent.start}))
+    moves = online_policy_step(WorldView(grid, (agent,), {0: agent.start}), {0: proposal})
     assert moves == {0: move}
     assert all(type(v) is int for v in moves[0])
     assert json.loads(json.dumps(moves)) == {"0": list(move)}  # the tick log can write it
     # and the next tick starts from it
-    after = online_policy_step(GreedyShieldedPolicy(), WorldView(grid, (agent,), moves))
+    after = _policy_step(GreedyShieldedPolicy(), WorldView(grid, (agent,), moves))
     assert manhattan(after[0], agent.goal) == manhattan(move, agent.goal) - 1
 
 
@@ -471,8 +495,8 @@ def test_cells_given_as_lists_step_like_their_tuples():
         at = {a.id: a.start for a in agents}
         as_lists = {aid: list(cell) for aid, cell in at.items()}
         for policy in (GreedyShieldedPolicy(), _FixedPolicy({a.id: rng.choice(free_cells(grid)) for a in agents})):
-            want = online_policy_step(policy, WorldView(grid, agents, at))
-            got = online_policy_step(policy, WorldView(grid, agents, dict(as_lists)))
+            want = _policy_step(policy, WorldView(grid, agents, at))
+            got = _policy_step(policy, WorldView(grid, agents, dict(as_lists)))
             assert got == want
             assert all(type(cell) is tuple for cell in got.values())
         assert GreedyShieldedPolicy().propose(WorldView(grid, agents, as_lists)) == GreedyShieldedPolicy().propose(
@@ -487,7 +511,7 @@ def test_a_current_cell_outside_the_grid_raises():
         view = WorldView(grid, (agent,), {0: cell})
         for policy in (GreedyShieldedPolicy(), _FixedPolicy({})):
             with pytest.raises(ValueError, match="outside the grid"):
-                online_policy_step(policy, view)
+                _policy_step(policy, view)
 
 
 def _legal(grid, kind, cell):

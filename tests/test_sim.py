@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -171,23 +172,6 @@ def test_online_computation_time_counts_every_policy_step():
     assert sim.computation_time == loaded
 
 
-def test_reset_with_new_scenario_swaps_roster():
-    sc1 = _scenario((4, 4, 1), [Agent(0, AGV, (0, 0, 0), (3, 3, 0))])
-    sc2 = _scenario(
-        (4, 4, 1),
-        [
-            Agent(0, AGV, (0, 0, 0), (3, 0, 0)),
-            Agent(1, AGV, (0, 1, 0), (3, 1, 0)),
-            Agent(2, AGV, (0, 2, 0), (3, 2, 0)),
-        ],
-    )
-    sim = Simulator()
-    sim.init(sc1, SolverConfig(algorithm="cbs"))
-    state = sim.reset(sc2)
-    assert set(state.cells) == {0, 1, 2}
-    assert state.tick == 0
-
-
 def test_init_with_loaded_grid_rejects_shared_start():
     agents = [Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (0, 0, 0), (2, 2, 0))]
     sim = Simulator()
@@ -203,8 +187,6 @@ def test_reset_reuses_the_loaded_grid():
     sim.run()
     sim.reset()
     assert sim.grid is grid
-    sim.reset(sc)  # a scenario passed in is loaded afresh
-    assert sim.grid is not grid
 
 
 def test_reset_with_a_config_plans_again_on_the_loaded_grid(tmp_path, monkeypatch):
@@ -222,7 +204,7 @@ def test_reset_with_a_config_plans_again_on_the_loaded_grid(tmp_path, monkeypatc
     sim.init(sc, SolverConfig(algorithm="cbs"))
     loaded = sim.grid
     (tmp_path / "wh.grid").unlink()  # a re-read of the file would now fail
-    state = sim.reset(config=SolverConfig(algorithm="astar"))
+    state = sim.init(replace(sc, grid=sim.grid), SolverConfig(algorithm="astar"))
     assert state.tick == 0
     assert sim.grid is loaded
     assert [(g is loaded, alg) for g, alg in calls] == [(True, "cbs"), (True, "astar_prioritized")]
@@ -405,7 +387,7 @@ def test_internal_conflict_raises_invariant_fault(monkeypatch):
 
     def scripted(*joint_moves):
         moves = iter(joint_moves)
-        monkeypatch.setattr(skyrover.sim, "online_policy_step", lambda policy, view: next(moves))
+        monkeypatch.setattr(skyrover.sim, "online_policy_step", lambda view, proposals: next(moves))
 
     # a policy that lets both agents meet in (2,0,0) at t=2
     scripted({0: (1, 0, 0), 1: (2, 0, 0)}, {0: (2, 0, 0), 1: (2, 0, 0)})
