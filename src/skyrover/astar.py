@@ -242,19 +242,12 @@ class _LegalMoves(dict):
 
 
 def legal_moves(grid, kind: str) -> _LegalMoves:
-    """The grid's table of ``next_cells`` for agents of ``kind``, kept on it: subscript it with an (i, j, k) tuple."""
-    return per_grid(grid, _LegalMoves, kind)
+    """The grid's table of next cells for agents of ``kind``, kept on it: subscript it with an (i, j, k) tuple.
 
-
-def next_cells(grid, kind: str, cell) -> tuple:
-    """The cells an agent of ``kind`` on ``cell`` may occupy one tick later.
-
-    They are the free, in-bounds cells of its ``MOVES``, in that order and
-    the wait included: the grid's cached neighbour list of ``cell``, as
-    (i, j, k) tuples. ``cell`` may be any (i, j, k) sequence; one outside
-    the grid raises ``ValueError``.
+    A cell's entry lists the free, in-bounds cells of its ``MOVES``, in that
+    order and the wait included: the grid's neighbour list of the cell.
     """
-    return legal_moves(grid, kind)[tuple(cell)]
+    return per_grid(grid, _LegalMoves, kind)
 
 
 def spacetime_astar(

@@ -18,7 +18,7 @@ from operator import index
 
 from .astar import legal_moves
 from .errors import InvariantViolation
-from .mapf import EDGE, KINDS, per_grid, step_conflicts
+from .mapf import EDGE, KINDS, step_conflicts
 
 
 @dataclass(frozen=True)
@@ -35,47 +35,25 @@ class GreedyShieldedPolicy:
 
     Agents already at their goal propose wait. Ties between equally good
     moves break on the canonical move order, so steps are deterministic.
-    Steps are kept per grid (``_GreedySteps``), one cell-keyed table per
-    (kind, goal), and shared by every instance. An instance keeps each
-    agent's table for the last grid and agents tuple it saw, so a tick
-    costs one lookup per agent. A cell given as a list gets the step of its
-    tuple.
+    An instance keeps one cell-keyed step table per agent, built for the
+    last grid and agents tuple it saw, so a tick costs one lookup per agent.
+    Current cells are (i, j, k) tuples, as the ``Simulator`` keeps them.
     """
 
     name = "greedy-shielded"
 
     def __init__(self):
-        self._rows = (None, None, ())  # (the grid's step tables, the agents tuple, each agent's id and table)
+        self._rows = (None, None, ())  # (grid, agents tuple, each agent's id and step table)
 
     def propose(self, view: WorldView) -> dict:
-        tables = per_grid(view.grid, _GreedySteps)
-        agents = view.agents
-        kept_tables, kept_agents, rows = self._rows
-        if kept_tables is not tables or kept_agents is not agents:
-            rows = [(agent.id, tables[agent.kind, agent.goal]) for agent in agents]
+        grid, agents = view.grid, view.agents
+        kept_grid, kept_agents, rows = self._rows
+        if kept_grid is not grid or kept_agents is not agents:
+            rows = [(a.id, _StepsToward(legal_moves(grid, a.kind), a.goal)) for a in agents]
             if type(agents) is tuple:  # a list could change in place
-                self._rows = (tables, agents, rows)
+                self._rows = (grid, agents, rows)
         cells = view.cells
-        out = {}
-        for aid, steps in rows:
-            try:
-                out[aid] = steps[cells[aid]]
-            except TypeError:  # an unhashable (i, j, k) list
-                out[aid] = steps[tuple(cells[aid])]
-        return out
-
-
-class _GreedySteps(dict):
-    """(kind, goal) -> that goal's ``_StepsToward`` table, made on first use; it holds ``legal_moves`` tables, not the grid."""
-
-    def __init__(self, grid):
-        super().__init__()
-        self.moves = {kind: legal_moves(grid, kind) for kind in KINDS}
-
-    def __missing__(self, key):
-        kind, goal = key
-        self[key] = steps = _StepsToward(self.moves[kind], goal)
-        return steps
+        return {aid: steps[cells[aid]] for aid, steps in rows}
 
 
 class _StepsToward(dict):
@@ -171,12 +149,12 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
 def online_policy_step(view: WorldView, proposals: dict) -> dict:
     """One shielded joint move; every agent's move is legal for its kind.
 
-    A proposal equal to one of the cells ``next_cells`` lists moves the
-    agent to that listed cell; anything else (an illegal cell, a value that
-    is not a cell) degrades to a wait. Each kind's ``legal_moves`` table is
-    fetched once per call and subscripted per agent. A current cell given as an (i, j, k) list is
-    read, and shielded, as its tuple; one outside the grid raises
-    ``ValueError``. The moves depend on the view and the proposals alone.
+    A proposal equal to one of the cells ``legal_moves`` lists for the
+    agent's (i, j, k) tuple cell moves it to that listed cell; anything else
+    (an illegal cell, a value that is not a cell) degrades to a wait. Each
+    kind's table is fetched once per call and subscripted per agent; a
+    current cell outside the grid raises ``ValueError``. The moves depend on
+    the view and the proposals alone.
     """
     cells = view.cells
     tables = {kind: legal_moves(view.grid, kind) for kind in KINDS}
@@ -184,14 +162,7 @@ def online_policy_step(view: WorldView, proposals: dict) -> dict:
     for agent in view.agents:
         aid = agent.id
         cell = cells[aid]
-        moves = tables[agent.kind]
-        try:
-            options = moves[cell]
-        except TypeError:  # an unhashable (i, j, k) list
-            if cells is view.cells:
-                cells = dict(cells)
-            cells[aid] = cell = tuple(cell)
-            options = moves[cell]
+        options = tables[agent.kind][cell]
         try:
             legal[aid] = options[options.index(tuple(proposals.get(aid, cell)))]
         except (TypeError, ValueError):  # not a cell, or not a legal one

@@ -44,7 +44,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
         if isinstance(self.grid, dict):  # held as the reader returns it, so a saved spec loads back equal
-            with suppress(ScenarioError):  # a bad spec is kept as given and refused when saved
+            with suppress(ScenarioError):  # a bad spec is kept as given, and refused when built or saved
                 object.__setattr__(self, "grid", _parse_grid_field(self.grid))
 
     def materialize_grid(self) -> OccupancyGrid3D:
@@ -56,8 +56,9 @@ class Scenario:
             if self.base_dir and not os.path.isabs(path):
                 path = os.path.join(self.base_dir, path)
             return read_grid(path)
-        params = {k: v for k, v in self.grid.items() if k != "kind"}
-        if self.grid["kind"] == "empty":
+        spec = _parse_grid_field(self.grid)  # the reader's rules: a spec built in Python was kept as given
+        params = {k: v for k, v in spec.items() if k != "kind"}
+        if spec["kind"] == "empty":
             return empty_grid(tuple(params["dims"]))
         return warehouse_grid(**params)
 

@@ -125,14 +125,9 @@ class Simulator:
         problems = validate_agents(grid, scenario.agents)
         if problems:
             raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
+        self.__init__()  # nothing of the last scenario is kept
         self._grid = grid
         self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
-        self._solution = None
-        self._arrivals = None
-        self._stats = None
-        self._policy = None
-        self._computation_time = 0.0
-        self._states = []
         if solution is None and config.algorithm == ONLINE:
             t0 = time.perf_counter()
             self._policy = get_policy(config.online_policy)
@@ -175,6 +170,9 @@ class Simulator:
 
     @property
     def state(self) -> SimState:
+        """The last tick; before init, or after a failed solve, there is none and this raises ``ScenarioError``."""
+        if not self._states:
+            raise ScenarioError("no tick 0: init has not run, or its solve failed")
         return self._states[-1]
 
     @property
@@ -236,8 +234,6 @@ class Simulator:
 
     def reset(self) -> SimState:
         """Tick 0 with the same plan or policy; a new scenario or config goes through ``init``."""
-        if not self._states:  # before init, or after a failed solve
-            raise ScenarioError("reset before init: no tick 0 to rewind to")
         return self._rewind(self.state.mode)
 
     def run(self, max_ticks: int | None = None) -> RunRecord:

@@ -20,7 +20,7 @@ from skyrover import (
     solve,
     spacetime_astar,
 )
-from skyrover.astar import _Neighbours, legal_moves, next_cells
+from skyrover.astar import _Neighbours, legal_moves
 from skyrover.mapf import EDGE, MOVES, VERTEX, detect_conflicts, per_grid
 
 from oracles import enumerate_best_constrained_cost, free_cells, random_grid, random_walk_paths, static_bfs_cost
@@ -219,28 +219,29 @@ def test_next_cells_are_the_legal_moves_in_move_order():
     grid = random_grid(rng, (5, 4, 3), density=0.3)
     for kind in (UAV, AGV):
         for cell in free_cells(grid, kind):
-            assert next_cells(grid, kind, cell) == tuple(_legal_cells(grid, kind, cell))
-            assert next_cells(grid, kind, cell) is next_cells(grid, kind, cell)  # kept, not rebuilt
-            assert next_cells(grid, kind, list(cell)) is next_cells(grid, kind, cell)  # a list reads as its tuple
+            assert legal_moves(grid, kind)[cell] == tuple(_legal_cells(grid, kind, cell))
+            assert legal_moves(grid, kind)[cell] is legal_moves(grid, kind)[cell]  # kept, not rebuilt
     fresh = random_grid(random.Random(6), (5, 4, 3), density=0.3)
     for kind in (UAV, AGV):
         for cell in free_cells(fresh, kind):  # numpy coordinates first: they must not leak into the cache
-            assert next_cells(fresh, kind, np.array(cell)) == next_cells(grid, kind, cell)
+            assert legal_moves(fresh, kind)[tuple(np.array(cell))] == legal_moves(grid, kind)[cell]
         for cell, options in legal_moves(fresh, kind).items():
             assert all(type(v) is int for c in (cell, *options) for v in c)
         for cid, entries in per_grid(fresh, _Neighbours, kind).items():
             assert all(type(v) is int for v in (cid, *(x for entry in entries for x in entry)))
 
 
-@pytest.mark.parametrize("cell", [(0, 3, 0), (0, 0, -1), (-1, 0, 0), (4, 0, 0), (0, 0, 2), [0, 3, 0]])
+@pytest.mark.parametrize(
+    "cell", [(0, 3, 0), (0, 0, -1), (-1, 0, 0), (4, 0, 0), (0, 0, 2), tuple(np.array([0, 3, 0]))]
+)
 def test_next_cells_of_a_cell_outside_the_grid_raise(cell):
     """Once aliased onto another cell's list: (0, 3, 0) gave (1, 0, 0)'s, (0, 0, -1) gave ((0, 2, 1),)."""
     grid = empty_grid((4, 3, 2))
     for kind in (UAV, AGV):
         for _ in range(2):  # every lookup raises: nothing is stored for the cell
             with pytest.raises(ValueError, match=r"outside the grid's dims \(4, 3, 2\)"):
-                next_cells(grid, kind, cell)
-        assert tuple(cell) not in legal_moves(grid, kind)
+                legal_moves(grid, kind)[cell]
+        assert cell not in legal_moves(grid, kind)
 
 
 def test_unreachable_goal_terminates_via_dominance():

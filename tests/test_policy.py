@@ -33,7 +33,7 @@ from skyrover import (
     solve,
 )
 
-from skyrover.mapf import KINDS, MOVES, components, per_grid
+from skyrover.mapf import KINDS, MOVES, components
 from skyrover.sim import grid_diameter
 from skyrover.warehouse import warehouse_grid
 
@@ -488,26 +488,10 @@ def test_foreign_proposals_are_stored_as_grid_cells(proposal, move):
     assert manhattan(after[0], agent.goal) == manhattan(move, agent.goal) - 1
 
 
-def test_cells_given_as_lists_step_like_their_tuples():
-    rng = random.Random(41)
-    for _ in range(50):
-        grid, agents = random_instance(rng, (6, 6, 3), 5, density=0.2)
-        at = {a.id: a.start for a in agents}
-        as_lists = {aid: list(cell) for aid, cell in at.items()}
-        for policy in (GreedyShieldedPolicy(), _FixedPolicy({a.id: rng.choice(free_cells(grid)) for a in agents})):
-            want = _policy_step(policy, WorldView(grid, agents, at))
-            got = _policy_step(policy, WorldView(grid, agents, dict(as_lists)))
-            assert got == want
-            assert all(type(cell) is tuple for cell in got.values())
-        assert GreedyShieldedPolicy().propose(WorldView(grid, agents, as_lists)) == GreedyShieldedPolicy().propose(
-            WorldView(grid, agents, at)
-        )
-
-
 def test_a_current_cell_outside_the_grid_raises():
     grid = empty_grid((4, 3, 2))
     agent = Agent(0, UAV, (0, 0, 0), (3, 2, 1))
-    for cell in ((0, 3, 0), [0, 0, -1]):
+    for cell in ((0, 3, 0), (0, 0, -1)):
         view = WorldView(grid, (agent,), {0: cell})
         for policy in (GreedyShieldedPolicy(), _FixedPolicy({})):
             with pytest.raises(ValueError, match="outside the grid"):
@@ -568,7 +552,7 @@ def test_greedy_policy_reused_on_another_grid_proposes_like_a_fresh_one():
 
 
 def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
-    """Sampling and two solves label each kind once; two policies share the grid's one greedy-step table."""
+    """Sampling and two solves label each kind once; a policy builds one step table per agent, once."""
     labelled = []
     build = skyrover.mapf._label_components
 
@@ -576,7 +560,23 @@ def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
         labelled.append(kind)
         return build(g, kind)
 
+    fetched = []
+    fetch = skyrover.policy.legal_moves
+
+    def counted_fetch(g, kind):
+        fetched.append(kind)
+        return fetch(g, kind)
+
+    stepped = []
+    step = skyrover.policy._StepsToward.__missing__
+
+    def counted_step(table, cell):
+        stepped.append(cell)
+        return step(table, cell)
+
     monkeypatch.setattr(skyrover.mapf, "_label_components", counted)
+    monkeypatch.setattr(skyrover.policy, "legal_moves", counted_fetch)
+    monkeypatch.setattr(skyrover.policy._StepsToward, "__missing__", counted_step)
     grid = warehouse_grid((40, 30, 6), shelf_rows=6)
     agents = sample_agents(grid, parse_roster("4uav+10agv"), 7)
     for alg in ("astar", "cbs"):
@@ -585,16 +585,26 @@ def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
     for kind in KINDS:
         assert components(grid, kind) is components(grid, kind)
         assert not components(grid, kind).flags.writeable  # shared, so nobody may change it
-    tables = per_grid(grid, skyrover.policy._GreedySteps)
+    policy = GreedyShieldedPolicy()
     view = WorldView(grid, agents, {a.id: a.start for a in agents})
-    want = GreedyShieldedPolicy().propose(view)
-    assert len(tables) == len(agents)  # one step table per (kind, goal), and every goal differs
-    assert sum(map(len, tables.values())) == len(agents)  # the first instance filled them
-    assert GreedyShieldedPolicy().propose(view) == want
-    assert sum(map(len, tables.values())) == len(agents)  # the second built no step
+    want = policy.propose(view)
+    assert sorted(fetched) == sorted(a.kind for a in agents)  # one step table per agent
+    assert len(stepped) == len(agents)  # one step each
+    assert policy.propose(view) == want
+    assert len(fetched) == len(stepped) == len(agents)  # the repeat built no table and no step
+    sim = Simulator()
+    sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+    del fetched[:], stepped[:]
+    first = sim.run()
+    first_fetches = len(fetched)
+    sim.reset()
+    del fetched[:], stepped[:]
+    assert sim.run().states == first.states
+    assert stepped == []  # every cell's step was kept from the first run
+    assert len(fetched) == first_fetches - len(agents)  # only the legality check's, one per kind and computed tick
     assert sorted(labelled) == [AGV, UAV]
     ref = weakref.ref(grid)
-    del grid, view
+    del grid, view, policy, sim, first
     assert ref() is None  # freed at once: no cached table holds its grid
 
 

@@ -11,6 +11,7 @@ from skyrover import (
     Agent,
     Scenario,
     ScenarioError,
+    Simulator,
     SolverConfig,
     TaskScript,
     empty_grid,
@@ -304,6 +305,24 @@ def test_a_grid_kind_that_is_no_known_name_is_a_scenario_error(tmp_path, kind):
     with pytest.raises(ScenarioError, match="kind must be one of"):
         save_scenario(sc, tmp_path / "saved.json")
     assert not (tmp_path / "saved.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ({"kind": "bogus", "dims": [80, 60, 10]}, "kind must be one of"),
+        ({"kind": "empty"}, r"missing fields: \['dims'\]"),
+        ({"kind": "empty", "dims": [4, 4, 2], "shelf_rows": 3}, r"unknown fields: \['shelf_rows'\]"),
+    ],
+    ids=["unknown-kind", "no-dims", "unknown-key"],
+)
+def test_an_inline_spec_built_in_python_is_checked_when_built(spec, match):
+    sc = Scenario(grid=spec, agents=(Agent(0, AGV, (0, 0, 0), (1, 0, 0)),))
+    assert sc.grid == spec  # kept as given
+    with pytest.raises(ScenarioError, match=match):
+        sc.materialize_grid()
+    with pytest.raises(ScenarioError, match=match):
+        Simulator().init(sc)
 
 
 def test_scenario_holding_a_loaded_grid_is_not_saved(tmp_path):

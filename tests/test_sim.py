@@ -65,6 +65,24 @@ def test_init_keeps_the_solver_stats():
     assert sim.computation_time == sim.stats.wall_time > 0
 
 
+def test_a_simulator_without_tick_0_raises_scenario_error():
+    """Before init, and after a failed solve, step, run, state and reset raise ScenarioError; time and stats stay readable."""
+    agents = (Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (2, 0, 0), (0, 0, 0)))
+    sc = _scenario((3, 2, 1), agents)
+    fresh, failed = Simulator(), Simulator()
+    assert (fresh.computation_time, fresh.stats, fresh.grid, fresh.solution) == (0.0, None, None, None)
+    failed.init(sc, SolverConfig(algorithm="online"))
+    failed.run(5)
+    with pytest.raises(ResourceLimitError):
+        failed.init(sc, SolverConfig(algorithm="cbs", node_expansion_limit=1))
+    assert failed.computation_time == failed.stats.wall_time > 0  # the failed solve's time, none of the online run's
+    assert failed.solution is None
+    for sim in (fresh, failed):
+        for use in (sim.step, sim.run, sim.reset, lambda: sim.state):
+            with pytest.raises(ScenarioError, match="no tick 0"):
+                use()
+
+
 def test_replayed_status_follows_each_paths_arrival_tick():
     """An agent that passes its goal and comes back is at goal only from its arrival tick."""
     sc = _scenario((3, 2, 1), [Agent(0, AGV, (0, 0, 0), (1, 0, 0)), Agent(1, AGV, (2, 1, 0), (2, 1, 0))])
