@@ -16,7 +16,6 @@ from .errors import (
     PlacementError,
     ResourceLimitError,
     ScenarioError,
-    SearchLimitExceeded,
     SkyroverError,
     TaskError,
     UnsupportedFormatError,

@@ -42,7 +42,7 @@ from collections import Counter
 from heapq import heappop, heappush
 from operator import index
 
-from .errors import SearchLimitExceeded
+from .errors import ResourceLimitError
 from .mapf import AGV, MOVES, VERTEX, per_grid
 
 _UNLIMITED = 1 << 62
@@ -77,7 +77,7 @@ class Budget:
         if self.remaining is not None:
             self.remaining -= n
             if self.remaining < 0:
-                raise SearchLimitExceeded(f"expansion limit hit after {self.used} nodes")
+                raise ResourceLimitError(f"expansion limit hit after {self.used} nodes")
         if self.deadline is not None and self.used & 0x3F == 0:
             self.check_time()
 
@@ -91,7 +91,7 @@ class Budget:
 
     def check_time(self) -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise SearchLimitExceeded("time limit exceeded")
+            raise ResourceLimitError("time limit exceeded")
 
 
 class ReservationTable:
@@ -272,8 +272,9 @@ def spacetime_astar(
     touching it least wins. CBS passes the other agents' current paths here
     so replans sidestep them instead of enumerating equally cheap collisions.
 
-    Both tables must have been built for a grid of ``grid.dims``. Raises
-    SearchLimitExceeded when the budget runs out first.
+    Both tables must have been built for a grid of ``grid.dims``, and start
+    and goal must be free cells inside it (``ValueError`` otherwise). Raises
+    ``ResourceLimitError`` when the budget runs out first.
     """
     dims = grid.dims
     for table in (blocked, avoid):
@@ -281,8 +282,8 @@ def spacetime_astar(
             raise ValueError(f"reservation table was built for dims {table.dims}, not the grid's {dims}")
     start = tuple(start)
     goal = tuple(goal)
-    if grid.is_occupied(*start) or grid.is_occupied(*goal):
-        raise ValueError("start and goal must be free cells")
+    if not (grid.in_bounds(*start) and grid.in_bounds(*goal)) or grid.is_occupied(*start) or grid.is_occupied(*goal):
+        raise ValueError(f"start {start} and goal {goal} must be free cells inside the grid's dims {dims}")
     if kind == AGV and not (start[2] == 0 == goal[2]):
         raise ValueError("ground agents must start and end on layer 0")
     if budget is None:

@@ -25,6 +25,7 @@ from .errors import (
     ScenarioError,
     SkyroverError,
     TaskError,
+    solve_error,
 )
 from .mapf import as_positive, make_solution
 from .pcd import parse_pcd
@@ -39,7 +40,7 @@ from .sim import (
     waypoints_to_bytes,
     write_plan,
 )
-from .solvers import ONLINE, RESOURCE_LIMIT, SolverConfig, normalize_algorithm
+from .solvers import ONLINE, SolverConfig, normalize_algorithm
 from .tasks import run_task
 from .voxelgrid import extrude_ground, rasterize, read_grid, write_grid
 from .warehouse import DEFAULT_DIMS, DEFAULT_ROSTER, DEFAULT_SHELF_ROWS, generate_warehouse
@@ -171,7 +172,7 @@ def cmd_task(args) -> int:
         )
     print(f"rendezvous_ok={report.rendezvous_ok} overall_success={report.success}")
     if not report.success:
-        raise (ResourceLimitError if report.status == RESOURCE_LIMIT else NoSolutionError)(report.reason)
+        raise solve_error(report.status, report.reason)
     return EXIT_OK
 
 

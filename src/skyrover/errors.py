@@ -38,13 +38,18 @@ class TaskError(SkyroverError):
 class NoSolutionError(SkyroverError):
     """A solver proved (relative to its strategy) that no plan exists."""
 
+    status = "no_solution"
+
 
 class ResourceLimitError(SkyroverError):
     """A solver hit its expansion or wall-clock budget before finishing."""
 
+    status = "resource_limit"
 
-class SearchLimitExceeded(SkyroverError):
-    """Raised inside a search when its shared budget runs out."""
+
+def solve_error(status: str, message: str) -> SkyroverError:
+    """The failure error whose ``status`` is ``status`` (a failed ``SolveResult``'s or ``TaskReport``'s)."""
+    return {e.status: e for e in (NoSolutionError, ResourceLimitError)}[status](message)
 
 
 class InvariantViolation(SkyroverError):

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (
-    InvariantViolation,
-    NoSolutionError,
-    ParseError,
-    ResourceLimitError,
-    ScenarioError,
-)
+from .errors import InvariantViolation, ParseError, ScenarioError, solve_error
 from .mapf import (
     Solution,
     as_cell,
@@ -43,7 +37,7 @@ from .mapf import (
     validate_solution,
 )
 from .policy import WorldView, get_policy, online_policy_step
-from .solvers import NO_SOLUTION, ONLINE, SolverConfig, SolveStats, solve
+from .solvers import ONLINE, SolverConfig, SolveStats, solve
 
 EN_ROUTE = "en-route"
 AT_GOAL = "at-goal"
@@ -118,14 +112,14 @@ class Simulator:
         file) is replayed whatever ``config.algorithm`` says: it skips the
         solver and the policy but is still validated before it is trusted.
         On a failed solve ``computation_time`` and ``stats`` hold the time
-        and the search effort spent.
+        and the search effort spent. A refused init keeps nothing of the last scenario.
         """
+        self.__init__()
         config = config or scenario.solver or SolverConfig()
         grid = scenario.materialize_grid()
         problems = validate_agents(grid, scenario.agents)
         if problems:
             raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
-        self.__init__()  # nothing of the last scenario is kept
         self._grid = grid
         self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
         if solution is None and config.algorithm == ONLINE:
@@ -140,8 +134,7 @@ class Simulator:
                 self._computation_time = result.stats.wall_time
                 self._stats = result.stats
                 if not result.ok:
-                    err = NoSolutionError if result.status == NO_SOLUTION else ResourceLimitError
-                    raise err(f"{config.algorithm}: {result.reason}")
+                    raise solve_error(result.status, f"{config.algorithm}: {result.reason}")
                 solution = result.solution
             violations = validate_solution(grid, self._agents, solution.paths)
             if violations:

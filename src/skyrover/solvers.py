@@ -7,8 +7,8 @@ from time import perf_counter
 
 from . import cbs, prioritized
 from .astar import Budget
-from .errors import SearchLimitExceeded
-from .mapf import as_int, as_positive, components, make_solution
+from .errors import NoSolutionError, ResourceLimitError
+from .mapf import as_int, as_positive, components, make_solution, validate_agents
 
 ASTAR_PRIORITIZED = "astar_prioritized"
 CBS = "cbs"
@@ -21,8 +21,6 @@ _ALIASES = {
 }
 
 SOLVED = "solved"
-NO_SOLUTION = "no_solution"
-RESOURCE_LIMIT = "resource_limit"
 
 
 def normalize_algorithm(name: str) -> str:
@@ -72,24 +70,28 @@ class SolveResult:
 def solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
     """Plan with the configured precomputing solver: the one public planner.
 
-    The agents must pass ``mapf.validate_agents``. An agent whose goal lies
-    outside its start's component (``mapf.components``) is no_solution
-    before any search. Online mode has no plan phase.
+    An instance that fails ``mapf.validate_agents`` is a ``ValueError``
+    naming its problems. An agent whose goal lies outside its start's
+    component (``mapf.components``) is no_solution. Both are found before
+    any search. Online mode has no plan phase.
     """
     config = config or SolverConfig()
     if config.algorithm == ONLINE:
         raise ValueError("online policies plan per step; there is nothing to precompute")
+    roster = sorted(agents, key=lambda a: a.id)
+    problems = validate_agents(grid, roster)
+    if problems:
+        raise ValueError("invalid instance:\n  " + "\n  ".join(problems))
     t0 = perf_counter()
     budget = Budget(config.node_expansion_limit, config.time_limit)
-    roster = sorted(agents, key=lambda a: a.id)
     labels = {kind: components(grid, kind) for kind in {a.kind for a in roster}}
     cut = [a.id for a in roster if labels[a.kind][grid.index(*a.start)] != labels[a.kind][grid.index(*a.goal)]]
     search = cbs.search if config.algorithm == CBS else prioritized.search
     try:
         found = f"agent {cut[0]}: goal is not reachable from its start" if cut else search(grid, roster, budget)
-        status = SOLVED if isinstance(found, dict) else NO_SOLUTION
-    except SearchLimitExceeded as exc:
-        status, found = RESOURCE_LIMIT, str(exc)
+        status = SOLVED if isinstance(found, dict) else NoSolutionError.status
+    except ResourceLimitError as exc:
+        status, found = exc.status, str(exc)
     stats = SolveStats(budget.used, budget.ct_expanded, perf_counter() - t0, budget.best_cost)
     if status == SOLVED:
         return SolveResult(SOLVED, solution=make_solution(found), stats=stats)

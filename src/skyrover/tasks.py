@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .errors import InvariantViolation, NoSolutionError, ResourceLimitError, TaskError
 from .mapf import AGV, UAV, as_cell, as_int, validate_agents
 from .sim import RunMetrics, Simulator, collect_metrics
-from .solvers import NO_SOLUTION, RESOURCE_LIMIT, SOLVED, SolverConfig
+from .solvers import SOLVED, SolverConfig
 
 INVENTORY_SCAN = "inventory_scan"
 AERIAL_TRANSFER = "aerial_transfer"
@@ -162,8 +162,7 @@ def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
         try:
             sim.init(replace(scenario, agents=instance), config)
         except (NoSolutionError, ResourceLimitError) as exc:
-            status = RESOURCE_LIMIT if isinstance(exc, ResourceLimitError) else NO_SOLUTION
-            reason = f"episode {n}: {exc}"
+            status, reason = exc.status, f"episode {n}: {exc}"
             break
         record = sim.run()
         m = collect_metrics(record)
@@ -173,10 +172,10 @@ def run_task(scenario, config: SolverConfig | None = None) -> TaskReport:
             agv = cells[script.agv_id]
             rendezvous_ok = cells[script.uav_id] == (agv[0], agv[1], agv[2] + script.hover_offset)
         if m.success_rate < 1.0:
-            status, reason = NO_SOLUTION, f"episode {n}: only {m.success_rate:.3f} of agents reached their goals"
+            status, reason = NoSolutionError.status, f"episode {n}: only {m.success_rate:.3f} of agents reached their goals"
             break
         if not rendezvous_ok:  # fixed after episode 1, so this stops only there
-            status, reason = NO_SOLUTION, "rendezvous hold was never observed in the tick log"
+            status, reason = NoSolutionError.status, "rendezvous hold was never observed in the tick log"
             break
     else:
         return TaskReport(tuple(metrics), rendezvous_ok, SOLVED)

@@ -156,8 +156,8 @@ class OccupancyGrid3D:
         )
 
 
-def empty_grid(dims, origin=(0.0, 0.0, 0.0), resolution=1.0) -> OccupancyGrid3D:
-    return OccupancyGrid3D(origin, resolution, tuple(dims), np.zeros(cell_count(dims), dtype=np.uint8))
+def empty_grid(dims) -> OccupancyGrid3D:
+    return OccupancyGrid3D((0.0, 0.0, 0.0), 1.0, tuple(dims), np.zeros(cell_count(dims), dtype=np.uint8))
 
 
 def rasterize(

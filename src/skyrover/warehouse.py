@@ -116,9 +116,8 @@ def generate_warehouse(
     shelf_rows: int = DEFAULT_SHELF_ROWS,
     roster: str = DEFAULT_ROSTER,
     seed: int = 1,
-    shelf_height: int = DEFAULT_SHELF_HEIGHT,
 ):
     """Grid plus sampled roster; the standard benchmark instance family."""
-    grid = warehouse_grid(dims, shelf_rows, shelf_height)
+    grid = warehouse_grid(dims, shelf_rows)
     agents = sample_agents(grid, parse_roster(roster), seed)
     return grid, agents

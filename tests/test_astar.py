@@ -12,7 +12,7 @@ from skyrover import (
     Budget,
     Constraint,
     ReservationTable,
-    SearchLimitExceeded,
+    ResourceLimitError,
     SolverConfig,
     empty_grid,
     generate_warehouse,
@@ -344,7 +344,7 @@ def test_none_means_no_path_on_tiny_grids():
 def test_expansion_limit_is_distinguishable():
     grid = empty_grid((6, 6, 1))
     budget = Budget(max_expansions=3)
-    with pytest.raises(SearchLimitExceeded):
+    with pytest.raises(ResourceLimitError):
         spacetime_astar(grid, AGV, (0, 0, 0), (5, 5, 0), budget=budget)
 
 
@@ -372,7 +372,7 @@ def test_expansion_limit_trips_at_limit_plus_one(alg, limit):
 def test_clock_is_checked_by_the_64th_expansion():
     grid = empty_grid((60, 60, 1))  # the path alone takes 119 expansions
     budget = Budget(time_limit=1e-9)
-    with pytest.raises(SearchLimitExceeded, match="time limit exceeded"):
+    with pytest.raises(ResourceLimitError, match="time limit exceeded"):
         spacetime_astar(grid, AGV, (0, 0, 0), (59, 59, 0), budget=budget)
     assert budget.used == 64
 
@@ -393,6 +393,14 @@ def test_occupied_endpoint_is_contract_error():
     grid = OccupancyGrid3D((0, 0, 0), 1.0, (3, 1, 1), cells)
     with pytest.raises(ValueError, match="free cells"):
         spacetime_astar(grid, AGV, (0, 0, 0), (2, 0, 0))
+
+
+@pytest.mark.parametrize("start, goal", [((-1, 0, 0), (3, 3, 0)), ((0, 0, 0), (9, 0, 0))], ids=["start", "goal"])
+def test_out_of_bounds_endpoint_is_contract_error(start, goal):
+    """Refused before any occupancy read: (-1, 0, 0) would read the wrapped index of (3, 0, 0)."""
+    grid = empty_grid((4, 4, 1))
+    with pytest.raises(ValueError, match="must be free cells inside the grid's dims"):
+        spacetime_astar(grid, AGV, start, goal)
 
 
 def _low_level_runs():
@@ -445,7 +453,7 @@ def _low_level_runs():
         budget = Budget(limit, 1e6 if rng.random() < 0.3 else None)
         try:
             path = spacetime_astar(grid, kind, start, goal, blocked, budget, avoid)
-        except SearchLimitExceeded:
+        except ResourceLimitError:
             path = "limit"
             assert budget.used == limit + 1
         seen["start==goal"] += start == goal
@@ -467,7 +475,7 @@ def _low_level_runs():
             avoid.reserve_path(cells)
         limit = rng.randrange(1, cost + 1)
         budget = Budget(limit, 1e6)
-        with pytest.raises(SearchLimitExceeded):
+        with pytest.raises(ResourceLimitError):
             spacetime_astar(grid, kind, start, goal, budget=budget, avoid=avoid)
         assert budget.used == limit + 1
         seen["limit"] += 1

@@ -77,6 +77,24 @@ def test_solve_reports_an_unreachable_goal_before_any_search(algorithm):
     assert (res.stats.ll_expansions, res.stats.ct_expanded, res.stats.best_cost) == (0, 0, None)
 
 
+@pytest.mark.parametrize(
+    "agents, problem",
+    [
+        ((Agent(0, AGV, (-1, 0, 0), (3, 3, 0)),), "agent 0 start (-1, 0, 0) is out of bounds"),
+        ((Agent(0, AGV, (0, 0, 0), (9, 0, 0)),), "agent 0 goal (9, 0, 0) is out of bounds"),
+        (
+            (Agent(0, AGV, (0, 0, 0), (3, 3, 0)), Agent(1, AGV, (0, 0, 0), (3, 0, 0))),
+            "agents 0 and 1 share start (0, 0, 0)",
+        ),
+    ],
+    ids=["start-out-of-bounds", "goal-out-of-bounds", "shared-start"],
+)
+def test_solve_refuses_an_invalid_instance(agents, problem):
+    with pytest.raises(ValueError) as err:
+        solve(empty_grid((4, 4, 1)), agents)
+    assert str(err.value) == f"invalid instance:\n  {problem}"
+
+
 def test_solves_on_one_grid_label_each_kind_once(monkeypatch):
     grid, agents = generate_warehouse((40, 30, 6), 6, "4uav+10agv", 7)
     copy = OccupancyGrid3D(grid.origin, grid.resolution, grid.dims, grid.cells)

@@ -307,6 +307,42 @@ def test_validate_flags_obstacle_and_missing_path():
     assert "occupied-cell" in kinds and "missing-path" in kinds
 
 
+_GOOD_PATH = ((0, 0, 0), (1, 0, 0), (2, 0, 0))
+
+# violation kind -> (paths, the violation's time) for one AGV from (0, 0, 0) to (2, 0, 0) on a 3x2x1 grid
+PATH_FAULTS = {
+    "unknown-agent": ({0: _GOOD_PATH, 7: ((0, 1, 0),)}, None),
+    "empty-path": ({0: ()}, None),
+    "start-mismatch": ({0: _GOOD_PATH[1:]}, 0),
+    "goal-mismatch": ({0: _GOOD_PATH[:2]}, 1),
+    "out-of-bounds": ({0: ((0, 0, 0), (0, -1, 0)) + _GOOD_PATH}, 1),
+}
+
+
+@pytest.mark.parametrize("kind", list(PATH_FAULTS))
+def test_validate_flags_each_path_fault_alone(kind):
+    paths, time = PATH_FAULTS[kind]
+    agents = (Agent(0, AGV, (0, 0, 0), (2, 0, 0)),)
+    [violation] = validate_solution(empty_grid((3, 2, 1)), agents, paths)
+    assert (violation.kind, violation.time) == (kind, time)
+
+
+@pytest.mark.parametrize(
+    "agents, problem",
+    [
+        ((Agent(0, UAV, (0, -1, 0), (1, 1, 1)),), "agent 0 start (0, -1, 0) is out of bounds"),
+        ((Agent(0, UAV, (0, 0, 0), (1, 1, 2)),), "agent 0 goal (1, 1, 2) is out of bounds"),
+        (
+            (Agent(0, UAV, (0, 0, 0), (1, 1, 1)), Agent(1, UAV, (2, 2, 0), (1, 1, 1))),
+            "agents 0 and 1 share goal (1, 1, 1)",
+        ),
+    ],
+    ids=["start-out-of-bounds", "goal-out-of-bounds", "shared-goal"],
+)
+def test_validate_agents_names_each_problem_alone(agents, problem):
+    assert validate_agents(empty_grid((3, 3, 2)), agents) == [problem]
+
+
 def test_validate_agents_instance_rules():
     grid = empty_grid((3, 3, 2))
     agents = (

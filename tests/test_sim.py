@@ -83,6 +83,17 @@ def test_a_simulator_without_tick_0_raises_scenario_error():
                 use()
 
 
+def test_a_refused_init_leaves_no_world():
+    sim = Simulator()
+    sim.init(_scenario((3, 2, 1), (Agent(0, AGV, (0, 0, 0), (2, 0, 0)),)))
+    assert sim.run().states[-1].tick == 2
+    with pytest.raises(ScenarioError, match="out of bounds"):
+        sim.init(_scenario((3, 2, 1), (Agent(0, AGV, (0, 0, 0), (9, 0, 0)),)))
+    assert (sim.grid, sim.solution, sim.stats, sim.computation_time) == (None, None, None, 0.0)
+    with pytest.raises(ScenarioError, match="no tick 0"):
+        sim.state
+
+
 def test_replayed_status_follows_each_paths_arrival_tick():
     """An agent that passes its goal and comes back is at goal only from its arrival tick."""
     sc = _scenario((3, 2, 1), [Agent(0, AGV, (0, 0, 0), (1, 0, 0)), Agent(1, AGV, (2, 1, 0), (2, 1, 0))])

@@ -85,6 +85,23 @@ def test_unknown_agent_ids_rejected():
         compile_task(_grid(), script, _roster())
 
 
+@pytest.mark.parametrize(
+    "point_a, point_b, problem",
+    [
+        ((4, 4, 0), (7, 3, 0), "episode 1 is not a valid instance:\n  agents 0 and 2 share goal (4, 4, 0)"),
+        ((3, 3, 0), (4, 4, 0), "episode 2 is not a valid instance:\n  agents 0 and 2 share goal (4, 4, 0)"),
+        ((3, 3, 0), (10, 3, 0), "episode 2 is not a valid instance:\n  agent 0 goal (10, 3, 0) is out of bounds"),
+    ],
+    ids=["point-a-is-a-goal", "point-b-is-a-goal", "point-b-out-of-bounds"],
+)
+def test_an_episode_that_is_no_valid_instance_is_a_compile_error(point_a, point_b, problem):
+    roster = _roster() + (Agent(2, AGV, (0, 5, 0), (4, 4, 0)),)
+    script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=point_a, point_b=point_b)
+    with pytest.raises(TaskError) as err:
+        compile_task(_grid(), script, roster)
+    assert str(err.value) == problem
+
+
 def test_inventory_scan_runs_to_success_with_verified_rendezvous():
     script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
     report = run_task(Scenario(grid=_grid(), agents=_roster(), task=script), SolverConfig(algorithm="cbs"))
