@@ -18,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -341,6 +342,7 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
 
 
 _WAYPOINT_HEADER = "agent_id,timestamp_s,x,y,z,hold"
+_WAYPOINT_SLICE = 4096  # rows joined and encoded at a time, so the writer holds no per-row text for the whole file
 
 
 def waypoints_to_bytes(commands) -> bytes:
@@ -349,45 +351,85 @@ def waypoints_to_bytes(commands) -> bytes:
     Each distinct timestamp and position is formatted once per call. Only
     floats and tuples of floats that hold no zero are looked up by value:
     equal floats print alike except 0.0 and -0.0, while 1, 1.0 and True are
-    equal but print apart.
+    equal but print apart. Rows are joined and encoded ``_WAYPOINT_SLICE``
+    at a time, so beside the result the writer holds one slice's text.
     """
-    lines = [_WAYPOINT_HEADER]
+    chunks = [_WAYPOINT_HEADER.encode("ascii")]
     times = {}
     places = {}
-    for aid, timestamp, pos, hold in commands:
-        if timestamp and type(timestamp) is float:
-            when = times.get(timestamp)
-            if when is None:
-                times[timestamp] = when = repr(timestamp)
-        else:
-            when = repr(timestamp)
-        x, y, z = pos
-        if x and y and z and type(x) is type(y) is type(z) is float and type(pos) is tuple:
-            where = places.get(pos)
-            if where is None:
-                places[pos] = where = f"{x!r},{y!r},{z!r}"
-        else:
-            where = f"{x!r},{y!r},{z!r}"
-        lines.append(f"{aid},{when},{where},{'true' if hold else 'false'}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    rows = iter(commands)
+    while block := tuple(islice(rows, _WAYPOINT_SLICE)):
+        lines = [""]  # the line end of the slice before
+        for aid, timestamp, pos, hold in block:
+            if timestamp and type(timestamp) is float:
+                when = times.get(timestamp)
+                if when is None:
+                    times[timestamp] = when = repr(timestamp)
+            else:
+                when = repr(timestamp)
+            x, y, z = pos
+            if x and y and z and type(x) is type(y) is type(z) is float and type(pos) is tuple:
+                where = places.get(pos)
+                if where is None:
+                    places[pos] = where = f"{x!r},{y!r},{z!r}"
+            else:
+                where = f"{x!r},{y!r},{z!r}"
+            lines.append(f"{aid},{when},{where},{'true' if hold else 'false'}")
+        chunks.append("\n".join(lines).encode("ascii"))
+    chunks.append(b"\n")
+    return b"".join(chunks)
+
+
+def _lines(data: bytes):
+    """The lines of ``data``, as ``data.splitlines()`` gives them, split a slice at a time.
+
+    A slice is ``32 * _WAYPOINT_SLICE`` bytes, some 4096 rows of a log
+    ``execute_plan`` lowers, and runs on to just after the next ``\\n``, so
+    no CRLF line end is cut in two.
+    """
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + 32 * _WAYPOINT_SLICE) + 1 or len(data)
+        yield from data[start:end].splitlines()
+        start = end
 
 
 def waypoints_from_bytes(data: bytes) -> tuple:
-    lines = data.splitlines()  # LF or CRLF line ends
-    if not lines or lines[0] != _WAYPOINT_HEADER.encode("ascii"):
+    """Waypoint commands from the CSV; LF or CRLF line ends.
+
+    Rows share values: one float per distinct timestamp text and one
+    position tuple per distinct ``x,y,z`` text, keyed on the raw bytes
+    (equal bytes parse to equal floats, and ``-0.0`` and ``0.0`` stay
+    apart). Lines are split a slice at a time, so beside the rows the reader
+    holds one slice's lines. A row's fields are read in column order, so
+    its first bad field names the error.
+    """
+    lines = _lines(data)
+    if next(lines, None) != _WAYPOINT_HEADER.encode("ascii"):
         raise ParseError(f"waypoint CSV must start with header {_WAYPOINT_HEADER!r}")
+    times = {}
+    places = {}
     out = []
-    for n, line in enumerate(lines[1:], start=2):
-        row = line.split(b",")
-        if len(row) != 6:
-            raise ParseError(f"waypoint row {n} has {len(row)} columns, expected 6")
-        aid, timestamp, x, y, z, hold = row
+    row = tuple.__new__
+    for n, line in enumerate(lines, start=2):
+        fields = line.split(b",")
+        if len(fields) != 6:
+            raise ParseError(f"waypoint row {n} has {len(fields)} columns, expected 6")
+        aid, timestamp, x, y, z, hold = fields
         if hold not in (b"true", b"false"):
             raise ParseError(f"waypoint row {n} hold flag must be true or false")
         try:  # int() and float() read bytes as ASCII only, so a non-ASCII byte fails here too
-            out.append(WaypointCommand(int(aid), float(timestamp), (float(x), float(y), float(z)), hold == b"true"))
+            aid = int(aid)
+            when = times.get(timestamp)
+            if when is None:
+                times[timestamp] = when = float(timestamp)
+            key = (x, y, z)
+            pos = places.get(key)
+            if pos is None:
+                places[key] = pos = (float(x), float(y), float(z))
         except ValueError as exc:
             raise ParseError(f"waypoint row {n}: {exc}") from None
+        out.append(row(WaypointCommand, (aid, when, pos, hold == b"true")))
     return tuple(out)
 
 
@@ -414,20 +456,40 @@ def _plan_time(value) -> float:
 
 
 def plan_to_bytes(solution: Solution, agents, computation_time: float) -> bytes:
+    """The plan file: ``json.dumps(payload, indent=2, sort_keys=True)`` and a line end, laid out by hand.
+
+    json's C encoder writes each scalar; json's indenting encoder, which
+    runs in pure Python, writes only cells that are not three exact ints.
+    Each distinct cell's block is written once. Only cells of exact ints
+    are looked up by value: ``(True, 2, 0) == (1, 2, 0)``, but json prints
+    them apart, and a numpy int must still raise ``TypeError``.
+    """
     computation_time = _plan_time(computation_time)
     kinds = {a.id: a.kind for a in agents}
     if missing := set(solution.paths) - set(kinds):
         raise ValueError(f"agent {min(missing)} of the plan has no kind: it is not among the agents")
-    payload = {
-        "agents": [
-            {"id": aid, "kind": kinds[aid], "path": [list(c) for c in solution.paths[aid]]}
-            for aid in sorted(solution.paths)
-        ],
-        "sum_of_costs": solution.sum_of_costs,
-        "makespan": solution.makespan,
-        "computation_time_s": computation_time,
-    }
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+    dumps = json.dumps
+    blocks = {}  # a tuple of three exact ints -> its block
+    entries = []
+    for aid in sorted(solution.paths):
+        head = f'    {{\n      "id": {dumps(aid)},\n      "kind": {dumps(kinds[aid])},\n      "path": '
+        lines = []
+        for cell in solution.paths[aid]:
+            if type(cell) is tuple and len(cell) == 3 and type(cell[0]) is type(cell[1]) is type(cell[2]) is int:
+                block = blocks.get(cell)
+                if block is None:
+                    i, j, k = cell
+                    blocks[cell] = block = f"        [\n          {i},\n          {j},\n          {k}\n        ]"
+            else:
+                block = "        " + dumps(list(cell), indent=2).replace("\n", "\n        ")
+            lines.append(block)
+        path = "[\n" + ",\n".join(lines) + "\n      ]" if lines else "[]"
+        entries.append(f"{head}{path}\n    }}")
+    listed = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return (
+        f'{{\n  "agents": {listed},\n  "computation_time_s": {dumps(computation_time)},\n'
+        f'  "makespan": {dumps(solution.makespan)},\n  "sum_of_costs": {dumps(solution.sum_of_costs)}\n}}\n'
+    ).encode("ascii")
 
 
 def plan_from_bytes(data: bytes) -> PlanFile:

@@ -4,7 +4,10 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from skyrover import (
     AGV,
@@ -536,6 +539,51 @@ def test_plan_bytes_roundtrip():
     assert plan_to_bytes(plan.solution, agents, plan.computation_time_s) == data
 
 
+def _json_plan_bytes(solution, agents, computation_time):
+    """The plan file as json's indenting encoder writes it."""
+    kinds = {a.id: a.kind for a in agents}
+    payload = {
+        "agents": [
+            {"id": aid, "kind": kinds[aid], "path": [list(c) for c in solution.paths[aid]]}
+            for aid in sorted(solution.paths)
+        ],
+        "sum_of_costs": solution.sum_of_costs,
+        "makespan": solution.makespan,
+        "computation_time_s": computation_time,
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "paths, seconds",
+    [
+        ({}, 0.0),
+        ({0: ((3, 1, 0),)}, 1e-300),
+        ({0: ((0, 0, 0), (1, 0, 0), (1, 1, 0)), 1: ((2, 0, 0),), 2: ((1, 0, 0), (1, 0, 0))}, 0.125),
+        ({0: ((True, 2, 0), (1, 2, 0), (True, 2, 0), (1.0, 2, 0), (False, 0, 0)), 1: ((1, 2, 0), (True, 2, 0))}, 7.0),
+    ],
+    ids=["empty", "one-cell", "unequal-lengths", "bool-and-float-coordinates"],
+)
+def test_plan_text_matches_json_indenting_encoder(paths, seconds):
+    """Equal cells that print differently (bools, floats and ints) never share a block."""
+    sol = make_solution(paths)
+    agents = [Agent(aid, UAV if aid % 2 else AGV, (0, 0, 0), (0, 0, 0)) for aid in paths]
+    data = plan_to_bytes(sol, agents, seconds)
+    assert data == _json_plan_bytes(sol, agents, seconds)
+    if all(type(v) is int for cells in paths.values() for c in cells for v in c):
+        assert plan_from_bytes(data).paths == paths
+
+
+def test_plan_with_numpy_int_coordinates_is_a_type_error_as_in_json():
+    sol = make_solution({0: ((0, 0, 0), (np.int64(1), 0, 0))})
+    agents = [Agent(0, AGV, (0, 0, 0), (1, 0, 0))]
+    with pytest.raises(TypeError) as expected:
+        _json_plan_bytes(sol, agents, 0.5)
+    with pytest.raises(TypeError) as got:
+        plan_to_bytes(sol, agents, 0.5)
+    assert str(got.value) == str(expected.value) == "Object of type int64 is not JSON serializable"
+
+
 @pytest.mark.parametrize("seconds", [math.nan, math.inf, -0.5, "0.5", True, None])
 def test_plan_time_the_reader_would_refuse_writes_no_file(tmp_path, seconds):
     from skyrover import write_plan
@@ -616,6 +664,74 @@ def test_waypoint_text_matches_a_per_row_formatter():
     back = waypoints_from_bytes(waypoints_to_bytes(floats))
     assert [repr(c) for c in back] == [repr(c) for c in floats]  # repr: nan != nan, but its text is equal
     assert waypoints_to_bytes(back) == waypoints_to_bytes(floats)
+
+
+WAYPOINT_SLICE = skyrover.sim._WAYPOINT_SLICE
+EDGE_VALUES = [0.0, -0.0, 0.5, -2.25, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324, 1e308]
+
+
+def _edge_rows(count, seed, with_ints):
+    """``count`` rows over a few edge values; ints and bools among the floats when ``with_ints``."""
+    rng = random.Random(seed)
+    values = EDGE_VALUES + ([0, 1, True, False] if with_ints else [])
+    places = [tuple(rng.choice(values) for _ in range(3)) for _ in range(12)]
+    stamps = [rng.choice(values) for _ in range(8)]
+    rows = []
+    for _ in range(count):
+        pos = rng.choice(places)
+        if rng.random() < 0.3:
+            pos = tuple(float(repr(v)) if type(v) is float else v for v in pos)  # equal, but a fresh object
+        rows.append(WaypointCommand(rng.randrange(300), rng.choice(stamps), pos, rng.random() < 0.5))
+    return rows
+
+
+@seed(20261020)
+@settings(max_examples=24, deadline=None)
+@given(
+    count=st.sampled_from([0, 1, WAYPOINT_SLICE - 1, WAYPOINT_SLICE, WAYPOINT_SLICE + 1, 3 * WAYPOINT_SLICE + 7]),
+    rng_seed=st.integers(0, 2**32),
+    with_ints=st.booleans(),
+)
+def test_waypoint_slices_match_a_per_row_formatter(count, rng_seed, with_ints):
+    """Across slice boundaries, the writer's bytes are the per-row formatter's and read back row for row."""
+    rows = _edge_rows(count, rng_seed, with_ints)
+    data = waypoints_to_bytes(rows)
+    assert data == _per_row_waypoint_bytes(rows)
+    assert data.count(b"\n") == count + 1
+    floats = [c for c in rows if all(type(v) is float for v in (c.timestamp, *c.position))]
+    data = waypoints_to_bytes(floats)
+    expected = [repr(c) for c in floats]  # repr: nan != nan, but its text is equal
+    for line_end in (b"\n", b"\r\n", b"\r"):
+        back = waypoints_from_bytes(data.replace(b"\n", line_end))
+        assert [repr(c) for c in back] == expected
+    assert waypoints_to_bytes(back) == data
+
+
+@pytest.mark.parametrize("row", [2, WAYPOINT_SLICE + 1, 3 * WAYPOINT_SLICE + 8])
+def test_a_row_with_several_bad_fields_names_its_first_at_any_row(row):
+    """The id is read before any float, and row numbers run on across slices."""
+    rows = _edge_rows(3 * WAYPOINT_SLICE + 7, 5, with_ints=False)
+    lines = waypoints_to_bytes(rows).split(b"\n")
+    lines[row - 1] = b"x,0.0,0.5,zero,0.5,false"
+    with pytest.raises(ParseError) as exc:
+        waypoints_from_bytes(b"\r\n".join(lines))
+    assert str(exc.value) == f"waypoint row {row}: invalid literal for int() with base 10: b'x'"
+    lines[row - 1] = b"7,0.0,0.5,zero,0.5,false"
+    with pytest.raises(ParseError, match=rf"^waypoint row {row}: could not convert string to float: b'zero'$"):
+        waypoints_from_bytes(b"\n".join(lines))
+
+
+def test_equal_coordinate_bytes_share_one_position_tuple():
+    data = (
+        b"agent_id,timestamp_s,x,y,z,hold\n"
+        b"0,1.5,0.5,0.5,-0.0,false\n1,1.5,0.5,0.5,-0.0,true\n2,1.5,0.5,0.5,0.0,false\n0,2.5,0.5,0.5,-0.0,true\n"
+    )
+    rows = waypoints_from_bytes(data)
+    assert rows[0].position is rows[1].position is rows[3].position
+    assert rows[0].timestamp is rows[1].timestamp is rows[2].timestamp
+    assert rows[2].position == rows[0].position and rows[2].position is not rows[0].position
+    assert [repr(r.position[2]) for r in rows] == ["-0.0", "-0.0", "0.0", "-0.0"]
+    assert waypoints_to_bytes(rows) == data
 
 
 GOOD_WAYPOINTS = b"agent_id,timestamp_s,x,y,z,hold\n0,0.0,0.5,0.5,0.5,false\n0,1.0,0.5,0.5,0.5,true\n"
