@@ -568,10 +568,7 @@ def test_plan_text_matches_json_indenting_encoder(paths, seconds):
     """Equal cells that print differently (bools, floats and ints) never share a block."""
     sol = make_solution(paths)
     agents = [Agent(aid, UAV if aid % 2 else AGV, (0, 0, 0), (0, 0, 0)) for aid in paths]
-    data = plan_to_bytes(sol, agents, seconds)
-    assert data == _json_plan_bytes(sol, agents, seconds)
-    if all(type(v) is int for cells in paths.values() for c in cells for v in c):
-        assert plan_from_bytes(data).paths == paths
+    assert plan_to_bytes(sol, agents, seconds) == _json_plan_bytes(sol, agents, seconds)
 
 
 def test_plan_with_numpy_int_coordinates_is_a_type_error_as_in_json():
@@ -697,7 +694,6 @@ def test_waypoint_slices_match_a_per_row_formatter(count, rng_seed, with_ints):
     rows = _edge_rows(count, rng_seed, with_ints)
     data = waypoints_to_bytes(rows)
     assert data == _per_row_waypoint_bytes(rows)
-    assert data.count(b"\n") == count + 1
     floats = [c for c in rows if all(type(v) is float for v in (c.timestamp, *c.position))]
     data = waypoints_to_bytes(floats)
     expected = [repr(c) for c in floats]  # repr: nan != nan, but its text is equal
