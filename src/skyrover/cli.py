@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ParseError, ScenarioError, TaskError, ValueError) as exc:
+    except (OSError, ParseError, ScenarioError, TaskError, ValueError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CapacityError, PlacementError) as exc:

@@ -351,7 +351,7 @@ def validate_solution(grid, agents, paths: dict) -> list[Violation]:
             delta = (v[0] - u[0], v[1] - u[1], v[2] - u[2])
             if delta not in _LEGAL_DELTAS:
                 out.append(Violation("illegal-move", aid, t, f"move {u} -> {v} at t={t} is not a unit step"))
-    for c in detect_conflicts(paths):
+    for c in detect_conflicts({aid: cells for aid, cells in paths.items() if cells}):  # an empty path is reported above
         out.append(
             Violation(
                 f"{c.kind}-conflict",

@@ -106,41 +106,45 @@ class Simulator:
     # -- lifecycle ---------------------------------------------------------
 
     def init(self, scenario, config: SolverConfig | None = None, solution: Solution | None = None) -> SimState:
-        """Load and validate the scenario, run the solver (timed) or load the policy, tick 0.
+        """Load the scenario, check its roster, run the solver (timed) or load the policy, tick 0.
 
         ``scenario.grid`` may be a file path, an inline spec or an already
-        loaded grid. An externally supplied ``solution`` (a replayed plan
-        file) is replayed whatever ``config.algorithm`` says: it skips the
-        solver and the policy but is still validated before it is trusted.
-        On a failed solve ``computation_time`` and ``stats`` hold the time
-        and the search effort spent. A refused init keeps nothing of the last scenario.
+        loaded grid. The roster, ordered by id, is checked once: by
+        ``solve()`` when init plans, here otherwise; an invalid one is a
+        ``ScenarioError`` naming its ``validate_agents`` problems. An
+        externally supplied ``solution`` (a replayed plan file) is replayed
+        whatever ``config.algorithm`` says: it skips the solver and the
+        policy but is still validated before it is trusted. On a failed
+        solve ``computation_time`` and ``stats`` hold the time and the
+        search effort spent. A refused init keeps nothing of the last scenario.
         """
         self.__init__()
         config = config or scenario.solver or SolverConfig()
         grid = scenario.materialize_grid()
-        problems = validate_agents(grid, scenario.agents)
-        if problems:
-            raise ScenarioError("invalid scenario:\n  " + "\n  ".join(problems))
+        roster = tuple(sorted(scenario.agents, key=lambda a: a.id))
+        planned = solution is None and config.algorithm != ONLINE
+        if planned:
+            result = solve(grid, roster, config)  # checks the roster before anything is kept
+        elif problems := validate_agents(grid, roster):
+            raise ScenarioError("invalid instance:\n  " + "\n  ".join(problems))
         self._grid = grid
-        self._agents = tuple(sorted(scenario.agents, key=lambda a: a.id))
-        if solution is None and config.algorithm == ONLINE:
+        self._agents = roster
+        if planned:
+            self._computation_time = result.stats.wall_time
+            self._stats = result.stats
+            if not result.ok:
+                raise solve_error(result.status, f"{config.algorithm}: {result.reason}")
+            solution = result.solution
+        if solution is None:
             t0 = time.perf_counter()
             self._policy = get_policy(config.online_policy)
             self._computation_time = time.perf_counter() - t0
             mode = ONLINE_MODE
         else:
-            supplied = solution is not None
-            if not supplied:
-                result = solve(grid, self._agents, config)
-                self._computation_time = result.stats.wall_time
-                self._stats = result.stats
-                if not result.ok:
-                    raise solve_error(result.status, f"{config.algorithm}: {result.reason}")
-                solution = result.solution
-            violations = validate_solution(grid, self._agents, solution.paths)
+            violations = validate_solution(grid, roster, solution.paths)
             if violations:
                 detail = "; ".join(v.detail for v in violations[:5])
-                if supplied:
+                if not planned:
                     raise ScenarioError(f"supplied plan fails validation: {detail}")
                 raise InvariantViolation(f"solver produced an invalid solution: {detail}")
             self._solution = solution

@@ -7,7 +7,7 @@ from time import perf_counter
 
 from . import cbs, prioritized
 from .astar import Budget
-from .errors import NoSolutionError, ResourceLimitError
+from .errors import NoSolutionError, ResourceLimitError, ScenarioError
 from .mapf import as_int, as_positive, components, make_solution, validate_agents
 
 ASTAR_PRIORITIZED = "astar_prioritized"
@@ -70,18 +70,18 @@ class SolveResult:
 def solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
     """Plan with the configured precomputing solver: the one public planner.
 
-    An instance that fails ``mapf.validate_agents`` is a ``ValueError``
-    naming its problems. An agent whose goal lies outside its start's
-    component (``mapf.components``) is no_solution. Both are found before
-    any search. Online mode has no plan phase.
+    An instance that fails ``mapf.validate_agents`` (agents ordered by id)
+    is a ``ScenarioError`` naming its problems; ``Simulator.init`` leaves
+    that check to this call when it plans. An agent whose goal lies outside
+    its start's component (``mapf.components``) is no_solution. Both are
+    found before any search. Online mode has no plan phase.
     """
     config = config or SolverConfig()
     if config.algorithm == ONLINE:
         raise ValueError("online policies plan per step; there is nothing to precompute")
     roster = sorted(agents, key=lambda a: a.id)
-    problems = validate_agents(grid, roster)
-    if problems:
-        raise ValueError("invalid instance:\n  " + "\n  ".join(problems))
+    if problems := validate_agents(grid, roster):
+        raise ScenarioError("invalid instance:\n  " + "\n  ".join(problems))
     t0 = perf_counter()
     budget = Budget(config.node_expansion_limit, config.time_limit)
     labels = {kind: components(grid, kind) for kind in {a.kind for a in roster}}

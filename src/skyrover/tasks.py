@@ -88,7 +88,9 @@ def compile_task(grid, script: TaskScript, agents) -> list[Episode]:
     Episode 1 sends the pair to the rendezvous (AGV at point A, UAV hovering
     above it) while everyone else heads for their own goal; episode 2
     releases the pair toward the task's destination. Episode n+1 starts where
-    episode n ended, which for a successful run is episode n's goals.
+    episode n ended, which for a successful run is episode n's goals. An
+    episode that fails ``mapf.validate_agents`` (say point A off the ground,
+    or the hover cell out of bounds or occupied) is a ``TaskError`` naming it.
     """
     by_id = {a.id: a for a in agents}
     agv = by_id.get(script.agv_id)
@@ -99,20 +101,11 @@ def compile_task(grid, script: TaskScript, agents) -> list[Episode]:
         raise TaskError(f"agv_id {script.agv_id} names a {agv.kind}, expected an AGV")
     if uav.kind != UAV:
         raise TaskError(f"uav_id {script.uav_id} names a {uav.kind}, expected a UAV")
-    if script.point_a[2] != 0:
-        raise TaskError(f"point A {script.point_a} must sit on the ground layer")
-    if script.kind == INVENTORY_SCAN and script.point_b[2] != 0:
-        raise TaskError(f"point B {script.point_b} must sit on the ground layer for an inventory scan")
-    hover = script.hover_cell
-    if not grid.in_bounds(*hover):
-        raise TaskError(f"hover cell {hover} is out of bounds")
-    if grid.is_occupied(*hover):
-        raise TaskError(f"hover cell {hover} is occupied")
 
     roster = sorted(agents, key=lambda a: a.id)
     e1_goals = {a.id: a.goal for a in roster}
     e1_goals[agv.id] = script.point_a
-    e1_goals[uav.id] = hover
+    e1_goals[uav.id] = script.hover_cell
     e2_goals = dict(e1_goals)
     if script.kind == INVENTORY_SCAN:
         e2_goals[agv.id] = script.point_b
@@ -127,8 +120,7 @@ def compile_task(grid, script: TaskScript, agents) -> list[Episode]:
     ]
     for n, ep in enumerate(episodes, start=1):
         instance = [replace(a, start=ep.starts[a.id], goal=ep.goals[a.id]) for a in roster]
-        problems = validate_agents(grid, instance)
-        if problems:
+        if problems := validate_agents(grid, instance):
             raise TaskError(f"episode {n} is not a valid instance:\n  " + "\n  ".join(problems))
     return episodes
 

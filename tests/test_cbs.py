@@ -10,6 +10,7 @@ from skyrover import (
     Agent,
     OccupancyGrid3D,
     ReservationTable,
+    ScenarioError,
     SolverConfig,
     detect_conflicts,
     empty_grid,
@@ -90,7 +91,7 @@ def test_solve_reports_an_unreachable_goal_before_any_search(algorithm):
     ids=["start-out-of-bounds", "goal-out-of-bounds", "shared-start"],
 )
 def test_solve_refuses_an_invalid_instance(agents, problem):
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ScenarioError) as err:
         solve(empty_grid((4, 4, 1)), agents)
     assert str(err.value) == f"invalid instance:\n  {problem}"
 

@@ -720,3 +720,24 @@ def test_bench_rejects_unknown_algorithm(warehouse_files, tmp_path):
 
 def test_missing_file_exits_2(tmp_path):
     assert main(["solve", "--scenario", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--scenario", "{dir}"],
+        ["solve", "--scenario", "{scenario}", "--alg", "astar", "-o", "{dir}"],
+        ["gridgen", "--pgm", "{dir}", "-o", "{dir}/x.grid"],
+        ["gridgen", "--pgm", "{pgm}", "-o", "{dir}"],
+        ["bench", "--suite", "{dir}"],
+        ["sim", "--scenario", "{scenario}", "--online", "greedy-shielded", "--max-ticks", "2", "--ticks", "{dir}"],
+        ["sim", "--scenario", "{scenario}", "--online", "greedy-shielded", "--max-ticks", "2", "--waypoints", "{dir}"],
+    ],
+    ids=["solve-scenario", "solve-output", "gridgen-input", "gridgen-output", "bench-suite", "sim-ticks", "sim-waypoints"],
+)
+def test_a_directory_given_as_a_file_exits_2_with_one_error_line(tmp_path, capsys, warehouse_files, argv):
+    pgm = tmp_path / "floor.pgm"
+    pgm.write_bytes(pgm_p2_bytes(np.full((3, 4), 255, dtype=np.uint8)))
+    paths = {"dir": tmp_path, "scenario": warehouse_files[0], "pgm": pgm}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"

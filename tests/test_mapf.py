@@ -327,6 +327,12 @@ def test_validate_flags_each_path_fault_alone(kind):
     assert (violation.kind, violation.time) == (kind, time)
 
 
+def test_validate_reports_an_empty_path_beside_another_agents_path():
+    agents = (Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (0, 1, 0), (2, 1, 0)))
+    [violation] = validate_solution(empty_grid((3, 2, 1)), agents, {0: _GOOD_PATH, 1: ()})
+    assert (violation.kind, violation.agent) == ("empty-path", 1)
+
+
 @pytest.mark.parametrize(
     "agents, problem",
     [

@@ -20,6 +20,7 @@ from skyrover import (
     ScenarioError,
     Simulator,
     SolverConfig,
+    TaskScript,
     WaypointCommand,
     collect_metrics,
     empty_grid,
@@ -29,13 +30,17 @@ from skyrover import (
     manhattan,
     plan_from_bytes,
     plan_to_bytes,
+    run_task,
     solve,
+    validate_agents,
     waypoints_from_bytes,
     waypoints_to_bytes,
     write_grid,
 )
 import skyrover.policy
 import skyrover.sim
+import skyrover.solvers
+import skyrover.tasks
 from skyrover.sim import AT_GOAL, EN_ROUTE, FAILED, PRECOMPUTED_MODE, RunRecord, SimState
 
 from oracles import pairwise_shield
@@ -95,6 +100,44 @@ def test_a_refused_init_leaves_no_world():
     assert (sim.grid, sim.solution, sim.stats, sim.computation_time) == (None, None, None, 0.0)
     with pytest.raises(ScenarioError, match="no tick 0"):
         sim.state
+
+
+def test_each_entry_point_checks_the_roster_once(monkeypatch):
+    """One validate_agents call per init of each kind and four per two-episode task; one refusal text for a roster."""
+    calls = []
+
+    def counted(grid, agents):
+        calls.append(tuple(a.id for a in agents))
+        return validate_agents(grid, agents)
+
+    for module in (skyrover.sim, skyrover.solvers, skyrover.tasks):
+        monkeypatch.setattr(module, "validate_agents", counted)
+    good = (Agent(1, AGV, (2, 0, 0), (0, 0, 0)), Agent(0, AGV, (0, 1, 0), (2, 1, 0)))
+    bad = (Agent(1, AGV, (9, 0, 0), (0, 0, 0)), Agent(0, AGV, (0, 1, 0), (9, 1, 0)))
+    plan = make_solution({0: ((0, 1, 0), (1, 1, 0), (2, 1, 0)), 1: ((2, 0, 0), (1, 0, 0), (0, 0, 0))})
+    kinds = {
+        "planned": {"config": SolverConfig(algorithm="cbs")},
+        "online": {"config": SolverConfig(algorithm="online")},
+        "supplied plan": {"solution": plan},
+    }
+    refusals = set()
+    for name, kind in kinds.items():
+        calls.clear()
+        Simulator().init(_scenario((3, 2, 1), good), **kind)
+        assert calls == [(0, 1)], name
+        with pytest.raises(ScenarioError) as err:
+            Simulator().init(_scenario((3, 2, 1), bad), **kind)
+        refusals.add(str(err.value))
+    with pytest.raises(ScenarioError) as err:
+        solve(empty_grid((3, 2, 1)), bad)
+    assert refusals == {str(err.value)}
+    assert str(err.value) == "invalid instance:\n  agent 0 goal (9, 1, 0) is out of bounds\n  agent 1 start (9, 0, 0) is out of bounds"
+
+    calls.clear()
+    roster = (Agent(0, AGV, (0, 0, 0), (9, 9, 0)), Agent(1, UAV, (9, 0, 0), (0, 9, 3)))
+    task = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
+    assert run_task(_scenario((10, 10, 6), roster, task=task), SolverConfig(algorithm="cbs")).success
+    assert len(calls) == 4
 
 
 def test_replayed_status_follows_each_paths_arrival_tick():

@@ -63,8 +63,9 @@ def test_hover_cell_inside_obstacle_is_a_compile_error():
     blocked[grid.index(3, 3, 2)] = 1
     grid = OccupancyGrid3D((0, 0, 0), 1.0, (10, 10, 6), blocked)
     script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
-    with pytest.raises(TaskError, match="hover cell .* is occupied"):
+    with pytest.raises(TaskError) as err:
         compile_task(grid, script, _roster())
+    assert str(err.value) == "episode 1 is not a valid instance:\n  agent 1 goal (3, 3, 2) is inside an obstacle"
 
 
 def test_kind_mismatch_is_a_compile_error():
@@ -86,17 +87,20 @@ def test_unknown_agent_ids_rejected():
 
 
 @pytest.mark.parametrize(
-    "point_a, point_b, problem",
+    "point_a, point_b, hover_offset, problem",
     [
-        ((4, 4, 0), (7, 3, 0), "episode 1 is not a valid instance:\n  agents 0 and 2 share goal (4, 4, 0)"),
-        ((3, 3, 0), (4, 4, 0), "episode 2 is not a valid instance:\n  agents 0 and 2 share goal (4, 4, 0)"),
-        ((3, 3, 0), (10, 3, 0), "episode 2 is not a valid instance:\n  agent 0 goal (10, 3, 0) is out of bounds"),
+        ((4, 4, 0), (7, 3, 0), 2, "episode 1 is not a valid instance:\n  agents 0 and 2 share goal (4, 4, 0)"),
+        ((3, 3, 0), (4, 4, 0), 2, "episode 2 is not a valid instance:\n  agents 0 and 2 share goal (4, 4, 0)"),
+        ((3, 3, 0), (10, 3, 0), 2, "episode 2 is not a valid instance:\n  agent 0 goal (10, 3, 0) is out of bounds"),
+        ((3, 3, 1), (7, 3, 0), 2, "episode 1 is not a valid instance:\n  ground agent 0 goal (3, 3, 1) is above the ground layer"),
+        ((3, 3, 0), (7, 3, 1), 2, "episode 2 is not a valid instance:\n  ground agent 0 goal (7, 3, 1) is above the ground layer"),
+        ((3, 3, 0), (7, 3, 0), 6, "episode 1 is not a valid instance:\n  agent 1 goal (3, 3, 6) is out of bounds"),
     ],
-    ids=["point-a-is-a-goal", "point-b-is-a-goal", "point-b-out-of-bounds"],
+    ids=["point-a-is-a-goal", "point-b-is-a-goal", "point-b-out-of-bounds", "point-a-in-the-air", "point-b-in-the-air", "hover-out-of-bounds"],
 )
-def test_an_episode_that_is_no_valid_instance_is_a_compile_error(point_a, point_b, problem):
+def test_an_episode_that_is_no_valid_instance_is_a_compile_error(point_a, point_b, hover_offset, problem):
     roster = _roster() + (Agent(2, AGV, (0, 5, 0), (4, 4, 0)),)
-    script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=point_a, point_b=point_b)
+    script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=point_a, point_b=point_b, hover_offset=hover_offset)
     with pytest.raises(TaskError) as err:
         compile_task(_grid(), script, roster)
     assert str(err.value) == problem
