@@ -48,6 +48,7 @@ from .sim import (
     SimState,
     Simulator,
     WaypointCommand,
+    WaypointLog,
     collect_metrics,
     execute_plan,
     plan_from_bytes,

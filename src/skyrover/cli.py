@@ -40,7 +40,7 @@ from .sim import (
     waypoints_to_bytes,
     write_plan,
 )
-from .solvers import ONLINE, SolverConfig, normalize_algorithm
+from .solvers import NOTHING_TO_PRECOMPUTE, ONLINE, SolverConfig, normalize_algorithm
 from .tasks import run_task
 from .voxelgrid import extrude_ground, rasterize, read_grid, write_grid
 from .warehouse import DEFAULT_DIMS, DEFAULT_ROSTER, DEFAULT_SHELF_ROWS, generate_warehouse
@@ -105,7 +105,7 @@ def cmd_solve(args) -> int:
     scenario = _load_scenario(args)
     config = _solver_config(args, scenario)
     if config.algorithm == ONLINE:
-        raise ValueError("online policies plan per step; there is nothing to precompute")
+        raise ValueError(NOTHING_TO_PRECOMPUTE)
     sim = Simulator()
     sim.init(scenario, config)  # raises unless the plan is found and validated
     solution = sim.solution

@@ -17,8 +17,11 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import chain
+from operator import eq
 from pathlib import Path
 from typing import NamedTuple
 
@@ -307,77 +310,143 @@ class WaypointCommand(NamedTuple):
     hold: bool
 
 
-def execute_plan(solution: Solution, cell_duration: float, resolution: float, origin) -> tuple:
+_row = partial(tuple.__new__, WaypointCommand)  # a row as namedtuple's ``_make`` builds it, without a Python frame
+
+
+class WaypointLog(Sequence):
+    """A waypoint stream held as four columns and read as ``WaypointCommand`` rows.
+
+    ``agent_ids``, ``timestamps``, ``positions`` and ``holds`` are tuples of
+    one length. Row ``i`` is built from their ``i``-th values only when it
+    is read (indexing or iteration), so a log holds no row objects; a slice
+    is a log. A log equals another log whose columns are equal, and any
+    other sequence of equal rows, so ``log == ()`` and ``log ==
+    tuple(rows)`` hold. It is unhashable, as a list is.
+    """
+
+    __slots__ = ("agent_ids", "timestamps", "positions", "holds")
+    __hash__ = None
+
+    def __init__(self, agent_ids=(), timestamps=(), positions=(), holds=()):
+        columns = tuple(map(tuple, (agent_ids, timestamps, positions, holds)))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"waypoint columns differ in length: {[len(c) for c in columns]}")
+        self.agent_ids, self.timestamps, self.positions, self.holds = columns
+
+    def _columns(self) -> tuple:
+        return self.agent_ids, self.timestamps, self.positions, self.holds
+
+    def __len__(self) -> int:
+        return len(self.agent_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return WaypointLog(*(column[index] for column in self._columns()))
+        return _row(tuple(column[index] for column in self._columns()))
+
+    def __iter__(self):
+        return map(_row, zip(*self._columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, WaypointLog):
+            return self._columns() == other._columns()
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<WaypointLog of {len(self)} rows>"
+
+
+def _merged(columns, lengths) -> list:
+    """Per-agent columns, agents in id order, merged step by step; column ``n`` has ``lengths[n]`` values that count.
+
+    Between two consecutive distinct lengths the same agents are live, so
+    each such band of steps is one ``zip`` over their slices.
+    """
+    out = []
+    start = 0
+    for end in sorted(set(lengths)):
+        live = [column[start:end] for column, n in zip(columns, lengths) if n >= end]
+        out.extend(chain.from_iterable(zip(*live)))
+        start = end
+    return out
+
+
+def execute_plan(solution: Solution, cell_duration: float, resolution: float, origin) -> WaypointLog:
     """Lower a discrete solution to a merged, timestamped waypoint stream.
 
     One command per agent per path index: timestamp = index * cell_duration,
     position at the cell center, hold set when the cell repeats the previous
-    one. Emitted timestep by timestep, agents in id order, so the stream is in
-    (timestamp, agent id) order. Commands on one cell share one position
-    tuple. Rows are built as namedtuple's own ``_make`` builds them
-    (``tuple.__new__`` on the class), without a Python frame per row.
-    ``cell_duration`` must be positive and finite, and so must the last
-    timestamp.
+    one. The columns are filled in stream order, timestep by timestep and
+    agents in id order, so the log is in (timestamp, agent id) order. The
+    rows of one step share one timestamp float, and rows on equal cells
+    share one position tuple, worked out from the first of those cells in
+    the stream. ``cell_duration`` must be positive and finite, and so must
+    the last timestamp.
     """
     as_positive(cell_duration, "cell_duration")
     ox, oy, oz = (float(v) for v in origin)
     paths = sorted(solution.paths.items())
-    steps = max((len(cells) for _, cells in paths), default=0)
+    lengths = [len(cells) for _, cells in paths]
+    steps = max(lengths, default=0)
     if not math.isfinite((steps - 1) * cell_duration):
         raise ValueError(f"cell_duration {cell_duration!r} makes the last timestamp, at step {steps - 1}, overflow")
-    centres = {}  # cell -> its centre
-    out = []
-    row = tuple.__new__
-    for t in range(steps):
-        timestamp = t * cell_duration
-        for aid, cells in paths:
-            if t < len(cells):  # a path that has ended emits nothing more
-                cell = cells[t]
-                pos = centres.get(cell)
-                if pos is None:
-                    i, j, k = cell
-                    centres[cell] = pos = (
-                        ox + (i + 0.5) * resolution,
-                        oy + (j + 0.5) * resolution,
-                        oz + (k + 0.5) * resolution,
-                    )
-                out.append(row(WaypointCommand, (aid, timestamp, pos, t > 0 and cell == cells[t - 1])))
-    return tuple(out)
+    stamps = [t * cell_duration for t in range(steps)]
+    stream = _merged([cells for _, cells in paths], lengths)
+    centres = dict.fromkeys(stream)  # equal cells share the key first seen
+    for cell in centres:
+        i, j, k = cell
+        centres[cell] = (ox + (i + 0.5) * resolution, oy + (j + 0.5) * resolution, oz + (k + 0.5) * resolution)
+    return WaypointLog(
+        _merged([[aid] * n for (aid, _), n in zip(paths, lengths)], lengths),
+        _merged([stamps] * len(paths), lengths),
+        map(centres.__getitem__, stream),
+        _merged([[False, *map(eq, cells[1:], cells)] for _, cells in paths], lengths),
+    )
 
 
 _WAYPOINT_HEADER = "agent_id,timestamp_s,x,y,z,hold"
 _WAYPOINT_SLICE = 4096  # rows joined and encoded at a time, so the writer holds no per-row text for the whole file
 
 
+def _gathered(rows) -> WaypointLog:
+    """Rows as a log, each unpacked into its four fields, so a row of another length is a ``ValueError``."""
+    ids, times, places, holds = [], [], [], []
+    for aid, timestamp, pos, hold in rows:
+        ids.append(aid)
+        times.append(timestamp)
+        places.append(pos)
+        holds.append(hold)
+    return WaypointLog(ids, times, places, holds)
+
+
 def waypoints_to_bytes(commands) -> bytes:
     """The waypoint CSV: a header, then one row per command, numbers as ``repr``.
 
-    Each distinct timestamp and position is formatted once per call. Only
-    floats and tuples of floats that hold no zero are looked up by value:
-    equal floats print alike except 0.0 and -0.0, while 1, 1.0 and True are
-    equal but print apart. Rows are joined and encoded ``_WAYPOINT_SLICE``
-    at a time, so beside the result the writer holds one slice's text.
+    ``commands`` is a ``WaypointLog``, or any iterable of rows, which is
+    gathered into one first. Each timestamp and position object is
+    formatted once per call, its text keyed on ``id()``: the log keeps
+    every value alive for the whole call, so no id is reused, and one
+    object always prints alike (equal values need not: ``0.0`` and
+    ``-0.0``, or ``1``, ``1.0`` and ``True``). Rows are joined and encoded
+    ``_WAYPOINT_SLICE`` at a time, so beside the result the writer holds
+    one slice's text.
     """
+    log = commands if isinstance(commands, WaypointLog) else _gathered(commands)
     chunks = [_WAYPOINT_HEADER.encode("ascii")]
-    times = {}
-    places = {}
-    rows = iter(commands)
-    while block := tuple(islice(rows, _WAYPOINT_SLICE)):
+    times = {}  # id of a timestamp -> its text
+    places = {}  # id of a position -> its text
+    for start in range(0, len(log), _WAYPOINT_SLICE):
         lines = [""]  # the line end of the slice before
-        for aid, timestamp, pos, hold in block:
-            if timestamp and type(timestamp) is float:
-                when = times.get(timestamp)
-                if when is None:
-                    times[timestamp] = when = repr(timestamp)
-            else:
-                when = repr(timestamp)
-            x, y, z = pos
-            if x and y and z and type(x) is type(y) is type(z) is float and type(pos) is tuple:
-                where = places.get(pos)
-                if where is None:
-                    places[pos] = where = f"{x!r},{y!r},{z!r}"
-            else:
-                where = f"{x!r},{y!r},{z!r}"
+        for aid, timestamp, pos, hold in zip(*(column[start : start + _WAYPOINT_SLICE] for column in log._columns())):
+            when = times.get(id(timestamp))
+            if when is None:
+                times[id(timestamp)] = when = repr(timestamp)
+            where = places.get(id(pos))
+            if where is None:
+                x, y, z = pos
+                places[id(pos)] = where = f"{x!r},{y!r},{z!r}"
             lines.append(f"{aid},{when},{where},{'true' if hold else 'false'}")
         chunks.append("\n".join(lines).encode("ascii"))
     chunks.append(b"\n")
@@ -398,23 +467,22 @@ def _lines(data: bytes):
         start = end
 
 
-def waypoints_from_bytes(data: bytes) -> tuple:
-    """Waypoint commands from the CSV; LF or CRLF line ends.
+def waypoints_from_bytes(data: bytes) -> WaypointLog:
+    """The waypoint log of the CSV; LF or CRLF line ends.
 
     Rows share values: one float per distinct timestamp text and one
     position tuple per distinct ``x,y,z`` text, keyed on the raw bytes
     (equal bytes parse to equal floats, and ``-0.0`` and ``0.0`` stay
-    apart). Lines are split a slice at a time, so beside the rows the reader
-    holds one slice's lines. A row's fields are read in column order, so
-    its first bad field names the error.
+    apart). Lines are split a slice at a time, so beside the columns the
+    reader holds one slice's lines. A row's fields are read in column
+    order, so its first bad field names the error.
     """
     lines = _lines(data)
     if next(lines, None) != _WAYPOINT_HEADER.encode("ascii"):
         raise ParseError(f"waypoint CSV must start with header {_WAYPOINT_HEADER!r}")
     times = {}
     places = {}
-    out = []
-    row = tuple.__new__
+    ids, stamps, positions, holds = [], [], [], []
     for n, line in enumerate(lines, start=2):
         fields = line.split(b",")
         if len(fields) != 6:
@@ -433,8 +501,11 @@ def waypoints_from_bytes(data: bytes) -> tuple:
                 places[key] = pos = (float(x), float(y), float(z))
         except ValueError as exc:
             raise ParseError(f"waypoint row {n}: {exc}") from None
-        out.append(row(WaypointCommand, (aid, when, pos, hold == b"true")))
-    return tuple(out)
+        ids.append(aid)
+        stamps.append(when)
+        positions.append(pos)
+        holds.append(hold == b"true")
+    return WaypointLog(ids, stamps, positions, holds)
 
 
 # -- plan files ----------------------------------------------------------

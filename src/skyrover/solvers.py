@@ -21,6 +21,7 @@ _ALIASES = {
 }
 
 SOLVED = "solved"
+NOTHING_TO_PRECOMPUTE = "online policies plan per step; there is nothing to precompute"
 
 
 def normalize_algorithm(name: str) -> str:
@@ -78,7 +79,7 @@ def solve(grid, agents, config: SolverConfig | None = None) -> SolveResult:
     """
     config = config or SolverConfig()
     if config.algorithm == ONLINE:
-        raise ValueError("online policies plan per step; there is nothing to precompute")
+        raise ValueError(NOTHING_TO_PRECOMPUTE)
     roster = sorted(agents, key=lambda a: a.id)
     if problems := validate_agents(grid, roster):
         raise ScenarioError("invalid instance:\n  " + "\n  ".join(problems))

@@ -18,7 +18,7 @@ from itertools import combinations, count, product
 
 import numpy as np
 
-from skyrover import AGV, UAV, Agent, InvariantViolation, OccupancyGrid3D
+from skyrover import AGV, UAV, Agent, InvariantViolation, OccupancyGrid3D, WaypointCommand
 from skyrover.mapf import MOVES, VERTEX
 
 
@@ -398,3 +398,26 @@ def random_walk_paths(rng: random.Random, dims, n_agents, max_len):
             cells.append(cell)
         paths[aid] = tuple(cells)
     return paths
+
+
+def lower_rows(solution, cell_duration, resolution, origin):
+    """``execute_plan`` row by row: every agent's commands, then one sort by (path index, agent id).
+
+    Rows of one path index share one timestamp float, and rows on equal
+    cells share the position tuple of the first of them in sorted order.
+    """
+    ox, oy, oz = (float(v) for v in origin)
+    keyed = []
+    for aid, cells in solution.paths.items():
+        for t, cell in enumerate(cells):
+            keyed.append((t, aid, cell, t > 0 and cell == cells[t - 1]))
+    keyed.sort(key=lambda r: (r[0], r[1]))
+    stamps, centres, rows = {}, {}, []
+    for t, aid, cell, hold in keyed:
+        if t not in stamps:
+            stamps[t] = t * cell_duration
+        if cell not in centres:
+            i, j, k = cell
+            centres[cell] = (ox + (i + 0.5) * resolution, oy + (j + 0.5) * resolution, oz + (k + 0.5) * resolution)
+        rows.append(WaypointCommand(aid, stamps[t], centres[cell], hold))
+    return tuple(rows)

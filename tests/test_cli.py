@@ -7,10 +7,12 @@ import pytest
 
 from skyrover import (
     ParseError,
+    SolverConfig,
     grid_from_bytes,
     load_scenario,
     read_grid,
     read_plan,
+    solve,
     validate_solution,
     waypoints_from_bytes,
     write_grid,
@@ -341,9 +343,13 @@ def test_solve_on_an_inline_spec_over_the_cap_exits_3(tmp_path, capsys, spec):
 
 
 def test_solve_online_exits_2(warehouse_files, capsys):
+    """The CLI refuses with the text of `solve()`'s own refusal, not a copy of it."""
     scenario_path, _ = warehouse_files
+    scenario = load_scenario(scenario_path)
+    with pytest.raises(ValueError, match="nothing to precompute") as refused:
+        solve(scenario.materialize_grid(), scenario.agents, SolverConfig(algorithm="online"))
     assert main(["solve", "--scenario", str(scenario_path), "--alg", "online"]) == 2
-    assert "nothing to precompute" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 def test_sim_takes_no_solver_flags(warehouse_files):

@@ -22,6 +22,7 @@ from skyrover import (
     SolverConfig,
     TaskScript,
     WaypointCommand,
+    WaypointLog,
     collect_metrics,
     empty_grid,
     execute_plan,
@@ -43,7 +44,7 @@ import skyrover.solvers
 import skyrover.tasks
 from skyrover.sim import AT_GOAL, EN_ROUTE, FAILED, PRECOMPUTED_MODE, RunRecord, SimState
 
-from oracles import pairwise_shield
+from oracles import lower_rows, pairwise_shield, random_walk_paths
 
 
 def _scenario(dims, agents, **kw):
@@ -566,6 +567,55 @@ def test_empty_plan_gives_an_empty_stream():
     assert waypoints_from_bytes(waypoints_to_bytes(cmds)) == ()
 
 
+def _sharing(values):
+    """For each value, the index of the first value that is the same object."""
+    first = {}
+    return [first.setdefault(id(v), n) for n, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("cell_duration", [0.1, 0.5, 2.0])
+@pytest.mark.parametrize("plan_seed", [None, 0, 1, 2, 3, 4])
+def test_execute_plan_matches_a_row_by_row_lowering(plan_seed, cell_duration):
+    """Seeded ragged plans (single-cell paths among them; ``None`` is the empty plan) against ``oracles.lower_rows``."""
+    paths = {}
+    if plan_seed is not None:
+        rng = random.Random(plan_seed)
+        walks = random_walk_paths(rng, (6, 5, 3), rng.randrange(1, 9), max_len=12)
+        for aid, cells in zip(rng.sample(range(100), len(walks)), walks.values()):
+            paths[aid] = cells[:1] if rng.random() < 0.3 else cells
+    sol = make_solution(paths)
+    log = execute_plan(sol, cell_duration, 0.25, (-1.0, 2.0, 0.5))
+    rows = lower_rows(sol, cell_duration, 0.25, (-1.0, 2.0, 0.5))
+    assert type(log) is WaypointLog and log == rows and tuple(log) == rows
+    assert all(type(row) is WaypointCommand for row in log)
+    assert _sharing(log.positions) == _sharing(r.position for r in rows)  # one tuple per cell
+    assert _sharing(log.timestamps) == _sharing(r.timestamp for r in rows)  # one float per step
+    data = waypoints_to_bytes(log)
+    assert data == waypoints_to_bytes(rows) == _per_row_waypoint_bytes(rows)
+    back = waypoints_from_bytes(data)
+    assert type(back) is WaypointLog and back == log
+    assert type(log[1:4]) is WaypointLog and log[1:4] == rows[1:4] and log[-3:] == rows[-3:]
+
+
+def test_a_waypoint_log_is_an_unhashable_sequence_of_rows():
+    log = execute_plan(make_solution({0: ((0, 0, 0), (0, 0, 0)), 1: ((1, 0, 0),)}), 1.0, 1.0, (0.0, 0.0, 0.0))
+    rows = (
+        WaypointCommand(0, 0.0, (0.5, 0.5, 0.5), False),
+        WaypointCommand(1, 0.0, (1.5, 0.5, 0.5), False),
+        WaypointCommand(0, 1.0, (0.5, 0.5, 0.5), True),
+    )
+    assert log == rows and log == list(rows) and rows == log and log != rows[:2] and log != rows[::-1]
+    assert WaypointLog() == () and log != () and WaypointLog() != ""
+    assert log[-1] == rows[-1] and list(reversed(log)) == list(reversed(rows)) and rows[1] in log
+    assert log.agent_ids == (0, 1, 0) and log.holds == (False, False, True)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(log)
+    with pytest.raises(IndexError):
+        log[3]
+    with pytest.raises(ValueError, match="columns differ in length"):
+        WaypointLog((0, 1), (0.0,), ((0.5, 0.5, 0.5),), (False,))
+
+
 # -- file round trips ---------------------------------------------------------
 
 
@@ -704,6 +754,39 @@ def test_waypoint_text_matches_a_per_row_formatter():
     back = waypoints_from_bytes(waypoints_to_bytes(floats))
     assert [repr(c) for c in back] == [repr(c) for c in floats]  # repr: nan != nan, but its text is equal
     assert waypoints_to_bytes(back) == waypoints_to_bytes(floats)
+
+
+def _fresh_rows(seed, count):
+    """Rows whose every value is a new object, dropped with its row, so ``id()``s are recycled.
+
+    Among the values are ``0.0`` and ``-0.0``, ``1``, ``1.0`` and ``True``,
+    ``nan`` and ``inf``: equal or alike values that print apart.
+    """
+    rng = random.Random(seed)
+    texts = ["0.0", "-0.0", "1.0", "2.5", "nan", "inf", "-inf"]
+    for _ in range(count):
+        values = [rng.choice((1, True, 0, False)) if rng.random() < 0.2 else float(rng.choice(texts)) for _ in range(4)]
+        yield WaypointCommand(rng.randrange(5), values[0], tuple(values[1:]), rng.random() < 0.5)
+
+
+def test_text_keyed_by_identity_survives_recycled_ids():
+    """A generator of fresh rows reuses the ids of rows already gone; the writer's bytes stay the per-row formatter's."""
+    assert len({id(row.timestamp) for row in _fresh_rows(3, 2000)}) < 1000  # ids do come round again
+    data = waypoints_to_bytes(_fresh_rows(3, 2000))
+    assert data == _per_row_waypoint_bytes(list(_fresh_rows(3, 2000)))
+    for text in (b",0.0,", b",-0.0,", b",1,", b",1.0,", b",True,", b",nan,", b",inf,", b",-inf,"):
+        assert text in data
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0, 0.0, (0.5, 0.5, 0.5)), (0, 0.0, (0.5, 0.5, 0.5), True, 1), (0, 0.0, (0.5, 0.5), True)],
+    ids=["three-fields", "five-fields", "two-coordinates"],
+)
+def test_a_malformed_row_is_a_value_error(bad):
+    rows = iter([WaypointCommand(0, 0.0, (0.5, 0.5, 0.5), False), bad])
+    with pytest.raises(ValueError, match="values to unpack"):
+        waypoints_to_bytes(rows)
 
 
 WAYPOINT_SLICE = skyrover.sim._WAYPOINT_SLICE
