@@ -12,7 +12,9 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations, compress, islice, repeat, takewhile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +30,6 @@ MOVES = {
     UAV: ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), WAIT),
     AGV: ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), WAIT),
 }
-# Move legality in validation is checked against the 6-connected superset;
-# the planar restriction for AGVs surfaces as a "kinematic" violation.
-_LEGAL_DELTAS = frozenset(MOVES[UAV])
 
 
 def as_int(value, what: str) -> int:
@@ -274,36 +273,151 @@ def step_conflicts(prev: dict, cur: dict, t: int = 0) -> list[Conflict]:
     return out
 
 
+class _PlanArray(NamedTuple):
+    """Non-empty paths as one array: a row per joint position that differs from the one before it."""
+
+    ids: list  # the agents, ascending
+    lens: np.ndarray  # each path's length
+    times: list  # each row's first timestep; a row holds until the next one's, the last until ``horizon``
+    horizon: int  # the longest length
+    coords: np.ndarray  # (3, rows, agents) int64: i, j and k; an ended path is parked on its last cell
+
+    def cell(self, row, agent) -> tuple[int, int, int]:
+        return tuple(self.coords[:, row, agent].tolist())
+
+
+# Coordinates stay below this in magnitude, so every difference of two fits int64.
+_CELL_BOUND = 2**62
+
+
+def _plain(groups) -> bool:
+    """Whether every cell of ``groups`` (a list of cell sequences) is a tuple or list of three Python ints."""
+    return (
+        set(map(type, chain.from_iterable(groups))) <= {tuple, list}
+        and set(map(len, chain.from_iterable(groups))) <= {3}
+        and set(map(type, chain.from_iterable(chain.from_iterable(groups)))) <= {int}
+    )
+
+
+def _plan_array(paths, screened: bool = False) -> _PlanArray | None:
+    """The non-empty ``paths`` as a ``_PlanArray``; None when a cell is not three plain ints below ``_CELL_BOUND``.
+
+    Padding, transposing and marking each joint row that differs from the one
+    before it run over the cell objects in C. Only each path's cells at those
+    rows, up to its trailing copies of its final cell object, are screened
+    (all of them were when ``screened``) and read, by one ``np.fromiter``:
+    neither a frozen fleet's repeated rows nor a parked tail, padded or
+    replayed, is converted.
+    """
+    ids = sorted(aid for aid, cells in paths.items() if len(cells))
+    seqs = [paths[aid] for aid in ids]
+    lens = list(map(len, seqs))
+    horizon = max(lens, default=0)
+    rows = list(zip(*(cells if n == horizon else chain(cells, repeat(cells[-1], horizon - n)) for cells, n in zip(seqs, lens))))
+    try:
+        fresh = list(map(operator.ne, rows, [None, *rows]))
+    except ValueError:  # numpy cells refuse to be truth-tested
+        return None
+    # a path's cells at those rows, up to the first of its trailing copies of the final cell object
+    tails = [len(list(takewhile(partial(operator.is_, cells[-1]), reversed(cells)))) for cells in seqs]
+    kept = [list(compress(cells, islice(fresh, n - tail + 1))) for cells, n, tail in zip(seqs, lens, tails)]
+    if not (screened or _plain(kept)):
+        return None
+    counts = np.fromiter(map(len, kept), np.int64, len(kept))
+    try:
+        values = np.fromiter(chain.from_iterable(chain.from_iterable(kept)), np.int64, 3 * int(counts.sum()))
+    except OverflowError:
+        return None
+    if values.size and (values.min() <= -_CELL_BOUND or values.max() >= _CELL_BOUND):
+        return None
+    times = list(compress(range(horizon), fresh))
+    at = np.minimum(np.arange(len(times))[:, None], counts - 1) + (np.cumsum(counts) - counts)
+    return _PlanArray(ids, np.array(lens, dtype=np.int64), times, horizon, values.reshape(-1, 3).T[:, at])
+
+
+def _read_cells(paths) -> tuple[dict, list]:
+    """``paths`` with every cell read by ``as_cell``, and a "malformed-cell" ``Violation`` for each
+    cell that is not three integers below ``_CELL_BOUND`` in magnitude; a path holding one is left out."""
+    clean, refused = {}, []
+    for aid in sorted(paths):
+        cells = []
+        for t, value in enumerate(paths[aid]):
+            try:
+                cell = as_cell(value, "cell")
+            except ValueError:
+                cell = None
+            if cell is None or max(map(abs, cell)) >= _CELL_BOUND:
+                detail = f"cell {value!r} at t={t} is not an [i, j, k] triple of integers below 2**62 in magnitude"
+                refused.append(Violation("malformed-cell", aid, t, detail))
+            else:
+                cells.append(cell)
+        if len(cells) == len(paths[aid]):
+            clean[aid] = cells
+    return clean, refused
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Per row of a 2-D array: whether it holds some value twice."""
+    return (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
+
+
+def _conflicts(plan: _PlanArray) -> list[Conflict]:
+    """``detect_conflicts`` of a ``_PlanArray``.
+
+    Each cell gets an id (its offset in the paths' bounding box, or its rank
+    when the box is too big to square), and each move the id of its
+    unordered cell pair. A row whose cell ids or move ids repeat may hold a
+    conflict; ``step_conflicts`` is run on those rows alone. A row with a
+    vertex conflict is run again at every timestep it holds.
+    """
+    ids, times, coords = plan.ids, plan.times, plan.coords
+    if len(ids) < 2:
+        return []
+    lo = [int(c.min()) for c in coords]
+    span = [int(c.max()) - low + 1 for c, low in zip(coords, lo)]
+    size = span[0] * span[1] * span[2]
+    if size < 2**31:
+        i, j, k = (c - low for c, low in zip(coords, lo))
+        flat = i + span[0] * (j + span[1] * k)
+    else:
+        _, flat = np.unique(coords.reshape(3, -1), axis=1, return_inverse=True)
+        flat = flat.reshape(coords.shape[1:])
+        size = int(flat.max()) + 1
+    vertex = _repeats(flat)
+    a, b = flat[:-1], flat[1:]
+    moves = np.where(a != b, np.minimum(a, b) * size + np.maximum(a, b), -1 - np.arange(len(ids)))
+    swap = np.concatenate(([False], _repeats(moves)))
+    out = []
+    ends = times[1:] + [plan.horizon]
+    for d in np.flatnonzero(vertex | swap).tolist():
+        cur = dict(zip(ids, map(tuple, coords[:, d].T.tolist())))
+        prev = dict(zip(ids, map(tuple, coords[:, d - 1].T.tolist()))) if d else cur
+        out.extend(step_conflicts(prev, cur, times[d]))
+        if vertex[d]:
+            for t in range(times[d] + 1, ends[d]):
+                out.extend(step_conflicts(cur, cur, t))
+    out.sort(key=lambda c: c.sort_key)
+    return out
+
+
 def detect_conflicts(paths: dict) -> list[Conflict]:
     """Every vertex and edge conflict among the paths, canonically ordered.
 
-    Paths are a mapping agent id -> cell sequence. Agents whose path has
-    ended are treated as parked on their final cell. The scan runs through
-    the longest path; output is sorted by (time, lower agent id, vertex
-    before edge). Each path is padded to that length once, so a timestep's
-    joint position is one row of the zipped paths. A row equal to the one
-    before it is skipped when that one had no conflicts: nobody moved, so
-    it has none either. After a row with conflicts it is scanned, so agents
-    parked on one cell are reported at every timestep.
+    Paths are a mapping agent id -> cell sequence; an empty path is left
+    out. Agents whose path has ended are treated as parked on their final
+    cell. The scan runs through the longest path; output is sorted by
+    (time, lower agent id, vertex before edge). A cell that is not three
+    integers below 2**62 in magnitude is a ValueError.
     """
-    ids = sorted(paths)
-    if len(ids) < 2:
+    if len(paths) < 2:
         return []
-    horizon = max(len(paths[a]) for a in ids)
-    out = []
-    prev = {a: paths[a][0] for a in ids}
-    padded = [list(cells) + [cells[-1]] * (horizon - len(cells)) for cells in (paths[a] for a in ids)]
-    last = found = None
-    for t, row in enumerate(zip(*padded)):
-        if not found and row == last:
-            continue
-        cur = dict(zip(ids, row))
-        found = step_conflicts(prev, cur, t)
-        out.extend(found)
-        prev = cur
-        last = row
-    out.sort(key=lambda c: c.sort_key)
-    return out
+    plan = _plan_array(paths)
+    if plan is None:
+        paths, refused = _read_cells(paths)
+        if refused:
+            raise ValueError(refused[0].detail)
+        plan = _plan_array(paths)
+    return _conflicts(plan)
 
 
 @dataclass(frozen=True)
@@ -318,48 +432,70 @@ def validate_solution(grid, agents, paths: dict) -> list[Violation]:
     """Check every path invariant plus conflict-freedom.
 
     The returned list is the single source of truth for benchmark success:
-    a solution is valid exactly when it is empty.
+    a solution is valid exactly when it is empty. Missing paths come first,
+    then each path's faults by agent id, then the conflicts among the
+    paths whose cells could be read.
     """
-    out = []
     by_id = {a.id: a for a in agents}
-    for a in agents:
-        if a.id not in paths:
-            out.append(Violation("missing-path", a.id, None, f"agent {a.id} has no path"))
-    for aid in sorted(paths):
+    out = [Violation("missing-path", a.id, None, f"agent {a.id} has no path") for a in agents if a.id not in paths]
+    found = []  # (agent, place within the agent's faults, violation)
+    for aid, cells in paths.items():
+        if aid not in by_id:
+            found.append((aid, (0, -1), Violation("unknown-agent", aid, None, f"path for unknown agent {aid}")))
+        elif not len(cells):
+            found.append((aid, (0, -1), Violation("empty-path", aid, None, f"agent {aid} path is empty")))
+    plan = _plan_array(paths, screened=True) if _plain(list(paths.values())) else None
+    if plan is None:
+        clean, refused = _read_cells(paths)
+        found += [(v.agent, (0, v.time), v) for v in refused]
+        plan = _plan_array(clean)
+    found += _path_faults(grid, by_id, plan)
+    found.sort(key=lambda f: f[:2])
+    out += [v for _, _, v in found]
+    for c in _conflicts(plan):
+        a, b = c.agents
+        out.append(Violation(f"{c.kind}-conflict", a, c.time, f"agents {a} and {b} collide at t={c.time} on {c.cells}"))
+    return out
+
+
+def _path_faults(grid, by_id, plan: _PlanArray) -> list:
+    """The start, goal, cell and move faults of each known agent's path, as
+    (agent, place, violation); places sort starts, goals, cells by time, moves by time."""
+    ids, lens, times, coords = plan.ids, plan.lens, plan.times, plan.coords
+    out = []
+    last_row = np.searchsorted(times, lens - 1, side="right") - 1
+    firsts = coords[:, 0].T.tolist() if times else []
+    lasts = coords[:, last_row, np.arange(len(ids))].T.tolist()
+    for aid, n, first, last in zip(ids, lens.tolist(), firsts, lasts):
         agent = by_id.get(aid)
         if agent is None:
-            out.append(Violation("unknown-agent", aid, None, f"path for unknown agent {aid}"))
             continue
-        cells = paths[aid]
-        if not cells:
-            out.append(Violation("empty-path", aid, None, f"agent {aid} path is empty"))
-            continue
-        if tuple(cells[0]) != agent.start:
-            out.append(Violation("start-mismatch", aid, 0, f"path starts at {cells[0]}, agent starts at {agent.start}"))
-        if tuple(cells[-1]) != agent.goal:
-            out.append(Violation("goal-mismatch", aid, len(cells) - 1, f"path ends at {cells[-1]}, goal is {agent.goal}"))
-        for t, cell in enumerate(cells):
-            if not grid.in_bounds(*cell):
-                out.append(Violation("out-of-bounds", aid, t, f"cell {cell} at t={t} is out of bounds"))
-                continue
-            if grid.is_occupied(*cell):
-                out.append(Violation("occupied-cell", aid, t, f"cell {cell} at t={t} is an obstacle"))
-            if agent.kind == AGV and cell[2] != 0:
-                out.append(Violation("kinematic", aid, t, f"ground agent at {cell} above layer 0 at t={t}"))
-        for t in range(1, len(cells)):
-            u, v = tuple(cells[t - 1]), tuple(cells[t])
-            delta = (v[0] - u[0], v[1] - u[1], v[2] - u[2])
-            if delta not in _LEGAL_DELTAS:
-                out.append(Violation("illegal-move", aid, t, f"move {u} -> {v} at t={t} is not a unit step"))
-    for c in detect_conflicts({aid: cells for aid, cells in paths.items() if cells}):  # an empty path is reported above
-        out.append(
-            Violation(
-                f"{c.kind}-conflict",
-                c.agents[0],
-                c.time,
-                f"agents {c.agents[0]} and {c.agents[1]} collide at t={c.time} on {c.cells}",
-            )
-        )
+        if tuple(first) != agent.start:
+            out.append((aid, (1,), Violation("start-mismatch", aid, 0, f"path starts at {tuple(first)}, agent starts at {agent.start}")))
+        if tuple(last) != agent.goal:
+            out.append((aid, (2,), Violation("goal-mismatch", aid, n - 1, f"path ends at {tuple(last)}, goal is {agent.goal}")))
+    known = np.array([aid in by_id for aid in ids], dtype=bool)
+    ground = np.array([aid in by_id and by_id[aid].kind == AGV for aid in ids], dtype=bool)
+    held = known & (np.array(times)[:, None] < lens)  # a row's cell lies on the path, not on its parked tail
+    outside = held & (coords.view(np.uint64) >= np.array(grid.dims, dtype=np.uint64)[:, None, None]).any(axis=0)
+    inside = held & ~outside
+    occupied = inside & (grid.cells[np.ravel_multi_index(coords, grid.dims, mode="clip", order="F")] != 0)
+    lifted = inside & ground & (coords[2] != 0)
+    ends = times[1:] + [plan.horizon]
+    for d, p in zip(*np.nonzero(outside | occupied | lifted)):
+        aid, cell = ids[p], plan.cell(d, p)
+        for t in range(times[d], min(ends[d], lens[p])):
+            if outside[d, p]:
+                out.append((aid, (3, t, 0), Violation("out-of-bounds", aid, t, f"cell {cell} at t={t} is out of bounds")))
+            if occupied[d, p]:
+                out.append((aid, (3, t, 1), Violation("occupied-cell", aid, t, f"cell {cell} at t={t} is an obstacle")))
+            if lifted[d, p]:
+                out.append((aid, (3, t, 2), Violation("kinematic", aid, t, f"ground agent at {cell} above layer 0 at t={t}")))
+    # a move is checked against the 6-connected superset; an AGV's planar limit surfaces as "kinematic"
+    illegal = known & (np.minimum(np.abs(np.diff(coords, axis=1)), 2).sum(axis=0) > 1)
+    for d, p in zip(*np.nonzero(illegal)):
+        aid, t = ids[p], times[d + 1]
+        out.append((aid, (4, t), Violation("illegal-move", aid, t, f"move {plan.cell(d, p)} -> {plan.cell(d + 1, p)} at t={t} is not a unit step")))
     return out
 
 

@@ -274,7 +274,8 @@ def collect_metrics(record: RunRecord) -> RunMetrics:
     the authoritative check.
     """
     agents = record.agents
-    trajectories = {a.id: tuple(s.cells[a.id] for s in record.states) for a in agents}
+    ids = [a.id for a in agents]
+    trajectories = dict(zip(ids, zip(*(tuple(map(s.cells.__getitem__, ids)) for s in record.states))))
     flagged = set()
     if record.mode == PRECOMPUTED_MODE:
         for v in validate_solution(record.grid, agents, record.solution.paths):

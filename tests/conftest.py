@@ -23,8 +23,10 @@ def open_grid():
 
 @pytest.fixture
 def gap_floor():
-    """n x n x 1 floor walled at i = n/2 but for a gap at j = n/2. Agent 0
-    parks on the gap, so agent 1 cannot cross from (0, 0) to (n-1, n-1)."""
+    """n x n x 1 floor walled at i = n/2 but for a gap at j = n/2; agent 0's
+    goal is the gap, agent 1 crosses from (0, 0) to (n-1, n-1). CBS solves it
+    (cost 17, 29, 59 and 119 at n = 6, 10, 20 and 40). Prioritized planning
+    fails on the id order: agent 0 is planned first and parks on the gap."""
 
     def build(n):
         cells = np.zeros((1, n, n), dtype=np.uint8)  # [k, j, i]

@@ -19,7 +19,7 @@ from itertools import combinations, count, product
 import numpy as np
 
 from skyrover import AGV, UAV, Agent, InvariantViolation, OccupancyGrid3D, WaypointCommand
-from skyrover.mapf import MOVES, VERTEX
+from skyrover.mapf import MOVES, VERTEX, Violation, as_cell
 
 
 def static_bfs_cost(grid, kind, start, goal):
@@ -91,6 +91,60 @@ def brute_force_conflicts(paths, horizon=None):
                     found.append((t, a, b, "edge", (qa, pa)))
     found.sort(key=lambda c: (c[0], c[1], 0 if c[3] == "vertex" else 1, c[2], c[4]))
     return found
+
+
+def tuple_validate_solution(grid, agents, paths):
+    """``validate_solution`` cell by cell: every cell read by ``as_cell`` into a
+    tuple, every check a loop over those tuples, conflicts by ``brute_force_conflicts``."""
+    out = []
+    by_id = {a.id: a for a in agents}
+    for a in agents:
+        if a.id not in paths:
+            out.append(Violation("missing-path", a.id, None, f"agent {a.id} has no path"))
+    held = {}
+    for aid in sorted(paths):
+        agent = by_id.get(aid)
+        if agent is None:
+            out.append(Violation("unknown-agent", aid, None, f"path for unknown agent {aid}"))
+        elif not len(paths[aid]):
+            out.append(Violation("empty-path", aid, None, f"agent {aid} path is empty"))
+            continue
+        cells = []
+        for t, value in enumerate(paths[aid]):
+            try:
+                cell = as_cell(value, "cell")
+            except ValueError:
+                cell = None
+            if cell is None or any(abs(c) >= 2**62 for c in cell):
+                detail = f"cell {value!r} at t={t} is not an [i, j, k] triple of integers below 2**62 in magnitude"
+                out.append(Violation("malformed-cell", aid, t, detail))
+            else:
+                cells.append(cell)
+        if not cells or len(cells) < len(paths[aid]):
+            continue
+        held[aid] = cells
+        if agent is None:
+            continue
+        if cells[0] != agent.start:
+            out.append(Violation("start-mismatch", aid, 0, f"path starts at {cells[0]}, agent starts at {agent.start}"))
+        if cells[-1] != agent.goal:
+            out.append(Violation("goal-mismatch", aid, len(cells) - 1, f"path ends at {cells[-1]}, goal is {agent.goal}"))
+        for t, cell in enumerate(cells):
+            if not grid.in_bounds(*cell):
+                out.append(Violation("out-of-bounds", aid, t, f"cell {cell} at t={t} is out of bounds"))
+                continue
+            if grid.is_occupied(*cell):
+                out.append(Violation("occupied-cell", aid, t, f"cell {cell} at t={t} is an obstacle"))
+            if agent.kind == AGV and cell[2] != 0:
+                out.append(Violation("kinematic", aid, t, f"ground agent at {cell} above layer 0 at t={t}"))
+        for t in range(1, len(cells)):
+            u, v = cells[t - 1], cells[t]
+            if (v[0] - u[0], v[1] - u[1], v[2] - u[2]) not in MOVES[UAV]:
+                out.append(Violation("illegal-move", aid, t, f"move {u} -> {v} at t={t} is not a unit step"))
+    if held:
+        for t, a, b, kind, cells in brute_force_conflicts(held):
+            out.append(Violation(f"{kind}-conflict", a, t, f"agents {a} and {b} collide at t={t} on {cells}"))
+    return out
 
 
 def pairwise_shield(cells, proposals):

@@ -14,7 +14,9 @@ from skyrover import (
     OccupancyGrid3D,
     PointCloud,
     Scenario,
+    ScenarioError,
     Simulator,
+    Solution,
     SolverConfig,
     TaskScript,
     detect_conflicts,
@@ -32,7 +34,7 @@ from skyrover import (
     warehouse_grid,
 )
 from skyrover.bench import run_cell
-from skyrover.mapf import cell_at, components
+from skyrover.mapf import MOVES, Violation, cell_at, components
 
 from oracles import (
     brute_force_conflicts,
@@ -41,6 +43,7 @@ from oracles import (
     random_grid,
     random_walk_paths,
     static_bfs_cost,
+    tuple_validate_solution,
 )
 
 
@@ -331,6 +334,140 @@ def test_validate_reports_an_empty_path_beside_another_agents_path():
     agents = (Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (0, 1, 0), (2, 1, 0)))
     [violation] = validate_solution(empty_grid((3, 2, 1)), agents, {0: _GOOD_PATH, 1: ()})
     assert (violation.kind, violation.agent) == ("empty-path", 1)
+
+
+_MALFORMED = "is not an [i, j, k] triple of integers below 2**62 in magnitude"
+
+
+@pytest.mark.parametrize(
+    "path, kind, time, detail",
+    [
+        (((0, 0, 0), (1, 0), (2, 0, 0)), "malformed-cell", 1, f"cell (1, 0) at t=1 {_MALFORMED}"),
+        (((0, 0, 0), (1.0, 0, 0), (2, 0, 0)), "malformed-cell", 1, f"cell (1.0, 0, 0) at t=1 {_MALFORMED}"),
+        (((0, 0, 0), (1, 0, 0), (2, 3, "0")), "malformed-cell", 2, f"cell (2, 3, '0') at t=2 {_MALFORMED}"),
+        (((0, 0, 0), (True, 0, 0), (2, 0, 0)), "malformed-cell", 1, f"cell (True, 0, 0) at t=1 {_MALFORMED}"),
+        (((0, 0, 0), (2**62, 0, 0), (2, 0, 0)), "malformed-cell", 1, f"cell ({2**62}, 0, 0) at t=1 {_MALFORMED}"),
+        ([[0, 0, 0], [1, 0, 0]], "goal-mismatch", 1, "path ends at (1, 0, 0), goal is (2, 0, 0)"),
+    ],
+    ids=["short", "float", "string", "bool", "too-big", "list-cells"],
+)
+def test_a_malformed_cell_is_a_violation_and_a_list_cell_reads_as_a_tuple(path, kind, time, detail):
+    grid = empty_grid((3, 4, 1))
+    agent = Agent(0, AGV, (0, 0, 0), (2, 0, 0))
+    assert validate_solution(grid, (agent,), {0: path}) == [Violation(kind, 0, time, detail)]
+    supplied = Solution(paths={0: path}, sum_of_costs=len(path) - 1, makespan=len(path) - 1)
+    with pytest.raises(ScenarioError) as err:
+        Simulator().init(Scenario(grid=grid, agents=(agent,)), solution=supplied)
+    assert str(err.value) == f"supplied plan fails validation: {detail}"
+
+
+def _random_walk_plan(rng):
+    """A grid with obstacles and one random walk over free cells per agent, UAVs and AGVs, each ending on its goal."""
+    dims = (rng.randrange(3, 6), rng.randrange(2, 5), rng.randrange(1, 3))
+    grid = random_grid(rng, dims, 0.2)
+    agents, paths = [], {}
+    for aid in range(rng.randrange(1, 6)):
+        kind = rng.choice((UAV, AGV))
+        cell = rng.choice(free_cells(grid, kind) or [(0, 0, 0)])
+        cells = [cell]
+        for _ in range(rng.randrange(0, 9)):
+            dx, dy, dz = rng.choice(MOVES[kind])
+            nxt = (cell[0] + dx, cell[1] + dy, cell[2] + dz)
+            if grid.in_bounds(*nxt) and not grid.is_occupied(*nxt):
+                cell = nxt
+            cells.append(cell)
+        agents.append(Agent(aid, kind, cells[0], cells[-1]))
+        paths[aid] = cells
+    return grid, agents, paths
+
+
+def _mutate(rng, grid, agents, paths) -> str:
+    """One fault of the differential test, applied in place; returns its name."""
+    nx, ny, nz = grid.dims
+    aid = rng.choice(sorted(paths))
+    cells = paths[aid] = list(paths[aid])
+    t = rng.randrange(len(cells)) if cells else 0
+    name = rng.choice(MUTATIONS)
+    if not cells and name not in ("missing-agent", "unknown-agent", "numpy-ints"):
+        name = "unknown-agent"
+    elif name in ("lifted-agv", "list-cells") and not all(map(_integer_triple, cells)):  # a malformed cell is left as it is
+        name = "teleport"
+    if name == "teleport":
+        cells[t] = (rng.randrange(nx), rng.randrange(ny), rng.randrange(nz))
+    elif name == "obstacle":
+        blocked = [c for c in ((i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)) if grid.is_occupied(*c)]
+        cells[t] = rng.choice(blocked or [(nx, 0, 0)])
+    elif name == "lifted-agv":
+        cells[t] = (cells[t][0], cells[t][1], cells[t][2] + 1)
+    elif name == "out-of-bounds":
+        cells[t] = rng.choice(((-1, 0, 0), (nx, 0, 0), (0, ny, 0), (0, 0, -1), (0, 0, nz), (2**62 - 1, -(2**62 - 1), 0)))
+    elif name == "start-goal":
+        cells[rng.choice((0, -1))] = (rng.randrange(nx), rng.randrange(ny), 0)
+    elif name == "empty-path":
+        paths[aid] = ()
+    elif name == "missing-agent":
+        del paths[aid]
+    elif name == "unknown-agent":
+        paths[100 + rng.randrange(3)] = [(rng.randrange(nx), rng.randrange(ny), 0)] * rng.randrange(1, 4)
+    elif name == "crowd":
+        spot = cells[t]
+        for b in rng.sample(sorted(paths), min(3, len(paths))):
+            if paths[b]:
+                q = paths[b] = list(paths[b]) + [paths[b][-1]] * max(0, t + 1 - len(paths[b]))
+                q[t] = spot
+    elif name == "swap":
+        others = [b for b in paths if b != aid and len(paths[b]) > 1]
+        if others and len(cells) > 1:
+            b = rng.choice(others)
+            t = rng.randrange(1, min(len(cells), len(paths[b])))
+            q = paths[b] = list(paths[b])
+            q[t - 1], q[t] = cells[t], cells[t - 1]
+    elif name == "parked-on-goal":
+        other = rng.choice(agents)
+        cells.extend([other.goal] * rng.randrange(1, 4))
+    elif name == "ragged":
+        paths[aid] = cells[: rng.randrange(1, len(cells) + 1)] + [cells[-1]] * rng.randrange(0, 3)
+    elif name == "numpy-ints":
+        paths[aid] = [tuple(map(np.int64, c)) if _integer_triple(c) and max(map(abs, c)) < 2**62 else c for c in cells]
+    elif name == "malformed":
+        cells[t] = rng.choice(((1, 0), (1.0, 0, 0), (True, 0, 0), (0, 0, "0"), (2**62, 0, 0), (0, -(2**70), 0), None, np.array(cells[t])))
+    elif name == "list-cells":
+        paths[aid] = [list(c) for c in cells]
+    return name
+
+
+def _integer_triple(cell) -> bool:
+    return type(cell) in (tuple, list) and len(cell) == 3 and all(type(v) is int for v in cell)
+
+
+MUTATIONS = (
+    "teleport", "obstacle", "lifted-agv", "out-of-bounds", "start-goal", "empty-path", "missing-agent", "unknown-agent",
+    "crowd", "swap", "parked-on-goal", "ragged", "numpy-ints", "malformed", "list-cells",
+)
+
+
+def test_array_checks_equal_the_tuple_reference_on_mutated_random_walks():
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(700):
+        grid, agents, paths = _random_walk_plan(rng)
+        for _ in range(rng.randrange(0, 4)):
+            if paths:
+                seen[_mutate(rng, grid, agents, paths)] += 1
+        paths = {aid: (tuple(cells) if rng.random() < 0.5 else cells) for aid, cells in paths.items()}
+        want = tuple_validate_solution(grid, agents, paths)
+        assert validate_solution(grid, agents, paths) == want, paths
+        seen.update(v.kind for v in want)
+        held = {aid: cells for aid, cells in paths.items() if len(cells)}
+        if any(v.kind == "malformed-cell" for v in want) and len(held) > 1:
+            with pytest.raises(ValueError, match="is not an"):
+                detect_conflicts(held)
+        elif held:
+            assert _normalize(detect_conflicts(held)) == brute_force_conflicts(held), paths
+    assert min(seen[m] for m in MUTATIONS) >= 20, seen
+    kinds = ("malformed-cell", "unknown-agent", "missing-path", "empty-path", "start-mismatch", "goal-mismatch", "out-of-bounds",
+             "occupied-cell", "kinematic", "illegal-move", "vertex-conflict", "edge-conflict")
+    assert min(seen[k] for k in kinds) >= 20, seen
 
 
 @pytest.mark.parametrize(

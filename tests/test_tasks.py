@@ -74,12 +74,6 @@ def test_kind_mismatch_is_a_compile_error():
         compile_task(_grid(), script, _roster())
 
 
-def test_point_a_must_be_on_the_ground():
-    script = TaskScript("inventory_scan", agv_id=0, uav_id=1, point_a=(3, 3, 1), point_b=(7, 3, 0))
-    with pytest.raises(TaskError, match="ground layer"):
-        compile_task(_grid(), script, _roster())
-
-
 def test_unknown_agent_ids_rejected():
     script = TaskScript("inventory_scan", agv_id=5, uav_id=1, point_a=(3, 3, 0), point_b=(7, 3, 0))
     with pytest.raises(TaskError, match="unknown agent ids"):
