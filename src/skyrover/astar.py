@@ -3,22 +3,36 @@
 States are (cell, timestep). All steps cost 1, including waits; resting at
 the destination after final arrival is free, which the search realizes by
 only accepting the goal once no later blocked entry can touch it. Ties on f
-are broken by lower heuristic, then lexicographic (i, j, k) cell order, then
-time, so identical inputs always return the identical path.
+are broken by fewer soft collisions, then lower heuristic, then
+lexicographic (i, j, k) cell order, so identical inputs always return the
+identical path.
 
 The search and the reservation table work on plain ints. A cell's id is
 ``(i * ny + j) * nz + k``, so ids sort exactly like (i, j, k) cells (the
 grid's own ``index`` order, i fastest, would not), and a state's id is
-``t * cells + cell_id`` for a grid of ``cells`` cells. The heap breaks ties
-on (f, collisions, h) by state id, and states tied on those share t = f - h,
-so that tie-break is cell order. State ids stay small ints (below 2**30 on
-an 80x60x10 grid up to t = 22000). Each cell's free, in-bounds neighbours per
-agent kind, in ``MOVES`` order, are listed the first time a search expands
-the cell and kept on the grid (``mapf.per_grid``) for every later search
-on it. The online path reads the same lists as (i, j, k) tuples from a
-second table per kind (``legal_moves``), keyed by the (i, j, k) cell
-itself, so a tick costs one dict subscript per agent. Paths go in and come
-out as tuples of (i, j, k) cells.
+``t * cells + cell_id`` for a grid of ``cells`` cells. State ids stay small
+ints (below 2**30 on an 80x60x10 grid up to t = 22000).
+
+The open list is a bucket queue on f (Dial 1969). A step changes one
+coordinate by at most 1 and costs 1, so a successor's f is f, f + 1 or
+f + 2: only three buckets are open at a time. The bucket being popped is a
+heap; the next two are plain lists, heapified when their turn comes. An
+entry is one int: the collision count on top, then h in
+``sum(dims).bit_length()`` bits, then the cell id in ``cells.bit_length()``
+bits (24 bits below the count on an 80x60x10 grid, so a key stays one
+30-bit digit up to 63 collisions). The per-axis Manhattan tables hold h
+already shifted into its field. Within one f, h fixes t = f - h, so keys
+ordered by (collisions, h, cell id) pop in the order of (f, collisions, h,
+state id) tuples on one heap.
+
+Each cell's free, in-bounds neighbours per agent kind, in ``MOVES`` order,
+are listed as (cell id, i, j, k) entries the first time a search expands the
+cell and kept on the grid (``mapf.per_grid``) for every later search on it;
+a found path reads its cells back from those entries. The online path
+reads the same lists as (i, j, k) tuples from a second table per kind
+(``legal_moves``), keyed by the (i, j, k) cell itself, so a tick costs one
+dict subscript per agent. Paths go in and come out as tuples of (i, j, k)
+cells.
 
 The search keeps no closed set. Every step costs 1 and the heuristic is
 consistent, so pops come in nondecreasing (f, collisions) order: a state is
@@ -39,7 +53,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from operator import index
 
 from .errors import ResourceLimitError
@@ -112,7 +126,7 @@ class ReservationTable:
         self._vertex = Counter()  # state id -> entries
         self._edge = Counter()  # (state of v) * _span + u, for u -> v -> entries; it blocks v -> u
         self._terminal = {}  # cell id -> time from which it is parked forever
-        self._ends = Counter()  # state id -> reserved paths ending there
+        self._ends = {}  # cell id -> Counter of the end times of the reserved paths ending there
         self.max_time = 0
 
     def _path_keys(self, cells):
@@ -128,7 +142,7 @@ class ReservationTable:
         self._edge.update(edges)
         end = len(ids) - 1
         goal = ids[-1]
-        self._ends[states[-1]] += 1
+        self._ends.setdefault(goal, Counter())[end] += 1
         if self._terminal.get(goal, end) >= end:
             self._terminal[goal] = end
         self.max_time = max(self.max_time, end)
@@ -138,14 +152,13 @@ class ReservationTable:
         ids, states, edges = self._path_keys(cells)
         _drop(self._vertex, states)
         _drop(self._edge, edges)
-        _drop(self._ends, states[-1:])
         goal = ids[-1]
-        span = self._span
-        rest = [s // span for s in self._ends if s % span == goal]
-        if rest:
-            self._terminal[goal] = min(rest)
+        ends = self._ends[goal]
+        _drop(ends, (len(ids) - 1,))
+        if ends:
+            self._terminal[goal] = min(ends)
         else:
-            del self._terminal[goal]
+            del self._terminal[goal], self._ends[goal]
 
     def forbid(self, constraint) -> None:
         """Block one CBS constraint: its cell at its time, or its move u -> v."""
@@ -304,65 +317,85 @@ def spacetime_astar(
     settle = max(blocked.max_time if blocked else 0, avoid.max_time if avoid else 0) + 1  # T
     settled = {}  # cell id -> the t >= settle at which it was expanded, the earliest
 
-    # the Manhattan heuristic, one table per axis
-    hx, hy, hz = ([abs(c - g) for c in range(n)] for g, n in zip(goal, dims))
-    h0 = hx[start[0]] + hy[start[1]] + hz[start[2]]
+    # the Manhattan heuristic, one table per axis, pre-shifted into the key's h field
+    cbits = span.bit_length()  # width of the cell id field
+    hbits = cbits + sum(dims).bit_length()  # the collision count sits above the h and cell id fields
+    hx, hy, hz = ([abs(c - g) << cbits for c in range(n)] for g, n in zip(goal, dims))
+    cmask, low_mask, one = (1 << cbits) - 1, (1 << hbits) - 1, 1 << hbits  # one: a soft collision
+    hs = hx[start[0]] + hy[start[1]] + hz[start[2]]
     # every step costs 1, so a state's g equals its elapsed time t = f - h;
     # only the soft-collision count can differ between two visits of a state
-    heap = [(h0, 0, h0, start_id)]  # the start state: t = 0
-    coll_best = {start_id: 0}
+    f = hs >> cbits
+    now, later, last = [hs + start_id], [], []  # the buckets of f, f + 1 and f + 2; the start state: t = 0
+    coll_best = {start_id: 0}  # state id -> its fewest collisions yet, as a key's collision field
     parent = {}
     counted = 0  # expansions not yet charged to the budget
     due = budget.headroom()
 
-    while heap:
-        f, coll, h, state = heappop(heap)
-        if coll != coll_best[state]:
-            continue  # stale: the state was pushed again with fewer collisions, and expanded then
-        t = f - h
-        cid = state - t * span
-        if t >= settle and settled.setdefault(cid, t) < t:
-            continue  # dominated by the cell's expansion at an earlier t >= settle
-        counted += 1
-        if counted == due:
-            budget.charge(counted)
-            counted = 0
-            due = budget.headroom()
-        if cid == goal_id and t >= min_arrival:
-            if counted:
+    while now or later or last:
+        push_later, push_last = later.append, last.append
+        while now:
+            key = heappop(now)
+            low = key & low_mask
+            coll = key - low
+            cid = low & cmask
+            hs = low - cid
+            t = f - (hs >> cbits)
+            state = t * span + cid
+            if coll != coll_best[state]:
+                continue  # stale: the state was pushed again with fewer collisions, and expanded then
+            if t >= settle and settled.setdefault(cid, t) < t:
+                continue  # dominated by the cell's expansion at an earlier t >= settle
+            counted += 1
+            if counted == due:
                 budget.charge(counted)
-            states = [state]
-            while state in parent:
-                state = parent[state]
-                states.append(state)
-            return tuple(_cell(dims, s % span) for s in reversed(states))
-        t1 = t + 1
-        base = t1 * span  # + v: the state of v at t1
-        back = (base + cid) * span  # + v: the key of a move v -> cid arriving at t1
-        for ncid, ci, cj, ck in nbrs[cid]:
-            nstate = base + ncid
-            best = coll_best.get(nstate)
-            if best is not None and best <= coll:
-                continue  # reached before with no more collisions
-            if blocked is not None and (
-                nstate in vertex
-                or back + ncid in edge
-                or (ncid in terminal and terminal[ncid] <= t1)
-            ):
-                continue
-            ncoll = coll
-            if avoid is not None and (
-                nstate in soft_vertex
-                or back + ncid in soft_edge
-                or (ncid in soft_terminal and soft_terminal[ncid] <= t1)
-            ):
-                ncoll += 1
-                if best is not None and best <= ncoll:
+                counted = 0
+                due = budget.headroom()
+            if cid == goal_id and t >= min_arrival:
+                if counted:
+                    budget.charge(counted)
+                entries = nbrs.entries
+                cells = []
+                while state in parent:
+                    cells.append(entries[state % span][1:])
+                    state = parent[state]
+                cells.append(_cell(dims, start_id))
+                return tuple(reversed(cells))
+            t1 = t + 1
+            base = t1 * span  # + v: the state of v at t1
+            back = (base + cid) * span  # + v: the key of a move v -> cid arriving at t1
+            for ncid, ci, cj, ck in nbrs[cid]:
+                nstate = base + ncid
+                best = coll_best.get(nstate)
+                if best is not None and best <= coll:
+                    continue  # reached before with no more collisions
+                if blocked is not None and (
+                    nstate in vertex
+                    or back + ncid in edge
+                    or (ncid in terminal and terminal[ncid] <= t1)
+                ):
                     continue
-            coll_best[nstate] = ncoll
-            parent[nstate] = state
-            nh = hx[ci] + hy[cj] + hz[ck]
-            heappush(heap, (t1 + nh, ncoll, nh, nstate))
+                ncoll = coll
+                if avoid is not None and (
+                    nstate in soft_vertex
+                    or back + ncid in soft_edge
+                    or (ncid in soft_terminal and soft_terminal[ncid] <= t1)
+                ):
+                    ncoll += one
+                    if best is not None and best <= ncoll:
+                        continue
+                coll_best[nstate] = ncoll
+                parent[nstate] = state
+                nhs = hx[ci] + hy[cj] + hz[ck]
+                if nhs < hs:  # a step towards the goal keeps f
+                    heappush(now, ncoll + nhs + ncid)
+                elif nhs == hs:  # a wait
+                    push_later(ncoll + nhs + ncid)
+                else:
+                    push_last(ncoll + nhs + ncid)
+        heapify(later)
+        now, later, last = later, last, []
+        f += 1
     if counted:
         budget.charge(counted)
     return None

@@ -18,8 +18,8 @@ import json
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from itertools import chain
 from operator import eq
 from pathlib import Path
@@ -60,9 +60,10 @@ class SimState:
     status: dict
     mode: str
 
-    @property
+    @cached_property
     def all_at_goal(self) -> bool:
-        return all(s == AT_GOAL for s in self.status.values())
+        """Worked out on first use and kept: ``run`` and ``step`` both ask it of each state."""
+        return all(map(AT_GOAL.__eq__, self.status.values()))
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,15 @@ class RunMetrics:
     success_rate: float
     makespan: int
     sum_of_costs: int
+
+
+def _with_tuple_cells(solution: Solution) -> Solution:
+    """A validated plan as the replay hashes it, every path a tuple of cell tuples:
+    ``solution`` itself when it is one already, else a copy with its sequences made tuples."""
+    paths = list(solution.paths.values())
+    if set(map(type, paths)) | set(map(type, chain.from_iterable(paths))) <= {tuple}:
+        return solution  # numpy-int coordinates hash and compare as the ints they hold
+    return replace(solution, paths={aid: tuple(map(tuple, cells)) for aid, cells in solution.paths.items()})
 
 
 def grid_diameter(grid) -> int:
@@ -117,7 +127,8 @@ class Simulator:
         ``ScenarioError`` naming its ``validate_agents`` problems. An
         externally supplied ``solution`` (a replayed plan file) is replayed
         whatever ``config.algorithm`` says: it skips the solver and the
-        policy but is still validated before it is trusted. On a failed
+        policy but is still validated before it is trusted, and it is replayed
+        with tuple cells whatever sequences it holds. On a failed
         solve ``computation_time`` and ``stats`` hold the time and the
         search effort spent. A refused init keeps nothing of the last scenario.
         """
@@ -150,7 +161,7 @@ class Simulator:
                 if not planned:
                     raise ScenarioError(f"supplied plan fails validation: {detail}")
                 raise InvariantViolation(f"solver produced an invalid solution: {detail}")
-            self._solution = solution
+            self._solution = solution = solution if planned else _with_tuple_cells(solution)
             self._arrivals = {aid: path_cost(cells) for aid, cells in solution.paths.items()}
             mode = PRECOMPUTED_MODE
         return self._rewind(mode)
@@ -188,7 +199,7 @@ class Simulator:
 
     @property
     def solution(self) -> Solution | None:
-        """The validated plan being replayed; None in online mode."""
+        """The validated plan being replayed, every path a tuple of cell tuples; None in online mode."""
         return self._solution
 
     @property

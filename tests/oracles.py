@@ -2,10 +2,10 @@
 
 Everything here is deliberately written with different algorithms and data
 layouts than the package: plain BFS over static grids, a triple-loop
-pairwise conflict scan, a pairwise-rescan collision shield, uniform-cost
-search over joint configurations with explicit "finished" flags, and
-brute-force path enumeration. Slow is fine; these define the expected
-answers.
+pairwise conflict scan, a pairwise-rescan collision shield, space-time A*
+on one heap of tuples, uniform-cost search over joint configurations with
+explicit "finished" flags, and brute-force path enumeration. Slow is fine;
+these define the expected answers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from itertools import combinations, count, product
 import numpy as np
 
 from skyrover import AGV, UAV, Agent, InvariantViolation, OccupancyGrid3D, WaypointCommand
-from skyrover.mapf import MOVES, VERTEX, Violation, as_cell
+from skyrover.astar import Budget, _cell, _cell_ids, _Neighbours
+from skyrover.mapf import MOVES, VERTEX, Violation, as_cell, per_grid
 
 
 def static_bfs_cost(grid, kind, start, goal):
@@ -145,6 +146,87 @@ def tuple_validate_solution(grid, agents, paths):
         for t, a, b, kind, cells in brute_force_conflicts(held):
             out.append(Violation(f"{kind}-conflict", a, t, f"agents {a} and {b} collide at t={t} on {cells}"))
     return out
+
+
+def tuple_heap_astar(grid, kind, start, goal, blocked=None, budget=None, avoid=None):
+    """``spacetime_astar`` on one heap of ``(f, collisions, h, state id)`` tuples, for valid inputs.
+
+    This is the search as it stood before its open list became buckets of
+    int keys: the same expansions, the same charges to the budget, the same
+    dominance rule, the same path.
+    """
+    dims = grid.dims
+    budget = Budget() if budget is None else budget
+    nbrs = per_grid(grid, _Neighbours, kind)
+    span = dims[0] * dims[1] * dims[2]
+    start, goal = tuple(start), tuple(goal)
+    start_id, goal_id = _cell_ids(dims, (start, goal))
+    min_arrival = 0
+    if blocked is not None:
+        vertex, edge, terminal = blocked._vertex, blocked._edge, blocked._terminal
+        if goal_id in terminal or start_id in vertex:
+            return None
+        min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if t * span + goal_id in vertex), 0)
+    if avoid is not None:
+        soft_vertex, soft_edge, soft_terminal = avoid._vertex, avoid._edge, avoid._terminal
+    settle = max(blocked.max_time if blocked else 0, avoid.max_time if avoid else 0) + 1
+    settled = {}
+    hx, hy, hz = ([abs(c - g) for c in range(n)] for g, n in zip(goal, dims))
+    h0 = hx[start[0]] + hy[start[1]] + hz[start[2]]
+    heap = [(h0, 0, h0, start_id)]
+    coll_best = {start_id: 0}
+    parent = {}
+    counted = 0
+    due = budget.headroom()
+    while heap:
+        f, coll, h, state = heappop(heap)
+        if coll != coll_best[state]:
+            continue
+        t = f - h
+        cid = state - t * span
+        if t >= settle and settled.setdefault(cid, t) < t:
+            continue
+        counted += 1
+        if counted == due:
+            budget.charge(counted)
+            counted = 0
+            due = budget.headroom()
+        if cid == goal_id and t >= min_arrival:
+            if counted:
+                budget.charge(counted)
+            states = [state]
+            while state in parent:
+                state = parent[state]
+                states.append(state)
+            return tuple(_cell(dims, s % span) for s in reversed(states))
+        t1 = t + 1
+        base = t1 * span
+        back = (base + cid) * span
+        for ncid, ci, cj, ck in nbrs[cid]:
+            nstate = base + ncid
+            best = coll_best.get(nstate)
+            if best is not None and best <= coll:
+                continue
+            if blocked is not None and (
+                nstate in vertex or back + ncid in edge or (ncid in terminal and terminal[ncid] <= t1)
+            ):
+                continue
+            ncoll = coll
+            if avoid is not None and (
+                nstate in soft_vertex
+                or back + ncid in soft_edge
+                or (ncid in soft_terminal and soft_terminal[ncid] <= t1)
+            ):
+                ncoll += 1
+                if best is not None and best <= ncoll:
+                    continue
+            coll_best[nstate] = ncoll
+            parent[nstate] = state
+            nh = hx[ci] + hy[cj] + hz[ck]
+            heappush(heap, (t1 + nh, ncoll, nh, nstate))
+    if counted:
+        budget.charge(counted)
+    return None
 
 
 def pairwise_shield(cells, proposals):

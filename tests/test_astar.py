@@ -12,6 +12,7 @@ from skyrover import (
     Budget,
     Constraint,
     ReservationTable,
+    OccupancyGrid3D,
     ResourceLimitError,
     SolverConfig,
     empty_grid,
@@ -23,7 +24,14 @@ from skyrover import (
 from skyrover.astar import _Neighbours, legal_moves
 from skyrover.mapf import EDGE, MOVES, VERTEX, detect_conflicts, per_grid
 
-from oracles import enumerate_best_constrained_cost, free_cells, random_grid, random_walk_paths, static_bfs_cost
+from oracles import (
+    enumerate_best_constrained_cost,
+    free_cells,
+    random_grid,
+    random_walk_paths,
+    static_bfs_cost,
+    tuple_heap_astar,
+)
 
 
 def forbidden(grid, constraints):
@@ -495,3 +503,139 @@ def test_low_level_answers_and_effort_are_pinned():
     assert all(seen[k] >= 20 for k in ("reserved", "forbid", "avoid", "start==goal", "none", "limit")), seen
     assert (len(runs), seen["solved"], seen["none"], seen["limit"]) == LOW_LEVEL_TALLY
     assert digest == LOW_LEVEL_DIGEST
+
+
+def _both_searches(grid, kind, start, goal, blocked=None, avoid=None, limit=None, clock=False):
+    """(outcome, budget.used) of ``spacetime_astar`` and of the tuple-heap oracle on one input,
+    each with its own budget; the outcome is the path, None, or "limit" when the budget tripped."""
+    out = []
+    for search in (spacetime_astar, tuple_heap_astar):
+        budget = Budget(limit, 1e6 if clock else None)
+        try:
+            outcome = search(grid, kind, start, goal, blocked, budget, avoid)
+        except ResourceLimitError:
+            outcome = "limit"
+        out.append((outcome, budget.used))
+    return out
+
+
+def test_bucket_queue_matches_the_tuple_heap():
+    """Path, expansions charged and the point a limit trips, against the tuple-heap search, on seeded random inputs."""
+    rng = random.Random(3434)
+    seen = Counter()
+    for _ in range(600):
+        dims = rng.choice(((8, 6, 3), (9, 7, 1), (6, 5, 4), (12, 4, 2)))
+        grid = random_grid(rng, dims, density=rng.choice((0.1, 0.25, 0.4)))
+        kind = AGV if dims[2] == 1 or rng.random() < 0.4 else UAV
+        pool = free_cells(grid, kind)
+        if len(pool) < 2:
+            continue
+        start, goal = rng.sample(pool, 2)
+        if rng.random() < 0.08:
+            goal = start
+        blocked = avoid = None
+        table = rng.random()
+        if table < 0.35:
+            blocked = ReservationTable(grid)
+            for cells in random_walk_paths(rng, dims, rng.randrange(1, 5), 12).values():
+                blocked.reserve_path(cells)
+            seen["reserved"] += 1
+        elif table < 0.7:
+            blocked = ReservationTable(grid)
+            for _ in range(rng.randrange(1, 8)):
+                t, u = rng.randrange(12), rng.choice(pool)
+                steps = [v for v in _legal_cells(grid, kind, u) if v != u]
+                if t and steps and rng.random() < 0.5:
+                    blocked.forbid(Constraint(0, EDGE, t, (u, rng.choice(steps))))
+                else:
+                    blocked.forbid(Constraint(0, VERTEX, t, (u,)))
+            seen["forbid"] += 1
+        if rng.random() < 0.5:
+            avoid = ReservationTable(grid)
+            for cells in random_walk_paths(rng, dims, rng.randrange(1, 6), 15).values():
+                avoid.reserve_path(cells)
+            seen["avoid"] += 1
+        limit = rng.choice((None, None, rng.randrange(1, 120)))
+        (outcome, used), expected = _both_searches(grid, kind, start, goal, blocked, avoid, limit, rng.random() < 0.3)
+        assert (outcome, used) == expected
+        seen["start==goal"] += start == goal
+        if outcome is None:
+            seen["walled off" if static_bfs_cost(grid, kind, start, goal) is None else "cut off by the table"] += 1
+        seen["limit"] += outcome == "limit"
+        seen["solved"] += isinstance(outcome, tuple)
+    kinds = ("reserved", "forbid", "avoid", "start==goal", "walled off", "cut off by the table", "limit", "solved")
+    assert all(seen[k] >= 10 for k in kinds), seen
+
+
+@pytest.mark.parametrize("dims, kind", [((5, 13, 1), AGV), ((25, 41, 1), AGV), ((1, 3, 3), UAV), ((9, 1, 57), UAV)])
+def test_keys_whose_largest_h_and_cell_id_are_powers_of_two(dims, kind):
+    """The largest h and the largest cell id fill their key fields' top bits exactly."""
+    nx, ny, nz = dims
+    largest_id, largest_h = nx * ny * nz - 1, nx + ny + nz - 3
+    assert largest_id & (largest_id - 1) == 0 and largest_h & (largest_h - 1) == 0
+    grid = empty_grid(dims)
+    corner = (nx - 1, ny - 1, nz - 1)
+    avoid = ReservationTable(grid)
+    rng = random.Random(sum(dims))
+    for cells in random_walk_paths(rng, dims, 6, 2 * largest_h).values():
+        if kind == UAV or all(c[2] == 0 for c in cells):
+            avoid.reserve_path(cells)
+    for start, goal in (((0, 0, 0), corner), (corner, (0, 0, 0))):
+        for table in (None, avoid):
+            (path, used), expected = _both_searches(grid, kind, start, goal, avoid=table)
+            assert (path, used) == expected
+            assert path_cost(path) == largest_h
+
+
+def test_more_than_64_soft_collisions_on_the_chosen_path():
+    """A 200-cell corridor whose every cell but the start is parked on in the avoid table: the
+    only shortest path collides 199 times, and the collision field outgrows one 30-bit digit."""
+    dims = (200, 100, 1)
+    cells = np.ones(200 * 100, dtype=np.uint8)
+    cells[:400] = 0  # rows j = 0 and j = 1
+    grid = OccupancyGrid3D((0.0, 0.0, 0.0), 1.0, dims, cells)
+    avoid = ReservationTable(grid)
+    for i in range(1, 200):
+        avoid.reserve_path(((i, 0, 0),))
+    (path, used), expected = _both_searches(grid, AGV, (0, 0, 0), (199, 0, 0), avoid=avoid)
+    assert (path, used) == expected
+    assert path == tuple((i, 0, 0) for i in range(200))
+    widths = (200 * 100).bit_length() + sum(dims).bit_length()  # the cell id and h fields: 15 + 9 bits
+    assert ((len(path) - 1) << widths).bit_length() > 30
+
+
+def test_a_search_that_crosses_an_empty_f_bucket():
+    """A U-shaped floor whose start may not wait at t = 1: every successor of the start lies
+    two f values up, so the bucket in between is empty and the search must step past it."""
+    cells = np.zeros(9, dtype=np.uint8)
+    cells[[1, 4]] = 1  # (1, 0, 0) and (1, 1, 0)
+    grid = OccupancyGrid3D((0.0, 0.0, 0.0), 1.0, (3, 3, 1), cells)
+    start, goal = (0, 0, 0), (2, 0, 0)
+    blocked = forbidden(grid, (Constraint(0, VERTEX, 1, (start,)),))
+    (path, used), expected = _both_searches(grid, AGV, start, goal, blocked)
+    assert (path, used) == expected
+    assert path == ((0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 2, 0), (2, 2, 0), (2, 1, 0), (2, 0, 0))
+
+
+def test_released_paths_leave_the_terminal_times_of_a_rescan():
+    """After every reserve and release, each goal cell's terminal time is the earliest end among the paths still reserved there."""
+    rng = random.Random(99)
+    dims = (3, 3, 2)
+    grid = empty_grid(dims)
+    _, ny, nz = dims
+    for _ in range(40):
+        table = ReservationTable(grid)
+        held = []
+        for _ in range(30):
+            if held and rng.random() < 0.45:
+                table.release_path(held.pop(rng.randrange(len(held))))
+            else:
+                cells = held[rng.randrange(len(held))] if held and rng.random() < 0.2 else random_walk_paths(rng, dims, 1, 6)[0]
+                table.reserve_path(cells)
+                held.append(cells)
+            rescan = {}
+            for cells in held:
+                i, j, k = cells[-1]
+                cid = (i * ny + j) * nz + k
+                rescan[cid] = min(rescan.get(cid, len(cells)), len(cells) - 1)
+            assert table._terminal == rescan

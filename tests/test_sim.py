@@ -19,6 +19,7 @@ from skyrover import (
     Scenario,
     ScenarioError,
     Simulator,
+    Solution,
     SolverConfig,
     TaskScript,
     WaypointCommand,
@@ -317,6 +318,31 @@ def test_supplied_plan_is_validated_before_trust():
     sim = Simulator()
     with pytest.raises(ScenarioError, match="fails validation"):
         sim.init(sc, SolverConfig(algorithm="cbs"), solution=bogus)
+
+
+def test_a_supplied_plan_of_list_or_numpy_cells_replays_as_its_tuple_plan():
+    """A plan read from JSON by an outside tool may hold list cells, or numpy ints: each replays tick by tick exactly as the tuple plan does."""
+    sc = Scenario(grid=empty_grid((3, 2, 1)), agents=(Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (0, 1, 0), (2, 1, 0))))
+    tuples = {0: ((0, 0, 0), (1, 0, 0), (2, 0, 0)), 1: ((0, 1, 0), (1, 1, 0), (2, 1, 0))}
+
+    def replay(paths):
+        sim = Simulator()
+        sim.init(sc, solution=Solution(paths=paths, sum_of_costs=4, makespan=2))
+        return sim.run()
+
+    expected = replay(tuples)
+    assert collect_metrics(expected) == collect_metrics(replay(tuples))
+    assert [s.tick for s in expected.states] == [0, 1, 2] and expected.states[-1].all_at_goal
+    plans = {
+        "list cells": {aid: [list(c) for c in cells] for aid, cells in tuples.items()},
+        "list paths": {aid: list(cells) for aid, cells in tuples.items()},
+        "numpy-int cells": {aid: tuple(tuple(np.int64(v) for v in c) for c in cells) for aid, cells in tuples.items()},
+        "numpy arrays": {aid: np.array(cells) for aid, cells in tuples.items()},
+    }
+    for name, paths in plans.items():
+        record = replay(paths)
+        assert record == expected, name
+        assert collect_metrics(record) == collect_metrics(expected), name
 
 
 def test_online_mode_runs_to_goal():
