@@ -140,8 +140,7 @@ def cmd_sim(args) -> int:
     comp_time = plan.computation_time_s if args.plan else metrics.computation_time
 
     if args.waypoints:  # lowered before any file is written, so an overflowing timestamp leaves none
-        paths = {a.id: tuple(s.cells[a.id] for s in record.states) for a in record.agents}
-        commands = execute_plan(make_solution(paths), args.cell_duration, sim.grid.resolution, sim.grid.origin)
+        commands = execute_plan(make_solution(record.trajectories()), args.cell_duration, sim.grid.resolution, sim.grid.origin)
     if args.ticks:
         with open(args.ticks, "w", encoding="ascii") as fh:
             for s in record.states:

@@ -17,13 +17,17 @@ from __future__ import annotations
 import json
 import math
 import time
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import chain
-from operator import eq
+from itertools import chain, compress, count, repeat
+from operator import eq, getitem, ne
+from operator import index as as_index
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvariantViolation, ParseError, ScenarioError, solve_error
 from .mapf import (
@@ -78,6 +82,15 @@ class RunRecord:
     solution: Solution | None
     budget: int
 
+    def trajectories(self) -> dict:
+        """Each agent's cell at every tick, ``{id: (cell at tick 0, ...)}``, agents in roster order.
+
+        Worked out from ``states`` on every call and never kept, so a record
+        holds no second copy of its run.
+        """
+        ids = [a.id for a in self.agents]
+        return dict(zip(ids, zip(*(tuple(map(s.cells.__getitem__, ids)) for s in self.states))))
+
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -127,8 +140,10 @@ class Simulator:
         ``ScenarioError`` naming its ``validate_agents`` problems. An
         externally supplied ``solution`` (a replayed plan file) is replayed
         whatever ``config.algorithm`` says: it skips the solver and the
-        policy but is still validated before it is trusted, and it is replayed
-        with tuple cells whatever sequences it holds. On a failed
+        policy but is still validated before it is trusted, its
+        ``sum_of_costs`` and ``makespan`` must be those of its paths (else a
+        ``ScenarioError``), and it is replayed with tuple cells whatever
+        sequences it holds. On a failed
         solve ``computation_time`` and ``stats`` hold the time and the
         search effort spent. A refused init keeps nothing of the last scenario.
         """
@@ -161,8 +176,16 @@ class Simulator:
                 if not planned:
                     raise ScenarioError(f"supplied plan fails validation: {detail}")
                 raise InvariantViolation(f"solver produced an invalid solution: {detail}")
-            self._solution = solution = solution if planned else _with_tuple_cells(solution)
-            self._arrivals = {aid: path_cost(cells) for aid, cells in solution.paths.items()}
+            solution = solution if planned else _with_tuple_cells(solution)
+            arrivals = {aid: path_cost(cells) for aid, cells in solution.paths.items()}
+            costs = (sum(arrivals.values()), max(arrivals.values(), default=0))
+            if not planned and (solution.sum_of_costs, solution.makespan) != costs:  # the replay runs for makespan ticks
+                raise ScenarioError(
+                    f"supplied plan says sum_of_costs={solution.sum_of_costs} makespan={solution.makespan}, "
+                    f"its paths give sum_of_costs={costs[0]} makespan={costs[1]}"
+                )
+            self._solution = solution
+            self._arrivals = arrivals
             mode = PRECOMPUTED_MODE
         return self._rewind(mode)
 
@@ -285,8 +308,7 @@ def collect_metrics(record: RunRecord) -> RunMetrics:
     the authoritative check.
     """
     agents = record.agents
-    ids = [a.id for a in agents]
-    trajectories = dict(zip(ids, zip(*(tuple(map(s.cells.__getitem__, ids)) for s in record.states))))
+    trajectories = record.trajectories()
     flagged = set()
     if record.mode == PRECOMPUTED_MODE:
         for v in validate_solution(record.grid, agents, record.solution.paths):
@@ -323,66 +345,113 @@ class WaypointCommand(NamedTuple):
 
 
 _row = partial(tuple.__new__, WaypointCommand)  # a row as namedtuple's ``_make`` builds it, without a Python frame
+_HOLDS = (False, True)  # the hold table of a lowered or parsed log
+
+
+def _encoded(column: tuple) -> tuple:
+    """A column's table of distinct objects, first seen first, and the int32 code of each value in it."""
+    table = dict(zip(map(id, column), column))  # the column keeps every object alive, so no id is reused
+    code = dict(zip(table, count()))
+    return tuple(table.values()), np.fromiter(map(code.__getitem__, map(id, column)), np.int32, len(column))
 
 
 class WaypointLog(Sequence):
-    """A waypoint stream held as four columns and read as ``WaypointCommand`` rows.
+    """A waypoint stream held as four value tables and int codes, read as ``WaypointCommand`` rows.
 
-    ``agent_ids``, ``timestamps``, ``positions`` and ``holds`` are tuples of
-    one length. Row ``i`` is built from their ``i``-th values only when it
-    is read (indexing or iteration), so a log holds no row objects; a slice
-    is a log. A log equals another log whose columns are equal, and any
-    other sequence of equal rows, so ``log == ()`` and ``log ==
+    The tables hold the distinct agent ids, timestamps, positions and hold
+    flags; each row is four int32 codes, one index into each table. The
+    columns ``agent_ids``, ``timestamps``, ``positions`` and ``holds`` are
+    tuples decoded each time they are read, never kept, and row ``i`` is
+    built only when it is read (indexing or iteration), so a log holds no
+    row objects. A slice is a log with tables of its own values. Built from
+    four columns, a log keys each table on the objects themselves: one
+    entry per distinct object, so equal values that print apart (``0.0``
+    and ``-0.0``; ``1``, ``1.0`` and ``True``) stay apart. A log equals
+    another log with equal rows, whatever order their tables are in, and
+    any other sequence of equal rows, so ``log == ()`` and ``log ==
     tuple(rows)`` hold. It is unhashable, as a list is.
     """
 
-    __slots__ = ("agent_ids", "timestamps", "positions", "holds")
+    __slots__ = ("_tables", "_codes")
     __hash__ = None
 
     def __init__(self, agent_ids=(), timestamps=(), positions=(), holds=()):
         columns = tuple(map(tuple, (agent_ids, timestamps, positions, holds)))
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"waypoint columns differ in length: {[len(c) for c in columns]}")
-        self.agent_ids, self.timestamps, self.positions, self.holds = columns
+        tables, codes = zip(*map(_encoded, columns))
+        self._tables = tables
+        self._codes = np.stack(codes, axis=1)
 
-    def _columns(self) -> tuple:
-        return self.agent_ids, self.timestamps, self.positions, self.holds
+    @classmethod
+    def _of(cls, tables, codes) -> WaypointLog:
+        """A log of four tables and a ``(rows, 4)`` int32 array of codes into them."""
+        log = cls.__new__(cls)
+        log._tables = tables
+        log._codes = codes
+        return log
+
+    def _column(self, field: int, rows=slice(None)):
+        return map(self._tables[field].__getitem__, self._codes[rows, field].tolist())
+
+    @property
+    def agent_ids(self) -> tuple:
+        return tuple(self._column(0))
+
+    @property
+    def timestamps(self) -> tuple:
+        return tuple(self._column(1))
+
+    @property
+    def positions(self) -> tuple:
+        return tuple(self._column(2))
+
+    @property
+    def holds(self) -> tuple:
+        return tuple(self._column(3))
 
     def __len__(self) -> int:
-        return len(self.agent_ids)
+        return len(self._codes)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return WaypointLog(*(column[index] for column in self._columns()))
-        return _row(tuple(column[index] for column in self._columns()))
+            tables, codes = [], []
+            for table, column in zip(self._tables, self._codes[index].T):
+                used = np.zeros(len(table), bool)
+                used[column] = True
+                tables.append(tuple(compress(table, used.tolist())))
+                codes.append((np.cumsum(used) - 1)[column])
+            return WaypointLog._of(tuple(tables), np.stack(codes, axis=1, dtype=np.int32))
+        return _row(tuple(map(getitem, self._tables, self._codes[as_index(index)].tolist())))
 
     def __iter__(self):
-        return map(_row, zip(*self._columns()))
+        for start in range(0, len(self), _WAYPOINT_SLICE):
+            rows = slice(start, start + _WAYPOINT_SLICE)
+            yield from map(_row, zip(*(self._column(field, rows) for field in range(4))))
 
     def __eq__(self, other):
         if isinstance(other, WaypointLog):
-            return self._columns() == other._columns()
+            return len(self) == len(other) and all(self._same_rows(other, start) for start in range(0, len(self), _WAYPOINT_SLICE))
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
 
+    def _same_rows(self, other: WaypointLog, start: int) -> bool:
+        """Whether the ``_WAYPOINT_SLICE`` rows from ``start`` on are equal in both logs.
+
+        Each distinct pair of codes in a column is compared once, as a list
+        compares its items: the same object, or equal values.
+        """
+        rows = slice(start, start + _WAYPOINT_SLICE)
+        for mine, codes, theirs, their_codes in zip(self._tables, self._codes[rows].T, other._tables, other._codes[rows].T):
+            pairs = np.sort(codes.astype(np.int64) * len(theirs) + their_codes)
+            ours, others = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], len(theirs))
+            if list(map(mine.__getitem__, ours.tolist())) != list(map(theirs.__getitem__, others.tolist())):
+                return False
+        return True
+
     def __repr__(self) -> str:
         return f"<WaypointLog of {len(self)} rows>"
-
-
-def _merged(columns, lengths) -> list:
-    """Per-agent columns, agents in id order, merged step by step; column ``n`` has ``lengths[n]`` values that count.
-
-    Between two consecutive distinct lengths the same agents are live, so
-    each such band of steps is one ``zip`` over their slices.
-    """
-    out = []
-    start = 0
-    for end in sorted(set(lengths)):
-        live = [column[start:end] for column, n in zip(columns, lengths) if n >= end]
-        out.extend(chain.from_iterable(zip(*live)))
-        start = end
-    return out
 
 
 def execute_plan(solution: Solution, cell_duration: float, resolution: float, origin) -> WaypointLog:
@@ -390,36 +459,46 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
 
     One command per agent per path index: timestamp = index * cell_duration,
     position at the cell center, hold set when the cell repeats the previous
-    one. The columns are filled in stream order, timestep by timestep and
-    agents in id order, so the log is in (timestamp, agent id) order. The
-    rows of one step share one timestamp float, and rows on equal cells
-    share one position tuple, worked out from the first of those cells in
-    the stream. ``cell_duration`` must be positive and finite, and so must
-    the last timestamp.
+    one. Rows run in stream order, timestep by timestep and agents in id
+    order, so the log is in (timestamp, agent id) order. Its tables hold
+    one agent id per non-empty path, one timestamp per step and one
+    position per distinct cell, worked out from the first of the equal
+    cells in the stream. The codes are filled as ``mapf._plan_array``
+    reads a plan: C-level passes pad and transpose the paths into joint
+    rows and mark each joint row that differs from the one before it; only
+    those rows are compared cell by cell, and only the cells where a path
+    moves are looked up, so a frozen fleet's repeated cells are never read.
+    ``cell_duration`` must be positive and finite, and so must the last
+    timestamp.
     """
     as_positive(cell_duration, "cell_duration")
     ox, oy, oz = (float(v) for v in origin)
-    paths = sorted(solution.paths.items())
-    lengths = [len(cells) for _, cells in paths]
-    steps = max(lengths, default=0)
+    paths = sorted((aid, cells) for aid, cells in solution.paths.items() if len(cells))
+    lens = np.fromiter((len(cells) for _, cells in paths), np.int64, len(paths))
+    steps = int(lens.max(initial=0))
     if not math.isfinite((steps - 1) * cell_duration):
         raise ValueError(f"cell_duration {cell_duration!r} makes the last timestamp, at step {steps - 1}, overflow")
-    stamps = [t * cell_duration for t in range(steps)]
-    stream = _merged([cells for _, cells in paths], lengths)
-    centres = dict.fromkeys(stream)  # equal cells share the key first seen
-    for cell in centres:
-        i, j, k = cell
-        centres[cell] = (ox + (i + 0.5) * resolution, oy + (j + 0.5) * resolution, oz + (k + 0.5) * resolution)
-    return WaypointLog(
-        _merged([[aid] * n for (aid, _), n in zip(paths, lengths)], lengths),
-        _merged([stamps] * len(paths), lengths),
-        map(centres.__getitem__, stream),
-        _merged([[False, *map(eq, cells[1:], cells)] for _, cells in paths], lengths),
-    )
+    # joint rows, an ended path parked on its last cell object
+    padded = (cells if len(cells) == steps else chain(cells, repeat(cells[-1], steps - len(cells))) for _, cells in paths)
+    rows = list(zip(*padded))
+    moved = np.zeros((steps, len(paths)), bool)  # where a path's cell differs from the one before it
+    for t in compress(range(steps), map(ne, rows, chain((None,), rows))):
+        moved[t] = np.fromiter(map(ne, rows[t], rows[t - 1]), bool, len(paths)) if t else True
+    starts = list(compress(chain.from_iterable(rows), moved.ravel().tolist()))  # the cells moved to, in stream order
+    code = dict(zip(dict.fromkeys(starts), count()))  # equal cells share the code of the first in the stream
+    places = tuple((ox + (i + 0.5) * resolution, oy + (j + 0.5) * resolution, oz + (k + 0.5) * resolution) for i, j, k in code)
+    at = np.zeros(moved.shape, np.int32)  # each (step, path)'s position code
+    at[moved] = np.fromiter(map(code.__getitem__, starts), np.int32, len(starts))
+    last = np.maximum.accumulate(np.where(moved, np.arange(steps)[:, None], 0), axis=0)  # the step of each path's last move
+    at = at[last, np.arange(len(paths))]
+    live = np.arange(steps)[:, None] < lens  # stream order is the C order of this (step, path) mask
+    step, path = np.nonzero(live)
+    tables = (tuple(aid for aid, _ in paths), tuple(t * cell_duration for t in range(steps)), places, _HOLDS)
+    return WaypointLog._of(tables, np.stack([path, step, at[live], ~moved[live]], axis=1, dtype=np.int32))
 
 
 _WAYPOINT_HEADER = "agent_id,timestamp_s,x,y,z,hold"
-_WAYPOINT_SLICE = 4096  # rows joined and encoded at a time, so the writer holds no per-row text for the whole file
+_WAYPOINT_SLICE = 4096  # rows written, read, iterated or compared at a time, so none holds per-row objects for a whole log
 
 
 def _gathered(rows) -> WaypointLog:
@@ -437,31 +516,25 @@ def waypoints_to_bytes(commands) -> bytes:
     """The waypoint CSV: a header, then one row per command, numbers as ``repr``.
 
     ``commands`` is a ``WaypointLog``, or any iterable of rows, which is
-    gathered into one first. Each timestamp and position object is
-    formatted once per call, its text keyed on ``id()``: the log keeps
-    every value alive for the whole call, so no id is reused, and one
-    object always prints alike (equal values need not: ``0.0`` and
-    ``-0.0``, or ``1``, ``1.0`` and ``True``). Rows are joined and encoded
-    ``_WAYPOINT_SLICE`` at a time, so beside the result the writer holds
-    one slice's text.
+    gathered into one first. Each table entry of the log is formatted once,
+    with the separator or line end that follows it, into one array of
+    pieces; each ``_WAYPOINT_SLICE`` of rows is then one join of the pieces
+    its codes pick, gathered in C, encoded at once. Beside the result the
+    writer holds one slice's text. An entry is one object, so it always
+    prints alike.
     """
     log = commands if isinstance(commands, WaypointLog) else _gathered(commands)
-    chunks = [_WAYPOINT_HEADER.encode("ascii")]
-    times = {}  # id of a timestamp -> its text
-    places = {}  # id of a position -> its text
+    ids, stamps, places, holds = log._tables
+    pieces = [f"{aid}," for aid in ids]
+    pieces += [f"{timestamp!r}," for timestamp in stamps]
+    pieces += [f"{x!r},{y!r},{z!r}," for x, y, z in places]
+    pieces += ["true\n" if hold else "false\n" for hold in holds]
+    pieces = np.array(pieces, dtype=object)
+    offsets = np.cumsum([0, len(ids), len(stamps), len(places)])  # where each table's pieces start
+    chunks = [f"{_WAYPOINT_HEADER}\n".encode("ascii")]
     for start in range(0, len(log), _WAYPOINT_SLICE):
-        lines = [""]  # the line end of the slice before
-        for aid, timestamp, pos, hold in zip(*(column[start : start + _WAYPOINT_SLICE] for column in log._columns())):
-            when = times.get(id(timestamp))
-            if when is None:
-                times[id(timestamp)] = when = repr(timestamp)
-            where = places.get(id(pos))
-            if where is None:
-                x, y, z = pos
-                places[id(pos)] = where = f"{x!r},{y!r},{z!r}"
-            lines.append(f"{aid},{when},{where},{'true' if hold else 'false'}")
-        chunks.append("\n".join(lines).encode("ascii"))
-    chunks.append(b"\n")
+        codes = log._codes[start : start + _WAYPOINT_SLICE] + offsets
+        chunks.append("".join(pieces[codes.ravel()].tolist()).encode("ascii"))
     return b"".join(chunks)
 
 
@@ -482,19 +555,22 @@ def _lines(data: bytes):
 def waypoints_from_bytes(data: bytes) -> WaypointLog:
     """The waypoint log of the CSV; LF or CRLF line ends.
 
-    Rows share values: one float per distinct timestamp text and one
-    position tuple per distinct ``x,y,z`` text, keyed on the raw bytes
-    (equal bytes parse to equal floats, and ``-0.0`` and ``0.0`` stay
-    apart). Lines are split a slice at a time, so beside the columns the
-    reader holds one slice's lines. A row's fields are read in column
-    order, so its first bad field names the error.
+    Its tables are keyed on the raw field bytes: one int per distinct id
+    text, one float per distinct timestamp text and one position tuple per
+    distinct ``x,y,z`` text (equal bytes parse to equal values, and ``-0.0``
+    and ``0.0`` stay apart), each first seen first. Lines are split a slice
+    at a time and their codes go straight into one growing C array, which
+    the log then reads without a copy, so beside the log the reader holds
+    one slice's lines. A row's fields are read in column order, so its
+    first bad field names the error.
     """
     lines = _lines(data)
     if next(lines, None) != _WAYPOINT_HEADER.encode("ascii"):
         raise ParseError(f"waypoint CSV must start with header {_WAYPOINT_HEADER!r}")
-    times = {}
-    places = {}
-    ids, stamps, positions, holds = [], [], [], []
+    ids, times, places = {}, {}, {}  # raw field bytes -> code
+    id_table, time_table, place_table = [], [], []
+    codes = array("i")  # four C ints per row
+    push = codes.append
     for n, line in enumerate(lines, start=2):
         fields = line.split(b",")
         if len(fields) != 6:
@@ -503,21 +579,27 @@ def waypoints_from_bytes(data: bytes) -> WaypointLog:
         if hold not in (b"true", b"false"):
             raise ParseError(f"waypoint row {n} hold flag must be true or false")
         try:  # int() and float() read bytes as ASCII only, so a non-ASCII byte fails here too
-            aid = int(aid)
+            who = ids.get(aid)
+            if who is None:
+                id_table.append(int(aid))
+                ids[aid] = who = len(ids)
             when = times.get(timestamp)
             if when is None:
-                times[timestamp] = when = float(timestamp)
+                time_table.append(float(timestamp))
+                times[timestamp] = when = len(times)
             key = (x, y, z)
-            pos = places.get(key)
-            if pos is None:
-                places[key] = pos = (float(x), float(y), float(z))
+            where = places.get(key)
+            if where is None:
+                place_table.append((float(x), float(y), float(z)))
+                places[key] = where = len(places)
         except ValueError as exc:
             raise ParseError(f"waypoint row {n}: {exc}") from None
-        ids.append(aid)
-        stamps.append(when)
-        positions.append(pos)
-        holds.append(hold == b"true")
-    return WaypointLog(ids, stamps, positions, holds)
+        push(who)
+        push(when)
+        push(where)
+        push(hold == b"true")  # the hold's code in _HOLDS
+    tables = (tuple(id_table), tuple(time_table), tuple(place_table), _HOLDS)
+    return WaypointLog._of(tables, np.frombuffer(codes, np.intc).reshape(-1, 4))
 
 
 # -- plan files ----------------------------------------------------------

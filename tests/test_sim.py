@@ -3,6 +3,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -320,6 +321,22 @@ def test_supplied_plan_is_validated_before_trust():
         sim.init(sc, SolverConfig(algorithm="cbs"), solution=bogus)
 
 
+@pytest.mark.parametrize("sum_of_costs, makespan", [(99, 1), (4, 1), (3, 2)])
+def test_a_supplied_plan_must_carry_the_objectives_of_its_paths(sum_of_costs, makespan):
+    """The replay runs for ``makespan`` ticks, so a plan that misstates it would end valid paths short as failures."""
+    sc = _scenario((3, 2, 1), [Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (0, 1, 0), (2, 1, 0))])
+    paths = {0: ((0, 0, 0), (1, 0, 0), (2, 0, 0)), 1: ((0, 1, 0), (1, 1, 0), (2, 1, 0))}
+    sim = Simulator()
+    message = f"supplied plan says sum_of_costs={sum_of_costs} makespan={makespan}, its paths give sum_of_costs=4 makespan=2"
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        sim.init(sc, solution=Solution(paths, sum_of_costs, makespan))
+    with pytest.raises(ScenarioError, match="no tick 0"):
+        sim.state
+    sim.init(sc, solution=Solution(paths, 4, 2))  # the same hand-built plan, its objectives stated right, replays
+    record = sim.run()
+    assert record.states[-1].tick == 2 and collect_metrics(record).success_rate == 1.0
+
+
 def test_a_supplied_plan_of_list_or_numpy_cells_replays_as_its_tuple_plan():
     """A plan read from JSON by an outside tool may hold list cells, or numpy ints: each replays tick by tick exactly as the tuple plan does."""
     sc = Scenario(grid=empty_grid((3, 2, 1)), agents=(Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (0, 1, 0), (2, 1, 0))))
@@ -458,6 +475,17 @@ def test_partial_arrival_ratio():
     )
     metrics = collect_metrics(record)
     assert metrics.success_rate == pytest.approx(21 / 22, abs=1e-9)
+
+
+def test_a_record_gives_each_agents_trajectory_afresh():
+    agents = (Agent(0, AGV, (0, 0, 0), (2, 0, 0)), Agent(1, AGV, (0, 1, 0), (0, 1, 0)))
+    sim = Simulator()
+    sim.init(_scenario((3, 2, 1), agents), SolverConfig(algorithm="online"))
+    record = sim.run()
+    trajectories = record.trajectories()
+    assert trajectories == {a.id: tuple(s.cells[a.id] for s in record.states) for a in agents}
+    assert trajectories[0] == ((0, 0, 0), (1, 0, 0), (2, 0, 0)) and trajectories[1] == ((0, 1, 0),) * 3
+    assert record.trajectories() is not trajectories  # worked out per call, never kept on the record
 
 
 def test_metrics_fail_an_agent_whose_stored_plan_is_invalid():
@@ -853,6 +881,71 @@ def test_waypoint_slices_match_a_per_row_formatter(count, rng_seed, with_ints):
         back = waypoints_from_bytes(data.replace(b"\n", line_end))
         assert [repr(c) for c in back] == expected
     assert waypoints_to_bytes(back) == data
+
+
+def _frozen_fleet():
+    """Six paths that move a little, then park for most of a run of more than ``2 * WAYPOINT_SLICE`` rows.
+
+    Agents arrive out of id order. Agent 9 parks on cells equal to, but not
+    the same objects as, the one it reached; agent 1 comes back to its start
+    before it parks; agents 1 and 3 end early, agent 3 after one cell.
+    """
+    def parked(length, *cells):
+        return cells + (cells[-1],) * (length - len(cells))  # the last cell object, again and again
+
+    paths = {
+        7: parked(2000, (0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0)),
+        2: parked(2000, (0, 2, 0), (1, 2, 0)),
+        5: parked(2000, (4, 4, 0)),
+        9: ((6, 6, 0), (6, 5, 0)) + tuple(tuple([6, 4, 0]) for _ in range(1998)),
+        1: parked(1300, (3, 3, 0), (3, 2, 0), (3, 1, 0), (3, 2, 0), (3, 3, 0)),
+        3: ((8, 8, 0),),
+    }
+    assert sum(map(len, paths.values())) > 2 * WAYPOINT_SLICE
+    return paths
+
+
+def test_a_frozen_fleet_lowers_row_for_row():
+    """A parked fleet over several slices, ragged paths among it, against ``oracles.lower_rows`` and the per-row formatter."""
+    paths = _frozen_fleet()
+    sol = make_solution(paths)
+    log = execute_plan(sol, 0.5, 0.25, (-1.0, 2.0, 0.5))
+    rows = lower_rows(sol, 0.5, 0.25, (-1.0, 2.0, 0.5))
+    assert log == rows and tuple(log) == rows and rows == log
+    assert log.agent_ids == tuple(r.agent_id for r in rows) and log.holds == tuple(r.hold for r in rows)
+    assert _sharing(log.positions) == _sharing(r.position for r in rows)
+    assert _sharing(log.timestamps) == _sharing(r.timestamp for r in rows)
+    data = waypoints_to_bytes(log)
+    assert data == _per_row_waypoint_bytes(rows)
+    assert waypoints_from_bytes(data) == log and waypoints_to_bytes(waypoints_from_bytes(data)) == data
+    # the tables: an id per path, a timestamp per step, a position per distinct cell, the two hold flags
+    ids, stamps, places, holds = log._tables
+    assert ids == (1, 2, 3, 5, 7, 9) and stamps == tuple(t * 0.5 for t in range(2000)) and holds == (False, True)
+    assert len(places) == len(set(chain.from_iterable(paths.values()))) == 16
+    assert len(set(map(id, log.positions))) == 16  # decoded rows share the table's objects
+    for start, stop in [(0, 7), (WAYPOINT_SLICE - 5, 2 * WAYPOINT_SLICE + 5), (-40, None)]:
+        part = log[start:stop]
+        assert part == rows[start:stop] and waypoints_to_bytes(part) == _per_row_waypoint_bytes(rows[start:stop])
+        assert len(part._tables[2]) == len({r.position for r in rows[start:stop]})  # a slice keeps its own values
+
+
+def test_logs_whose_tables_were_filled_in_other_orders_are_equal_and_write_alike():
+    """A lowered slice keeps the whole log's table order, a parsed one the order its rows first show,
+    and a log gathered from rows of fresh objects one entry per row: rows decide equality and bytes."""
+    lowered = execute_plan(make_solution(_frozen_fleet()), 0.5, 0.25, (-1.0, 2.0, 0.5))[WAYPOINT_SLICE + 3 :]
+    data = waypoints_to_bytes(lowered)
+    parsed = waypoints_from_bytes(data)
+    fresh = [WaypointCommand(aid, float(repr(t)), tuple(list(pos)), hold) for aid, t, pos, hold in lowered]
+    gathered = WaypointLog(*zip(*fresh))
+    assert lowered._tables[2] != parsed._tables[2] and sorted(lowered._tables[2]) == sorted(parsed._tables[2])
+    assert len(gathered._tables[1]) == len(gathered._tables[2]) == len(lowered)
+    logs = {"lowered": lowered, "parsed": parsed, "gathered": gathered}
+    for a, b in [(a, b) for a in logs for b in logs]:
+        assert logs[a] == logs[b] and not logs[a] != logs[b], (a, b)
+    assert waypoints_to_bytes(parsed) == waypoints_to_bytes(gathered) == waypoints_to_bytes(fresh) == data
+    moved = list(lowered)
+    moved[-1] = moved[-1]._replace(hold=not moved[-1].hold)
+    assert lowered != moved and parsed != WaypointLog(*zip(*moved)) and WaypointLog(*zip(*moved)) != gathered
 
 
 @pytest.mark.parametrize("row", [2, WAYPOINT_SLICE + 1, 3 * WAYPOINT_SLICE + 8])
