@@ -25,14 +25,15 @@ already shifted into its field. Within one f, h fixes t = f - h, so keys
 ordered by (collisions, h, cell id) pop in the order of (f, collisions, h,
 state id) tuples on one heap.
 
-Each cell's free, in-bounds neighbours per agent kind, in ``MOVES`` order,
-are listed as (cell id, i, j, k) entries the first time a search expands the
-cell and kept on the grid (``mapf.per_grid``) for every later search on it;
-a found path reads its cells back from those entries. The online path
-reads the same lists as (i, j, k) tuples from a second table per kind
-(``legal_moves``), keyed by the (i, j, k) cell itself, so a tick costs one
-dict subscript per agent. Paths go in and come out as tuples of (i, j, k)
-cells.
+A move mask per grid and agent kind, built by numpy, holds a byte per cell
+id whose bit m says that ``MOVES[kind][m]`` lands on a free in-bounds cell.
+From it, each cell's neighbours, in ``MOVES`` order, are listed as (cell id,
+i, j, k) entries the first time a search expands the cell and kept on the
+grid (``mapf.per_grid``) for every later search on it; a found path reads
+its cells back from those entries. The online path reads the same moves as
+(i, j, k) tuples from a second table per kind (``legal_moves``), keyed by
+the (i, j, k) cell itself, so a tick costs one dict subscript per agent.
+Paths go in and come out as tuples of (i, j, k) cells.
 
 The search keeps no closed set. Every step costs 1 and the heuristic is
 consistent, so pops come in nondecreasing (f, collisions) order: a state is
@@ -55,6 +56,8 @@ import time
 from collections import Counter
 from heapq import heapify, heappop, heappush
 from operator import index
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .mapf import AGV, MOVES, VERTEX, per_grid
@@ -201,8 +204,24 @@ def _drop(counts: Counter, keys) -> None:
             counts[key] -= 1
 
 
+def _move_mask(grid, kind: str) -> bytes:
+    """Per cell id, a byte whose bit m is set when ``MOVES[kind][m]`` lands on a free in-bounds cell."""
+    shape = grid.dims[::-1]  # the grid's own layout: [k, j, i]
+    free = (grid.cells.reshape(shape) == 0).view(np.uint8)
+    mask = np.zeros(shape, np.uint8)
+    for bit, move in enumerate(MOVES[kind]):
+        move = move[::-1]
+        src = [slice(max(0, -d), n - max(0, d)) for d, n in zip(move, shape)]
+        mask[tuple(src)] |= free[tuple(slice(s.start + d, s.stop + d) for s, d in zip(src, move))] << bit
+    return mask.T.tobytes()  # in (i, j, k) order, so a cell's byte sits at its cell id
+
+
+# per kind: a mask byte -> the moves of its set bits, in MOVES order
+_PATTERNS = {k: [tuple(m for b, m in enumerate(ms) if p >> b & 1) for p in range(1 << len(ms))] for k, ms in MOVES.items()}
+
+
 class _Neighbours(dict):
-    """Cell id -> ((neighbour id, i, j, k), ...) on one grid for one agent kind, filled on first use.
+    """Cell id -> ((neighbour id, i, j, k), ...) on one grid for one agent kind, filled on first use from its move mask.
 
     Each cell's (id, i, j, k) entry is built once and shared by the lists of
     all its neighbours, which keeps the cache about a third of the size.
@@ -210,23 +229,21 @@ class _Neighbours(dict):
 
     def __init__(self, grid, kind: str):
         super().__init__()
-        self.dims = grid.dims
-        self.occ = grid.occ_bytes  # not the grid itself: the grid holds this dict
-        self.moves = MOVES[kind]
+        self.dims = _, ny, nz = grid.dims
+        self.mask = per_grid(grid, _move_mask, kind)  # not the grid itself: the grid holds this dict
+        self.patterns = [tuple(((di * ny + dj) * nz + dk, di, dj, dk) for di, dj, dk in p) for p in _PATTERNS[kind]]
         self.entries = {}
 
     def __missing__(self, cid: int):
-        nx, ny, nz = self.dims
-        occ, entries = self.occ, self.entries
+        entries = self.entries
         i, j, k = _cell(self.dims, cid)
         out = []
-        for dx, dy, dz in self.moves:
-            ci, cj, ck = i + dx, j + dy, k + dz
-            if 0 <= ci < nx and 0 <= cj < ny and 0 <= ck < nz and not occ[ci + nx * (cj + ny * ck)]:
-                nid = (ci * ny + cj) * nz + ck
-                if nid not in entries:
-                    entries[nid] = (nid, ci, cj, ck)
-                out.append(entries[nid])
+        for step, di, dj, dk in self.patterns[self.mask[cid]]:
+            nid = cid + step
+            entry = entries.get(nid)
+            if entry is None:
+                entries[nid] = entry = (nid, i + di, j + dj, k + dk)
+            out.append(entry)
         self[cid] = out = tuple(out)
         return out
 
@@ -234,23 +251,25 @@ class _Neighbours(dict):
 class _LegalMoves(dict):
     """(i, j, k) cell -> the cells an agent of one kind may occupy one tick later.
 
-    Filled on first use from the same grid's ``_Neighbours`` list, so it
-    holds the grid's occupancy bytes (through that list), not the grid. A
-    cell outside the grid raises ``ValueError`` on every lookup and is never
-    stored, so an in-bounds lookup is a plain dict subscript. Coordinates
-    must be integers (numpy's included); they are stored as Python ints.
+    Filled on first use from the grid's move mask; it holds the mask, not
+    the grid. A cell outside the grid raises ``ValueError`` on every lookup
+    and is never stored, so an in-bounds lookup is a plain dict subscript.
+    Coordinates must be ints or numpy ints; they are stored as Python ints.
     """
 
     def __init__(self, grid, kind: str):
         super().__init__()
-        self.nbrs = per_grid(grid, _Neighbours, kind)
+        self.dims = grid.dims
+        self.mask = per_grid(grid, _move_mask, kind)
+        self.patterns = _PATTERNS[kind]
 
     def __missing__(self, cell):
-        nx, ny, nz = dims = self.nbrs.dims
+        nx, ny, nz = dims = self.dims
         i, j, k = key = tuple(map(index, cell))  # numpy ints are stored, and looked up, as ints
         if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
             raise ValueError(f"cell {key} is outside the grid's dims {dims}")
-        self[key] = out = tuple(entry[1:] for entry in self.nbrs[(i * ny + j) * nz + k])
+        moves = self.patterns[self.mask[(i * ny + j) * nz + k]]
+        self[key] = out = tuple([(i + di, j + dj, k + dk) for di, dj, dk in moves])
         return out
 
 

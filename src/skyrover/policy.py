@@ -7,7 +7,8 @@ conflict-free configuration (everyone waiting reproduces the current one),
 though livelock is possible and left for the benchmark to measure.
 ``online_policy_step`` and ``shield_moves`` keep nothing between calls,
 and no state lives at module level: a ``Simulator`` keeps what it needs to
-skip a stalled tick.
+skip a stalled tick, and a ``GreedyShieldedPolicy`` keeps its step tables
+and its last answer.
 """
 
 from __future__ import annotations
@@ -36,24 +37,29 @@ class GreedyShieldedPolicy:
     Agents already at their goal propose wait. Ties between equally good
     moves break on the canonical move order, so steps are deterministic.
     An instance keeps one cell-keyed step table per agent, built for the
-    last grid and agents tuple it saw, so a tick costs one lookup per agent.
-    Current cells are (i, j, k) tuples, as the ``Simulator`` keeps them.
+    last grid and agents tuple it saw, so a tick costs one lookup per agent,
+    and copies of its last cells and answer: equal cells on the next tick,
+    as a stalled fleet's, get a new dict equal to that answer. Current cells
+    are (i, j, k) tuples, as the ``Simulator`` keeps them.
     """
 
     name = "greedy-shielded"
 
     def __init__(self):
-        self._rows = (None, None, ())  # (grid, agents tuple, each agent's id and step table)
+        # (grid, agents tuple, each agent's id and step table, a copy of the last cells, the last answer)
+        self._kept = (None, None, (), None, None)
 
     def propose(self, view: WorldView) -> dict:
-        grid, agents = view.grid, view.agents
-        kept_grid, kept_agents, rows = self._rows
+        grid, agents, cells = view.grid, view.agents, view.cells
+        kept_grid, kept_agents, rows, kept_cells, proposals = self._kept
         if kept_grid is not grid or kept_agents is not agents:
             rows = [(a.id, _StepsToward(legal_moves(grid, a.kind), a.goal)) for a in agents]
-            if type(agents) is tuple:  # a list could change in place
-                self._rows = (grid, agents, rows)
-        cells = view.cells
-        return {aid: steps[cells[aid]] for aid, steps in rows}
+        elif cells == kept_cells:
+            return dict(proposals)
+        proposals = {aid: steps[cells[aid]] for aid, steps in rows}
+        if type(agents) is tuple:  # a list could change in place
+            self._kept = (grid, agents, rows, dict(cells), proposals)
+        return dict(proposals)
 
 
 class _StepsToward(dict):

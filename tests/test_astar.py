@@ -239,6 +239,29 @@ def test_next_cells_are_the_legal_moves_in_move_order():
             assert all(type(v) is int for v in (cid, *(x for entry in entries for x in entry)))
 
 
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 4, 3), (5, 1, 3), (5, 4, 1), (1, 1, 6), (6, 5, 4)])
+def test_every_cells_moves_equal_a_per_move_check(dims):
+    """Each cell of seeded random grids, border and occupied cells and AGVs above layer 0
+    included, against bounds and occupancy tested move by move in ``MOVES`` order."""
+    rng = random.Random(sum(dims))
+    nx, ny, nz = dims
+    seen = Counter()
+    for density in (0.0, 0.3, 0.7):
+        grid = random_grid(rng, dims, density)
+        for kind in (UAV, AGV):
+            nbrs, table = per_grid(grid, _Neighbours, kind), legal_moves(grid, kind)
+            for cell in ((i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)):
+                want = _legal_cells(grid, kind, cell)
+                i, j, k = cell
+                assert table[cell] == tuple(want)
+                assert nbrs[(i * ny + j) * nz + k] == tuple(((a * ny + b) * nz + c, a, b, c) for a, b, c in want)
+                if grid.is_occupied(*cell):
+                    assert cell not in want  # an occupied cell lists no wait
+                    seen["occupied"] += 1
+                seen["agv above ground"] += kind == AGV and k > 0
+    assert seen["occupied"] > 0 and (nz == 1 or seen["agv above ground"] > 0), seen
+
+
 @pytest.mark.parametrize(
     "cell", [(0, 3, 0), (0, 0, -1), (-1, 0, 0), (4, 0, 0), (0, 0, 2), tuple(np.array([0, 3, 0]))]
 )

@@ -551,6 +551,88 @@ def test_greedy_policy_reused_on_another_grid_proposes_like_a_fresh_one():
         assert reused.propose(view) == want
 
 
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts the greedy policy's step-table subscripts: a repeated answer makes none."""
+    count = Counter()
+
+    class Counted(skyrover.policy._StepsToward):
+        def __getitem__(self, cell):
+            count["lookups"] += 1
+            return super().__getitem__(cell)
+
+    monkeypatch.setattr(skyrover.policy, "_StepsToward", Counted)
+    return count
+
+
+def _fleet():
+    """A warehouse roster in an order other than its ids', at its starts."""
+    grid, agents = generate_warehouse((24, 20, 4), 3, "4uav+12agv", seed=2)
+    agents = tuple(reversed(agents))
+    return grid, agents, {a.id: a.start for a in agents}
+
+
+def test_equal_cells_get_a_new_dict_equal_to_a_fresh_answer(lookups):
+    grid, agents, cells = _fleet()
+    policy = GreedyShieldedPolicy()
+    first = policy.propose(WorldView(grid, agents, cells))
+    assert lookups["lookups"] == len(agents)
+    again = policy.propose(WorldView(grid, agents, dict(cells)))  # a new, equal dict
+    assert lookups["lookups"] == len(agents)  # answered from the kept proposals
+    fresh = GreedyShieldedPolicy().propose(WorldView(grid, agents, cells))
+    assert again == first == fresh == {a.id: _greedy_reference(grid, a, cells[a.id]) for a in agents}
+    assert again is not first
+    assert list(again) == list(first) == list(fresh) == [a.id for a in agents]  # the agents' order
+
+
+def test_changing_a_returned_dict_or_the_cells_in_place_leaves_the_next_answer_right(lookups):
+    grid, agents, cells = _fleet()
+    policy = GreedyShieldedPolicy()
+    view = WorldView(grid, agents, cells)
+    want = policy.propose(view)
+    first = policy.propose(view)
+    first[agents[0].id] = agents[0].goal
+    del first[agents[1].id]
+    assert policy.propose(view) == want and list(policy.propose(view)) == list(want)
+    mover = next(a for a in agents if want[a.id] != a.start)
+    cells[mover.id] = want[mover.id]  # the same dict, edited: the kept copy no longer equals it
+    before = lookups["lookups"]
+    assert policy.propose(view) == {a.id: _greedy_reference(grid, a, cells[a.id]) for a in agents}
+    assert lookups["lookups"] == before + len(agents)
+
+
+def test_a_new_grid_or_agents_tuple_is_answered_anew(lookups):
+    grid, agents, cells = _fleet()
+    policy = GreedyShieldedPolicy()
+    policy.propose(WorldView(grid, agents, cells))
+    before = lookups["lookups"]
+    same = OccupancyGrid3D(grid.origin, grid.resolution, grid.dims, grid.cells)  # equal, but another object
+    assert policy.propose(WorldView(same, agents, cells)) == policy.propose(WorldView(grid, agents, cells))
+    assert lookups["lookups"] == before + 2 * len(agents)
+    moved = tuple(replace(a, goal=a.start) for a in agents)  # everyone is at its goal now
+    assert policy.propose(WorldView(grid, moved, cells)) == cells
+    walled = OccupancyGrid3D(grid.origin, grid.resolution, grid.dims, np.ones_like(grid.cells))
+    boxed = {a.id: _greedy_reference(walled, a, cells[a.id]) for a in agents}
+    assert boxed == cells != policy.propose(WorldView(grid, agents, cells))  # no free cell: all wait
+    assert policy.propose(WorldView(walled, agents, cells)) == boxed
+
+
+def test_a_list_roster_and_numpy_cells_get_the_uncached_steps():
+    grid, agents, cells = _fleet()
+    roster = list(agents)
+    policy = GreedyShieldedPolicy()
+    numpy_cells = {aid: tuple(np.int64(v) for v in cell) for aid, cell in cells.items()}
+    for view_cells in (cells, numpy_cells, numpy_cells, cells):
+        got = policy.propose(WorldView(grid, roster, view_cells))
+        assert got == {a.id: _greedy_reference(grid, a, cells[a.id]) for a in roster}
+        assert all(type(v) is int for cell in got.values() for v in cell)
+    roster[0] = replace(roster[0], goal=roster[0].start)  # changed in place: the same list, another answer
+    assert policy.propose(WorldView(grid, roster, numpy_cells))[roster[0].id] == roster[0].start
+    assert policy.propose(WorldView(grid, roster, numpy_cells)) == {
+        a.id: _greedy_reference(grid, a, cells[a.id]) for a in roster
+    }
+
+
 def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
     """Sampling and two solves label each kind once; a policy builds one step table per agent, once."""
     labelled = []

@@ -406,6 +406,26 @@ def test_online_warehouse_run_is_pinned(monkeypatch):
     assert run().states == record.states
 
 
+def test_online_run_at_bench_scale_is_pinned():
+    """The first warehouse-online world of the benchmark: 80x60x10, 12 shelf rows, 20uav+60agv, seed 1.
+
+    Its default run lasts 4 x diameter ticks. The figures and the digest of
+    its waypoint CSV were recorded before cell moves were read from a
+    per-grid move mask and before the greedy policy kept its last answer.
+    """
+    grid, agents = generate_warehouse((80, 60, 10), 12, "20uav+60agv", 1)
+    sim = Simulator()
+    sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="online"))
+    record = sim.run()
+    metrics = collect_metrics(record)
+    assert record.budget == record.states[-1].tick == 588
+    assert (metrics.success_rate, metrics.sum_of_costs) == (32 / 80, 29921)
+    paths = {a.id: tuple(s.cells[a.id] for s in record.states) for a in record.agents}
+    commands = execute_plan(make_solution(paths), 1.0, grid.resolution, grid.origin)
+    waypoints = hashlib.sha256(waypoints_to_bytes(commands)).hexdigest()
+    assert waypoints == "9aa738f155db654493f93d6162041c4565da0b49ecc8a4ce6e8a7b28c8e577fb"
+
+
 def test_a_tick_that_moves_nobody_is_not_rechecked(monkeypatch):
     """The pinned online run with ``step_conflicts`` counted: no repeated tick calls it, and the states stay pinned."""
     grid, agents = generate_warehouse((40, 30, 6), 6, "8uav+24agv", seed=7)
