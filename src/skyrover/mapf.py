@@ -70,6 +70,16 @@ def as_positive(value, what: str) -> float:
     return as_finite(value, what, positive=True)
 
 
+def as_origin(value) -> tuple[float, float, float]:
+    """``value`` as three floats when it is a sequence of three finite real numbers, the rule of a grid's frame; otherwise a ValueError."""
+    try:
+        if len(origin := tuple(as_finite(v, "origin") for v in value)) == 3:
+            return origin
+    except TypeError:  # not a sequence
+        pass
+    raise ValueError(f"origin must be three finite real numbers, got {value!r}")
+
+
 def manhattan(a, b) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2])
 
@@ -299,25 +309,31 @@ def _plain(groups) -> bool:
     )
 
 
-def _plan_array(paths, screened: bool = False) -> _PlanArray | None:
-    """The non-empty ``paths`` as a ``_PlanArray``; None when a cell is not three plain ints below ``_CELL_BOUND``.
-
-    Padding, transposing and marking each joint row that differs from the one
-    before it run over the cell objects in C. Only each path's cells at those
-    rows, up to its trailing copies of its final cell object, are screened
-    (all of them were when ``screened``) and read, by one ``np.fromiter``:
-    neither a frozen fleet's repeated rows nor a parked tail, padded or
-    replayed, is converted.
-    """
+def _joint_rows(paths) -> tuple[list, list, list, list]:
+    """The non-empty ``paths`` as joint rows, ``(ids, lens, rows, fresh)``, built in C: the agents ascending, their
+    paths' lengths, each timestep's cell objects (an ended path parked on its last one) and whether each row
+    differs from the one before. Numpy array cells refuse that comparison with a ValueError."""
     ids = sorted(aid for aid, cells in paths.items() if len(cells))
     seqs = [paths[aid] for aid in ids]
     lens = list(map(len, seqs))
     horizon = max(lens, default=0)
     rows = list(zip(*(cells if n == horizon else chain(cells, repeat(cells[-1], horizon - n)) for cells, n in zip(seqs, lens))))
+    return ids, lens, rows, list(map(operator.ne, rows, [None, *rows]))
+
+
+def _plan_array(paths, screened: bool = False) -> _PlanArray | None:
+    """The non-empty ``paths`` as a ``_PlanArray``; None when a cell is not three plain ints below ``_CELL_BOUND``.
+
+    Only each path's cells at the rows ``_joint_rows`` marks fresh, up to its
+    trailing copies of its final cell object, are screened (all of them were
+    when ``screened``) and read, by one ``np.fromiter``: neither a frozen
+    fleet's repeated rows nor a parked tail, padded or replayed, is converted.
+    """
     try:
-        fresh = list(map(operator.ne, rows, [None, *rows]))
+        ids, lens, rows, fresh = _joint_rows(paths)
     except ValueError:  # numpy cells refuse to be truth-tested
         return None
+    seqs = [paths[aid] for aid in ids]
     # a path's cells at those rows, up to the first of its trailing copies of the final cell object
     tails = [len(list(takewhile(partial(operator.is_, cells[-1]), reversed(cells)))) for cells in seqs]
     kept = [list(compress(cells, islice(fresh, n - tail + 1))) for cells, n, tail in zip(seqs, lens, tails)]
@@ -330,9 +346,9 @@ def _plan_array(paths, screened: bool = False) -> _PlanArray | None:
         return None
     if values.size and (values.min() <= -_CELL_BOUND or values.max() >= _CELL_BOUND):
         return None
-    times = list(compress(range(horizon), fresh))
+    times = list(compress(range(len(rows)), fresh))
     at = np.minimum(np.arange(len(times))[:, None], counts - 1) + (np.cumsum(counts) - counts)
-    return _PlanArray(ids, np.array(lens, dtype=np.int64), times, horizon, values.reshape(-1, 3).T[:, at])
+    return _PlanArray(ids, np.array(lens, dtype=np.int64), times, len(rows), values.reshape(-1, 3).T[:, at])
 
 
 def _read_cells(paths) -> tuple[dict, list]:

@@ -2,14 +2,14 @@
 
 One Simulator instance drives one scenario, either replaying a precomputed
 solution or querying an online policy every tick. Steps preserve
-conflict-freedom by construction and re-check it defensively; a violation
-here means a solver or shield bug and raises instead of passing silently.
-A step that moves nobody is not re-checked: tick 0 passed
-``validate_agents``, and every later state was checked or repeats a
-checked one. In online mode the policy is asked every tick; a Simulator
-keeps the proposals of its last tick when that tick moved nobody, and a
-tick that proposes the same again moves nobody either, without the
-legality check or the shield. The policy module keeps no state.
+conflict-freedom by construction. Online steps re-check it defensively (a
+violation means a shield bug and raises); precomputed ticks read the joint
+rows ``init`` kept of the plan it validated. An online step that moves
+nobody is not re-checked: tick 0 passed ``validate_agents``, and every
+later state was checked or repeats a checked one. The policy is asked every
+tick; a Simulator keeps the proposals of its last tick when that tick moved
+nobody, and a tick that proposes the same again moves nobody either,
+without the legality check or the shield. The policy module keeps no state.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count
 from operator import eq, getitem, ne
 from operator import index as as_index
 from pathlib import Path
@@ -32,11 +32,12 @@ import numpy as np
 from .errors import InvariantViolation, ParseError, ScenarioError, solve_error
 from .mapf import (
     Solution,
+    _joint_rows,
     as_cell,
     as_finite,
     as_int,
+    as_origin,
     as_positive,
-    cell_at,
     detect_conflicts,
     make_solution,
     path_cost,
@@ -101,7 +102,7 @@ class RunMetrics:
 
 
 def _with_tuple_cells(solution: Solution) -> Solution:
-    """A validated plan as the replay hashes it, every path a tuple of cell tuples:
+    """A validated plan as the replay keeps its rows, every path a tuple of cell tuples:
     ``solution`` itself when it is one already, else a copy with its sequences made tuples."""
     paths = list(solution.paths.values())
     if set(map(type, paths)) | set(map(type, chain.from_iterable(paths))) <= {tuple}:
@@ -122,6 +123,7 @@ class Simulator:
         self._agents = ()
         self._solution = None
         self._arrivals = None
+        self._replay = None  # the validated plan's ids and joint rows, which precomputed ticks read
         self._stats = None
         self._policy = None
         self._computation_time = 0.0
@@ -186,6 +188,7 @@ class Simulator:
                 )
             self._solution = solution
             self._arrivals = arrivals
+            self._replay = _joint_rows(solution.paths)[::2]  # ids and rows of the tuple-cell paths just validated
             mode = PRECOMPUTED_MODE
         return self._rewind(mode)
 
@@ -231,13 +234,15 @@ class Simulator:
         return self._stats
 
     def step(self) -> SimState:
-        """Advance one tick; a state with everyone at goal is a fixpoint no-op."""
+        """Advance one tick; a state with everyone at goal is a fixpoint no-op. Only online ticks are re-checked."""
         cur = self.state
         if cur.all_at_goal:
             return cur
         tick = cur.tick + 1
-        if cur.mode == PRECOMPUTED_MODE:
-            nxt = {a.id: cell_at(self._solution.paths[a.id], tick) for a in self._agents}
+        if cur.mode == PRECOMPUTED_MODE:  # the row init kept of the plan it validated; a replay ends by the last row
+            ids, rows = self._replay
+            nxt = dict(zip(ids, rows[tick]))
+            status = self._statuses(nxt, tick, cur.mode)
         else:
             view = WorldView(self._grid, self._agents, cur.cells)
             t0 = time.perf_counter()
@@ -253,16 +258,16 @@ class Simulator:
                 kept = nxt == cur.cells and all(type(p) is tuple for p in proposals.values())
                 self._stalled = dict(proposals) if kept else None  # a copy: the policy may reuse its dict
             self._policy_time += time.perf_counter() - t0
-        if nxt != cur.cells:
-            conflicts = step_conflicts(cur.cells, nxt, tick)
-            if conflicts:
-                c = min(conflicts, key=lambda c: c.sort_key)
-                raise InvariantViolation(f"agents {c.agents[0]} and {c.agents[1]} collide at tick {c.time} on {c.cells}")
-            status = self._statuses(nxt, tick, cur.mode)
-        elif cur.mode == ONLINE_MODE and FAILED not in cur.status.values():
-            status = dict(cur.status)  # nobody moved, and online statuses depend on cells alone (not a run's FAILED marks)
-        else:
-            status = self._statuses(nxt, tick, cur.mode)
+            if nxt != cur.cells:
+                conflicts = step_conflicts(cur.cells, nxt, tick)
+                if conflicts:
+                    c = min(conflicts, key=lambda c: c.sort_key)
+                    raise InvariantViolation(f"agents {c.agents[0]} and {c.agents[1]} collide at tick {c.time} on {c.cells}")
+                status = self._statuses(nxt, tick, cur.mode)
+            elif FAILED not in cur.status.values():
+                status = dict(cur.status)  # nobody moved, and online statuses depend on cells alone (not a run's FAILED marks)
+            else:
+                status = self._statuses(nxt, tick, cur.mode)
         state = SimState(tick, nxt, status, cur.mode)
         self._states.append(state)
         return state
@@ -463,37 +468,36 @@ def execute_plan(solution: Solution, cell_duration: float, resolution: float, or
     order, so the log is in (timestamp, agent id) order. Its tables hold
     one agent id per non-empty path, one timestamp per step and one
     position per distinct cell, worked out from the first of the equal
-    cells in the stream. The codes are filled as ``mapf._plan_array``
-    reads a plan: C-level passes pad and transpose the paths into joint
-    rows and mark each joint row that differs from the one before it; only
-    those rows are compared cell by cell, and only the cells where a path
-    moves are looked up, so a frozen fleet's repeated cells are never read.
-    ``cell_duration`` must be positive and finite, and so must the last
-    timestamp.
+    cells in the stream. The codes are filled from ``mapf._joint_rows``:
+    only the rows marked fresh are compared cell by cell, and only the cells
+    where a path moves are looked up, so a frozen fleet's repeated cells are
+    never read. ``cell_duration`` and ``resolution`` must be positive and
+    finite, ``origin`` three finite values, and so must the last timestamp
+    and every position be.
     """
     as_positive(cell_duration, "cell_duration")
-    ox, oy, oz = (float(v) for v in origin)
-    paths = sorted((aid, cells) for aid, cells in solution.paths.items() if len(cells))
-    lens = np.fromiter((len(cells) for _, cells in paths), np.int64, len(paths))
-    steps = int(lens.max(initial=0))
+    ox, oy, oz = as_origin(origin)
+    resolution = as_positive(resolution, "resolution")
+    ids, lens, rows, fresh = _joint_rows(solution.paths)
+    steps = len(rows)
     if not math.isfinite((steps - 1) * cell_duration):
         raise ValueError(f"cell_duration {cell_duration!r} makes the last timestamp, at step {steps - 1}, overflow")
-    # joint rows, an ended path parked on its last cell object
-    padded = (cells if len(cells) == steps else chain(cells, repeat(cells[-1], steps - len(cells))) for _, cells in paths)
-    rows = list(zip(*padded))
-    moved = np.zeros((steps, len(paths)), bool)  # where a path's cell differs from the one before it
-    for t in compress(range(steps), map(ne, rows, chain((None,), rows))):
-        moved[t] = np.fromiter(map(ne, rows[t], rows[t - 1]), bool, len(paths)) if t else True
+    moved = np.zeros((steps, len(ids)), bool)  # where a path's cell differs from the one before it
+    for t in compress(range(steps), fresh):
+        moved[t] = np.fromiter(map(ne, rows[t], rows[t - 1]), bool, len(ids)) if t else True
     starts = list(compress(chain.from_iterable(rows), moved.ravel().tolist()))  # the cells moved to, in stream order
     code = dict(zip(dict.fromkeys(starts), count()))  # equal cells share the code of the first in the stream
     places = tuple((ox + (i + 0.5) * resolution, oy + (j + 0.5) * resolution, oz + (k + 0.5) * resolution) for i, j, k in code)
+    if not all(map(math.isfinite, chain.from_iterable(places))):
+        cell = next(c for c, place in zip(code, places) if not all(map(math.isfinite, place)))
+        raise ValueError(f"resolution {resolution!r} and origin {origin!r} make the position of cell {cell} overflow")
     at = np.zeros(moved.shape, np.int32)  # each (step, path)'s position code
     at[moved] = np.fromiter(map(code.__getitem__, starts), np.int32, len(starts))
     last = np.maximum.accumulate(np.where(moved, np.arange(steps)[:, None], 0), axis=0)  # the step of each path's last move
-    at = at[last, np.arange(len(paths))]
-    live = np.arange(steps)[:, None] < lens  # stream order is the C order of this (step, path) mask
+    at = at[last, np.arange(len(ids))]
+    live = np.arange(steps)[:, None] < np.array(lens, np.int64)  # stream order is the C order of this (step, path) mask
     step, path = np.nonzero(live)
-    tables = (tuple(aid for aid, _ in paths), tuple(t * cell_duration for t in range(steps)), places, _HOLDS)
+    tables = (tuple(ids), tuple(t * cell_duration for t in range(steps)), places, _HOLDS)
     return WaypointLog._of(tables, np.stack([path, step, at[live], ~moved[live]], axis=1, dtype=np.int32))
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, ParseError, UnsupportedFormatError
-from .mapf import as_cell, as_finite, as_int, as_positive
+from .mapf import as_cell, as_int, as_origin, as_positive
 
 GRID_MAGIC = b"SKYGRID1"
 DEFAULT_CELL_CAP = 2**28
@@ -40,13 +40,7 @@ def cell_count(dims) -> int:
 
 def grid_frame(origin, resolution, dims):
     """The checked (origin, resolution, dims) of a grid and its ``cell_count``: the rule of its constructor and the SKYGRID1 reader."""
-    try:
-        frame = tuple(as_finite(v, "origin") for v in origin)
-    except TypeError:  # not a sequence
-        frame = ()
-    if len(frame) != 3:
-        raise ValueError(f"origin must be three finite real numbers, got {origin!r}")
-    dims = as_cell(dims, "dims")
+    frame, dims = as_origin(origin), as_cell(dims, "dims")
     return frame, as_positive(resolution, "resolution"), dims, cell_count(dims)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from skyrover import AGV, UAV, Agent, InvariantViolation, OccupancyGrid3D, WaypointCommand
 from skyrover.astar import Budget, _cell, _cell_ids, _Neighbours
-from skyrover.mapf import MOVES, VERTEX, Violation, as_cell, per_grid
+from skyrover.mapf import MOVES, VERTEX, Violation, as_cell, cell_at, path_cost, per_grid
+from skyrover.sim import AT_GOAL, EN_ROUTE
 
 
 def static_bfs_cost(grid, kind, start, goal):
@@ -557,3 +558,19 @@ def lower_rows(solution, cell_duration, resolution, origin):
             centres[cell] = (ox + (i + 0.5) * resolution, oy + (j + 0.5) * resolution, oz + (k + 0.5) * resolution)
         rows.append(WaypointCommand(aid, stamps[t], centres[cell], hold))
     return tuple(rows)
+
+
+def cell_at_replay(agents, paths):
+    """A replayed plan's states as ``(tick, cells, status)``, built with one ``cell_at`` lookup per agent per tick.
+
+    ``agents`` are the roster in id order. Tick 0 holds every agent's start;
+    tick t holds each path's cell at t as a tuple (an ended path stays on its
+    last cell), and an agent is at goal from its path's arrival tick on. The
+    run ends at the makespan, the latest arrival.
+    """
+    arrivals = {aid: path_cost(cells) for aid, cells in paths.items()}
+    states = []
+    for t in range(max(arrivals.values(), default=0) + 1):
+        cells = {a.id: tuple(cell_at(paths[a.id], t)) if t else a.start for a in agents}
+        states.append((t, cells, {a.id: AT_GOAL if t >= arrivals[a.id] else EN_ROUTE for a in agents}))
+    return states

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -453,6 +454,20 @@ def test_sim_replays_plan_and_exports(warehouse_files, tmp_path, capsys):
     scenario = load_scenario(scenario_path)
     final = log_lines[-1]["cells"]
     assert all(tuple(final[str(a.id)]) == a.goal for a in scenario.agents)
+
+
+def test_sim_replay_of_the_ci_ct_plan_writes_its_pinned_tick_log(tmp_path, capsys):
+    """The CI console step's ``ct`` world and CBS plan replayed with ``--ticks``; both digests recorded when each tick looked every agent's cell up."""
+    argv = ["gen-warehouse", "--dims", "40", "30", "6", "--shelf-rows", "6", "--agents", "4uav+10agv", "--seed", "7"]
+    assert main(argv + ["-o", str(tmp_path / "ct")]) == 0
+    scenario, plan = str(tmp_path / "ct.json"), str(tmp_path / "ct-plan.json")
+    assert main(["solve", "--scenario", scenario, "--alg", "cbs", "-o", plan]) == 0
+    ticks, wp = tmp_path / "ct-plan-ticks.jsonl", tmp_path / "ct-plan.csv"
+    assert main(["sim", "--scenario", scenario, "--plan", plan, "--waypoints", str(wp), "--cell-duration", "0.5", "--ticks", str(ticks)]) == 0
+    summary = "simulated 44 ticks mode=precomputed-plan success_rate=100.0% makespan=44 sum_of_costs=359 comp_time_s="
+    assert capsys.readouterr().out.splitlines()[-1].startswith(summary)
+    assert hashlib.sha256(ticks.read_bytes()).hexdigest() == "920ccdda2694ad8514bae33b0e4c8945e67be4bf47aa1faf4be94da31d74855e"
+    assert hashlib.sha256(wp.read_bytes()).hexdigest() == "e470e02e7df6b91de039cd07d5419512eb3e851fec1cb4aa97d3264ca72c9b2b"
 
 
 def test_sim_online_succeeds_in_open_grid(tmp_path, capsys):

@@ -740,6 +740,11 @@ _ENTRY_POINTS = {
         "real",
         _stores_nothing(lambda v, _: execute_plan(make_solution({0: ((0, 0, 0), (1, 0, 0))}), v, 1.0, (0, 0, 0))),
     ),
+    "execute_plan.resolution": (
+        "resolution",
+        "real",
+        _stores_nothing(lambda v, _: execute_plan(make_solution({0: ((0, 0, 0), (1, 0, 0))}), 1.0, v, (0, 0, 0))),
+    ),
     "Simulator.run.max_ticks": ("max_ticks", "int", _run_budget),
     "run_cell.repeats": ("repeats", "int", _stores_nothing(_run_cell)),
 }

@@ -31,6 +31,7 @@ from skyrover import (
     generate_warehouse,
     make_solution,
     manhattan,
+    path_cost,
     plan_from_bytes,
     plan_to_bytes,
     run_task,
@@ -46,7 +47,7 @@ import skyrover.solvers
 import skyrover.tasks
 from skyrover.sim import AT_GOAL, EN_ROUTE, FAILED, PRECOMPUTED_MODE, RunRecord, SimState
 
-from oracles import lower_rows, pairwise_shield, random_walk_paths
+from oracles import cell_at_replay, lower_rows, pairwise_shield, random_instance, random_walk_paths
 
 
 def _scenario(dims, agents, **kw):
@@ -362,6 +363,72 @@ def test_a_supplied_plan_of_list_or_numpy_cells_replays_as_its_tuple_plan():
         assert collect_metrics(record) == collect_metrics(expected), name
 
 
+@pytest.mark.parametrize("supplied", [False, True], ids=["planned", "supplied"])
+def test_a_replay_reads_the_plan_init_validated(supplied):
+    """Replacing a path in ``sim.solution.paths`` after init changes neither the run nor a run after reset."""
+    grid, agents = generate_warehouse((24, 20, 6), 3, "2uav+4agv", seed=9)
+    sc = Scenario(grid=grid, agents=agents)
+    plan = solve(grid, agents, SolverConfig(algorithm="cbs")).solution
+    fresh = Simulator()
+    fresh.init(sc, solution=make_solution(plan.paths))
+    expected = fresh.run().states
+    sim = Simulator()
+    if supplied:
+        sim.init(sc, solution=plan)
+    else:
+        sim.init(sc, SolverConfig(algorithm="cbs"))
+    mover = next(a for a in agents if len(sim.solution.paths[a.id]) > 2)
+    sim.solution.paths[mover.id] = (mover.start,) * len(sim.solution.paths[mover.id])  # parked where it starts
+    assert sim.run().states == expected
+    sim.reset()
+    assert sim.run().states == expected
+
+
+_CELL_FORMS = {
+    "tuples": lambda cells: cells,
+    "lists": lambda cells: [list(c) for c in cells],
+    "numpy ints": lambda cells: tuple(tuple(np.int64(v) for v in c) for c in cells),
+}
+
+
+def _ragged_plan(plan_seed):
+    """A solved random instance whose paths are cut back to their arrival and then given 0-3 trailing waits.
+
+    The first agent's goal is its start, so its path is a single cell; the
+    last agent to arrive waits 1-3 ticks past the makespan.
+    """
+    rng = random.Random(plan_seed)
+    solution = None
+    while solution is None:  # an instance without a solution is drawn again
+        grid, agents = random_instance(rng, (6, 5, 2), rng.randrange(2, 6), density=0.15)
+        agents = (replace(agents[0], goal=agents[0].start),) + agents[1:]
+        solution = solve(grid, agents, SolverConfig(algorithm="cbs")).solution
+    paths = {aid: cells[: path_cost(cells) + 1] for aid, cells in solution.paths.items()}
+    still = agents[0].id
+    last = max((aid for aid in paths if aid != still), key=lambda aid: len(paths[aid]))
+    waits = {aid: 0 if aid == still else rng.randrange(aid == last, 4) for aid in paths}
+    return grid, agents, {aid: cells + cells[-1:] * waits[aid] for aid, cells in paths.items()}
+
+
+@pytest.mark.parametrize("form", sorted(_CELL_FORMS))
+@pytest.mark.parametrize("plan_seed", range(8))
+def test_a_replay_equals_a_cell_at_lookup_per_agent(plan_seed, form):
+    """Each tick's cells and statuses against ``oracles.cell_at_replay``, on ragged plans of tuple, list and numpy-int cells, also after reset."""
+    grid, agents, paths = _ragged_plan(plan_seed)
+    objectives = make_solution(paths)
+    assert len(paths[agents[0].id]) == 1 and max(map(len, paths.values())) > objectives.makespan + 1
+    supplied = {aid: _CELL_FORMS[form](cells) for aid, cells in paths.items()}
+    sim = Simulator()
+    sim.init(Scenario(grid=grid, agents=agents), solution=Solution(supplied, objectives.sum_of_costs, objectives.makespan))
+    expected = cell_at_replay(sorted(agents, key=lambda a: a.id), supplied)
+    for _ in range(2):
+        states = sim.run().states
+        assert [(s.tick, s.cells, s.status) for s in states] == expected
+        assert all(list(s.cells) == list(s.status) == [a.id for a in agents] for s in states)
+        assert all(type(cell) is tuple for s in states for cell in s.cells.values())
+        sim.reset()
+
+
 def test_online_mode_runs_to_goal():
     # routes chosen not to cross: the UAV tops out at y=4, the AGV rides y=5
     agents = [Agent(0, UAV, (0, 0, 0), (5, 4, 2)), Agent(1, AGV, (0, 5, 0), (5, 5, 0))]
@@ -427,7 +494,10 @@ def test_online_run_at_bench_scale_is_pinned():
 
 
 def test_a_tick_that_moves_nobody_is_not_rechecked(monkeypatch):
-    """The pinned online run with ``step_conflicts`` counted: no repeated tick calls it, and the states stay pinned."""
+    """The pinned online run with ``step_conflicts`` counted: no repeated tick calls it, and the states stay pinned.
+
+    A replayed plan's ticks read the rows ``init`` validated and call it never.
+    """
     grid, agents = generate_warehouse((40, 30, 6), 6, "8uav+24agv", seed=7)
     checked = []
     check = skyrover.sim.step_conflicts
@@ -453,6 +523,11 @@ def test_a_tick_that_moves_nobody_is_not_rechecked(monkeypatch):
     assert FAILED in stalled.status.values()
     after = sim.step()
     assert after.cells == stalled.cells and FAILED not in after.status.values()  # a run's marks are not carried on
+
+    checked.clear()
+    sim.init(Scenario(grid=grid, agents=agents), SolverConfig(algorithm="cbs"))
+    replay = sim.run()
+    assert checked == [] and replay.states[-1].tick == sim.solution.makespan > 0 and replay.states[-1].all_at_goal
 
 
 def test_determinism_of_trajectories_and_exports():
@@ -606,6 +681,33 @@ def test_cell_duration_whose_last_timestamp_overflows_is_rejected():
     assert execute_plan(three_steps, 8e307, 1.0, (0, 0, 0))[-1].timestamp == 1.6e308
     with pytest.raises(ValueError, match="last timestamp, at step 2, overflow"):
         execute_plan(three_steps, 1e308, 1.0, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "resolution, origin, message",
+    [
+        (math.nan, (0, 0, 0), "resolution must be positive and finite, got nan"),
+        (math.inf, (0, 0, 0), "resolution must be positive and finite, got inf"),
+        (0, (0, 0, 0), "resolution must be positive and finite, got 0"),
+        (-0.5, (0, 0, 0), "resolution must be positive and finite, got -0.5"),
+        ("1.0", (0, 0, 0), "resolution must be positive and finite, got '1.0'"),
+        (1.0, (math.nan, 0, 0), "origin must be finite and real, got nan"),
+        (1.0, (0, 0, -math.inf), "origin must be finite and real, got -inf"),
+        (1.0, (0.0, 0.0), "origin must be three finite real numbers, got (0.0, 0.0)"),
+        (1.0, (0, 0, 0, 0), "origin must be three finite real numbers, got (0, 0, 0, 0)"),
+        (1.0, None, "origin must be three finite real numbers, got None"),
+        (1e308, (0, 0, 0), "resolution 1e+308 and origin (0, 0, 0) make the position of cell (2, 0, 0) overflow"),
+        (1e307, (1.7e308, 0, 0), "resolution 1e+307 and origin (1.7e+308, 0, 0) make the position of cell (1, 0, 0) overflow"),
+    ],
+    ids=["nan", "inf", "zero", "negative", "string", "nan-origin", "inf-origin", "two-values", "four-values", "no-origin", "far-cell", "far-origin"],
+)
+def test_execute_plan_refuses_a_frame_no_grid_could_have(resolution, origin, message):
+    """The frame follows ``grid_frame``'s rule, and a position that overflows is refused as the last timestamp is."""
+    sol = make_solution({0: ((0, 0, 0), (1, 0, 0), (2, 0, 0))})
+    with pytest.raises(ValueError) as err:
+        execute_plan(sol, 1.0, resolution, origin)
+    assert str(err.value) == message
+    assert execute_plan(sol, 1.0, 7e307, (-1e308, 0, 0))[-1].position == (-1e308 + 2.5 * 7e307, 0.5 * 7e307, 0.5 * 7e307)
 
 
 def test_ragged_plan_stream_is_pinned():
