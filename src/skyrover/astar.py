@@ -18,12 +18,12 @@ coordinate by at most 1 and costs 1, so a successor's f is f, f + 1 or
 f + 2: only three buckets are open at a time. The bucket being popped is a
 heap; the next two are plain lists, heapified when their turn comes. An
 entry is one int: the collision count on top, then h in
-``sum(dims).bit_length()`` bits, then the cell id in ``cells.bit_length()``
-bits (24 bits below the count on an 80x60x10 grid, so a key stays one
-30-bit digit up to 63 collisions). The per-axis Manhattan tables hold h
-already shifted into its field. Within one f, h fixes t = f - h, so keys
-ordered by (collisions, h, cell id) pop in the order of (f, collisions, h,
-state id) tuples on one heap.
+``sum(dims).bit_length()`` bits, then the cell id in
+``(cells - 1).bit_length()`` bits (24 bits below the count on an 80x60x10
+grid, so a key stays one 30-bit digit up to 63 collisions). The per-axis
+Manhattan tables hold h already shifted into its field. Within one f, h
+fixes t = f - h, so keys ordered by (collisions, h, cell id) pop in the
+order of (f, collisions, h, state id) tuples on one heap.
 
 A move mask per grid and agent kind, built by numpy, holds a byte per cell
 id whose bit m says that ``MOVES[kind][m]`` lands on a free in-bounds cell.
@@ -37,10 +37,15 @@ Paths go in and come out as tuples of (i, j, k) cells.
 
 The search keeps no closed set. Every step costs 1 and the heuristic is
 consistent, so pops come in nondecreasing (f, collisions) order: a state is
-never reached with fewer collisions once it has been expanded, and a popped
-entry whose count is above its state's best is a stale duplicate. A
-neighbour already reached with no more collisions is skipped before any
-table is probed.
+never reached with fewer collisions once it has been expanded. One dict,
+``seen``, maps a state id to its fewest collisions yet (a key's collision
+field) plus its parent's cell id below that field: a pop with another count
+is stale, a neighbour below ``coll + one`` was reached with no more
+collisions and is skipped unprobed, and a path is read back by
+``cid = seen[t * cells + cid] & cmask``. Per expanded state, a hard table
+without reserved paths (only ``forbid`` entries) is probed only if t + 1 is
+a forbid time, and the avoid table's swap (edge) entries only if a path is
+on the expanded cell at t + 1 or t + 1 is a forbid time.
 
 The search stops by dominance. From T, one past both tables' ``max_time``,
 no table changes, so a visit to a cell at t2 > t1 >= T is dominated by the
@@ -115,8 +120,9 @@ class ReservationTable:
     """Space-time cells and moves that are taken on one grid: reserved paths or CBS constraints.
 
     Entries are counted, one per reserving path, so a reserved path can be
-    taken back out (``release_path``). CBS keeps one such table as its
-    space-time occupancy index and moves it from node to node path by path.
+    taken back out (``release_path``); ``forbid`` entries, and the set of their
+    times, stay. CBS keeps one such table as its space-time occupancy index and
+    moves it from node to node path by path.
     Entries are keyed by the state and cell ids of the module docstring, which
     depend on the grid's dims, so a table serves only grids of those dims.
     ``max_time`` is an upper bound on the entries' times, not their maximum
@@ -130,6 +136,7 @@ class ReservationTable:
         self._edge = Counter()  # (state of v) * _span + u, for u -> v -> entries; it blocks v -> u
         self._terminal = {}  # cell id -> time from which it is parked forever
         self._ends = {}  # cell id -> Counter of the end times of the reserved paths ending there
+        self._forbid_times = set()  # the times of every forbid entry, never removed
         self.max_time = 0
 
     def _path_keys(self, cells):
@@ -164,7 +171,7 @@ class ReservationTable:
             del self._terminal[goal], self._ends[goal]
 
     def forbid(self, constraint) -> None:
-        """Block one CBS constraint: its cell at its time, or its move u -> v."""
+        """Block one CBS constraint: its cell at its time, or its move u -> v; its time joins the forbid times."""
         t = constraint.time
         ids = _cell_ids(self.dims, constraint.cells)
         span = self._span
@@ -173,6 +180,7 @@ class ReservationTable:
         else:
             u, v = ids
             self._edge[(t * span + u) * span + v] += 1  # as if a path moved v -> u
+        self._forbid_times.add(t)
         self.max_time = max(self.max_time, t)
 
     def touches(self, cells, t_end: int) -> list[int]:
@@ -325,19 +333,21 @@ def spacetime_astar(
     start_id, goal_id = _cell_ids(dims, (start, goal))
 
     min_arrival = 0
+    held, hard_times = False, ()  # a hard table holding a path is checked at every t1, else at its forbid times
     if blocked is not None:
         vertex, edge, terminal = blocked._vertex, blocked._edge, blocked._terminal
+        held, hard_times = bool(blocked._ends), blocked._forbid_times
         if goal_id in terminal or start_id in vertex:
             return None  # someone parks on the goal forever, or holds the start at t=0
         # one step past the goal's last blocked timestep
         min_arrival = next((t + 1 for t in range(blocked.max_time, -1, -1) if t * span + goal_id in vertex), 0)
     if avoid is not None:
-        soft_vertex, soft_edge, soft_terminal = avoid._vertex, avoid._edge, avoid._terminal
+        soft_vertex, soft_edge, soft_terminal, soft_times = avoid._vertex, avoid._edge, avoid._terminal, avoid._forbid_times
     settle = max(blocked.max_time if blocked else 0, avoid.max_time if avoid else 0) + 1  # T
     settled = {}  # cell id -> the t >= settle at which it was expanded, the earliest
 
     # the Manhattan heuristic, one table per axis, pre-shifted into the key's h field
-    cbits = span.bit_length()  # width of the cell id field
+    cbits = (span - 1).bit_length()  # width of the cell id field: the fewest bits that hold the largest id
     hbits = cbits + sum(dims).bit_length()  # the collision count sits above the h and cell id fields
     hx, hy, hz = ([abs(c - g) << cbits for c in range(n)] for g, n in zip(goal, dims))
     cmask, low_mask, one = (1 << cbits) - 1, (1 << hbits) - 1, 1 << hbits  # one: a soft collision
@@ -346,8 +356,7 @@ def spacetime_astar(
     # only the soft-collision count can differ between two visits of a state
     f = hs >> cbits
     now, later, last = [hs + start_id], [], []  # the buckets of f, f + 1 and f + 2; the start state: t = 0
-    coll_best = {start_id: 0}  # state id -> its fewest collisions yet, as a key's collision field
-    parent = {}
+    seen = {start_id: 0}  # state id -> its fewest collisions yet, as a key's collision field, + its parent's cell id
     counted = 0  # expansions not yet charged to the budget
     due = budget.headroom()
 
@@ -361,7 +370,7 @@ def spacetime_astar(
             hs = low - cid
             t = f - (hs >> cbits)
             state = t * span + cid
-            if coll != coll_best[state]:
+            if seen[state] ^ coll > cmask:
                 continue  # stale: the state was pushed again with fewer collisions, and expanded then
             if t >= settle and settled.setdefault(cid, t) < t:
                 continue  # dominated by the cell's expansion at an earlier t >= settle
@@ -375,20 +384,22 @@ def spacetime_astar(
                     budget.charge(counted)
                 entries = nbrs.entries
                 cells = []
-                while state in parent:
-                    cells.append(entries[state % span][1:])
-                    state = parent[state]
+                for t in range(t, 0, -1):
+                    cells.append(entries[cid][1:])
+                    cid = seen[t * span + cid] & cmask
                 cells.append(_cell(dims, start_id))
                 return tuple(reversed(cells))
             t1 = t + 1
             base = t1 * span  # + v: the state of v at t1
             back = (base + cid) * span  # + v: the key of a move v -> cid arriving at t1
+            hard = held or t1 in hard_times  # without paths, the table has entries at its forbid times only
+            swap = avoid is not None and (base + cid in soft_vertex or t1 in soft_times)  # some path may arrive on cid
             for ncid, ci, cj, ck in nbrs[cid]:
                 nstate = base + ncid
-                best = coll_best.get(nstate)
-                if best is not None and best <= coll:
+                best = seen.get(nstate)
+                if best is not None and best < coll + one:
                     continue  # reached before with no more collisions
-                if blocked is not None and (
+                if hard and (
                     nstate in vertex
                     or back + ncid in edge
                     or (ncid in terminal and terminal[ncid] <= t1)
@@ -397,14 +408,13 @@ def spacetime_astar(
                 ncoll = coll
                 if avoid is not None and (
                     nstate in soft_vertex
-                    or back + ncid in soft_edge
+                    or (swap and back + ncid in soft_edge)
                     or (ncid in soft_terminal and soft_terminal[ncid] <= t1)
                 ):
                     ncoll += one
-                    if best is not None and best <= ncoll:
+                    if best is not None and best < ncoll + one:
                         continue
-                coll_best[nstate] = ncoll
-                parent[nstate] = state
+                seen[nstate] = ncoll + cid
                 nhs = hx[ci] + hy[cj] + hz[ck]
                 if nhs < hs:  # a step towards the goal keeps f
                     heappush(now, ncoll + nhs + ncid)

@@ -186,7 +186,7 @@ class Simulator:
                     f"supplied plan says sum_of_costs={solution.sum_of_costs} makespan={solution.makespan}, "
                     f"its paths give sum_of_costs={costs[0]} makespan={costs[1]}"
                 )
-            self._solution = solution
+            self._solution = replace(solution, paths=dict(solution.paths))  # its own dict: the caller's edits reach neither run nor record
             self._arrivals = arrivals
             self._replay = _joint_rows(solution.paths)[::2]  # ids and rows of the tuple-cell paths just validated
             mode = PRECOMPUTED_MODE
@@ -225,8 +225,8 @@ class Simulator:
 
     @property
     def solution(self) -> Solution | None:
-        """The validated plan being replayed, every path a tuple of cell tuples; None in online mode."""
-        return self._solution
+        """The validated plan being replayed, every path a tuple of cell tuples, over a dict of its own; None online."""
+        return None if self._solution is None else replace(self._solution, paths=dict(self._solution.paths))
 
     @property
     def stats(self) -> SolveStats | None:
@@ -297,7 +297,7 @@ class Simulator:
             mode=self.state.mode,
             computation_time=self.computation_time,
             states=tuple(self._states),
-            solution=self._solution,
+            solution=self.solution,
             budget=budget,
         )
 

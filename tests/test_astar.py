@@ -662,3 +662,149 @@ def test_released_paths_leave_the_terminal_times_of_a_rescan():
                 cid = (i * ny + j) * nz + k
                 rescan[cid] = min(rescan.get(cid, len(cells)), len(cells) - 1)
             assert table._terminal == rescan
+
+
+class _CountedProbes(Counter):
+    """A table's entry Counter that counts the membership probes made of it."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+class _TalliedTimes(set):
+    """A table's set of forbid times that tallies its answers to membership tests."""
+
+    def __init__(self, times):
+        super().__init__(times)
+        self.answers = Counter()
+
+    def __contains__(self, t):
+        hit = super().__contains__(t)
+        self.answers[hit] += 1
+        return hit
+
+
+def _gate_table(rng, grid, kind, route, what, crowd, seen):
+    """A table of up to ``crowd`` random-walk paths (``what`` names ``paths``), constraints, or both, for the gate test.
+
+    Constraints sit on ``route``'s states and moves, as CBS adds them, or on
+    random free cells; an edge constraint leaves, at its time, a cell that
+    some reserved path is on or one that none is. ``released`` takes every
+    path back out and keeps the constraints.
+    """
+    dims = grid.dims
+    table = ReservationTable(grid)
+    paths = [] if what == "constraints" else list(random_walk_paths(rng, dims, rng.randrange(1, crowd), 12).values())
+    for cells in paths:
+        table.reserve_path(cells)
+    if what != "paths":
+        pool = free_cells(grid, kind)
+        for _ in range(rng.randrange(1, 8)):
+            t = rng.randrange(1, 12)
+            held = [cells[t] for cells in paths if t < len(cells)]
+            if held and rng.random() < 0.4:
+                u = rng.choice(held)
+            elif t < len(route) and rng.random() < 0.6:
+                u = route[t - 1]
+            else:
+                u = rng.choice(pool)
+            steps = [v for v in _legal_cells(grid, kind, u) if v != u]
+            if steps and rng.random() < 0.6:
+                v = route[t] if t < len(route) and u == route[t - 1] != route[t] else rng.choice(steps)
+                table.forbid(Constraint(0, EDGE, t, (u, v)))
+                seen["edge on a path's cell" if u in held else "edge off every path"] += 1
+            else:
+                table.forbid(Constraint(0, VERTEX, t, (route[t] if t < len(route) and rng.random() < 0.5 else u,)))
+    if what == "released":
+        for cells in paths:
+            table.release_path(cells)
+    return table
+
+
+def test_table_gates_match_the_tuple_heap():
+    """Path, expansions charged and the point a limit trips, against the tuple-heap search, on
+    tables built so that each probe gate both opens and stays shut.
+
+    The hard gate probes a table without reserved paths only at its forbid
+    times; the swap gate probes the avoid table's edges only where a path is
+    on the expanded cell, or at a forbid time. Tables hold constraints,
+    paths, both, or constraints whose paths were all released; avoid tables
+    may carry constraints too, and crowd the tiny grids, where a state is
+    often reached again with one collision fewer. Some dims make the largest
+    cell id fill its key field, and paths leave that cell, so a parent's cell
+    id equals the field's mask.
+    """
+    rng = random.Random(3838)
+    seen = Counter()
+    for _ in range(700):
+        dims = rng.choice(((8, 4, 1), (4, 4, 2), (4, 2, 4), (9, 7, 1), (8, 6, 3), (4, 2, 1), (2, 2, 2)))
+        nx, ny, nz = dims
+        grid = random_grid(rng, dims, density=rng.choice((0.1, 0.25)))
+        kind = AGV if nz == 1 or rng.random() < 0.3 else UAV
+        pool = free_cells(grid, kind)
+        if len(pool) < 2:
+            continue
+        start, goal = rng.sample(pool, 2)
+        largest = (nx - 1, ny - 1, nz - 1)
+        ends = [c for c in (largest, (0, 0, 0)) if c in pool and c != goal]  # cell ids cmask and 0
+        if ends and rng.random() < 0.5:
+            start = rng.choice(ends)
+        route = spacetime_astar(grid, kind, start, goal) or (start,)
+        hard = rng.choice((None, "constraints", "paths", "both", "released"))
+        soft = rng.choice((None, "paths", "both"))
+        blocked = hard and _gate_table(rng, grid, kind, route, hard, 5, seen)
+        avoid = soft and _gate_table(rng, grid, kind, route, soft, 10 if nx * ny * nz == 8 else 5, seen)
+        tables = [table for table in (blocked, avoid) if table is not None]
+        for table in tables:
+            table._edge = _CountedProbes(table._edge)
+            table._forbid_times = _TalliedTimes(table._forbid_times)
+        limit = rng.choice((None, None, rng.randrange(1, 120)))
+        clock = rng.random() < 0.3
+        runs = []
+        for search in (spacetime_astar, tuple_heap_astar):
+            for table in tables:
+                table._edge.probes = 0
+                table._forbid_times.answers.clear()
+            budget = Budget(limit, 1e6 if clock else None)
+            try:
+                outcome = search(grid, kind, start, goal, blocked, budget, avoid)
+            except ResourceLimitError:
+                outcome = "limit"
+            runs.append(((outcome, budget.used), [(t._edge.probes, t._forbid_times.answers.copy()) for t in tables]))
+        (outcome, probes), (expected, oracle_probes) = runs
+        assert outcome == expected
+        for table, (n, answers), (n_oracle, _) in zip(tables, probes, oracle_probes):
+            assert n <= n_oracle  # a gate only skips probes
+            if table is blocked and hard in ("paths", "both"):
+                assert n == n_oracle  # a table that holds a path is probed on every expansion
+                continue
+            gate = "hard" if table is blocked else "swap"
+            seen[f"{gate} gate opens"] += n > 0
+            seen[f"{gate} gate stays shut"] += n < n_oracle
+            if table is avoid:
+                seen["swap gate opens on a forbid time alone"] += answers[True] > 0
+        if blocked is not None and hard == "released":
+            assert not blocked._ends and not blocked._terminal
+            seen["released"] += 1
+        path = outcome[0]
+        if isinstance(path, tuple) and nx * ny * nz & (nx * ny * nz - 1) == 0 and largest in path[:-1]:
+            seen["a parent cell id equals the field's mask"] += 1
+        seen["limit"] += path == "limit"
+        seen["solved"] += isinstance(path, tuple)
+    kinds = (
+        "hard gate opens",
+        "hard gate stays shut",
+        "swap gate opens",
+        "swap gate stays shut",
+        "swap gate opens on a forbid time alone",
+        "edge on a path's cell",
+        "edge off every path",
+        "released",
+        "a parent cell id equals the field's mask",
+        "limit",
+        "solved",
+    )
+    assert all(seen[k] >= 10 for k in kinds), seen

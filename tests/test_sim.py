@@ -228,7 +228,7 @@ def test_reset_keeps_a_replayed_plan_and_solves_nothing(monkeypatch):
     monkeypatch.setattr(skyrover.sim, "solve", no_second_solve)
     again = sim.reset()
     assert again == first
-    assert sim.solution is plan
+    assert sim.solution == plan
     assert sim.computation_time == 0.0
     assert sim.run().states[-1].tick == plan.makespan
 
@@ -382,6 +382,29 @@ def test_a_replay_reads_the_plan_init_validated(supplied):
     assert sim.run().states == expected
     sim.reset()
     assert sim.run().states == expected
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["planned", "supplied"])
+def test_the_record_judges_the_plan_init_validated(supplied):
+    """A moving path replaced by its start cell after init, in ``sim.solution.paths`` and in the dict
+    passed to init, reaches neither the run nor the record ``collect_metrics`` judges."""
+    grid, agents = generate_warehouse((24, 20, 6), 3, "2uav+4agv", seed=9)
+    sc = Scenario(grid=grid, agents=agents)
+    plan = make_solution(solve(grid, agents, SolverConfig(algorithm="cbs")).solution.paths)
+    validated = dict(plan.paths)
+    sim = Simulator()
+    if supplied:
+        sim.init(sc, solution=plan)
+    else:
+        sim.init(sc, SolverConfig(algorithm="cbs"))
+    mover = next(a for a in agents if len(validated[a.id]) > 2)
+    sim.solution.paths[mover.id] = plan.paths[mover.id] = (mover.start,)
+    record = sim.run()
+    assert collect_metrics(record).success_rate == 1.0
+    assert sim.solution.paths == record.solution.paths == validated
+    assert record.solution.paths is not sim.solution.paths
+    sim.solution.paths.clear()
+    assert collect_metrics(record).success_rate == 1.0 and collect_metrics(sim.run()).success_rate == 1.0
 
 
 _CELL_FORMS = {
