@@ -30,10 +30,9 @@ id whose bit m says that ``MOVES[kind][m]`` lands on a free in-bounds cell.
 From it, each cell's neighbours, in ``MOVES`` order, are listed as (cell id,
 i, j, k) entries the first time a search expands the cell and kept on the
 grid (``mapf.per_grid``) for every later search on it; a found path reads
-its cells back from those entries. The online path reads the same moves as
-(i, j, k) tuples from a second table per kind (``legal_moves``), keyed by
-the (i, j, k) cell itself, so a tick costs one dict subscript per agent.
-Paths go in and come out as tuples of (i, j, k) cells.
+its cells back from those entries. The online policy reads the mask itself
+(``move_mask``): a proposed move is legal when its bit is set. Paths go in
+and come out as tuples of (i, j, k) cells.
 
 The search keeps no closed set. Every step costs 1 and the heuristic is
 consistent, so pops come in nondecreasing (f, collisions) order: a state is
@@ -60,7 +59,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from operator import index
 
 import numpy as np
 
@@ -238,7 +236,7 @@ class _Neighbours(dict):
     def __init__(self, grid, kind: str):
         super().__init__()
         self.dims = _, ny, nz = grid.dims
-        self.mask = per_grid(grid, _move_mask, kind)  # not the grid itself: the grid holds this dict
+        self.mask = move_mask(grid, kind)  # not the grid itself: the grid holds this dict
         self.patterns = [tuple(((di * ny + dj) * nz + dk, di, dj, dk) for di, dj, dk in p) for p in _PATTERNS[kind]]
         self.entries = {}
 
@@ -256,38 +254,9 @@ class _Neighbours(dict):
         return out
 
 
-class _LegalMoves(dict):
-    """(i, j, k) cell -> the cells an agent of one kind may occupy one tick later.
-
-    Filled on first use from the grid's move mask; it holds the mask, not
-    the grid. A cell outside the grid raises ``ValueError`` on every lookup
-    and is never stored, so an in-bounds lookup is a plain dict subscript.
-    Coordinates must be ints or numpy ints; they are stored as Python ints.
-    """
-
-    def __init__(self, grid, kind: str):
-        super().__init__()
-        self.dims = grid.dims
-        self.mask = per_grid(grid, _move_mask, kind)
-        self.patterns = _PATTERNS[kind]
-
-    def __missing__(self, cell):
-        nx, ny, nz = dims = self.dims
-        i, j, k = key = tuple(map(index, cell))  # numpy ints are stored, and looked up, as ints
-        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-            raise ValueError(f"cell {key} is outside the grid's dims {dims}")
-        moves = self.patterns[self.mask[(i * ny + j) * nz + k]]
-        self[key] = out = tuple([(i + di, j + dj, k + dk) for di, dj, dk in moves])
-        return out
-
-
-def legal_moves(grid, kind: str) -> _LegalMoves:
-    """The grid's table of next cells for agents of ``kind``, kept on it: subscript it with an (i, j, k) tuple.
-
-    A cell's entry lists the free, in-bounds cells of its ``MOVES``, in that
-    order and the wait included: the grid's neighbour list of the cell.
-    """
-    return per_grid(grid, _LegalMoves, kind)
+def move_mask(grid, kind: str) -> bytes:
+    """The grid's move mask for agents of ``kind`` (see ``_move_mask``), built once and kept on the grid."""
+    return per_grid(grid, _move_mask, kind)
 
 
 def spacetime_astar(

@@ -260,6 +260,11 @@ def step_conflicts(prev: dict, cur: dict, t: int = 0) -> list[Conflict]:
     the timestep ``cur`` belongs to. Cells are hashed, so the cost is
     O(n + conflicts). The output is unordered.
     """
+    return [Conflict(kind, (a, b), t, cells) for a, b, kind, cells in _collisions(prev, cur)]
+
+
+def _collisions(prev: dict, cur: dict) -> list[tuple]:
+    """``step_conflicts`` as plain ``(a, b, kind, cells)`` tuples, a < b, for callers that need no ``Conflict``."""
     out = []
     first = {}
     shared = {}
@@ -268,7 +273,7 @@ def step_conflicts(prev: dict, cur: dict, t: int = 0) -> list[Conflict]:
         if b != a:
             shared.setdefault(cell, [b]).append(a)
     for cell, group in shared.items():
-        out.extend(Conflict(VERTEX, pair, t, (cell,)) for pair in combinations(sorted(group), 2))
+        out.extend((a, b, VERTEX, (cell,)) for a, b in combinations(sorted(group), 2))
     movers = {}
     for a, v in cur.items():
         u = prev[a]
@@ -276,9 +281,9 @@ def step_conflicts(prev: dict, cur: dict, t: int = 0) -> list[Conflict]:
             continue
         for b in movers.get((v, u), ()):
             if a < b:
-                out.append(Conflict(EDGE, (a, b), t, (u, v)))
+                out.append((a, b, EDGE, (u, v)))
             else:
-                out.append(Conflict(EDGE, (b, a), t, (v, u)))
+                out.append((b, a, EDGE, (v, u)))
         movers.setdefault((u, v), []).append(a)
     return out
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import index
 
-from .astar import legal_moves
+from .astar import move_mask
 from .errors import InvariantViolation
-from .mapf import EDGE, KINDS, step_conflicts
+from .mapf import EDGE, KINDS, MOVES, VERTEX, WAIT, _collisions
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class GreedyShieldedPolicy:
         grid, agents, cells = view.grid, view.agents, view.cells
         kept_grid, kept_agents, rows, kept_cells, proposals = self._kept
         if kept_grid is not grid or kept_agents is not agents:
-            rows = [(a.id, _StepsToward(legal_moves(grid, a.kind), a.goal)) for a in agents]
+            rows = [(a.id, _StepsToward(grid, a.kind, a.goal)) for a in agents]
         elif cells == kept_cells:
             return dict(proposals)
         proposals = {aid: steps[cells[aid]] for aid, steps in rows}
@@ -62,27 +62,44 @@ class GreedyShieldedPolicy:
         return dict(proposals)
 
 
+# per kind: its wait's bit in the move mask; the bits below it are +i, -i, +j, -j (, +k, -k), as in ``toward``
+_WAITS = {kind: 1 << len(ms) - 1 for kind, ms in MOVES.items()}
+# per kind: a mask byte -> the move of its lowest set bit, the first in MOVES order (WAIT for none)
+_FIRST = {kind: [ms[(p & -p).bit_length() - 1] if p else WAIT for p in range(1 << len(ms))] for kind, ms in MOVES.items()}
+# per kind: a MOVES delta -> (its bit in the move mask, the delta)
+_BITS = {kind: {d: (1 << b, d) for b, d in enumerate(ms)} for kind, ms in MOVES.items()}
+_NOT_A_MOVE = (0, WAIT)
+
+
+def _outside(cell, dims) -> ValueError:
+    return ValueError(f"cell {tuple(map(index, cell))} is outside the grid's dims {dims}")
+
+
 class _StepsToward(dict):
     """cell -> the legal next cell nearest ``goal`` by Manhattan distance, the first in ``MOVES`` order
-    (``cell`` at the goal or with no legal move), filled on first use."""
+    (``cell`` at the goal or with no legal move), filled on first use from the kind's move mask. A move
+    changes the distance by one and a wait by none, so this is the first legal move toward the goal, else
+    a wait, else (on a cell whose own wait bit is clear) the first legal move."""
 
-    def __init__(self, moves, goal):
+    def __init__(self, grid, kind, goal):
         super().__init__()
-        self.moves = moves
-        self.goal = goal
+        self.mask, self.dims, self.goal = move_mask(grid, kind), grid.dims, goal
+        self.wait, self.first = _WAITS[kind], _FIRST[kind]
 
     def __missing__(self, cell):
         step = cell = tuple(map(index, cell))  # numpy ints are stored as ints
-        goal = self.goal
-        if cell != goal:
-            gi, gj, gk = goal
-            best = None
-            for option in self.moves[cell]:  # a cell outside the grid raises ValueError
-                i, j, k = option
-                d = abs(i - gi) + abs(j - gj) + abs(k - gk)
-                if best is None or d < best:  # the first minimum in move order
-                    best = d
-                    step = option
+        if cell != self.goal:
+            nx, ny, nz = self.dims
+            i, j, k = cell
+            if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+                raise _outside(cell, self.dims)
+            bits = self.mask[(i * ny + j) * nz + k]
+            gi, gj, gk = self.goal
+            toward = (gi > i) | (gi < i) << 1 | (gj > j) << 2 | (gj < j) << 3 | (gk > k) << 4 | (gk < k) << 5
+            toward &= bits & (self.wait - 1)
+            if toward or not bits & self.wait:
+                di, dj, dk = self.first[toward or bits]
+                step = (i + di, j + dj, k + dk)
         self[cell] = step
         return step
 
@@ -107,24 +124,24 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
     two movers, so the higher id waits. Two waiters on one cell mean the
     input already collides, which raises.
 
-    One full ``step_conflicts`` scan per call fills a heap of conflicting
-    pairs, each stamped with the round that found it. A pair's conflict
-    depends on the two agents' moves alone, so it holds until one of them is
-    downgraded; from then on the entry is stale and dropped when popped.
-    A move only ever turns into a wait, so downgrading agent x can only make
-    x collide with the agents that enter ``cells[x]`` (a waiter cannot
-    swap): those few are all that is scanned again, and their pairs with x
-    are queued with the next round's stamp (a swap that became a vertex
-    conflict among them). Every resolved round turns one mover into a
-    waiter, so the loop ends within one round per agent; no convergence
-    guard is needed, since a conflict left among waiters raises. The answer
-    depends on the two dicts alone; nothing is kept between calls.
+    One full scan per call (``mapf._collisions``: the rule's loops, no
+    ``Conflict`` objects) fills a heap of conflicting pairs, each stamped
+    with the round that found it. A pair's conflict depends on the two
+    agents' moves alone, so it holds until one of them is downgraded; from
+    then on the entry is stale and dropped when popped. A move only ever
+    turns into a wait, so downgrading agent x can only make x collide with
+    the agents that enter ``cells[x]``. Each of them ends there, as x now
+    does, so each pair is a vertex conflict (a waiter cannot swap), queued
+    with the next round's stamp without a scan. Every resolved round turns
+    one mover into a waiter, so the loop ends within one round per agent; no
+    convergence guard is needed, since a conflict left among waiters raises.
+    The answer depends on the two dicts alone; nothing is kept between calls.
     """
     moves = dict(proposals)
     entering = {}  # cell -> the agents whose move ends there
     for a, cell in moves.items():
         entering.setdefault(cell, []).append(a)
-    heap = [(*c.agents, 0, c.kind) for c in step_conflicts(cells, moves)]
+    heap = [(a, b, 0, kind) for a, b, kind, _ in _collisions(cells, moves)]
     heapify(heap)
     downgraded = {}  # agent -> the round it was turned into a waiter
     while heap:
@@ -144,33 +161,38 @@ def shield_moves(cells: dict, proposals: dict) -> dict:
         moves[offender] = here
         downgraded[offender] = rnd = len(downgraded)
         group = entering.setdefault(here, [])
+        for x in group:
+            heappush(heap, (x, offender, rnd + 1, VERTEX) if x < offender else (offender, x, rnd + 1, VERTEX))
         group.append(offender)
-        if len(group) > 1:
-            for c in step_conflicts(cells, {x: moves[x] for x in group}):
-                if offender in c.agents:  # pairs without it are already queued
-                    heappush(heap, (*c.agents, rnd + 1, c.kind))
     return moves
 
 
 def online_policy_step(view: WorldView, proposals: dict) -> dict:
     """One shielded joint move; every agent's move is legal for its kind.
 
-    A proposal equal to one of the cells ``legal_moves`` lists for the
-    agent's (i, j, k) tuple cell moves it to that listed cell; anything else
-    (an illegal cell, a value that is not a cell) degrades to a wait. Each
-    kind's table is fetched once per call and subscripted per agent; a
-    current cell outside the grid raises ``ValueError``. The moves depend on
-    the view and the proposals alone.
+    A proposal that unpacks into three coordinates whose difference from the
+    agent's (i, j, k) cell is one of the kind's ``MOVES`` whose bit is set in
+    the grid's move mask (``astar.move_mask``) moves the agent to its cell
+    plus that canonical move, so a float, bool or numpy proposal is stored as
+    a cell of ints; anything else waits. Each kind's mask is fetched once per
+    call; a current cell outside the grid raises ``ValueError``. The moves
+    depend on the view and the proposals alone.
     """
     cells = view.cells
-    tables = {kind: legal_moves(view.grid, kind) for kind in KINDS}
+    nx, ny, nz = dims = view.grid.dims
+    tables = {kind: (move_mask(view.grid, kind), _BITS[kind]) for kind in KINDS}
     legal = {}
     for agent in view.agents:
         aid = agent.id
         cell = cells[aid]
-        options = tables[agent.kind][cell]
+        i, j, k = cell
+        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+            raise _outside(cell, dims)
+        mask, bits = tables[agent.kind]
         try:
-            legal[aid] = options[options.index(tuple(proposals.get(aid, cell)))]
-        except (TypeError, ValueError):  # not a cell, or not a legal one
-            legal[aid] = cell
+            x, y, z = proposals.get(aid, cell)
+            flag, (di, dj, dk) = bits.get((x - i, y - j, z - k), _NOT_A_MOVE)
+        except (TypeError, ValueError):  # not a cell
+            flag = 0
+        legal[aid] = (i + di, j + dj, k + dk) if mask[(i * ny + j) * nz + k] & flag else cell
     return shield_moves(cells, legal)

@@ -2,14 +2,15 @@
 
 One Simulator instance drives one scenario, either replaying a precomputed
 solution or querying an online policy every tick. Steps preserve
-conflict-freedom by construction. Online steps re-check it defensively (a
-violation means a shield bug and raises); precomputed ticks read the joint
-rows ``init`` kept of the plan it validated. An online step that moves
-nobody is not re-checked: tick 0 passed ``validate_agents``, and every
-later state was checked or repeats a checked one. The policy is asked every
-tick; a Simulator keeps the proposals of its last tick when that tick moved
-nobody, and a tick that proposes the same again moves nobody either,
-without the legality check or the shield. The policy module keeps no state.
+conflict-freedom by construction. Online steps re-check it defensively with
+``step_conflicts``, the rule whose loops the shield runs (a violation means
+a shield bug and raises); precomputed ticks read the joint rows ``init``
+kept of the plan it validated. An online step that moves nobody is not
+re-checked: tick 0 passed ``validate_agents``, and every later state was
+checked or repeats a checked one. The policy is asked every tick; a
+Simulator keeps the proposals of its last tick when that tick moved nobody,
+and a tick that proposes the same again moves nobody either, without the
+legality check or the shield. The policy module keeps no state.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written with different algorithms and data
 layouts than the package: plain BFS over static grids, a triple-loop
-pairwise conflict scan, a pairwise-rescan collision shield, space-time A*
-on one heap of tuples, uniform-cost search over joint configurations with
-explicit "finished" flags, and brute-force path enumeration. Slow is fine;
-these define the expected answers.
+pairwise conflict scan, a pairwise-rescan collision shield, legal moves
+listed per cell by per-move checks, space-time A* on one heap of tuples,
+uniform-cost search over joint configurations with explicit "finished"
+flags, and brute-force path enumeration. Slow is fine; these define the
+expected answers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import struct
 from collections import deque
 from heapq import heappop, heappush
 from itertools import combinations, count, product
+from operator import index
 
 import numpy as np
 
@@ -257,6 +259,26 @@ def pairwise_shield(cells, proposals):
             return moves
         moves[offender] = cells[offender]
     raise InvariantViolation("shield failed to converge")
+
+
+def table_policy_step(view, proposals):
+    """Reference legality check plus ``pairwise_shield``: a proposal equal to one of the cells its agent's
+    kind may occupy next (bounds and occupancy tested move by move, in ``MOVES`` order) moves there as that
+    cell of ints; anything else waits. A current cell outside the grid raises ``ValueError``."""
+    grid = view.grid
+    legal = {}
+    for agent in view.agents:
+        cell = view.cells[agent.id]
+        i, j, k = key = tuple(map(index, cell))
+        if not grid.in_bounds(i, j, k):
+            raise ValueError(f"cell {key} is outside the grid's dims {grid.dims}")
+        options = [(i + di, j + dj, k + dk) for di, dj, dk in MOVES[agent.kind]]
+        options = [c for c in options if grid.in_bounds(*c) and not grid.is_occupied(*c)]
+        try:
+            legal[agent.id] = options[options.index(tuple(proposals.get(agent.id, cell)))]
+        except (TypeError, ValueError):  # not a cell, or not a legal one
+            legal[agent.id] = cell
+    return pairwise_shield(view.cells, legal)
 
 
 def _goal_distance_maps(grid, agents):

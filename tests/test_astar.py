@@ -1,7 +1,9 @@
 import hashlib
 import random
+import re
 import weakref
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,19 +11,23 @@ import pytest
 from skyrover import (
     AGV,
     UAV,
+    Agent,
     Budget,
     Constraint,
+    GreedyShieldedPolicy,
     ReservationTable,
     OccupancyGrid3D,
     ResourceLimitError,
     SolverConfig,
     empty_grid,
     generate_warehouse,
+    online_policy_step,
     path_cost,
     solve,
     spacetime_astar,
+    WorldView,
 )
-from skyrover.astar import _Neighbours, legal_moves
+from skyrover.astar import _Neighbours, move_mask
 from skyrover.mapf import EDGE, MOVES, VERTEX, detect_conflicts, per_grid
 
 from oracles import (
@@ -68,6 +74,28 @@ def _legal_cells(grid, kind, cell):
     i, j, k = cell
     out = [(i + dx, j + dy, k + dz) for dx, dy, dz in MOVES[kind]]
     return [c for c in out if grid.in_bounds(*c) and not grid.is_occupied(*c)]
+
+
+def _mask_cells(grid, kind, cell):
+    """The cells of the kind's moves whose bits are set in ``cell``'s byte of the grid's move mask, in ``MOVES`` order."""
+    _, ny, nz = grid.dims
+    i, j, k = cell
+    bits = move_mask(grid, kind)[(i * ny + j) * nz + k]
+    return [(i + di, j + dj, k + dk) for b, (di, dj, dk) in enumerate(MOVES[kind]) if bits >> b & 1]
+
+
+def _stepped_cells(grid, kind, cell):
+    """The cells ``online_policy_step`` moves a lone agent of ``kind`` at ``cell`` to, proposed each of the 26 around it."""
+    view = WorldView(grid, (Agent(0, kind, cell, cell),), {0: cell})
+    i, j, k = cell
+    out = []
+    for d in product((-1, 0, 1), repeat=3):
+        proposal = (i + d[0], j + d[1], k + d[2])
+        moved = online_policy_step(view, {0: proposal})[0]
+        assert moved in (proposal, cell)
+        if d != (0, 0, 0) and moved == proposal:
+            out.append(moved)
+    return out
 
 
 def test_start_equals_goal():
@@ -226,15 +254,15 @@ def test_next_cells_are_the_legal_moves_in_move_order():
     rng = random.Random(6)
     grid = random_grid(rng, (5, 4, 3), density=0.3)
     for kind in (UAV, AGV):
+        assert move_mask(grid, kind) is move_mask(grid, kind)  # kept, not rebuilt
         for cell in free_cells(grid, kind):
-            assert legal_moves(grid, kind)[cell] == tuple(_legal_cells(grid, kind, cell))
-            assert legal_moves(grid, kind)[cell] is legal_moves(grid, kind)[cell]  # kept, not rebuilt
+            want = _legal_cells(grid, kind, cell)
+            assert _mask_cells(grid, kind, cell) == want
+            assert _stepped_cells(grid, kind, cell) == sorted(c for c in want if c != cell)
     fresh = random_grid(random.Random(6), (5, 4, 3), density=0.3)
     for kind in (UAV, AGV):
-        for cell in free_cells(fresh, kind):  # numpy coordinates first: they must not leak into the cache
-            assert legal_moves(fresh, kind)[tuple(np.array(cell))] == legal_moves(grid, kind)[cell]
-        for cell, options in legal_moves(fresh, kind).items():
-            assert all(type(v) is int for c in (cell, *options) for v in c)
+        for cell in free_cells(fresh, kind):  # numpy coordinates step to the same cells
+            assert _stepped_cells(fresh, kind, tuple(np.array(cell))) == _stepped_cells(grid, kind, cell)
         for cid, entries in per_grid(fresh, _Neighbours, kind).items():
             assert all(type(v) is int for v in (cid, *(x for entry in entries for x in entry)))
 
@@ -249,11 +277,12 @@ def test_every_cells_moves_equal_a_per_move_check(dims):
     for density in (0.0, 0.3, 0.7):
         grid = random_grid(rng, dims, density)
         for kind in (UAV, AGV):
-            nbrs, table = per_grid(grid, _Neighbours, kind), legal_moves(grid, kind)
+            nbrs = per_grid(grid, _Neighbours, kind)
             for cell in ((i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)):
                 want = _legal_cells(grid, kind, cell)
                 i, j, k = cell
-                assert table[cell] == tuple(want)
+                assert _mask_cells(grid, kind, cell) == want
+                assert _stepped_cells(grid, kind, cell) == sorted(c for c in want if c != cell)
                 assert nbrs[(i * ny + j) * nz + k] == tuple(((a * ny + b) * nz + c, a, b, c) for a, b, c in want)
                 if grid.is_occupied(*cell):
                     assert cell not in want  # an occupied cell lists no wait
@@ -268,11 +297,15 @@ def test_every_cells_moves_equal_a_per_move_check(dims):
 def test_next_cells_of_a_cell_outside_the_grid_raise(cell):
     """Once aliased onto another cell's list: (0, 3, 0) gave (1, 0, 0)'s, (0, 0, -1) gave ((0, 2, 1),)."""
     grid = empty_grid((4, 3, 2))
+    message = re.escape(f"cell {tuple(map(int, cell))} is outside the grid's dims (4, 3, 2)")
     for kind in (UAV, AGV):
-        for _ in range(2):  # every lookup raises: nothing is stored for the cell
-            with pytest.raises(ValueError, match=r"outside the grid's dims \(4, 3, 2\)"):
-                legal_moves(grid, kind)[cell]
-        assert cell not in legal_moves(grid, kind)
+        view = WorldView(grid, (Agent(0, kind, cell, (1, 1, 0)),), {0: cell})
+        policy = GreedyShieldedPolicy()
+        for _ in range(2):  # every call raises: nothing is kept for the cell
+            with pytest.raises(ValueError, match=message):
+                online_policy_step(view, {0: (1, 1, 0)})
+            with pytest.raises(ValueError, match=message):
+                policy.propose(view)
 
 
 def test_unreachable_goal_terminates_via_dominance():

@@ -34,7 +34,7 @@ from skyrover import (
     warehouse_grid,
 )
 from skyrover.bench import run_cell
-from skyrover.mapf import MOVES, Violation, cell_at, components
+from skyrover.mapf import MOVES, Violation, _collisions, cell_at, components
 
 from oracles import (
     brute_force_conflicts,
@@ -207,6 +207,30 @@ def test_step_conflicts_matches_brute_force_on_crowded_steps():
         want = [c for c in brute_force_conflicts({a: (prev[a], cur[a]) for a in paths}) if c[0] == 1]
         found = sorted(step_conflicts(prev, cur, 1), key=lambda c: c.sort_key)
         assert _normalize(found) == want
+
+
+def test_collisions_and_step_conflicts_match_brute_force():
+    """Seeded joint steps on a crowded 3x2 floor, sparse ids in any order, jumps allowed (the rule does not ask):
+    the plain tuples and the ``Conflict`` objects both equal the pairwise scan, edge cells in a's order."""
+    rng = random.Random(39)
+    spots = [(i, j, 0) for i in range(3) for j in range(2)]
+    seen = Counter()
+    for _ in range(3000):
+        ids = rng.sample(range(40), rng.randrange(2, 9))
+        prev = {a: rng.choice(spots) for a in ids}
+        cur = {a: prev[a] if rng.random() < 0.3 else rng.choice(spots) for a in ids}
+        want = sorted(c for c in brute_force_conflicts({a: (prev[a], cur[a]) for a in ids}) if c[0] == 1)
+        assert sorted((1, a, b, kind, cells) for a, b, kind, cells in _collisions(prev, cur)) == want
+        t = rng.randrange(50)
+        assert sorted(_normalize(step_conflicts(prev, cur, t))) == [(t, *c[1:]) for c in want]
+        moves = Counter((prev[a], cur[a]) for a in ids if prev[a] != cur[a])
+        ends = Counter(cur.values())
+        seen["duplicate moves"] += max(moves.values(), default=0) >= 2
+        seen["shared start cells"] += len(set(prev.values())) < len(ids)
+        seen["shared end cells"] += max(ends.values()) >= 2
+        seen["3-way contention"] += max(ends.values()) >= 3
+        seen["swaps"] += any(c[3] == "edge" for c in want)
+    assert min(seen.values()) >= 300, seen
 
 
 def test_shared_transition_swaps_with_every_agent():

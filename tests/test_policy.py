@@ -37,7 +37,7 @@ from skyrover.mapf import KINDS, MOVES, components
 from skyrover.sim import grid_diameter
 from skyrover.warehouse import warehouse_grid
 
-from oracles import free_cells, pairwise_shield, random_grid, random_instance
+from oracles import free_cells, pairwise_shield, random_grid, random_instance, table_policy_step
 
 
 def _step(grid, agents, cells):
@@ -217,9 +217,9 @@ def test_shield_matches_pairwise_reference_at_fleet_density():
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Counts the legality checks (``legal_moves`` fetches) and shields ``online_policy_step`` runs: a stalled tick runs neither."""
+    """Counts the legality checks (``move_mask`` fetches) and shields ``online_policy_step`` runs: a stalled tick runs neither."""
     count = Counter()
-    for name in ("legal_moves", "shield_moves"):
+    for name in ("move_mask", "shield_moves"):
 
         def counted(*args, _real=getattr(skyrover.policy, name), _name=name):
             count[_name] += 1
@@ -470,6 +470,78 @@ def test_illegal_proposals_degrade_to_waits():
     assert moves == at | {4: (3, 0, 1)}
 
 
+def _hostile_proposals(rng, cell):
+    """Proposals near ``cell``: its moves and jumps in many shapes, and values that are not cells at all."""
+    i, j, k = cell
+    d = rng.choice([(1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (0, 0, 0), (1, 1, 0), (2, 0, 0), (-1, 0, 1)])
+    target = (i + d[0], j + d[1], k + d[2])
+    if rng.random() < 0.4:
+        return target
+    shapes = [
+        tuple(map(float, target)),
+        tuple(np.int64(v) for v in target),
+        np.array(target),
+        list(target),
+        tuple(bool(v) if v in (0, 1) else v for v in target),
+        dict.fromkeys(target),  # its keys are the cell when they are distinct
+        None,
+        "abc",
+        (i, j),
+        (*target, 0),
+        (float("nan"), j, k),
+        {"i": i, "j": j, "k": k},
+        object(),
+    ]
+    if all(0 <= v < 256 for v in target):
+        shapes.append(bytes(target))
+    return rng.choice(shapes)
+
+
+def _step_outcome(step, view, proposals):
+    try:
+        moves = step(view, proposals)
+    except (InvariantViolation, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return moves, {a: tuple(map(type, c)) for a, c in moves.items()}
+
+
+def test_mask_legality_equals_the_table_reference_on_hostile_proposals():
+    """Seeded fleets on random grids, occupied cells and AGVs above layer 0 included, now and then two agents on
+    one cell or one outside the grid: moves, cell types and errors equal the table-based step's."""
+    rng = random.Random(39)
+    seen = Counter()
+    for _ in range(800):
+        grid = random_grid(rng, (5, 4, 3), rng.choice((0.0, 0.3, 0.7)))
+        nx, ny, nz = grid.dims
+        spots = [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)]
+        n = rng.randrange(1, 12)
+        cells = dict(zip(rng.sample(range(50), n), rng.sample(spots, n)))
+        ids = list(cells)
+        if rng.random() < 0.1:
+            cells[ids[0]] = cells[ids[-1]]
+        if rng.random() < 0.1:
+            cells[ids[0]] = rng.choice([(nx, 0, 0), (0, -1, 0), (0, 0, nz)])
+        agents = tuple(Agent(a, rng.choice((UAV, AGV)), cell, (0, 0, 0)) for a, cell in cells.items())
+        proposals = {a: _hostile_proposals(rng, cell) for a, cell in cells.items() if rng.random() < 0.9}
+        view = WorldView(grid, agents, cells)
+        want = _step_outcome(table_policy_step, view, proposals)
+        assert _step_outcome(online_policy_step, view, proposals) == want, (cells, proposals)
+        if want[0] in ("ValueError", "InvariantViolation"):
+            seen[want[0]] += 1
+            continue
+        kinds = {a.id: a.kind for a in agents}
+        for a, p in proposals.items():
+            moved = want[0][a] != cells[a]
+            seen["moved"] += moved
+            seen["foreign moved"] += moved and type(p) is not tuple
+            if type(p) is tuple and len(p) == 3 and {type(v) for v in p} == {int} and not moved:
+                i, j, k = cells[a]
+                seen["climb refused"] += kinds[a] == AGV and p == (i, j, k + 1) and grid.in_bounds(*p)
+                seen["wall refused"] += grid.in_bounds(*p) and grid.is_occupied(*p) and manhattan(p, cells[a]) == 1
+    assert all(seen[k] >= 40 for k in ("moved", "foreign moved", "climb refused", "wall refused", "ValueError")), seen
+    assert seen["InvariantViolation"] >= 10, seen
+
+
 @pytest.mark.parametrize(
     "proposal, move",
     [((1.0, 0.0, 0.0), (1, 0, 0)), (None, (0, 0, 0)), (np.array([1, 0, 0]), (1, 0, 0))],
@@ -534,6 +606,30 @@ def test_cached_greedy_steps_equal_the_uncached_rule():
                 seen["at goal"] += cells[a.id] == a.goal
                 seen["boxed in"] += cells[a.id] != a.goal and _legal(grid, a.kind, cells[a.id]) == [cells[a.id]]
     assert seen["at goal"] >= 100 and seen["boxed in"] >= 100, seen  # obstacles leave them only the wait
+
+
+def test_mask_greedy_steps_equal_the_uncached_rule_on_every_cell():
+    """Every cell of seeded random grids, occupied ones and AGVs above layer 0 included, for both kinds and
+    several goals: the step read from the move mask equals the first-minimum rule."""
+    rng = random.Random(39)
+    seen = Counter()
+    for density in (0.0, 0.3, 0.7):
+        for dims in ((5, 4, 3), (1, 6, 2), (4, 1, 1)):
+            grid = random_grid(rng, dims, density)
+            nx, ny, nz = dims
+            cells = [(i, j, k) for i in range(nx) for j in range(ny) for k in range(nz)]
+            for kind in (UAV, AGV):
+                for goal in rng.sample(cells, min(4, len(cells))):
+                    agent = Agent(0, kind, goal, goal)
+                    steps = skyrover.policy._StepsToward(grid, kind, goal)
+                    for cell in cells:
+                        want = _greedy_reference(grid, agent, cell)
+                        assert steps[cell] == want, (density, dims, kind, goal, cell)
+                        gain = manhattan(cell, goal) - manhattan(want, goal)
+                        seen[{1: "toward", 0: "wait", -1: "away"}[gain]] += 1
+                        seen["occupied"] += grid.is_occupied(*cell)
+                        seen["boxed in"] += cell != goal and not _legal(grid, kind, cell)
+    assert all(seen[k] >= 50 for k in ("toward", "wait", "away", "occupied", "boxed in")), seen
 
 
 def test_greedy_policy_reused_on_another_grid_proposes_like_a_fresh_one():
@@ -643,7 +739,7 @@ def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
         return build(g, kind)
 
     fetched = []
-    fetch = skyrover.policy.legal_moves
+    fetch = skyrover.policy.move_mask
 
     def counted_fetch(g, kind):
         fetched.append(kind)
@@ -657,7 +753,7 @@ def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
         return step(table, cell)
 
     monkeypatch.setattr(skyrover.mapf, "_label_components", counted)
-    monkeypatch.setattr(skyrover.policy, "legal_moves", counted_fetch)
+    monkeypatch.setattr(skyrover.policy, "move_mask", counted_fetch)
     monkeypatch.setattr(skyrover.policy._StepsToward, "__missing__", counted_step)
     grid = warehouse_grid((40, 30, 6), shelf_rows=6)
     agents = sample_agents(grid, parse_roster("4uav+10agv"), 7)
@@ -670,7 +766,7 @@ def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
     policy = GreedyShieldedPolicy()
     view = WorldView(grid, agents, {a.id: a.start for a in agents})
     want = policy.propose(view)
-    assert sorted(fetched) == sorted(a.kind for a in agents)  # one step table per agent
+    assert sorted(fetched) == sorted(a.kind for a in agents)  # one mask fetch per step table, one table per agent
     assert len(stepped) == len(agents)  # one step each
     assert policy.propose(view) == want
     assert len(fetched) == len(stepped) == len(agents)  # the repeat built no table and no step
@@ -683,7 +779,7 @@ def test_one_grid_derives_each_table_once_and_is_freed_at_once(monkeypatch):
     del fetched[:], stepped[:]
     assert sim.run().states == first.states
     assert stepped == []  # every cell's step was kept from the first run
-    assert len(fetched) == first_fetches - len(agents)  # only the legality check's, one per kind and computed tick
+    assert len(fetched) == first_fetches - len(agents)  # only the legality check's mask fetches, one per kind and computed tick
     assert sorted(labelled) == [AGV, UAV]
     ref = weakref.ref(grid)
     del grid, view, policy, sim, first
